@@ -52,18 +52,14 @@ from .taskgraph import (
     generate_random_graph,
     graph_from_arcs,
     induced_subgraph,
-    out_degree,
     parse_graph,
     priority_order,
-    ranking,
     serialize_graph,
 )
 from .topology import (
     Mesh3D,
     Occupancy,
-    TileCoord,
     diagonal_tiles,
-    hop_matrix,
     lozenge_next_empty,
     tile_coords,
     tile_index,

@@ -14,21 +14,21 @@ import csv
 import io
 import itertools
 import math
-import threading
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+import numpy as np
+
 from .mappers import map_with
-from .metrics import EnergyModel, Mapping, bit_energy, evaluate
+from .metrics import EnergyModel, HopKernel, Mapping, evaluate
 from .pso import PsoParams, pso_optimize
 from .scheduler import cluster_schedule, dynamic_schedule
 from .taskgraph import TaskGraph, parse_graph
-from .topology import Mesh3D, hop_matrix
-
-_csv_lock = threading.Lock()
+from .topology import Mesh3D
 
 ORACLE_MAX_ASSIGNMENTS = 10_000_000
+ORACLE_CHUNK = 1 << 10  # assignments scored per kernel call; bounds its memory
 
 
 @dataclass
@@ -93,7 +93,10 @@ def parse_mapping_artifact(text: str) -> tuple[Mapping, dict[str, str]]:
         parts = line.split()
         if len(parts) != 5 or parts[0] != "core" or parts[2] != "->" or parts[3] != "tile":
             raise ValueError(f"artifact line {line_no}: expected 'core <id> -> tile <id>'")
-        placement[int(parts[1])] = int(parts[4])
+        core = int(parts[1])
+        if core in placement:
+            raise ValueError(f"artifact line {line_no}: duplicate line for core {core}")
+        placement[core] = int(parts[4])
     return placement, header
 
 
@@ -112,14 +115,13 @@ def _format_cell(value) -> str:
 def append_report_csv(path: str | Path, rows: list[ReportRow]) -> None:
     """Append rows, writing the header when the file is new or empty."""
     path = Path(path)
-    with _csv_lock:
-        need_header = not path.exists() or path.stat().st_size == 0
-        with path.open("a", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            if need_header:
-                writer.writerow(CSV_COLUMNS)
-            for row in rows:
-                writer.writerow([_format_cell(getattr(row, col)) for col in CSV_COLUMNS])
+    need_header = not path.exists() or path.stat().st_size == 0
+    with path.open("a", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        if need_header:
+            writer.writerow(CSV_COLUMNS)
+        for row in rows:
+            writer.writerow([_format_cell(getattr(row, col)) for col in CSV_COLUMNS])
 
 
 def read_report_csv(path: str | Path) -> list[ReportRow]:
@@ -255,8 +257,9 @@ def exhaustive_oracle(
     """Enumerate every injective core->tile assignment; return the optimum.
 
     The minimizer returned is the lexicographically smallest assignment
-    vector (tile of core 0, tile of core 1, ...).  Refuses instances with
-    more than ORACLE_MAX_ASSIGNMENTS candidate assignments.
+    vector (tile of core 0, tile of core 1, ...), scored ORACLE_CHUNK at a
+    time by the metric kernel.  Refuses instances with more than
+    ORACLE_MAX_ASSIGNMENTS candidate assignments.
     """
     if objective not in ("energy", "cost"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -271,22 +274,18 @@ def exhaustive_oracle(
             f"{count} assignments exceed the oracle limit of {ORACLE_MAX_ASSIGNMENTS}"
         )
 
-    hops = hop_matrix(mesh.n).tolist()
-    if objective == "energy":
-        per_hop = [bit_energy(h, model) for h in range(3 * (mesh.n - 1) + 1)]
-        arcs = [(a.src, a.dst, a.volume) for a in g.arcs]
-    else:
-        arcs = [(a.src, a.dst, a.bandwidth) for a in g.arcs]
-
+    kernel = HopKernel(g, mesh)
+    assignments = itertools.permutations(range(tiles), k)
     best_value = None
     best_assign = None
-    for assign in itertools.permutations(range(tiles), k):
-        if objective == "energy":
-            value = math.fsum(w * per_hop[hops[assign[s]][assign[d]]] for s, d, w in arcs)
-        else:
-            value = sum(w * hops[assign[s]][assign[d]] for s, d, w in arcs)
-        if best_value is None or value < best_value:
-            best_value, best_assign = value, assign
+    while chunk := list(itertools.islice(assignments, ORACLE_CHUNK)):
+        flat = itertools.chain.from_iterable(chunk)
+        rows = np.fromiter(flat, np.intp, len(chunk) * k).reshape(len(chunk), k)
+        link_bits, switch_bits, cost = kernel(rows)
+        values = model.energy(switch_bits, link_bits) if objective == "energy" else cost
+        i = int(np.argmin(values))  # first minimum: permutations come in lexicographic order
+        if best_value is None or values[i] < best_value:
+            best_value, best_assign = values[i].item(), chunk[i]
     assert best_assign is not None
     return best_value, {core: tile for core, tile in enumerate(best_assign)}
 

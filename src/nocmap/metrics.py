@@ -4,11 +4,13 @@ Moving one bit across h links visits h+1 routers, so the per-bit charge is
 ``(h+1)*e_switch_bit + h*e_link_bit``; co-located endpoints (h = 0) cost
 nothing because intra-tile traffic never enters the network.
 
-Total energy is accumulated per ordered tile pair: volumes crossing the same
-pair are summed exactly (integers) before the single float multiply, and the
-per-pair products are combined with ``math.fsum``.  This keeps the result
-independent of arc order and makes task-level evaluation of a schedule agree
-bit-for-bit with the evaluation of its aggregated cluster graph.
+Every metric reads three exact integer sums over the arcs from one kernel,
+``HopKernel``, which also scores the swarm and the exhaustive oracle:
+``link_bits = sum(vol*h)``, ``switch_bits = link_bits + sum(vol for h > 0)``
+and ``cost = sum(bw*h)``.  Energy is ``e_switch_bit*switch_bits +
+e_link_bit*link_bits`` and latency ``rho*link_bits/eta``.  Integer sums make
+results independent of arc order, and a schedule evaluated task by task
+equals its aggregated cluster graph bit for bit.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .taskgraph import TaskGraph
-from .topology import Mesh3D, xyz_hops
+from .topology import Mesh3D, coordinate_arrays
 
 Mapping = dict[int, int]
 
@@ -31,8 +35,13 @@ class EnergyModel:
     rho: float = 1.0
 
     def __post_init__(self):
-        if self.e_switch_bit < 0 or self.e_link_bit < 0 or self.rho < 0:
-            raise ValueError("energy model constants must be non-negative")
+        for value in (self.e_switch_bit, self.e_link_bit, self.rho):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError("energy model constants must be finite and non-negative")
+
+    def energy(self, switch_bits, link_bits):
+        """Energy (pJ) of the given router and link bit counts; works elementwise."""
+        return self.e_switch_bit * switch_bits + self.e_link_bit * link_bits
 
 
 DEFAULT_ENERGY_MODEL = EnergyModel()
@@ -55,24 +64,52 @@ def bit_energy(links: int, model: EnergyModel = DEFAULT_ENERGY_MODEL) -> float:
     return (links + 1) * model.e_switch_bit + links * model.e_link_bit
 
 
-def _require_total(g: TaskGraph, mapping: Mapping, mesh: Mesh3D) -> None:
-    for core in range(g.n_cores):
-        tile = mapping.get(core)
-        if tile is None:
-            raise ValueError(f"core {core} is unmapped")
-        if not (0 <= tile < mesh.tile_count):
-            raise ValueError(f"core {core} mapped to invalid tile {tile}")
+class HopKernel:
+    """Exact integer hop sums of one graph's arcs on one mesh, for any batch of placements.
 
+    A placement is a tile-per-core array; a batch has shape ``(..., n_cores)``.
+    Construction refuses graphs whose sums could overflow int64.
+    """
 
-def _pair_volumes(g: TaskGraph, mapping: Mapping) -> dict[tuple[int, int], int]:
-    totals: dict[tuple[int, int], int] = {}
-    for a in g.arcs:
-        ti, tj = mapping[a.src], mapping[a.dst]
-        if ti == tj:
-            continue
-        key = (ti, tj)
-        totals[key] = totals.get(key, 0) + a.volume
-    return totals
+    def __init__(self, g: TaskGraph, mesh: Mesh3D):
+        max_hops = 3 * (mesh.n - 1)
+        volume = [a.volume for a in g.arcs]
+        bandwidth = [a.bandwidth for a in g.arcs]
+        if max(sum(volume) * (max_hops + 1), sum(bandwidth) * max_hops) > 2 ** 63 - 1:
+            raise ValueError(f"arc weights too large: hop sums on mesh {mesh.n} overflow int64")
+        self.n_cores = g.n_cores
+        self.tile_count = mesh.tile_count
+        self.src = np.array([a.src for a in g.arcs], dtype=np.intp)
+        self.dst = np.array([a.dst for a in g.arcs], dtype=np.intp)
+        self.volume = np.array(volume, dtype=np.int64)
+        self.bandwidth = np.array(bandwidth, dtype=np.int64)
+        self.layer, self.row, self.col = coordinate_arrays(mesh.n)
+
+    def placement(self, mapping: Mapping) -> np.ndarray:
+        """The tile-per-core array of a mapping that places exactly cores 0..N-1."""
+        for core in range(self.n_cores):
+            tile = mapping.get(core)
+            if tile is None:
+                raise ValueError(f"core {core} is unmapped")
+            if not (0 <= tile < self.tile_count):
+                raise ValueError(f"core {core} mapped to invalid tile {tile}")
+        if len(mapping) != self.n_cores:
+            extra = min(c for c in mapping if not (0 <= c < self.n_cores))
+            raise ValueError(f"mapping names unknown core {extra}")
+        return np.array([mapping[c] for c in range(self.n_cores)], dtype=np.intp)
+
+    def hops(self, tiles: np.ndarray) -> np.ndarray:
+        """XYZ hop count of every arc, shape ``(..., arcs)``."""
+        s, d = tiles[..., self.src], tiles[..., self.dst]
+        layer, row, col = self.layer, self.row, self.col
+        return np.abs(layer[s] - layer[d]) + np.abs(row[s] - row[d]) + np.abs(col[s] - col[d])
+
+    def __call__(self, tiles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(link_bits, switch_bits, cost)`` for every placement in the batch."""
+        h = self.hops(tiles)
+        link_bits = h @ self.volume
+        switch_bits = link_bits + (h > 0) @ self.volume
+        return link_bits, switch_bits, h @ self.bandwidth
 
 
 def total_energy(
@@ -82,17 +119,12 @@ def total_energy(
     model: EnergyModel = DEFAULT_ENERGY_MODEL,
 ) -> float:
     """Total communication energy (pJ): sum of volume x per-bit path energy."""
-    _require_total(g, mapping, mesh)
-    return math.fsum(
-        vol * bit_energy(xyz_hops(ti, tj, mesh.n), model)
-        for (ti, tj), vol in _pair_volumes(g, mapping).items()
-    )
+    return evaluate(g, mapping, mesh, model).total_energy
 
 
 def comm_cost(g: TaskGraph, mapping: Mapping, mesh: Mesh3D) -> int:
     """Communication cost: sum of bandwidth x hop count over all arcs."""
-    _require_total(g, mapping, mesh)
-    return sum(a.bandwidth * xyz_hops(mapping[a.src], mapping[a.dst], mesh.n) for a in g.arcs)
+    return evaluate(g, mapping, mesh).comm_cost
 
 
 def transfer_count(g: TaskGraph) -> int:
@@ -107,12 +139,10 @@ def avg_latency(
     model: EnergyModel = DEFAULT_ENERGY_MODEL,
 ) -> float:
     """Mean per-transfer delay: rho-scaled hop-volume product over transfer count."""
-    _require_total(g, mapping, mesh)
-    eta = transfer_count(g)
-    if eta == 0:
+    latency = evaluate(g, mapping, mesh, model).avg_latency
+    if latency is None:
         raise ValueError("average latency undefined: no transfer has positive volume")
-    hop_volume = sum(a.volume * xyz_hops(mapping[a.src], mapping[a.dst], mesh.n) for a in g.arcs)
-    return hop_volume * model.rho / eta
+    return latency
 
 
 def evaluate(
@@ -122,10 +152,12 @@ def evaluate(
     model: EnergyModel = DEFAULT_ENERGY_MODEL,
 ) -> EvalReport:
     """All metrics at once; latency is None when the graph moves no data."""
+    kernel = HopKernel(g, mesh)
+    link_bits, switch_bits, cost = (int(v) for v in kernel(kernel.placement(mapping)))
     eta = transfer_count(g)
     return EvalReport(
-        total_energy=total_energy(g, mapping, mesh, model),
-        comm_cost=comm_cost(g, mapping, mesh),
-        avg_latency=avg_latency(g, mapping, mesh, model) if eta > 0 else None,
+        total_energy=model.energy(switch_bits, link_bits),
+        comm_cost=cost,
+        avg_latency=link_bits * model.rho / eta if eta > 0 else None,
         eta=eta,
     )

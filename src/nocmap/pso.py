@@ -18,25 +18,23 @@ index order.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import DEFAULT_ENERGY_MODEL, EnergyModel, Mapping, bit_energy
+from .metrics import DEFAULT_ENERGY_MODEL, EnergyModel, HopKernel, Mapping
 from .taskgraph import TaskGraph, priority_order
-from .topology import Mesh3D, hop_matrix
+from .topology import Mesh3D
 
 
 @dataclass(frozen=True)
 class PsoParams:
-    """Swarm constants; dimension is resolved to the tile count when None."""
+    """Swarm constants."""
 
     c1: float = 1.2
     c2: float = 1.3
     w: float = 0.721348
     swarm_size: int = 200
-    dimension: int | None = None
     max_simulations: int = 100
     max_evals_per_simulation: int = 150_000
     seed: int = 0
@@ -51,17 +49,17 @@ class PsoResult:
     simulation: int
 
 
-def velocity_update(position, velocity, pbest, gbest, params: PsoParams, rng) -> np.ndarray:
-    """New velocity vector(s); accepts a single particle or a whole swarm."""
-    if params.dimension is None:
-        raise ValueError("params.dimension must be resolved before velocity updates")
+def velocity_update(
+    position, velocity, pbest, gbest, params: PsoParams, rng, dimension: int
+) -> np.ndarray:
+    """New velocity vector(s) clamped to [-dimension, dimension]; one particle or a swarm."""
     x = np.asarray(position, dtype=float)
     r1 = rng.uniform(0.0, params.c1, x.shape)
     r2 = rng.uniform(0.0, params.c2, x.shape)
     v = params.w * np.asarray(velocity, dtype=float)
     v += r1 * (np.asarray(pbest, dtype=float) - x)
     v += r2 * (np.asarray(gbest, dtype=float) - x)
-    return np.clip(v, -params.dimension, params.dimension)
+    return np.clip(v, -dimension, dimension)
 
 
 def position_update(position, velocity, dimension: int) -> np.ndarray:
@@ -98,35 +96,24 @@ def repair_permutation(raw, dimension: int) -> list[int]:
 class _SlotFitness:
     """Objective over position vectors, vectorized across a swarm.
 
-    Produces values bit-identical to metrics.total_energy / metrics.comm_cost
-    on the decoded mapping: positions are injective, so every arc is its own
-    tile pair, and the energy terms are combined with fsum just like the
-    metric does.
+    Scores the whole swarm's decoded placements with one call of the integer
+    metrics.HopKernel, so each value is exactly what metrics.evaluate reports.
     """
 
     def __init__(self, g: TaskGraph, mesh: Mesh3D, objective: str, model: EnergyModel):
-        self.order = priority_order(g)
-        slot = {core: i for i, core in enumerate(self.order)}
-        self.src = np.array([slot[a.src] for a in g.arcs], dtype=np.int64)
-        self.dst = np.array([slot[a.dst] for a in g.arcs], dtype=np.int64)
-        self.hops = hop_matrix(mesh.n)
-        if objective == "energy":
-            self.weights = np.array([a.volume for a in g.arcs], dtype=float)
-            self.energy_per_hop = np.array(
-                [bit_energy(h, model) for h in range(3 * (mesh.n - 1) + 1)]
-            )
-        elif objective == "cost":
-            self.weights = np.array([a.bandwidth for a in g.arcs], dtype=np.int64)
-            self.energy_per_hop = None
-        else:
+        if objective not in ("energy", "cost"):
             raise ValueError(f"unknown objective {objective!r}")
+        self.order = priority_order(g)
+        self.slot_of_core = np.argsort(self.order)
+        self.kernel = HopKernel(g, mesh)
+        self.objective = objective
+        self.model = model
 
     def __call__(self, positions: np.ndarray) -> list:
-        hops = self.hops[positions[:, self.src], positions[:, self.dst]]
-        if self.energy_per_hop is None:
-            return [int(v) for v in (self.weights * hops).sum(axis=1)]
-        terms = self.weights * self.energy_per_hop[hops]
-        return [math.fsum(row) for row in terms.tolist()]
+        link_bits, switch_bits, cost = self.kernel(positions[:, self.slot_of_core])
+        if self.objective == "cost":
+            return cost.tolist()
+        return self.model.energy(switch_bits, link_bits).tolist()
 
 
 def _encode_seed(mapping: Mapping, order: list[int], dimension: int) -> np.ndarray:
@@ -147,12 +134,12 @@ def _encode_seed(mapping: Mapping, order: list[int], dimension: int) -> np.ndarr
 def _run_simulation(
     fitness: _SlotFitness,
     params: PsoParams,
+    d: int,
     seed_position: np.ndarray | None,
     simulation: int,
     objective: str,
     n_cores: int,
 ) -> PsoResult:
-    d = params.dimension
     s = params.swarm_size
     rng = np.random.default_rng(np.random.SeedSequence((params.seed, simulation)))
 
@@ -175,7 +162,7 @@ def _run_simulation(
     iteration = 0
     while evals + s <= params.max_evals_per_simulation:
         iteration += 1
-        velocities = velocity_update(positions, velocities, pbest, gbest, params, rng)
+        velocities = velocity_update(positions, velocities, pbest, gbest, params, rng, d)
         positions = position_update(positions, velocities, d)
         for i in range(s):
             positions[i] = repair_permutation(positions[i].tolist(), d)
@@ -215,8 +202,6 @@ def pso_optimize(
     bounds how many may be requested.
     """
     dimension = mesh.tile_count
-    if params.dimension not in (None, dimension):
-        raise ValueError(f"params.dimension {params.dimension} != tile count {dimension}")
     if g.n_cores > dimension:
         raise ValueError(f"{g.n_cores} cores exceed {dimension} tiles")
     if not 1 <= simulations <= params.max_simulations:
@@ -226,14 +211,15 @@ def pso_optimize(
     if params.max_evals_per_simulation < params.swarm_size:
         raise ValueError("evaluation budget smaller than one swarm pass")
 
-    resolved = replace(params, dimension=dimension)
     fitness = _SlotFitness(g, mesh, objective, model)
     seed_position = (
         _encode_seed(seed_mapping, fitness.order, dimension) if seed_mapping is not None else None
     )
     best: PsoResult | None = None
     for sim in range(simulations):
-        result = _run_simulation(fitness, resolved, seed_position, sim, objective, g.n_cores)
+        result = _run_simulation(
+            fitness, params, dimension, seed_position, sim, objective, g.n_cores
+        )
         if best is None or result.fitness < best.fitness:
             best = result
     assert best is not None

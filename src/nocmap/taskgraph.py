@@ -84,6 +84,7 @@ class TaskGraph:
 
     @cached_property
     def out_degrees(self) -> tuple[int, ...]:
+        """Per core: number of arcs leaving it."""
         degs = [0] * self.n_cores
         for a in self.arcs:
             degs[a.src] += 1
@@ -91,6 +92,7 @@ class TaskGraph:
 
     @cached_property
     def rankings(self) -> tuple[int, ...]:
+        """Per core: total traffic touching it, volumes of all arcs in and out, in bits."""
         totals = [0] * self.n_cores
         for a in self.arcs:
             totals[a.src] += a.volume
@@ -169,18 +171,6 @@ def serialize_graph(g: TaskGraph) -> str:
 def _check_core(g: TaskGraph, core: int) -> None:
     if not (0 <= core < g.n_cores):
         raise ValueError(f"core id {core} out of range 0..{g.n_cores - 1}")
-
-
-def out_degree(g: TaskGraph, core: int) -> int:
-    """Number of arcs leaving the core."""
-    _check_core(g, core)
-    return g.out_degrees[core]
-
-
-def ranking(g: TaskGraph, core: int) -> int:
-    """Total traffic touching the core: volumes of all arcs in and out, in bits."""
-    _check_core(g, core)
-    return g.rankings[core]
 
 
 def priority_order(g: TaskGraph) -> list[int]:

@@ -10,7 +10,7 @@ recovers the column, which drives the search rotation below.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -30,12 +30,6 @@ class Mesh3D:
         return self.n ** 3
 
 
-class TileCoord(NamedTuple):
-    layer: int
-    row: int
-    col: int
-
-
 def tile_index(layer: int, row: int, col: int, n: int) -> int:
     """(layer, row, col) -> tile id."""
     for name, v in (("layer", layer), ("row", row), ("col", col)):
@@ -44,13 +38,13 @@ def tile_index(layer: int, row: int, col: int, n: int) -> int:
     return layer * n * n + row * n + col
 
 
-def tile_coords(tile: int, n: int) -> TileCoord:
+def tile_coords(tile: int, n: int) -> tuple[int, int, int]:
     """tile id -> (layer, row, col); inverse of tile_index."""
     if not (0 <= tile < n ** 3):
         raise ValueError(f"tile id {tile} out of range 0..{n ** 3 - 1}")
     layer, rest = divmod(tile, n * n)
     row, col = divmod(rest, n)
-    return TileCoord(layer, row, col)
+    return layer, row, col
 
 
 def diagonal_tiles(n: int) -> list[int]:
@@ -72,16 +66,12 @@ def xyz_hops(a: int, b: int, n: int) -> int:
     return abs(la - lb) + abs(ra - rb) + abs(ca - cb)
 
 
-def hop_matrix(n: int) -> np.ndarray:
-    """Dense tile-to-tile hop counts, shape (n^3, n^3)."""
-    idx = np.arange(n ** 3)
-    layer, rest = np.divmod(idx, n * n)
+def coordinate_arrays(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Layer, row and column of every tile as three int64 arrays (O(n^3) memory);
+    gathering from them gives the hop count of any batch of tile pairs."""
+    layer, rest = np.divmod(np.arange(n ** 3, dtype=np.int64), n * n)
     row, col = np.divmod(rest, n)
-    return (
-        np.abs(layer[:, None] - layer[None, :])
-        + np.abs(row[:, None] - row[None, :])
-        + np.abs(col[:, None] - col[None, :])
-    ).astype(np.int64)
+    return layer, row, col
 
 
 class Occupancy:

@@ -2,15 +2,14 @@
 
 Everything here is re-derived from scratch on purpose: coordinates come from
 plain divmod arithmetic, distances from coordinate differences, and metrics
-from double loops over a dense adjacency matrix.  Volumes crossing the same
-ordered tile pair are totalled as integers before the single multiply, and
-products are combined with math.fsum, so results are order-independent and
-comparable bit-for-bit with the library.
+from double loops over a dense adjacency matrix.  Energy counts, in exact
+integers, the bits times routers visited (``switch_bits``) and the bits
+times links traversed (``link_bits``), then applies the closed form
+``e_switch * switch_bits + e_link * link_bits`` once, so results are
+order-independent and comparable bit-for-bit with the library.
 """
 
 from __future__ import annotations
-
-import math
 
 
 def coords(tile: int, n: int) -> tuple[int, int, int]:
@@ -24,12 +23,6 @@ def manhattan3(a: int, b: int, n: int) -> int:
     la, ra, ca = coords(a, n)
     lb, rb, cb = coords(b, n)
     return abs(la - lb) + abs(ra - rb) + abs(ca - cb)
-
-
-def per_bit_energy(hops: int, e_switch: float, e_link: float) -> float:
-    if hops == 0:
-        return 0.0
-    return (hops + 1) * e_switch + hops * e_link
 
 
 def volume_matrix(g) -> list[list[int]]:
@@ -48,19 +41,16 @@ def bandwidth_matrix(g) -> list[list[int]]:
 
 def brute_energy(g, placement, n, e_switch=0.284, e_link=0.449) -> float:
     vol = volume_matrix(g)
-    per_pair: dict[tuple[int, int], int] = {}
+    switch_bits = link_bits = 0
     for i in range(g.n_cores):
         for j in range(g.n_cores):
             if i == j or vol[i][j] == 0:
                 continue
-            ti, tj = placement[i], placement[j]
-            if ti == tj:
-                continue
-            per_pair[(ti, tj)] = per_pair.get((ti, tj), 0) + vol[i][j]
-    return math.fsum(
-        v * per_bit_energy(manhattan3(ti, tj, n), e_switch, e_link)
-        for (ti, tj), v in per_pair.items()
-    )
+            hops = manhattan3(placement[i], placement[j], n)
+            if hops:
+                switch_bits += vol[i][j] * (hops + 1)  # a path of h links visits h+1 routers
+                link_bits += vol[i][j] * hops
+    return e_switch * switch_bits + e_link * link_bits
 
 
 def brute_cost(g, placement, n) -> int:

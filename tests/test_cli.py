@@ -84,3 +84,11 @@ def test_error_reporting(tmp_path, capsys):
     rc = main(["map", "--graph", str(bad)])
     assert rc == 1
     assert "self-loop" in capsys.readouterr().err
+
+
+def test_non_finite_energy_constant_rejected(demo_graph, tmp_path, capsys):
+    csv_path = tmp_path / "rows.csv"
+    rc = main(["map", "--graph", str(demo_graph), "--e-link", "nan", "--csv", str(csv_path)])
+    assert rc == 1
+    assert "finite" in capsys.readouterr().err
+    assert not csv_path.exists()

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import random
 
 import pytest
 
@@ -23,9 +25,11 @@ from nocmap import (
     write_mapping_artifact,
     xyz_hops,
 )
+from nocmap import harness
 from nocmap.harness import CSV_COLUMNS
 
 from conftest import G1_ARCS
+from oracles import brute_cost, brute_energy
 
 
 @pytest.fixture
@@ -57,6 +61,11 @@ class TestArtifacts:
     def test_malformed_line(self):
         with pytest.raises(ValueError, match="line 1"):
             parse_mapping_artifact("core 0 tile 4")
+
+    def test_duplicate_core_rejected(self):
+        text = "# mesh = 3\ncore 0 -> tile 4\ncore 1 -> tile 5\ncore 0 -> tile 6\n"
+        with pytest.raises(ValueError, match="line 4: duplicate line for core 0"):
+            parse_mapping_artifact(text)
 
 
 class TestRunBenchmark:
@@ -180,6 +189,39 @@ class TestOracle:
         g = generate_random_graph(10, 20, seed=0)
         with pytest.raises(ValueError, match="oracle limit"):
             exhaustive_oracle(g, mesh3)
+
+
+def plain_oracle(g, n, objective):
+    """First minimum over every injective assignment, one brute-force evaluation each."""
+    brute = brute_energy if objective == "energy" else brute_cost
+    best = None
+    for assign in itertools.permutations(range(n ** 3), g.n_cores):
+        value = brute(g, dict(enumerate(assign)), n)
+        if best is None or value < best[0]:
+            best = (value, dict(enumerate(assign)))
+    return best
+
+
+class TestChunkedOracle:
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 1 << 15])
+    @pytest.mark.parametrize("objective", ["energy", "cost"])
+    def test_matches_plain_loop(self, monkeypatch, mesh2, chunk, objective):
+        # 1680 assignments per graph: small chunks put ties on chunk boundaries
+        monkeypatch.setattr(harness, "ORACLE_CHUNK", chunk)
+        for seed in range(4):
+            rng = random.Random(seed)
+            g = generate_random_graph(4, rng.randint(1, 12), seed=seed)
+            assert exhaustive_oracle(g, mesh2, objective) == plain_oracle(g, 2, objective)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 1 << 15])
+    @pytest.mark.parametrize("n_cores", [1, 3])
+    def test_zero_arcs(self, monkeypatch, mesh2, chunk, n_cores):
+        monkeypatch.setattr(harness, "ORACLE_CHUNK", chunk)
+        g = graph_from_arcs(n_cores, [])
+        expected = plain_oracle(g, 2, "energy")
+        assert exhaustive_oracle(g, mesh2) == expected == (0.0, {c: c for c in range(n_cores)})
+        cost = exhaustive_oracle(g, mesh2, "cost")
+        assert cost == (0, expected[1]) and isinstance(cost[0], int)
 
 
 class TestCompare:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -78,6 +79,36 @@ class TestTotalEnergy:
             total_energy(g1, {0: 0, 1: 1, 2: 2, 3: 27}, mesh3)
 
 
+class TestValidation:
+    @pytest.mark.parametrize("extra", [{4: 0}, {-1: 3}, {9: 99}])
+    def test_unknown_core_rejected(self, mesh3, g1, extra):
+        mapping = {0: 13, 1: 10, 2: 4, 3: 12, **extra}
+        with pytest.raises(ValueError, match=f"unknown core {next(iter(extra))}"):
+            evaluate(g1, mapping, mesh3)
+
+    @pytest.mark.parametrize("field", ["e_switch_bit", "e_link_bit", "rho"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+    def test_energy_model_rejects_non_finite_and_negative(self, field, value):
+        with pytest.raises(ValueError, match="non-negative"):
+            EnergyModel(**{field: value})
+
+    def test_largest_volume_is_exact(self, mesh3):
+        # 7 routers and 6 links per bit between opposite corners of a 3-cube
+        vol = (2 ** 63 - 1) // 7
+        bw = (2 ** 63 - 1) // 6
+        g = graph_from_arcs(2, [(0, 1, vol, bw)])
+        rep = evaluate(g, {0: 0, 1: 26}, mesh3)
+        assert rep.comm_cost == 6 * bw
+        assert rep.total_energy == 0.284 * (7 * vol) + 0.449 * (6 * vol)
+        assert rep.avg_latency == 6 * vol * 1.0 / 1
+
+    @pytest.mark.parametrize("arc", [((2 ** 63 - 1) // 7 + 1, 1), (1, (2 ** 63 - 1) // 6 + 1)])
+    def test_overflowing_sums_rejected(self, mesh3, arc):
+        g = graph_from_arcs(2, [(0, 1, *arc)])
+        with pytest.raises(ValueError, match="overflow"):
+            evaluate(g, {0: 0, 1: 1}, mesh3)
+
+
 class TestCommCost:
     def test_single_arc(self, mesh3):
         g = graph_from_arcs(2, [(0, 1, 100, 10)])
@@ -141,6 +172,39 @@ class TestAgainstBruteForce:
         assert transfer_count(g) == brute_eta(g)
         if transfer_count(g) > 0:
             assert avg_latency(g, placement, mesh) == brute_latency(g, placement, 3)
+
+
+@st.composite
+def graph_and_placement(draw):
+    """A random graph on a random mesh, placed with many cores per tile."""
+    n = draw(st.integers(2, 4))
+    n_cores = draw(st.integers(1, 14))
+    pairs = [(i, j) for i in range(n_cores) for j in range(n_cores) if i != j]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    arcs = [(i, j, draw(st.integers(0, 10 ** 6)), draw(st.integers(0, 100))) for i, j in chosen]
+    used_tiles = draw(st.integers(1, n ** 3))  # few tiles force co-located arcs
+    placement = {c: draw(st.integers(0, used_tiles - 1)) for c in range(n_cores)}
+    return graph_from_arcs(n_cores, arcs), placement, n
+
+
+class TestEvaluateAgainstOracle:
+    @given(graph_and_placement())
+    @settings(max_examples=150, deadline=None)
+    def test_evaluate_exact(self, case):
+        g, placement, n = case
+        rep = evaluate(g, placement, Mesh3D(n))
+        assert rep.total_energy == brute_energy(g, placement, n)
+        assert rep.comm_cost == brute_cost(g, placement, n)
+        assert rep.eta == brute_eta(g)
+        expected = brute_latency(g, placement, n) if rep.eta else None
+        assert rep.avg_latency == expected
+
+    @given(graph_and_placement(), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_arc_order_independent(self, case, rng):
+        g, placement, n = case
+        shuffled = TaskGraph(g.cores, tuple(rng.sample(g.arcs, len(g.arcs))))
+        assert evaluate(shuffled, placement, Mesh3D(n)) == evaluate(g, placement, Mesh3D(n))
 
 
 CUBE_SYMMETRIES = [

@@ -8,6 +8,7 @@ from nocmap import (
     PsoParams,
     exhaustive_oracle,
     generate_random_graph,
+    graph_from_arcs,
     position_update,
     pso_optimize,
     repair_permutation,
@@ -32,37 +33,30 @@ class ZeroRng:
 
 class TestVelocityUpdate:
     def test_fixed_point_when_all_agree(self):
-        params = PsoParams(dimension=27)
-        v = velocity_update([2.0], [0.0], [2.0], [2.0], params, ForcedRng())
+        v = velocity_update([2.0], [0.0], [2.0], [2.0], PsoParams(), ForcedRng(), 27)
         assert v[0] == 0.0
 
     def test_forced_maxima(self):
-        params = PsoParams(dimension=27)
-        v = velocity_update([2.0], [1.0], [4.0], [6.0], params, ForcedRng())
+        v = velocity_update([2.0], [1.0], [4.0], [6.0], PsoParams(), ForcedRng(), 27)
         assert v[0] == pytest.approx(0.721348 + 2.4 + 5.2, abs=1e-12)
 
     def test_zero_weight_zero_rands(self):
-        params = PsoParams(w=0.0, dimension=27)
-        v = velocity_update([5.0], [123.0], [9.0], [3.0], params, ZeroRng())
+        params = PsoParams(w=0.0)
+        v = velocity_update([5.0], [123.0], [9.0], [3.0], params, ZeroRng(), 27)
         assert v[0] == 0.0
 
     def test_clamped_to_dimension(self):
-        params = PsoParams(dimension=4)
-        v = velocity_update([0.0], [100.0], [3.0], [3.0], params, ForcedRng())
+        v = velocity_update([0.0], [100.0], [3.0], [3.0], PsoParams(), ForcedRng(), 4)
         assert v[0] == 4.0
-
-    def test_requires_dimension(self):
-        with pytest.raises(ValueError, match="dimension"):
-            velocity_update([0.0], [0.0], [0.0], [0.0], PsoParams(), ForcedRng())
 
     def test_swarm_collapses_onto_gbest_under_forced_pull(self):
         # w=0, c1=0, c2=1 with forced-maximum draws moves any particle
         # exactly onto gbest in one step; repair then changes nothing
         d = 6
-        params = PsoParams(w=0.0, c1=0.0, c2=1.0, dimension=d)
+        params = PsoParams(w=0.0, c1=0.0, c2=1.0)
         gbest = np.array([3, 1, 5, 0, 2, 4])
         positions = np.array([[0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0]])
-        v = velocity_update(positions, np.zeros((2, d)), positions, gbest, params, ForcedRng())
+        v = velocity_update(positions, np.zeros((2, d)), positions, gbest, params, ForcedRng(), d)
         moved = position_update(positions, v, d)
         for row in moved:
             assert repair_permutation(row.tolist(), d) == gbest.tolist()
@@ -189,6 +183,14 @@ class TestOptimize:
         big = generate_random_graph(9, 0, seed=0)
         with pytest.raises(ValueError, match="exceed"):
             pso_optimize(big, Mesh3D(2))
+
+    def test_large_mesh_runs_in_small_memory(self):
+        # 64,000 tiles: a dense tile-to-tile hop table would need 30 GiB
+        mesh = Mesh3D(40)
+        g = graph_from_arcs(2, [(0, 1, 100, 10)])
+        res = pso_optimize(g, mesh, PsoParams(swarm_size=2, max_evals_per_simulation=4))
+        assert [evals for _, evals, _ in res.trace] == [2, 4]
+        assert res.fitness == total_energy(g, res.mapping, mesh)
 
     def test_bad_seed_mapping(self, g1, mesh2):
         with pytest.raises(ValueError, match="injective"):

@@ -7,10 +7,8 @@ from nocmap import (
     generate_random_graph,
     graph_from_arcs,
     induced_subgraph,
-    out_degree,
     parse_graph,
     priority_order,
-    ranking,
     serialize_graph,
 )
 
@@ -79,21 +77,17 @@ class TestParse:
 
 class TestOrderingMetrics:
     def test_out_degree_g1(self, g1):
-        assert out_degree(g1, 0) == 2
-        assert out_degree(g1, 1) == 1
-        assert out_degree(g1, 3) == 0
-
-    def test_out_degree_invalid(self, g1):
-        with pytest.raises(ValueError):
-            out_degree(g1, 4)
+        assert g1.out_degrees[0] == 2
+        assert g1.out_degrees[1] == 1
+        assert g1.out_degrees[3] == 0
 
     def test_ranking_g1(self, g1):
-        assert ranking(g1, 0) == 170
-        assert ranking(g1, 3) == 70
+        assert g1.rankings[0] == 170
+        assert g1.rankings[3] == 70
 
     def test_ranking_isolated(self):
         g = graph_from_arcs(3, [(0, 1, 5, 1)])
-        assert ranking(g, 2) == 0
+        assert g.rankings[2] == 0
 
     @given(graph_params)
     @settings(max_examples=60)
@@ -102,7 +96,7 @@ class TestOrderingMetrics:
         vol = volume_matrix(g)
         for c in range(g.n_cores):
             expected = sum(vol[c][j] + vol[j][c] for j in range(g.n_cores) if j != c)
-            assert ranking(g, c) == expected
+            assert g.rankings[c] == expected
 
     def test_priority_g1(self, g1):
         assert priority_order(g1) == [0, 1, 2, 3]
@@ -123,7 +117,7 @@ class TestOrderingMetrics:
         g = draw_graph(params)
         order = priority_order(g)
         assert sorted(order) == list(range(g.n_cores))
-        keys = [(out_degree(g, c), ranking(g, c), -c) for c in order]
+        keys = [(g.out_degrees[c], g.rankings[c], -c) for c in order]
         assert all(keys[i] >= keys[i + 1] for i in range(len(keys) - 1))
 
 

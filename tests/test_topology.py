@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,12 +9,13 @@ from nocmap import (
     Mesh3D,
     Occupancy,
     diagonal_tiles,
-    hop_matrix,
+    graph_from_arcs,
     lozenge_next_empty,
     tile_coords,
     tile_index,
     xyz_hops,
 )
+from nocmap.metrics import HopKernel
 
 from oracles import manhattan3
 
@@ -92,11 +94,16 @@ class TestHops:
             assert xyz_hops(a, c, n) <= xyz_hops(a, b, n) + xyz_hops(b, c, n)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_hop_matrix_agrees(self, n):
-        m = hop_matrix(n)
-        for a in range(n ** 3):
-            for b in range(n ** 3):
-                assert m[a, b] == xyz_hops(a, b, n)
+    def test_kernel_hops_agree(self, n):
+        # every ordered tile pair, co-located ones included, as one batch
+        kernel = HopKernel(graph_from_arcs(2, [(0, 1, 1, 1)]), Mesh3D(n))
+        pairs = np.array(list(itertools.product(range(n ** 3), repeat=2)))
+        hops = kernel.hops(pairs)[:, 0]
+        link_bits, switch_bits, cost = kernel(pairs)
+        for (a, b), h in zip(pairs.tolist(), hops.tolist()):
+            assert h == xyz_hops(a, b, n)
+        assert np.array_equal(link_bits, hops) and np.array_equal(cost, hops)
+        assert np.array_equal(switch_bits, hops + (hops > 0))
 
 
 class TestOccupancy:
