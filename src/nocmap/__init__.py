@@ -9,7 +9,6 @@ from .harness import (
     audit_artifact,
     compare_report,
     exhaustive_oracle,
-    load_mapping_artifact,
     parse_mapping_artifact,
     read_report_csv,
     run_benchmark,

@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 from .harness import (
-    ComparisonSummary,
     ReportRow,
     RunConfig,
     compare_report,
@@ -24,14 +23,28 @@ from .harness import (
 from .mappers import MAPPERS
 from .metrics import EnergyModel
 from .pso import PsoParams
-from .taskgraph import generate_random_graph, parse_graph, serialize_graph
+from .taskgraph import (
+    BANDWIDTH_RANGE,
+    VOLUME_RANGE,
+    generate_random_graph,
+    parse_graph,
+    serialize_graph,
+)
 from .topology import Mesh3D
 
 
 def _energy_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--e-link", type=float, default=0.449, help="link energy, pJ/bit")
-    parser.add_argument("--e-switch", type=float, default=0.284, help="switch energy, pJ/bit")
-    parser.add_argument("--rho", type=float, default=1.0, help="latency scale constant")
+    parser.add_argument(
+        "--e-link", type=float, default=EnergyModel.e_link_bit, help="link energy, pJ/bit"
+    )
+    parser.add_argument(
+        "--e-switch", type=float, default=EnergyModel.e_switch_bit, help="switch energy, pJ/bit"
+    )
+    parser.add_argument("--rho", type=float, default=EnergyModel.rho, help="latency scale constant")
+
+
+def _energy_model(args) -> EnergyModel:
+    return EnergyModel(e_switch_bit=args.e_switch, e_link_bit=args.e_link, rho=args.rho)
 
 
 def _run_flags(parser: argparse.ArgumentParser) -> None:
@@ -44,35 +57,30 @@ def _run_flags(parser: argparse.ArgumentParser) -> None:
     _energy_flags(parser)
 
 
-def _row_line(row: ReportRow) -> str:
+def _run(args, graph: str, **pipeline) -> ReportRow:
+    """Run the pipeline the flags describe on one graph and print its result line."""
+    cfg = RunConfig(
+        graph=graph, mesh_n=args.mesh, model=_energy_model(args), seed=args.seed,
+        out_dir=args.out, csv_path=args.csv, name=getattr(args, "name", None), **pipeline,
+    )
+    row, _ = run_benchmark(cfg)
     latency = "n/a" if row.avg_latency is None else f"{row.avg_latency:.6g}"
-    return (
+    print(
         f"{row.benchmark} [{row.mode}/{row.algo}] energy={row.total_energy:.6g} pJ "
         f"cost={row.comm_cost} latency={latency} eta={row.eta} "
         f"runtime_ms={row.runtime_ms:.1f} seed={row.seed}"
     )
+    return row
 
 
 def _cmd_map(args) -> int:
-    cfg = RunConfig(
-        graph=args.graph, mesh_n=args.mesh, algo=args.algo, mode="map",
-        e_switch=args.e_switch, e_link=args.e_link, rho=args.rho,
-        seed=args.seed, out_dir=args.out, csv_path=args.csv, name=args.name,
-    )
-    row, _ = run_benchmark(cfg)
-    print(_row_line(row))
+    _run(args, args.graph, mode="map", algo=args.algo)
     return 0
 
 
 def _cmd_schedule(args) -> int:
-    cfg = RunConfig(
-        graph=args.graph, mesh_n=args.mesh, mode=args.mode,
-        algo=args.cluster_mapper if args.mode == "cluster" else "ddmap",
-        e_switch=args.e_switch, e_link=args.e_link, rho=args.rho,
-        seed=args.seed, out_dir=args.out, csv_path=args.csv, name=args.name,
-    )
-    row, _ = run_benchmark(cfg)
-    print(_row_line(row))
+    algo = args.cluster_mapper if args.mode == "cluster" else "ddmap"
+    _run(args, args.graph, mode=args.mode, algo=algo)
     return 0
 
 
@@ -83,15 +91,10 @@ def _cmd_optimize(args) -> int:
         max_evals_per_simulation=args.pso_evals,
         seed=args.seed,
     )
-    cfg = RunConfig(
-        graph=args.graph, mesh_n=args.mesh, mode="pso", objective=args.objective,
-        e_switch=args.e_switch, e_link=args.e_link, rho=args.rho,
-        seed=args.seed, pso=params, simulations=args.pso_simulations,
-        seed_mapping=args.seed_mapping,
-        out_dir=args.out, csv_path=args.csv, name=args.name,
+    _run(
+        args, args.graph, mode="pso", objective=args.objective, pso=params,
+        simulations=args.pso_simulations, seed_mapping=args.seed_mapping,
     )
-    row, _ = run_benchmark(cfg)
-    print(_row_line(row))
     return 0
 
 
@@ -109,9 +112,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_oracle(args) -> int:
     g = parse_graph(Path(args.graph).read_text(encoding="utf-8"))
-    mesh = Mesh3D(args.mesh)
-    model = EnergyModel(e_switch_bit=args.e_switch, e_link_bit=args.e_link, rho=args.rho)
-    value, mapping = exhaustive_oracle(g, mesh, args.objective, model)
+    value, mapping = exhaustive_oracle(g, Mesh3D(args.mesh), args.objective, _energy_model(args))
     print(f"optimum {args.objective} = {value:.6g}" if args.objective == "energy"
           else f"optimum {args.objective} = {value}")
     for core in sorted(mapping):
@@ -125,21 +126,9 @@ def _cmd_bench(args) -> int:
         print(f"no graphs match {args.glob!r}", file=sys.stderr)
         return 1
     algos = list(MAPPERS) if args.all_algos else [args.algo]
-    rows = []
-    for path in paths:
-        for algo in algos:
-            cfg = RunConfig(
-                graph=path, mesh_n=args.mesh, algo=algo, mode=args.mode,
-                e_switch=args.e_switch, e_link=args.e_link, rho=args.rho,
-                seed=args.seed, out_dir=args.out, csv_path=args.csv,
-            )
-            row, _ = run_benchmark(cfg)
-            rows.append(row)
-            print(_row_line(row))
+    rows = [_run(args, path, mode=args.mode, algo=algo) for path in paths for algo in algos]
     if args.compare:
-        a_label, b_label = args.compare
-        summary: ComparisonSummary = compare_report(rows, a_label, b_label)
-        print(format_comparison(summary))
+        print(format_comparison(compare_report(rows, *args.compare)))
     return 0
 
 
@@ -166,11 +155,11 @@ def build_parser() -> argparse.ArgumentParser:
     _run_flags(p)
     p.add_argument("--objective", choices=("energy", "cost"), default="energy")
     p.add_argument("--seed-mapping", default=None, help="mapping artifact used to seed the swarm")
-    p.add_argument("--pso-swarm-size", type=int, default=200)
-    p.add_argument("--pso-evals", type=int, default=150_000)
-    p.add_argument("--pso-c1", type=float, default=1.2)
-    p.add_argument("--pso-c2", type=float, default=1.3)
-    p.add_argument("--pso-w", type=float, default=0.721348)
+    p.add_argument("--pso-swarm-size", type=int, default=PsoParams.swarm_size)
+    p.add_argument("--pso-evals", type=int, default=PsoParams.max_evals_per_simulation)
+    p.add_argument("--pso-c1", type=float, default=PsoParams.c1)
+    p.add_argument("--pso-c2", type=float, default=PsoParams.c2)
+    p.add_argument("--pso-w", type=float, default=PsoParams.w)
     p.add_argument("--pso-simulations", type=int, default=1)
     p.set_defaults(func=_cmd_optimize)
 
@@ -179,10 +168,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arcs", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--vol-min", type=int, default=10)
-    p.add_argument("--vol-max", type=int, default=1000)
-    p.add_argument("--bw-min", type=int, default=1)
-    p.add_argument("--bw-max", type=int, default=100)
+    p.add_argument("--vol-min", type=int, default=VOLUME_RANGE[0])
+    p.add_argument("--vol-max", type=int, default=VOLUME_RANGE[1])
+    p.add_argument("--bw-min", type=int, default=BANDWIDTH_RANGE[0])
+    p.add_argument("--bw-max", type=int, default=BANDWIDTH_RANGE[1])
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("oracle", help="exhaustive optimum for small instances")

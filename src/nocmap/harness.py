@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .mappers import map_with
-from .metrics import EnergyModel, HopKernel, Mapping, evaluate
+from .metrics import EnergyModel, HopKernel, Mapping, evaluate, objective_value
 from .pso import PsoParams, pso_optimize
 from .scheduler import cluster_schedule, dynamic_schedule
 from .taskgraph import TaskGraph, parse_graph
@@ -33,13 +33,19 @@ ORACLE_CHUNK = 1 << 10  # assignments scored per kernel call; bounds its memory
 
 @dataclass
 class RunConfig:
+    """One run: input, pipeline, energy model, swarm constants and seed.
+
+    ``seed`` is the run's only seed: it names the artifact, is reported in the
+    row and seeds the swarm.  ``pso=None`` runs ``PsoParams(seed=seed)``; a
+    ``pso`` with another seed is refused, and so is a ``seed_mapping`` artifact
+    whose header names another mesh than ``mesh_n``.
+    """
+
     graph: str | Path
     mesh_n: int = 3
     algo: str = "ddmap"  # mapper name, or cluster-mapper in cluster mode
     mode: str = "map"  # map | dynamic | cluster | pso
-    e_switch: float = 0.284
-    e_link: float = 0.449
-    rho: float = 1.0
+    model: EnergyModel = EnergyModel()
     objective: str = "energy"  # pso mode only
     seed: int = 0
     pso: PsoParams | None = None
@@ -49,8 +55,9 @@ class RunConfig:
     csv_path: str | Path | None = None
     name: str | None = None
 
-    def energy_model(self) -> EnergyModel:
-        return EnergyModel(e_switch_bit=self.e_switch, e_link_bit=self.e_link, rho=self.rho)
+    def __post_init__(self):
+        if self.pso is not None and self.pso.seed != self.seed:
+            raise ValueError(f"swarm seed {self.pso.seed} differs from run seed {self.seed}")
 
 
 @dataclass
@@ -100,8 +107,19 @@ def parse_mapping_artifact(text: str) -> tuple[Mapping, dict[str, str]]:
     return placement, header
 
 
-def load_mapping_artifact(path: str | Path) -> tuple[Mapping, dict[str, str]]:
-    return parse_mapping_artifact(Path(path).read_text(encoding="utf-8"))
+def _load_artifact(path: str | Path, run_mesh_n: int | None = None) -> tuple[Mapping, dict, int]:
+    """Placement, header and mesh side of an artifact.
+
+    For a seed of a run on mesh ``run_mesh_n``, a header naming no mesh means
+    that mesh, and one naming another mesh is refused.
+    """
+    placement, header = parse_mapping_artifact(Path(path).read_text(encoding="utf-8"))
+    mesh_n = int(header["mesh"]) if "mesh" in header else run_mesh_n
+    if mesh_n is None:
+        raise ValueError(f"artifact {path} names no mesh")
+    if run_mesh_n is not None and mesh_n != run_mesh_n:
+        raise ValueError(f"seed mapping {path} is for mesh {mesh_n}, not mesh {run_mesh_n}")
+    return placement, header, mesh_n
 
 
 def _format_cell(value) -> str:
@@ -148,11 +166,17 @@ def _artifact_name(benchmark: str, mode: str, algo: str, seed: int) -> str:
     return f"{benchmark}__{mode}__{algo}__seed{seed}.map"
 
 
+def _report_row(
+    g: TaskGraph, placement: Mapping, mesh: Mesh3D, model: EnergyModel, runtime_ms: float, **run
+) -> ReportRow:
+    """Evaluate a placement into a row; ``run`` gives benchmark, algo, mode and seed."""
+    return ReportRow(**vars(evaluate(g, placement, mesh, model)), runtime_ms=runtime_ms, **run)
+
+
 def run_benchmark(cfg: RunConfig) -> tuple[ReportRow, Mapping]:
     """Execute one configured pipeline; optionally write artifact and CSV row."""
     g = parse_graph(Path(cfg.graph).read_text(encoding="utf-8"))
     mesh = Mesh3D(cfg.mesh_n)
-    model = cfg.energy_model()
     benchmark = cfg.name or Path(cfg.graph).stem
 
     trace = None
@@ -171,9 +195,9 @@ def run_benchmark(cfg: RunConfig) -> tuple[ReportRow, Mapping]:
         params = cfg.pso if cfg.pso is not None else PsoParams(seed=cfg.seed)
         seed_map = None
         if cfg.seed_mapping is not None:
-            seed_map, _ = load_mapping_artifact(cfg.seed_mapping)
+            seed_map, _, _ = _load_artifact(cfg.seed_mapping, cfg.mesh_n)
         result = pso_optimize(
-            g, mesh, params, cfg.objective, model, seed_map, cfg.simulations
+            g, mesh, params, cfg.objective, cfg.model, seed_map, cfg.simulations
         )
         placement = result.mapping
         trace = result.trace
@@ -181,17 +205,9 @@ def run_benchmark(cfg: RunConfig) -> tuple[ReportRow, Mapping]:
         raise ValueError(f"unknown mode {cfg.mode!r}")
     runtime_ms = (time.perf_counter() - started) * 1000.0
 
-    report = evaluate(g, placement, mesh, model)
-    row = ReportRow(
-        benchmark=benchmark,
-        algo=algo,
-        mode=cfg.mode,
-        total_energy=report.total_energy,
-        comm_cost=report.comm_cost,
-        avg_latency=report.avg_latency,
-        eta=report.eta,
-        runtime_ms=runtime_ms,
-        seed=cfg.seed,
+    row = _report_row(
+        g, placement, mesh, cfg.model, runtime_ms,
+        benchmark=benchmark, algo=algo, mode=cfg.mode, seed=cfg.seed,
     )
 
     if cfg.out_dir is not None:
@@ -204,9 +220,9 @@ def run_benchmark(cfg: RunConfig) -> tuple[ReportRow, Mapping]:
             "algo": algo,
             "mode": cfg.mode,
             "seed": cfg.seed,
-            "e_switch": cfg.e_switch,
-            "e_link": cfg.e_link,
-            "rho": cfg.rho,
+            "e_switch": cfg.model.e_switch_bit,
+            "e_link": cfg.model.e_link_bit,
+            "rho": cfg.model.rho,
         }
         if cfg.mode == "pso":
             header["objective"] = cfg.objective
@@ -226,24 +242,12 @@ def run_benchmark(cfg: RunConfig) -> tuple[ReportRow, Mapping]:
 
 def audit_artifact(path: str | Path) -> ReportRow:
     """Re-derive a report row from an artifact plus the config in its header."""
-    placement, header = load_mapping_artifact(path)
+    placement, header, mesh_n = _load_artifact(path)
     g = parse_graph(Path(header["graph"]).read_text(encoding="utf-8"))
-    mesh = Mesh3D(int(header["mesh"]))
-    model = EnergyModel(
-        e_switch_bit=float(header["e_switch"]),
-        e_link_bit=float(header["e_link"]),
-        rho=float(header["rho"]),
-    )
-    report = evaluate(g, placement, mesh, model)
-    return ReportRow(
-        benchmark=header["benchmark"],
-        algo=header["algo"],
-        mode=header["mode"],
-        total_energy=report.total_energy,
-        comm_cost=report.comm_cost,
-        avg_latency=report.avg_latency,
-        eta=report.eta,
-        runtime_ms=0.0,
+    model = EnergyModel(float(header["e_switch"]), float(header["e_link"]), float(header["rho"]))
+    return _report_row(
+        g, placement, Mesh3D(mesh_n), model, 0.0,
+        benchmark=header["benchmark"], algo=header["algo"], mode=header["mode"],
         seed=int(header["seed"]),
     )
 
@@ -261,8 +265,6 @@ def exhaustive_oracle(
     time by the metric kernel.  Refuses instances with more than
     ORACLE_MAX_ASSIGNMENTS candidate assignments.
     """
-    if objective not in ("energy", "cost"):
-        raise ValueError(f"unknown objective {objective!r}")
     model = model if model is not None else EnergyModel()
     tiles = mesh.tile_count
     k = g.n_cores
@@ -281,8 +283,7 @@ def exhaustive_oracle(
     while chunk := list(itertools.islice(assignments, ORACLE_CHUNK)):
         flat = itertools.chain.from_iterable(chunk)
         rows = np.fromiter(flat, np.intp, len(chunk) * k).reshape(len(chunk), k)
-        link_bits, switch_bits, cost = kernel(rows)
-        values = model.energy(switch_bits, link_bits) if objective == "energy" else cost
+        values = objective_value(objective, model, *kernel(rows))
         i = int(np.argmin(values))  # first minimum: permutations come in lexicographic order
         if best_value is None or values[i] < best_value:
             best_value, best_assign = values[i].item(), chunk[i]

@@ -59,9 +59,16 @@ def bit_energy(links: int, model: EnergyModel = DEFAULT_ENERGY_MODEL) -> float:
     """Energy (pJ) to move one bit across the given number of links."""
     if links < 0:
         raise ValueError("link count must be non-negative")
-    if links == 0:
-        return 0.0
-    return (links + 1) * model.e_switch_bit + links * model.e_link_bit
+    return model.energy(links + 1 if links else 0, links)
+
+
+def objective_value(objective: str, model: EnergyModel, link_bits, switch_bits, cost):
+    """What a search minimizes: ``cost``, or the energy of the bit counts; works elementwise."""
+    if objective == "cost":
+        return cost
+    if objective == "energy":
+        return model.energy(switch_bits, link_bits)
+    raise ValueError(f"unknown objective {objective!r}")
 
 
 class HopKernel:

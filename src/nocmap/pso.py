@@ -22,9 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import DEFAULT_ENERGY_MODEL, EnergyModel, HopKernel, Mapping
+from .metrics import DEFAULT_ENERGY_MODEL, EnergyModel, HopKernel, Mapping, objective_value
 from .taskgraph import TaskGraph, priority_order
 from .topology import Mesh3D
+
+MAX_SIMULATIONS = 100  # most independent restarts one pso_optimize call may run
 
 
 @dataclass(frozen=True)
@@ -35,7 +37,6 @@ class PsoParams:
     c2: float = 1.3
     w: float = 0.721348
     swarm_size: int = 200
-    max_simulations: int = 100
     max_evals_per_simulation: int = 150_000
     seed: int = 0
 
@@ -101,8 +102,6 @@ class _SlotFitness:
     """
 
     def __init__(self, g: TaskGraph, mesh: Mesh3D, objective: str, model: EnergyModel):
-        if objective not in ("energy", "cost"):
-            raise ValueError(f"unknown objective {objective!r}")
         self.order = priority_order(g)
         self.slot_of_core = np.argsort(self.order)
         self.kernel = HopKernel(g, mesh)
@@ -110,10 +109,8 @@ class _SlotFitness:
         self.model = model
 
     def __call__(self, positions: np.ndarray) -> list:
-        link_bits, switch_bits, cost = self.kernel(positions[:, self.slot_of_core])
-        if self.objective == "cost":
-            return cost.tolist()
-        return self.model.energy(switch_bits, link_bits).tolist()
+        sums = self.kernel(positions[:, self.slot_of_core])
+        return objective_value(self.objective, self.model, *sums).tolist()
 
 
 def _encode_seed(mapping: Mapping, order: list[int], dimension: int) -> np.ndarray:
@@ -126,6 +123,9 @@ def _encode_seed(mapping: Mapping, order: list[int], dimension: int) -> np.ndarr
         raise ValueError("seed mapping is not injective")
     if any(not 0 <= t < dimension for t in tiles):
         raise ValueError("seed mapping uses an out-of-range tile")
+    if len(mapping) != len(order):
+        extra = min(set(mapping) - set(order))
+        raise ValueError(f"seed mapping names unknown core {extra}")
     used = set(tiles)
     tiles.extend(t for t in range(dimension) if t not in used)
     return np.array(tiles, dtype=np.int64)
@@ -198,14 +198,14 @@ def pso_optimize(
     When ``seed_mapping`` is given it replaces one particle of the initial
     swarm, so the result can never be worse than the seed.  ``simulations``
     independent restarts (distinct derived seeds) are run and the best one is
-    returned; the default is a single restart, ``params.max_simulations``
-    bounds how many may be requested.
+    returned; the default is a single restart, ``MAX_SIMULATIONS`` bounds how
+    many may be requested.
     """
     dimension = mesh.tile_count
     if g.n_cores > dimension:
         raise ValueError(f"{g.n_cores} cores exceed {dimension} tiles")
-    if not 1 <= simulations <= params.max_simulations:
-        raise ValueError(f"simulations must be in 1..{params.max_simulations}")
+    if not 1 <= simulations <= MAX_SIMULATIONS:
+        raise ValueError(f"simulations must be in 1..{MAX_SIMULATIONS}")
     if params.swarm_size < 1:
         raise ValueError("swarm size must be positive")
     if params.max_evals_per_simulation < params.swarm_size:

@@ -21,6 +21,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
+VOLUME_RANGE = (10, 1000)  # default weight ranges of generated graphs, inclusive
+BANDWIDTH_RANGE = (1, 100)
+
 
 class GraphFormatError(ValueError):
     """Malformed graph file; carries the offending 1-based line number."""
@@ -53,18 +56,9 @@ class TaskGraph:
         ids = [c.id for c in self.cores]
         if ids != list(range(len(ids))):
             raise ValueError("core ids must form a contiguous range 0..N-1")
-        n = len(ids)
         seen: set[tuple[int, int]] = set()
         for a in self.arcs:
-            if not (0 <= a.src < n and 0 <= a.dst < n):
-                raise ValueError(f"arc {a.src}->{a.dst} references an unknown core")
-            if a.src == a.dst:
-                raise ValueError(f"self-loop on core {a.src}")
-            if (a.src, a.dst) in seen:
-                raise ValueError(f"duplicate arc {a.src}->{a.dst}")
-            if a.volume < 0 or a.bandwidth < 0:
-                raise ValueError(f"negative weight on arc {a.src}->{a.dst}")
-            seen.add((a.src, a.dst))
+            _check_arc(a, len(ids), seen)
 
     @property
     def n_cores(self) -> int:
@@ -109,6 +103,19 @@ class TaskGraph:
         return tuple(tuple(sorted(s)) for s in adj)
 
 
+def _check_arc(a: Arc, n_cores: int, seen: set[tuple[int, int]]) -> None:
+    """Refuse an arc off 0..n_cores-1, a loop, a pair already in ``seen`` or a negative weight."""
+    if not (0 <= a.src < n_cores and 0 <= a.dst < n_cores):
+        raise ValueError(f"core id out of range in arc {a.src}->{a.dst}")
+    if a.src == a.dst:
+        raise ValueError(f"self-loop on core {a.src}")
+    if (a.src, a.dst) in seen:
+        raise ValueError(f"duplicate arc {a.src}->{a.dst}")
+    if a.volume < 0 or a.bandwidth < 0:
+        raise ValueError(f"negative weight on arc {a.src}->{a.dst}")
+    seen.add((a.src, a.dst))
+
+
 def graph_from_arcs(n_cores: int, arcs: Iterable[tuple[int, int, int, int]]) -> TaskGraph:
     """Build a graph from (src, dst, volume, bandwidth) tuples."""
     return TaskGraph(
@@ -142,19 +149,14 @@ def parse_graph(text: str) -> TaskGraph:
         if len(fields) != 5:
             raise GraphFormatError(line_no, "expected 'edge <src> <dst> <volume> <bandwidth>'")
         try:
-            src, dst, volume, bandwidth = (int(f) for f in fields[1:])
+            arc = Arc(*(int(f) for f in fields[1:]))
         except ValueError:
             raise GraphFormatError(line_no, "edge fields must be integers") from None
-        if not (0 <= src < n_cores and 0 <= dst < n_cores):
-            raise GraphFormatError(line_no, f"core id out of range in edge {src}->{dst}")
-        if src == dst:
-            raise GraphFormatError(line_no, f"self-loop on core {src}")
-        if (src, dst) in seen:
-            raise GraphFormatError(line_no, f"duplicate edge {src}->{dst}")
-        if volume < 0 or bandwidth < 0:
-            raise GraphFormatError(line_no, f"negative weight on edge {src}->{dst}")
-        seen.add((src, dst))
-        arcs.append(Arc(src, dst, volume, bandwidth))
+        try:
+            _check_arc(arc, n_cores, seen)
+        except ValueError as exc:
+            raise GraphFormatError(line_no, str(exc)) from None
+        arcs.append(arc)
     if n_cores is None:
         raise GraphFormatError(1, "missing 'cores <N>' header")
     return TaskGraph(tuple(Core(i) for i in range(n_cores)), tuple(arcs))
@@ -188,8 +190,8 @@ def priority_order(g: TaskGraph) -> list[int]:
 def generate_random_graph(
     n_cores: int,
     n_arcs: int,
-    volume_range: tuple[int, int] = (10, 1000),
-    bandwidth_range: tuple[int, int] = (1, 100),
+    volume_range: tuple[int, int] = VOLUME_RANGE,
+    bandwidth_range: tuple[int, int] = BANDWIDTH_RANGE,
     seed: int = 0,
 ) -> TaskGraph:
     """Seeded random graph: exactly n_arcs distinct ordered pairs, no self-loops.

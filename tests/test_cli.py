@@ -49,6 +49,22 @@ def test_optimize_small_budget(demo_graph, capsys):
     assert "[pso/pso]" in capsys.readouterr().out
 
 
+def test_seed_mapping_from_another_mesh_rejected(demo_graph, tmp_path, capsys):
+    seeds = tmp_path / "seeds"
+    assert main(["map", "--graph", str(demo_graph), "--mesh", "2", "--out", str(seeds)]) == 0
+    out_dir = tmp_path / "runs"
+    csv_path = tmp_path / "rows.csv"
+    rc = main([
+        "optimize", "--graph", str(demo_graph), "--mesh", "3",
+        "--seed-mapping", str(seeds / "demo__map__ddmap__seed0.map"),
+        "--pso-swarm-size", "50", "--pso-evals", "500",
+        "--out", str(out_dir), "--csv", str(csv_path),
+    ])
+    assert rc == 1
+    assert "for mesh 2, not mesh 3" in capsys.readouterr().err
+    assert not out_dir.exists() and not csv_path.exists()
+
+
 def test_oracle_output(tmp_path, capsys):
     path = tmp_path / "pair.ctg"
     path.write_text("cores 2\nedge 0 1 100 10\n")

@@ -137,6 +137,22 @@ class TestRunBenchmark:
         row, _ = run_benchmark(cfg)
         assert row.total_energy <= seed_row.total_energy
 
+    def test_one_seed_per_run(self, g1_file):
+        with pytest.raises(ValueError, match="swarm seed 0 differs from run seed 5"):
+            RunConfig(graph=g1_file, mode="pso", seed=5, pso=PsoParams(seed=0))
+
+    def test_seed_artifact_without_header(self, g1_file, tmp_path):
+        artifact = tmp_path / "bare.map"
+        artifact.write_text("".join(f"core {c} -> tile {c}\n" for c in range(4)))
+        cfg = RunConfig(
+            graph=g1_file, mesh_n=2, mode="pso", seed_mapping=artifact,
+            pso=PsoParams(seed=0, max_evals_per_simulation=400),
+        )
+        row, _ = run_benchmark(cfg)
+        assert row.total_energy <= total_energy(
+            graph_from_arcs(4, G1_ARCS), {0: 0, 1: 1, 2: 2, 3: 3}, Mesh3D(2)
+        )
+
     def test_audit_reproduces_row(self, g1_file, tmp_path):
         out_dir = tmp_path / "runs"
         cfg = RunConfig(graph=str(g1_file), mode="cluster", out_dir=out_dir)

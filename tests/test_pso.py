@@ -175,7 +175,7 @@ class TestOptimize:
 
     def test_validation(self, g1, mesh2):
         with pytest.raises(ValueError, match="simulations"):
-            pso_optimize(g1, mesh2, PsoParams(max_simulations=2), simulations=3)
+            pso_optimize(g1, mesh2, simulations=101)
         with pytest.raises(ValueError, match="budget"):
             pso_optimize(g1, mesh2, PsoParams(swarm_size=50, max_evals_per_simulation=10))
         with pytest.raises(ValueError, match="objective"):
@@ -197,3 +197,9 @@ class TestOptimize:
             pso_optimize(g1, mesh2, seed_mapping={0: 1, 1: 1, 2: 2, 3: 3})
         with pytest.raises(ValueError, match="misses"):
             pso_optimize(g1, mesh2, seed_mapping={0: 1})
+
+    def test_seed_mapping_with_extra_core(self, g1, mesh2):
+        seed_map = {0: 0, 1: 1, 2: 2, 3: 3, 7: 5}
+        params = PsoParams(max_evals_per_simulation=400)
+        with pytest.raises(ValueError, match="unknown core 7"):
+            pso_optimize(g1, mesh2, params, seed_mapping=seed_map)
