@@ -21,7 +21,7 @@ from .harness import (
     run_benchmark,
 )
 from .mappers import MAPPERS
-from .metrics import EnergyModel
+from .metrics import OBJECTIVES, EnergyModel
 from .pso import PsoParams
 from .taskgraph import (
     BANDWIDTH_RANGE,
@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="particle-swarm refinement of a mapping")
     _run_flags(p)
-    p.add_argument("--objective", choices=("energy", "cost"), default="energy")
+    p.add_argument("--objective", choices=OBJECTIVES, default="energy")
     p.add_argument("--seed-mapping", default=None, help="mapping artifact used to seed the swarm")
     p.add_argument("--pso-swarm-size", type=int, default=PsoParams.swarm_size)
     p.add_argument("--pso-evals", type=int, default=PsoParams.max_evals_per_simulation)
@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exhaustive optimum for small instances")
     p.add_argument("--graph", required=True)
     p.add_argument("--mesh", type=int, default=3)
-    p.add_argument("--objective", choices=("energy", "cost"), default="energy")
+    p.add_argument("--objective", choices=OBJECTIVES, default="energy")
     _energy_flags(p)
     p.set_defaults(func=_cmd_oracle)
 

@@ -20,42 +20,57 @@ from pathlib import Path
 
 import numpy as np
 
-from .mappers import map_with
-from .metrics import EnergyModel, HopKernel, Mapping, evaluate, objective_value
+from .mappers import MAPPERS, map_with
+from .metrics import OBJECTIVES, EnergyModel, HopKernel, Mapping, evaluate, objective_value
 from .pso import PsoParams, pso_optimize
 from .scheduler import cluster_schedule, dynamic_schedule
 from .taskgraph import TaskGraph, parse_graph
 from .topology import Mesh3D
 
+MODES = ("map", "dynamic", "cluster", "pso")
 ORACLE_MAX_ASSIGNMENTS = 10_000_000
 ORACLE_CHUNK = 1 << 10  # assignments scored per kernel call; bounds its memory
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """One run: input, pipeline, energy model, swarm constants and seed.
 
     ``seed`` is the run's only seed: it names the artifact, is reported in the
     row and seeds the swarm.  ``pso=None`` runs ``PsoParams(seed=seed)``; a
     ``pso`` with another seed is refused, and so is a ``seed_mapping`` artifact
-    whose header names another mesh than ``mesh_n``.
+    whose header names another mesh than ``mesh_n``.  A field the mode never
+    reads must keep its default.
     """
 
     graph: str | Path
     mesh_n: int = 3
-    algo: str = "ddmap"  # mapper name, or cluster-mapper in cluster mode
-    mode: str = "map"  # map | dynamic | cluster | pso
+    algo: str = "ddmap"  # mapper name in map and cluster mode (cluster mapper)
+    mode: str = "map"  # one of MODES
     model: EnergyModel = EnergyModel()
     objective: str = "energy"  # pso mode only
     seed: int = 0
-    pso: PsoParams | None = None
-    simulations: int = 1
-    seed_mapping: str | Path | None = None
+    pso: PsoParams | None = None  # pso mode only
+    simulations: int = 1  # pso mode only
+    seed_mapping: str | Path | None = None  # pso mode only
     out_dir: str | Path | None = None
     csv_path: str | Path | None = None
     name: str | None = None
 
     def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}")
+        if self.algo not in MAPPERS:
+            raise ValueError(f"unknown algo {self.algo!r}")
+        if self.objective not in OBJECTIVES:
+            raise ValueError(f"unknown objective {self.objective!r}")
+        if self.mode in ("dynamic", "pso") and self.algo != "ddmap":
+            raise ValueError(f"{self.mode} mode takes no algo, got {self.algo!r}")
+        if self.mode != "pso":
+            pso_only = dict(objective="energy", pso=None, simulations=1, seed_mapping=None)
+            for key, default in pso_only.items():
+                if getattr(self, key) != default:
+                    raise ValueError(f"{key} is read in pso mode only, not in {self.mode} mode")
         if self.pso is not None and self.pso.seed != self.seed:
             raise ValueError(f"swarm seed {self.pso.seed} differs from run seed {self.seed}")
 
@@ -107,6 +122,18 @@ def parse_mapping_artifact(text: str) -> tuple[Mapping, dict[str, str]]:
     return placement, header
 
 
+def _header_value(path: str | Path, header: dict[str, str], key: str, kind=str):
+    """One header value converted to ``kind``; a missing or malformed one names the file and key."""
+    if key not in header:
+        raise ValueError(f"artifact {path}: header has no {key!r} line")
+    try:
+        return kind(header[key])
+    except ValueError:
+        raise ValueError(
+            f"artifact {path}: header {key!r} = {header[key]!r} is not {kind.__name__}"
+        ) from None
+
+
 def _load_artifact(path: str | Path, run_mesh_n: int | None = None) -> tuple[Mapping, dict, int]:
     """Placement, header and mesh side of an artifact.
 
@@ -114,9 +141,9 @@ def _load_artifact(path: str | Path, run_mesh_n: int | None = None) -> tuple[Map
     that mesh, and one naming another mesh is refused.
     """
     placement, header = parse_mapping_artifact(Path(path).read_text(encoding="utf-8"))
-    mesh_n = int(header["mesh"]) if "mesh" in header else run_mesh_n
-    if mesh_n is None:
-        raise ValueError(f"artifact {path} names no mesh")
+    if run_mesh_n is not None and "mesh" not in header:
+        return placement, header, run_mesh_n
+    mesh_n = _header_value(path, header, "mesh", int)
     if run_mesh_n is not None and mesh_n != run_mesh_n:
         raise ValueError(f"seed mapping {path} is for mesh {mesh_n}, not mesh {run_mesh_n}")
     return placement, header, mesh_n
@@ -179,19 +206,16 @@ def run_benchmark(cfg: RunConfig) -> tuple[ReportRow, Mapping]:
     mesh = Mesh3D(cfg.mesh_n)
     benchmark = cfg.name or Path(cfg.graph).stem
 
+    algo = "pso" if cfg.mode == "pso" else cfg.algo
     trace = None
     started = time.perf_counter()
     if cfg.mode == "map":
-        algo = cfg.algo
         placement = map_with(algo, g, mesh)
     elif cfg.mode == "dynamic":
-        algo = "ddmap"
         placement = dynamic_schedule(g, mesh).placement
     elif cfg.mode == "cluster":
-        algo = cfg.algo
         placement = cluster_schedule(g, mesh, algo).placement
-    elif cfg.mode == "pso":
-        algo = "pso"
+    else:
         params = cfg.pso if cfg.pso is not None else PsoParams(seed=cfg.seed)
         seed_map = None
         if cfg.seed_mapping is not None:
@@ -201,8 +225,6 @@ def run_benchmark(cfg: RunConfig) -> tuple[ReportRow, Mapping]:
         )
         placement = result.mapping
         trace = result.trace
-    else:
-        raise ValueError(f"unknown mode {cfg.mode!r}")
     runtime_ms = (time.perf_counter() - started) * 1000.0
 
     row = _report_row(
@@ -243,12 +265,16 @@ def run_benchmark(cfg: RunConfig) -> tuple[ReportRow, Mapping]:
 def audit_artifact(path: str | Path) -> ReportRow:
     """Re-derive a report row from an artifact plus the config in its header."""
     placement, header, mesh_n = _load_artifact(path)
-    g = parse_graph(Path(header["graph"]).read_text(encoding="utf-8"))
-    model = EnergyModel(float(header["e_switch"]), float(header["e_link"]), float(header["rho"]))
+
+    def value(key, kind=str):
+        return _header_value(path, header, key, kind)
+
+    g = parse_graph(Path(value("graph")).read_text(encoding="utf-8"))
+    model = EnergyModel(value("e_switch", float), value("e_link", float), value("rho", float))
     return _report_row(
         g, placement, Mesh3D(mesh_n), model, 0.0,
-        benchmark=header["benchmark"], algo=header["algo"], mode=header["mode"],
-        seed=int(header["seed"]),
+        benchmark=value("benchmark"), algo=value("algo"), mode=value("mode"),
+        seed=value("seed", int),
     )
 
 
@@ -256,7 +282,7 @@ def exhaustive_oracle(
     g: TaskGraph,
     mesh: Mesh3D,
     objective: str = "energy",
-    model: EnergyModel | None = None,
+    model: EnergyModel = EnergyModel(),
 ) -> tuple[float, Mapping]:
     """Enumerate every injective core->tile assignment; return the optimum.
 
@@ -265,7 +291,6 @@ def exhaustive_oracle(
     time by the metric kernel.  Refuses instances with more than
     ORACLE_MAX_ASSIGNMENTS candidate assignments.
     """
-    model = model if model is not None else EnergyModel()
     tiles = mesh.tile_count
     k = g.n_cores
     if k > tiles:

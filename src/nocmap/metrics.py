@@ -1,5 +1,7 @@
 """Mapping quality metrics: communication energy, cost, and average latency.
 
+``evaluate`` reports all three for one placement.
+
 Moving one bit across h links visits h+1 routers, so the per-bit charge is
 ``(h+1)*e_switch_bit + h*e_link_bit``; co-located endpoints (h = 0) cost
 nothing because intra-tile traffic never enters the network.
@@ -44,9 +46,6 @@ class EnergyModel:
         return self.e_switch_bit * switch_bits + self.e_link_bit * link_bits
 
 
-DEFAULT_ENERGY_MODEL = EnergyModel()
-
-
 @dataclass(frozen=True)
 class EvalReport:
     total_energy: float
@@ -55,11 +54,14 @@ class EvalReport:
     eta: int
 
 
-def bit_energy(links: int, model: EnergyModel = DEFAULT_ENERGY_MODEL) -> float:
+def bit_energy(links: int, model: EnergyModel = EnergyModel()) -> float:
     """Energy (pJ) to move one bit across the given number of links."""
     if links < 0:
         raise ValueError("link count must be non-negative")
     return model.energy(links + 1 if links else 0, links)
+
+
+OBJECTIVES = ("energy", "cost")
 
 
 def objective_value(objective: str, model: EnergyModel, link_bits, switch_bits, cost):
@@ -119,44 +121,16 @@ class HopKernel:
         return link_bits, switch_bits, h @ self.bandwidth
 
 
-def total_energy(
-    g: TaskGraph,
-    mapping: Mapping,
-    mesh: Mesh3D,
-    model: EnergyModel = DEFAULT_ENERGY_MODEL,
-) -> float:
-    """Total communication energy (pJ): sum of volume x per-bit path energy."""
-    return evaluate(g, mapping, mesh, model).total_energy
-
-
-def comm_cost(g: TaskGraph, mapping: Mapping, mesh: Mesh3D) -> int:
-    """Communication cost: sum of bandwidth x hop count over all arcs."""
-    return evaluate(g, mapping, mesh).comm_cost
-
-
 def transfer_count(g: TaskGraph) -> int:
     """Number of transfers: arcs that actually move data (volume > 0)."""
     return sum(1 for a in g.arcs if a.volume > 0)
-
-
-def avg_latency(
-    g: TaskGraph,
-    mapping: Mapping,
-    mesh: Mesh3D,
-    model: EnergyModel = DEFAULT_ENERGY_MODEL,
-) -> float:
-    """Mean per-transfer delay: rho-scaled hop-volume product over transfer count."""
-    latency = evaluate(g, mapping, mesh, model).avg_latency
-    if latency is None:
-        raise ValueError("average latency undefined: no transfer has positive volume")
-    return latency
 
 
 def evaluate(
     g: TaskGraph,
     mapping: Mapping,
     mesh: Mesh3D,
-    model: EnergyModel = DEFAULT_ENERGY_MODEL,
+    model: EnergyModel = EnergyModel(),
 ) -> EvalReport:
     """All metrics at once; latency is None when the graph moves no data."""
     kernel = HopKernel(g, mesh)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import DEFAULT_ENERGY_MODEL, EnergyModel, HopKernel, Mapping, objective_value
+from .metrics import EnergyModel, HopKernel, Mapping, objective_value
 from .taskgraph import TaskGraph, priority_order
 from .topology import Mesh3D
 
@@ -189,7 +189,7 @@ def pso_optimize(
     mesh: Mesh3D,
     params: PsoParams = PsoParams(),
     objective: str = "energy",
-    model: EnergyModel = DEFAULT_ENERGY_MODEL,
+    model: EnergyModel = EnergyModel(),
     seed_mapping: Mapping | None = None,
     simulations: int = 1,
 ) -> PsoResult:

@@ -19,7 +19,7 @@ from functools import cached_property
 
 from .mappers import map_with
 from .metrics import Mapping
-from .taskgraph import Arc, Core, TaskGraph, induced_subgraph, priority_order
+from .taskgraph import Arc, TaskGraph, induced_subgraph, priority_order
 from .topology import Mesh3D
 
 
@@ -157,7 +157,7 @@ def cluster_graph(g: TaskGraph, cs: ClusterSet) -> TaskGraph:
         Arc(p, q, volumes[(p, q)], bandwidths[(p, q)])
         for p, q in sorted(volumes)
     )
-    return TaskGraph(tuple(Core(i) for i in range(len(cs.clusters))), arcs)
+    return TaskGraph(len(cs.clusters), arcs)
 
 
 def cluster_schedule(g: TaskGraph, mesh: Mesh3D, mapper: str = "ddmap") -> Schedule:

@@ -1,9 +1,9 @@
 """Directed core graphs with per-arc communication volume and bandwidth.
 
-A graph is a set of cores (tasks/IP blocks) numbered 0..N-1 plus directed
-arcs.  Each arc carries the payload it moves (``volume``, bits) and its
-sustained rate requirement (``bandwidth``, bits/s).  Graphs are immutable
-values and safe to share between threads.
+A graph is a core count N plus directed arcs; the cores (tasks/IP blocks)
+are the ids 0..N-1.  Each arc carries the payload it moves (``volume``,
+bits) and its sustained rate requirement (``bandwidth``, bits/s).  Graphs
+are immutable values and safe to share between threads.
 
 Graph file format (UTF-8 text, ``#`` starts a comment, blank lines ignored)::
 
@@ -34,12 +34,6 @@ class GraphFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class Core:
-    id: int
-    label: str | None = None
-
-
-@dataclass(frozen=True)
 class Arc:
     src: int
     dst: int
@@ -49,20 +43,15 @@ class Arc:
 
 @dataclass(frozen=True)
 class TaskGraph:
-    cores: tuple[Core, ...]
+    n_cores: int
     arcs: tuple[Arc, ...]
 
     def __post_init__(self):
-        ids = [c.id for c in self.cores]
-        if ids != list(range(len(ids))):
-            raise ValueError("core ids must form a contiguous range 0..N-1")
+        if self.n_cores < 0:
+            raise ValueError("core count must be non-negative")
         seen: set[tuple[int, int]] = set()
         for a in self.arcs:
-            _check_arc(a, len(ids), seen)
-
-    @property
-    def n_cores(self) -> int:
-        return len(self.cores)
+            _check_arc(a, self.n_cores, seen)
 
     @cached_property
     def _volumes(self) -> dict[tuple[int, int], int]:
@@ -118,10 +107,7 @@ def _check_arc(a: Arc, n_cores: int, seen: set[tuple[int, int]]) -> None:
 
 def graph_from_arcs(n_cores: int, arcs: Iterable[tuple[int, int, int, int]]) -> TaskGraph:
     """Build a graph from (src, dst, volume, bandwidth) tuples."""
-    return TaskGraph(
-        tuple(Core(i) for i in range(n_cores)),
-        tuple(Arc(*quad) for quad in arcs),
-    )
+    return TaskGraph(n_cores, tuple(Arc(*quad) for quad in arcs))
 
 
 def parse_graph(text: str) -> TaskGraph:
@@ -159,7 +145,7 @@ def parse_graph(text: str) -> TaskGraph:
         arcs.append(arc)
     if n_cores is None:
         raise GraphFormatError(1, "missing 'cores <N>' header")
-    return TaskGraph(tuple(Core(i) for i in range(n_cores)), tuple(arcs))
+    return TaskGraph(n_cores, tuple(arcs))
 
 
 def serialize_graph(g: TaskGraph) -> str:
@@ -216,7 +202,7 @@ def generate_random_graph(
         Arc(src, dst, rng.randint(*volume_range), rng.randint(*bandwidth_range))
         for src, dst in chosen
     )
-    return TaskGraph(tuple(Core(i) for i in range(n_cores)), arcs)
+    return TaskGraph(n_cores, arcs)
 
 
 def induced_subgraph(g: TaskGraph, core_ids: Sequence[int]) -> tuple[TaskGraph, list[int]]:
@@ -230,10 +216,9 @@ def induced_subgraph(g: TaskGraph, core_ids: Sequence[int]) -> tuple[TaskGraph, 
     for c in core_ids:
         _check_core(g, c)
     new_id = {old: new for new, old in enumerate(core_ids)}
-    cores = tuple(Core(new, g.cores[old].label) for new, old in enumerate(core_ids))
     arcs = tuple(
         Arc(new_id[a.src], new_id[a.dst], a.volume, a.bandwidth)
         for a in g.arcs
         if a.src in new_id and a.dst in new_id
     )
-    return TaskGraph(cores, arcs), list(core_ids)
+    return TaskGraph(len(core_ids), arcs), list(core_ids)

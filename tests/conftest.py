@@ -1,6 +1,7 @@
 import pytest
 
-from nocmap import Mesh3D, graph_from_arcs
+from nocmap import Mesh3D
+from nocmap.taskgraph import graph_from_arcs
 
 # Four cores A,B,C,D = 0..3 wired A->B, A->C, B->D, C->D; used all over the
 # suite because every ordering and clustering step is easy to trace by hand.

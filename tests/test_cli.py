@@ -88,6 +88,17 @@ def test_bench_all_algos_with_compare(demo_graph, tmp_path, capsys):
     assert len(csv_path.read_text().splitlines()) == 4  # header + 3 rows
 
 
+def test_bench_dynamic_mode_refuses_other_algo(demo_graph, tmp_path, capsys):
+    csv_path = tmp_path / "rows.csv"
+    rc = main([
+        "bench", "--glob", str(demo_graph), "--mode", "dynamic", "--algo", "spiral",
+        "--csv", str(csv_path),
+    ])
+    assert rc == 1
+    assert "'spiral'" in capsys.readouterr().err
+    assert not csv_path.exists()
+
+
 def test_bench_empty_glob(tmp_path, capsys):
     rc = main(["bench", "--glob", str(tmp_path / "*.nope")])
     assert rc == 1

@@ -1,32 +1,34 @@
 import dataclasses
 import itertools
 import random
+import re
 
 import pytest
 
 from nocmap import (
     Mesh3D,
     PsoParams,
-    ReportRow,
     RunConfig,
-    audit_artifact,
-    bit_energy,
-    compare_report,
     ddmap,
-    exhaustive_oracle,
+    evaluate,
     generate_random_graph,
-    graph_from_arcs,
-    map_with,
-    parse_mapping_artifact,
-    read_report_csv,
     run_benchmark,
-    serialize_graph,
-    total_energy,
-    write_mapping_artifact,
-    xyz_hops,
 )
 from nocmap import harness
-from nocmap.harness import CSV_COLUMNS
+from nocmap.harness import (
+    CSV_COLUMNS,
+    ReportRow,
+    audit_artifact,
+    compare_report,
+    exhaustive_oracle,
+    parse_mapping_artifact,
+    read_report_csv,
+    write_mapping_artifact,
+)
+from nocmap.mappers import map_with
+from nocmap.metrics import bit_energy
+from nocmap.taskgraph import graph_from_arcs, serialize_graph
+from nocmap.topology import xyz_hops
 
 from conftest import G1_ARCS
 from oracles import brute_cost, brute_energy
@@ -74,7 +76,7 @@ class TestRunBenchmark:
         row, placement = run_benchmark(cfg)
         g = graph_from_arcs(4, G1_ARCS)
         assert placement == ddmap(g, mesh3)
-        assert row.total_energy == total_energy(g, placement, mesh3)
+        assert row.total_energy == evaluate(g, placement, mesh3).total_energy
         assert row.benchmark == "g1"
         assert row.mode == "map" and row.algo == "ddmap"
 
@@ -125,6 +127,27 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match="unknown mode"):
             run_benchmark(RunConfig(graph=g1_file, mode="anneal"))
 
+    @pytest.mark.parametrize(
+        "kwargs, what",
+        [
+            (dict(algo="anneal"), "unknown algo 'anneal'"),
+            (dict(mode="pso", objective="makespan"), "unknown objective 'makespan'"),
+            (dict(mode="dynamic", algo="spiral"), "dynamic mode takes no algo, got 'spiral'"),
+            (dict(mode="pso", algo="crinkle"), "pso mode takes no algo, got 'crinkle'"),
+            (dict(seed_mapping="does-not-exist.map"), "seed_mapping is read in pso mode only"),
+            (dict(mode="cluster", objective="cost"), "objective is read in pso mode only"),
+            (dict(mode="dynamic", simulations=7), "simulations is read in pso mode only"),
+            (dict(pso=PsoParams()), "pso is read in pso mode only"),
+            (
+                dict(seed_mapping="does-not-exist.map", objective="makespan", simulations=7),
+                "unknown objective 'makespan'",
+            ),
+        ],
+    )
+    def test_fields_the_mode_never_reads_rejected(self, g1_file, kwargs, what):
+        with pytest.raises(ValueError, match=re.escape(what)):
+            RunConfig(graph=g1_file, **kwargs)
+
     def test_pso_seeded_run(self, g1_file, tmp_path, mesh3):
         seed_cfg = RunConfig(graph=g1_file, mode="map", algo="spiral", out_dir=tmp_path)
         seed_row, seed_placement = run_benchmark(seed_cfg)
@@ -149,9 +172,9 @@ class TestRunBenchmark:
             pso=PsoParams(seed=0, max_evals_per_simulation=400),
         )
         row, _ = run_benchmark(cfg)
-        assert row.total_energy <= total_energy(
+        assert row.total_energy <= evaluate(
             graph_from_arcs(4, G1_ARCS), {0: 0, 1: 1, 2: 2, 3: 3}, Mesh3D(2)
-        )
+        ).total_energy
 
     def test_audit_reproduces_row(self, g1_file, tmp_path):
         out_dir = tmp_path / "runs"
@@ -174,6 +197,33 @@ class TestRunBenchmark:
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize(
+    "load, key, value",
+    [
+        ("audit", "mesh", "abc"),
+        ("audit", "graph", None),
+        ("audit", "e_switch", "x"),
+        ("audit", "seed", "1.5"),
+        ("seed", "mesh", "abc"),
+    ],
+)
+def test_bad_artifact_header_names_file_and_key(g1_file, tmp_path, load, key, value):
+    run_benchmark(RunConfig(graph=str(g1_file), out_dir=tmp_path))
+    artifact = tmp_path / "g1__map__ddmap__seed0.map"
+    lines = artifact.read_text().splitlines(keepends=True)
+    line = next(i for i, text in enumerate(lines) if text.startswith(f"# {key} = "))
+    if value is None:
+        del lines[line]
+    else:
+        lines[line] = f"# {key} = {value}\n"
+    artifact.write_text("".join(lines))
+    with pytest.raises(ValueError, match=f"{re.escape(str(artifact))}.*'{key}'"):
+        if load == "audit":
+            audit_artifact(artifact)
+        else:
+            run_benchmark(RunConfig(graph=g1_file, mode="pso", seed_mapping=artifact))
+
+
 class TestOracle:
     def test_single_core(self, mesh2):
         g = graph_from_arcs(1, [])
@@ -194,7 +244,7 @@ class TestOracle:
     def test_oracle_bounds_heuristics(self, g1, mesh2):
         opt, _ = exhaustive_oracle(g1, mesh2, "energy")
         for algo in ("ddmap", "spiral", "crinkle"):
-            assert opt <= total_energy(g1, map_with(algo, g1, mesh2), mesh2)
+            assert opt <= evaluate(g1, map_with(algo, g1, mesh2), mesh2).total_energy
 
     def test_cost_objective(self, g1, mesh2):
         opt, mapping = exhaustive_oracle(g1, mesh2, "cost")

@@ -2,17 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nocmap import (
-    Mesh3D,
-    crinkle_order,
-    ddmap,
-    generate_random_graph,
-    graph_from_arcs,
-    map_with,
-    priority_order,
-    sequence_map,
-    spiral_order,
-)
+from nocmap import Mesh3D, ddmap, generate_random_graph
+from nocmap.mappers import crinkle_order, map_with, sequence_map, spiral_order
+from nocmap.taskgraph import graph_from_arcs, priority_order
 
 
 def assert_injective_total(mapping, g, mesh):

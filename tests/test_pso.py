@@ -3,20 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nocmap import (
-    Mesh3D,
-    PsoParams,
-    exhaustive_oracle,
-    generate_random_graph,
-    graph_from_arcs,
-    position_update,
-    pso_optimize,
-    repair_permutation,
-    sequence_map,
-    spiral_order,
-    total_energy,
-    velocity_update,
-)
+from nocmap import Mesh3D, PsoParams, evaluate, generate_random_graph, pso_optimize
+from nocmap.harness import exhaustive_oracle
+from nocmap.mappers import sequence_map, spiral_order
+from nocmap.pso import position_update, repair_permutation, velocity_update
+from nocmap.taskgraph import graph_from_arcs
 
 
 class ForcedRng:
@@ -140,7 +131,7 @@ class TestOptimize:
 
     def test_mapping_matches_reported_fitness(self, g1, mesh2):
         res = pso_optimize(g1, mesh2, PsoParams(seed=2, max_evals_per_simulation=3_000))
-        assert total_energy(g1, res.mapping, mesh2) == res.fitness
+        assert evaluate(g1, res.mapping, mesh2).total_energy == res.fitness
 
     def test_finds_small_optimum(self, g1, mesh2):
         opt, _ = exhaustive_oracle(g1, mesh2, "energy")
@@ -150,7 +141,7 @@ class TestOptimize:
     def test_seeded_never_worse(self, mesh3):
         g = generate_random_graph(10, 20, seed=4)
         seed_map = sequence_map(g, mesh3, spiral_order(mesh3))
-        seed_fitness = total_energy(g, seed_map, mesh3)
+        seed_fitness = evaluate(g, seed_map, mesh3).total_energy
         res = pso_optimize(
             g, mesh3, PsoParams(seed=1, max_evals_per_simulation=2_000), seed_mapping=seed_map
         )
@@ -190,7 +181,7 @@ class TestOptimize:
         g = graph_from_arcs(2, [(0, 1, 100, 10)])
         res = pso_optimize(g, mesh, PsoParams(swarm_size=2, max_evals_per_simulation=4))
         assert [evals for _, evals, _ in res.trace] == [2, 4]
-        assert res.fitness == total_energy(g, res.mapping, mesh)
+        assert res.fitness == evaluate(g, res.mapping, mesh).total_energy
 
     def test_bad_seed_mapping(self, g1, mesh2):
         with pytest.raises(ValueError, match="injective"):

@@ -2,18 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nocmap import (
-    ClusterSet,
-    Mesh3D,
-    cluster_graph,
-    cluster_schedule,
-    cluster_tasks,
-    ddmap,
-    dynamic_schedule,
-    generate_random_graph,
-    graph_from_arcs,
-    total_energy,
-)
+from nocmap import Mesh3D, cluster_schedule, ddmap, evaluate, generate_random_graph
+from nocmap.scheduler import ClusterSet, cluster_graph, cluster_tasks, dynamic_schedule
+from nocmap.taskgraph import graph_from_arcs
 
 
 def assert_valid_schedule(schedule, g, mesh):
@@ -153,7 +144,7 @@ class TestClusterSchedule:
     def test_g1_all_on_center(self, g1, mesh3):
         s = cluster_schedule(g1, mesh3)
         assert set(s.placement.values()) == {13}
-        assert total_energy(g1, s.placement, mesh3) == 0.0
+        assert evaluate(g1, s.placement, mesh3).total_energy == 0.0
         assert s.slots[13] == [0, 1, 3, 2]  # chain order preserved in the slot
 
     def test_singleton_clusters_match_ddmap(self, mesh3):
@@ -176,4 +167,5 @@ class TestClusterSchedule:
         cg = cluster_graph(g, cs)
         cluster_map = ddmap(cg, mesh)
         task_level = cluster_schedule(g, mesh).placement
-        assert total_energy(g, task_level, mesh) == total_energy(cg, cluster_map, mesh)
+        cluster_level = evaluate(cg, cluster_map, mesh)
+        assert evaluate(g, task_level, mesh).total_energy == cluster_level.total_energy

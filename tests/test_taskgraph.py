@@ -1,10 +1,13 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nocmap import (
+from nocmap import generate_random_graph
+from nocmap.taskgraph import (
     GraphFormatError,
-    generate_random_graph,
+    TaskGraph,
     graph_from_arcs,
     induced_subgraph,
     parse_graph,
@@ -69,7 +72,7 @@ class TestParse:
     def test_serialize_round_trip(self, params):
         g = draw_graph(params)
         back = parse_graph(serialize_graph(g))
-        assert back.cores == g.cores
+        assert back.n_cores == g.n_cores
         assert sorted(back.arcs, key=lambda a: (a.src, a.dst)) == sorted(
             g.arcs, key=lambda a: (a.src, a.dst)
         )
@@ -145,6 +148,16 @@ class TestGenerate:
         assert len(pairs) == 40
         assert all(a.src != a.dst for a in g.arcs)
         assert all(10 <= a.volume <= 1000 and 1 <= a.bandwidth <= 100 for a in g.arcs)
+
+
+class TestTaskGraph:
+    def test_negative_core_count_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            TaskGraph(-1, ())
+
+    def test_fields_are_count_and_arcs(self, g1):
+        assert [f.name for f in dataclasses.fields(TaskGraph)] == ["n_cores", "arcs"]
+        assert g1 == TaskGraph(4, g1.arcs)
 
 
 class TestInducedSubgraph:

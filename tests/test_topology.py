@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nocmap import (
-    Mesh3D,
+from nocmap import Mesh3D
+from nocmap.taskgraph import graph_from_arcs
+from nocmap.topology import (
     Occupancy,
     diagonal_tiles,
-    graph_from_arcs,
     lozenge_next_empty,
     tile_coords,
     tile_index,
