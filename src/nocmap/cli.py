@@ -57,12 +57,16 @@ def _run_flags(parser: argparse.ArgumentParser) -> None:
     _energy_flags(parser)
 
 
-def _run(args, graph: str, **pipeline) -> ReportRow:
-    """Run the pipeline the flags describe on one graph and print its result line."""
-    cfg = RunConfig(
+def _config(args, graph: str, **pipeline) -> RunConfig:
+    """The run the flags describe on one graph."""
+    return RunConfig(
         graph=graph, mesh_n=args.mesh, model=_energy_model(args), seed=args.seed,
         out_dir=args.out, csv_path=args.csv, name=getattr(args, "name", None), **pipeline,
     )
+
+
+def _run(cfg: RunConfig) -> ReportRow:
+    """Run one config and print its result line."""
     row, _ = run_benchmark(cfg)
     latency = "n/a" if row.avg_latency is None else f"{row.avg_latency:.6g}"
     print(
@@ -74,13 +78,13 @@ def _run(args, graph: str, **pipeline) -> ReportRow:
 
 
 def _cmd_map(args) -> int:
-    _run(args, args.graph, mode="map", algo=args.algo)
+    _run(_config(args, args.graph, mode="map", algo=args.algo))
     return 0
 
 
 def _cmd_schedule(args) -> int:
     algo = args.cluster_mapper if args.mode == "cluster" else "ddmap"
-    _run(args, args.graph, mode=args.mode, algo=algo)
+    _run(_config(args, args.graph, mode=args.mode, algo=algo))
     return 0
 
 
@@ -91,10 +95,10 @@ def _cmd_optimize(args) -> int:
         max_evals_per_simulation=args.pso_evals,
         seed=args.seed,
     )
-    _run(
+    _run(_config(
         args, args.graph, mode="pso", objective=args.objective, pso=params,
         simulations=args.pso_simulations, seed_mapping=args.seed_mapping,
-    )
+    ))
     return 0
 
 
@@ -126,7 +130,9 @@ def _cmd_bench(args) -> int:
         print(f"no graphs match {args.glob!r}", file=sys.stderr)
         return 1
     algos = list(MAPPERS) if args.all_algos else [args.algo]
-    rows = [_run(args, path, mode=args.mode, algo=algo) for path in paths for algo in algos]
+    # Every config is built, and so checked, before the first run writes anything.
+    configs = [_config(args, path, mode=args.mode, algo=algo) for path in paths for algo in algos]
+    rows = [_run(cfg) for cfg in configs]
     if args.compare:
         print(format_comparison(compare_report(rows, *args.compare)))
     return 0

@@ -8,8 +8,10 @@ that the fitness ignores.  Velocities follow the classic update
 
 with both random factors drawn per component and the result clamped to
 [-D, D].  Positions move by the floor of the velocity, are clamped to the
-tile range, and then repaired back to a duplicate-free vector so every
-evaluated candidate is a valid injective assignment.
+tile range, and then repaired back to duplicate-free vectors so every
+evaluated candidate is a valid injective assignment.  Each iteration updates,
+repairs and scores the whole swarm as one (swarm size, D) array; no step
+loops over particles.
 
 Runs are deterministic: every random draw comes from one generator seeded
 from (seed, simulation index), and best-so-far reductions scan particles in
@@ -18,6 +20,7 @@ index order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +34,7 @@ MAX_SIMULATIONS = 100  # most independent restarts one pso_optimize call may run
 
 @dataclass(frozen=True)
 class PsoParams:
-    """Swarm constants."""
+    """Swarm constants; c1, c2 and w must be finite and non-negative."""
 
     c1: float = 1.2
     c2: float = 1.3
@@ -39,6 +42,16 @@ class PsoParams:
     swarm_size: int = 200
     max_evals_per_simulation: int = 150_000
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("c1", "c2", "w"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
+        if self.swarm_size < 1:
+            raise ValueError("swarm size must be positive")
+        if self.max_evals_per_simulation < self.swarm_size:
+            raise ValueError("evaluation budget smaller than one swarm pass")
 
 
 @dataclass(frozen=True)
@@ -69,29 +82,43 @@ def position_update(position, velocity, dimension: int) -> np.ndarray:
     return np.clip(raw, 0, dimension - 1)
 
 
-def repair_permutation(raw, dimension: int) -> list[int]:
-    """Make an integer vector duplicate-free.
+def repair_permutation(raw, dimension: int) -> np.ndarray:
+    """Make integer vectors duplicate-free: one vector of shape (k,) or a batch (s, k).
 
-    First occurrences win; later duplicates are replaced, left to right, by
-    the unused values in ascending order.  Idempotent on valid vectors.
+    In each vector first occurrences win; later duplicates are replaced, left
+    to right, by the unused values in ascending order.  Idempotent on valid
+    vectors.  Returns a new array of the input's shape.
     """
-    vals = [int(v) for v in raw]
-    if len(vals) > dimension:
+    pos = np.array(raw, dtype=np.int64)
+    if pos.ndim not in (1, 2):
+        raise ValueError(f"expected a vector or a batch of vectors, got {pos.ndim} dimensions")
+    k = pos.shape[-1]
+    if k > dimension:
         raise ValueError("vector longer than the value range")
-    used = bytearray(dimension)
-    duplicates = []
-    for i, v in enumerate(vals):
-        if not (0 <= v < dimension):
-            raise ValueError(f"component {v} out of range 0..{dimension - 1}")
-        if used[v]:
-            duplicates.append(i)
-        else:
-            used[v] = 1
-    if duplicates:
-        fill = (t for t in range(dimension) if not used[t])
-        for i in duplicates:
-            vals[i] = next(fill)
-    return vals
+    bad = (pos < 0) | (pos >= dimension)
+    if bad.any():
+        raise ValueError(f"component {pos[bad][0]} out of range 0..{dimension - 1}")
+    rows = pos if pos.ndim == 2 else pos[np.newaxis]
+    s = rows.shape[0]
+    row_start = np.arange(s)[:, None]
+    # A stable sort keeps equal values in index order, so within each run of
+    # equal sorted values all but the first are later duplicates.  Sorting a
+    # narrow copy lets numpy use radix sort; flat indices avoid 2-D fancy
+    # indexing, which costs several times more here.
+    narrow = rows.astype(np.min_scalar_type(max(dimension - 1, 0)))
+    order = np.argsort(narrow, axis=1, kind="stable")
+    order += row_start * k
+    ranked = narrow.ravel()[order]
+    dup = np.zeros(pos.size, dtype=bool)
+    dup[order[:, 1:][ranked[:, 1:] == ranked[:, :-1]]] = True
+    free = np.ones(s * dimension, dtype=bool)
+    free[(rows + row_start * dimension).ravel()] = False
+    free = free.reshape(s, dimension)
+    # Each row keeps its smallest dup-count free values; flatnonzero lists them
+    # row by row in ascending order, the order the dup mask is filled in.
+    free &= np.cumsum(free, axis=1) <= dup.reshape(s, k).sum(axis=1)[:, None]
+    pos.ravel()[dup] = np.flatnonzero(free) % dimension
+    return pos
 
 
 class _SlotFitness:
@@ -163,9 +190,7 @@ def _run_simulation(
     while evals + s <= params.max_evals_per_simulation:
         iteration += 1
         velocities = velocity_update(positions, velocities, pbest, gbest, params, rng, d)
-        positions = position_update(positions, velocities, d)
-        for i in range(s):
-            positions[i] = repair_permutation(positions[i].tolist(), d)
+        positions = repair_permutation(position_update(positions, velocities, d), d)
         values = fitness(positions)
         evals += s
 
@@ -206,10 +231,6 @@ def pso_optimize(
         raise ValueError(f"{g.n_cores} cores exceed {dimension} tiles")
     if not 1 <= simulations <= MAX_SIMULATIONS:
         raise ValueError(f"simulations must be in 1..{MAX_SIMULATIONS}")
-    if params.swarm_size < 1:
-        raise ValueError("swarm size must be positive")
-    if params.max_evals_per_simulation < params.swarm_size:
-        raise ValueError("evaluation budget smaller than one swarm pass")
 
     fitness = _SlotFitness(g, mesh, objective, model)
     seed_position = (

@@ -7,6 +7,9 @@ integers, the bits times routers visited (``switch_bits``) and the bits
 times links traversed (``link_bits``), then applies the closed form
 ``e_switch * switch_bits + e_link * link_bits`` once, so results are
 order-independent and comparable bit-for-bit with the library.
+
+``repair_permutation`` is the one-vector loop that ``nocmap.pso``'s
+whole-swarm repair must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -84,3 +87,28 @@ def brute_latency(g, placement, n, rho=1.0) -> float:
     if eta == 0:
         raise ValueError("no transfers")
     return hop_volume * rho / eta
+
+
+def repair_permutation(raw, dimension: int) -> list[int]:
+    """Make an integer vector duplicate-free.
+
+    First occurrences win; later duplicates are replaced, left to right, by
+    the unused values in ascending order.  Idempotent on valid vectors.
+    """
+    vals = [int(v) for v in raw]
+    if len(vals) > dimension:
+        raise ValueError("vector longer than the value range")
+    used = bytearray(dimension)
+    duplicates = []
+    for i, v in enumerate(vals):
+        if not (0 <= v < dimension):
+            raise ValueError(f"component {v} out of range 0..{dimension - 1}")
+        if used[v]:
+            duplicates.append(i)
+        else:
+            used[v] = 1
+    if duplicates:
+        fill = (t for t in range(dimension) if not used[t])
+        for i in duplicates:
+            vals[i] = next(fill)
+    return vals

@@ -119,3 +119,33 @@ def test_non_finite_energy_constant_rejected(demo_graph, tmp_path, capsys):
     assert rc == 1
     assert "finite" in capsys.readouterr().err
     assert not csv_path.exists()
+
+
+def test_bench_checks_every_run_before_running_any(demo_graph, tmp_path, capsys):
+    # ddmap is a valid dynamic-mode run; spiral is refused, so neither may run
+    csv_path = tmp_path / "rows.csv"
+    rc = main([
+        "bench", "--glob", str(demo_graph), "--mode", "dynamic", "--all-algos",
+        "--csv", str(csv_path),
+    ])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "'spiral'" in captured.err
+    assert captured.out == ""
+    assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--pso-w", "nan"), ("--pso-c1", "-5"), ("--pso-c2", "inf"),
+])
+def test_bad_swarm_constant_rejected(demo_graph, tmp_path, capsys, flag, value):
+    csv_path = tmp_path / "rows.csv"
+    rc = main([
+        "optimize", "--graph", str(demo_graph), "--mesh", "2", flag, value,
+        "--pso-swarm-size", "50", "--pso-evals", "500", "--csv", str(csv_path),
+    ])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert flag.removeprefix("--pso-") in captured.err and "finite and non-negative" in captured.err
+    assert captured.out == ""
+    assert not csv_path.exists()
