@@ -132,6 +132,11 @@ def _cmd_bench(args) -> int:
     algos = list(MAPPERS) if args.all_algos else [args.algo]
     # Every config is built, and so checked, before the first run writes anything.
     configs = [_config(args, path, mode=args.mode, algo=algo) for path in paths for algo in algos]
+    if args.compare:  # pair the labels on stand-in rows first, by compare_report's own rule
+        compare_report([
+            ReportRow(c.name or Path(c.graph).stem, c.algo, c.mode, 0.0, 0, None, 0, 0.0, c.seed)
+            for c in configs
+        ], *args.compare)
     rows = [_run(cfg) for cfg in configs]
     if args.compare:
         print(format_comparison(compare_report(rows, *args.compare)))

@@ -169,26 +169,6 @@ def append_report_csv(path: str | Path, rows: list[ReportRow]) -> None:
             writer.writerow([_format_cell(getattr(row, col)) for col in CSV_COLUMNS])
 
 
-def read_report_csv(path: str | Path) -> list[ReportRow]:
-    rows = []
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(
-                ReportRow(
-                    benchmark=rec["benchmark"],
-                    algo=rec["algo"],
-                    mode=rec["mode"],
-                    total_energy=float(rec["total_energy"]),
-                    comm_cost=int(rec["comm_cost"]),
-                    avg_latency=float(rec["avg_latency"]) if rec["avg_latency"] else None,
-                    eta=int(rec["eta"]),
-                    runtime_ms=float(rec["runtime_ms"]),
-                    seed=int(rec["seed"]),
-                )
-            )
-    return rows
-
-
 def _artifact_name(benchmark: str, mode: str, algo: str, seed: int) -> str:
     return f"{benchmark}__{mode}__{algo}__seed{seed}.map"
 

@@ -54,13 +54,6 @@ class EvalReport:
     eta: int
 
 
-def bit_energy(links: int, model: EnergyModel = EnergyModel()) -> float:
-    """Energy (pJ) to move one bit across the given number of links."""
-    if links < 0:
-        raise ValueError("link count must be non-negative")
-    return model.energy(links + 1 if links else 0, links)
-
-
 OBJECTIVES = ("energy", "cost")
 
 
@@ -121,11 +114,6 @@ class HopKernel:
         return link_bits, switch_bits, h @ self.bandwidth
 
 
-def transfer_count(g: TaskGraph) -> int:
-    """Number of transfers: arcs that actually move data (volume > 0)."""
-    return sum(1 for a in g.arcs if a.volume > 0)
-
-
 def evaluate(
     g: TaskGraph,
     mapping: Mapping,
@@ -135,7 +123,7 @@ def evaluate(
     """All metrics at once; latency is None when the graph moves no data."""
     kernel = HopKernel(g, mesh)
     link_bits, switch_bits, cost = (int(v) for v in kernel(kernel.placement(mapping)))
-    eta = transfer_count(g)
+    eta = sum(1 for a in g.arcs if a.volume > 0)  # transfers: arcs that move data
     return EvalReport(
         total_energy=model.energy(switch_bits, link_bits),
         comm_cost=cost,

@@ -59,8 +59,6 @@ class PsoResult:
     mapping: Mapping
     fitness: float
     trace: tuple[tuple[int, int, float], ...]  # (iteration, evals, gbest)
-    objective: str
-    simulation: int
 
 
 def velocity_update(
@@ -164,7 +162,6 @@ def _run_simulation(
     d: int,
     seed_position: np.ndarray | None,
     simulation: int,
-    objective: str,
     n_cores: int,
 ) -> PsoResult:
     s = params.swarm_size
@@ -206,7 +203,7 @@ def _run_simulation(
         trace.append((iteration, evals, gbest_val))
 
     mapping = {core: int(gbest[i]) for i, core in enumerate(fitness.order[:n_cores])}
-    return PsoResult(mapping, gbest_val, tuple(trace), objective, simulation)
+    return PsoResult(mapping, gbest_val, tuple(trace))
 
 
 def pso_optimize(
@@ -238,9 +235,7 @@ def pso_optimize(
     )
     best: PsoResult | None = None
     for sim in range(simulations):
-        result = _run_simulation(
-            fitness, params, dimension, seed_position, sim, objective, g.n_cores
-        )
+        result = _run_simulation(fitness, params, dimension, seed_position, sim, g.n_cores)
         if best is None or result.fitness < best.fitness:
             best = result
     assert best is not None

@@ -52,20 +52,9 @@ class ClusterSet:
 
 @dataclass
 class Schedule:
-    """Task -> tile placement (many-to-one) plus per-tile slot lists.
-
-    Slot lists record assignment order; no timing model is attached to them.
-    """
+    """Task -> tile placement, many-to-one, in assignment order."""
 
     placement: dict[int, int]
-    slots: dict[int, list[int]]
-
-
-def _slots_from_placement(placement: dict[int, int]) -> dict[int, list[int]]:
-    slots: dict[int, list[int]] = {}
-    for task, tile in placement.items():
-        slots.setdefault(tile, []).append(task)
-    return slots
 
 
 def dynamic_schedule(g: TaskGraph, mesh: Mesh3D) -> Schedule:
@@ -82,15 +71,14 @@ def dynamic_schedule(g: TaskGraph, mesh: Mesh3D) -> Schedule:
     placement: dict[int, int] = {}
     remaining = list(range(g.n_cores))
     while remaining:
-        residual, residual_ids = induced_subgraph(g, remaining)
-        cohort = [residual_ids[c] for c in priority_order(residual)[:cap]]
-        sub, sub_ids = induced_subgraph(g, cohort)
-        round_map = map_with("ddmap", sub, mesh)
+        residual = induced_subgraph(g, remaining)
+        cohort = [remaining[c] for c in priority_order(residual)[:cap]]
+        round_map = map_with("ddmap", induced_subgraph(g, cohort), mesh)
         for new_id, tile in round_map.items():
-            placement[sub_ids[new_id]] = tile
+            placement[cohort[new_id]] = tile
         taken = set(cohort)
         remaining = [c for c in remaining if c not in taken]
-    return Schedule(placement, _slots_from_placement(placement))
+    return Schedule(placement)
 
 
 def cluster_tasks(g: TaskGraph, max_clusters: int) -> ClusterSet:
@@ -170,4 +158,4 @@ def cluster_schedule(g: TaskGraph, mesh: Mesh3D, mapper: str = "ddmap") -> Sched
         tile = cluster_map[idx]
         for task in cluster:
             placement[task] = tile
-    return Schedule(placement, _slots_from_placement(placement))
+    return Schedule(placement)

@@ -54,16 +54,17 @@ class TaskGraph:
             _check_arc(a, self.n_cores, seen)
 
     @cached_property
-    def _volumes(self) -> dict[tuple[int, int], int]:
-        return {(a.src, a.dst): a.volume for a in self.arcs}
-
-    def volume(self, src: int, dst: int) -> int:
-        """Volume on arc src->dst, or 0 when absent."""
-        return self._volumes.get((src, dst), 0)
+    def _pair_volumes(self) -> dict[tuple[int, int], int]:
+        """Volume per connected pair, both directions summed, keyed (a, b) and (b, a)."""
+        volumes: dict[tuple[int, int], int] = {}
+        for a in self.arcs:
+            total = volumes.get((a.src, a.dst), 0) + a.volume
+            volumes[a.src, a.dst] = volumes[a.dst, a.src] = total
+        return volumes
 
     def volume_between(self, a: int, b: int) -> int:
         """Traffic exchanged between two cores, both directions summed."""
-        return self.volume(a, b) + self.volume(b, a)
+        return self._pair_volumes.get((a, b), 0)
 
     @cached_property
     def out_degrees(self) -> tuple[int, ...]:
@@ -114,7 +115,7 @@ def parse_graph(text: str) -> TaskGraph:
     """Parse the line-based graph format; raise GraphFormatError with line numbers."""
     n_cores: int | None = None
     arcs: list[Arc] = []
-    seen: set[tuple[int, int]] = set()
+    arc_lines: list[int] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -138,14 +139,20 @@ def parse_graph(text: str) -> TaskGraph:
             arc = Arc(*(int(f) for f in fields[1:]))
         except ValueError:
             raise GraphFormatError(line_no, "edge fields must be integers") from None
-        try:
-            _check_arc(arc, n_cores, seen)
-        except ValueError as exc:
-            raise GraphFormatError(line_no, str(exc)) from None
         arcs.append(arc)
+        arc_lines.append(line_no)
     if n_cores is None:
         raise GraphFormatError(1, "missing 'cores <N>' header")
-    return TaskGraph(n_cores, tuple(arcs))
+    try:
+        return TaskGraph(n_cores, tuple(arcs))  # the one arc check, after every line's syntax
+    except ValueError:
+        seen: set[tuple[int, int]] = set()  # error path only: find the bad arc's line
+        for arc, line_no in zip(arcs, arc_lines):
+            try:
+                _check_arc(arc, n_cores, seen)
+            except ValueError as exc:
+                raise GraphFormatError(line_no, str(exc)) from None
+        raise
 
 
 def serialize_graph(g: TaskGraph) -> str:
@@ -205,11 +212,11 @@ def generate_random_graph(
     return TaskGraph(n_cores, arcs)
 
 
-def induced_subgraph(g: TaskGraph, core_ids: Sequence[int]) -> tuple[TaskGraph, list[int]]:
+def induced_subgraph(g: TaskGraph, core_ids: Sequence[int]) -> TaskGraph:
     """Subgraph on the given cores, relabeled 0..k-1 in the given order.
 
-    Returns the subgraph and the new-id -> old-id translation list.  Arcs are
-    kept only when both endpoints are selected.
+    New id i is old id ``core_ids[i]``.  Arcs are kept only when both
+    endpoints are selected.
     """
     if len(set(core_ids)) != len(core_ids):
         raise ValueError("duplicate core id in selection")
@@ -221,4 +228,4 @@ def induced_subgraph(g: TaskGraph, core_ids: Sequence[int]) -> tuple[TaskGraph, 
         for a in g.arcs
         if a.src in new_id and a.dst in new_id
     )
-    return TaskGraph(len(core_ids), arcs), list(core_ids)
+    return TaskGraph(len(core_ids), arcs)

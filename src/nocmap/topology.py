@@ -1,5 +1,5 @@
-"""Cubic mesh geometry: tile indexing, diagonal seed tiles, routing distance,
-and the lozenge (diamond-ring) search for the nearest free tile.
+"""Cubic mesh geometry: tile coordinates, diagonal seed tiles, and the
+lozenge (diamond-ring) search for the nearest free tile.
 
 Tiles of an n x n x n mesh are numbered layer-major then row-major:
 ``tile = layer*n^2 + row*n + col``.  Under this layout the cube's main
@@ -30,16 +30,8 @@ class Mesh3D:
         return self.n ** 3
 
 
-def tile_index(layer: int, row: int, col: int, n: int) -> int:
-    """(layer, row, col) -> tile id."""
-    for name, v in (("layer", layer), ("row", row), ("col", col)):
-        if not (0 <= v < n):
-            raise ValueError(f"{name} {v} out of range 0..{n - 1}")
-    return layer * n * n + row * n + col
-
-
 def tile_coords(tile: int, n: int) -> tuple[int, int, int]:
-    """tile id -> (layer, row, col); inverse of tile_index."""
+    """tile id -> (layer, row, col)."""
     if not (0 <= tile < n ** 3):
         raise ValueError(f"tile id {tile} out of range 0..{n ** 3 - 1}")
     layer, rest = divmod(tile, n * n)
@@ -59,13 +51,6 @@ def diagonal_tiles(n: int) -> list[int]:
     return [step * (i + 1) for i in range(n - 2)]
 
 
-def xyz_hops(a: int, b: int, n: int) -> int:
-    """Links traversed by dimension-ordered (XYZ) routing: 3D Manhattan distance."""
-    la, ra, ca = tile_coords(a, n)
-    lb, rb, cb = tile_coords(b, n)
-    return abs(la - lb) + abs(ra - rb) + abs(ca - cb)
-
-
 def coordinate_arrays(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Layer, row and column of every tile as three int64 arrays (O(n^3) memory);
     gathering from them gives the hop count of any batch of tile pairs."""
@@ -81,19 +66,10 @@ class Occupancy:
         if tile_count < 1:
             raise ValueError("tile count must be positive")
         self._free = bytearray(b"\x01" * tile_count)
-        self._occupied = 0
 
     @property
     def tile_count(self) -> int:
         return len(self._free)
-
-    @property
-    def occupied_count(self) -> int:
-        return self._occupied
-
-    @property
-    def free_count(self) -> int:
-        return len(self._free) - self._occupied
 
     def is_free(self, tile: int) -> bool:
         return bool(self._free[tile])
@@ -102,7 +78,6 @@ class Occupancy:
         if not self._free[tile]:
             raise ValueError(f"tile {tile} already occupied")
         self._free[tile] = 0
-        self._occupied += 1
 
 
 def _ring(row: int, col: int, d: int, clockwise: bool) -> Iterator[tuple[int, int]]:

@@ -149,3 +149,18 @@ def test_bad_swarm_constant_rejected(demo_graph, tmp_path, capsys, flag, value):
     assert flag.removeprefix("--pso-") in captured.err and "finite and non-negative" in captured.err
     assert captured.out == ""
     assert not csv_path.exists()
+
+
+def test_bench_checks_compare_labels_before_running_any(demo_graph, tmp_path, capsys):
+    # without --all-algos only ddmap runs, so spiral has no row to compare with
+    out_dir = tmp_path / "runs"
+    csv_path = tmp_path / "rows.csv"
+    rc = main([
+        "bench", "--glob", str(demo_graph), "--mesh", "2", "--out", str(out_dir),
+        "--csv", str(csv_path), "--compare", "ddmap", "spiral",
+    ])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "expected one row each for 'ddmap' and 'spiral'" in captured.err
+    assert captured.out == ""
+    assert not csv_path.exists() and not out_dir.exists()

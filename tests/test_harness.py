@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import itertools
 import random
@@ -22,16 +23,14 @@ from nocmap.harness import (
     compare_report,
     exhaustive_oracle,
     parse_mapping_artifact,
-    read_report_csv,
     write_mapping_artifact,
 )
 from nocmap.mappers import map_with
-from nocmap.metrics import bit_energy
+from nocmap.metrics import EnergyModel
 from nocmap.taskgraph import graph_from_arcs, serialize_graph
-from nocmap.topology import xyz_hops
 
 from conftest import G1_ARCS
-from oracles import brute_cost, brute_energy
+from oracles import brute_cost, brute_energy, manhattan3
 
 
 @pytest.fixture
@@ -113,8 +112,12 @@ class TestRunBenchmark:
         row, _ = run_benchmark(cfg)
         header = csv_path.read_text().splitlines()[0]
         assert header.split(",") == CSV_COLUMNS
-        (back,) = read_report_csv(csv_path)
-        assert back == row
+        with csv_path.open(newline="", encoding="utf-8") as fh:
+            (record,) = csv.DictReader(fh)
+        kinds = dict(total_energy=float, comm_cost=int, avg_latency=float, eta=int,
+                     runtime_ms=float, seed=int)
+        back = ReportRow(**{col: kinds.get(col, str)(record[col]) for col in CSV_COLUMNS})
+        assert back == row  # every float cell round-trips exactly
 
     def test_eta_zero_graph_still_reports(self, tmp_path):
         path = tmp_path / "silent.ctg"
@@ -233,8 +236,8 @@ class TestOracle:
     def test_two_cores_one_arc(self, mesh2):
         g = graph_from_arcs(2, [(0, 1, 100, 10)])
         value, mapping = exhaustive_oracle(g, mesh2)
-        assert value == 100 * bit_energy(1)
-        assert xyz_hops(mapping[0], mapping[1], 2) == 1
+        assert value == 100 * EnergyModel().energy(2, 1)  # one link, two routers
+        assert manhattan3(mapping[0], mapping[1], 2) == 1
 
     def test_lexicographically_smallest_argmin(self, mesh2):
         g = graph_from_arcs(2, [(0, 1, 100, 10)])

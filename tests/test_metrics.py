@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nocmap import EnergyModel, Mesh3D, evaluate, generate_random_graph
-from nocmap.metrics import bit_energy, transfer_count
 from nocmap.taskgraph import TaskGraph, graph_from_arcs
-from nocmap.topology import tile_coords, tile_index
+from nocmap.topology import tile_coords
 
 from oracles import brute_cost, brute_energy, brute_eta, brute_latency
 
@@ -25,26 +24,24 @@ def random_pair(seed, n=3):
 
 
 class TestBitEnergy:
+    """One bit over h links visits h+1 routers: ``energy(h + 1, h)``; h = 0 is free."""
+
     def test_six_links(self):
-        assert bit_energy(6) == pytest.approx(4.682, abs=1e-12)
+        assert EnergyModel().energy(7, 6) == pytest.approx(4.682, abs=1e-12)
 
     def test_one_link(self):
-        assert bit_energy(1) == pytest.approx(1.017, abs=1e-12)
+        assert EnergyModel().energy(2, 1) == pytest.approx(1.017, abs=1e-12)
 
     def test_colocated_is_free(self):
-        assert bit_energy(0) == 0.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            bit_energy(-1)
+        assert EnergyModel().energy(0, 0) == 0.0
 
     def test_strictly_increasing(self):
-        values = [bit_energy(h) for h in range(1, 20)]
+        values = [EnergyModel().energy(h + 1, h) for h in range(1, 20)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_custom_model(self):
         m = EnergyModel(e_switch_bit=1.0, e_link_bit=2.0)
-        assert bit_energy(3, m) == 4 * 1.0 + 3 * 2.0
+        assert m.energy(4, 3) == 4 * 1.0 + 3 * 2.0
 
 
 class TestTotalEnergy:
@@ -141,7 +138,7 @@ class TestEvaluate:
         assert rep.total_energy == brute_energy(g1, placement, 3)
         assert rep.comm_cost == brute_cost(g1, placement, 3)
         assert rep.avg_latency == brute_latency(g1, placement, 3)
-        assert rep.eta == transfer_count(g1) == 4
+        assert rep.eta == brute_eta(g1) == 4
 
     def test_latency_none_when_no_transfers(self, mesh3):
         g = graph_from_arcs(2, [(0, 1, 0, 5)])
@@ -157,8 +154,8 @@ class TestAgainstBruteForce:
         rep = evaluate(g, placement, Mesh3D(3))
         assert rep.total_energy == brute_energy(g, placement, 3)
         assert rep.comm_cost == brute_cost(g, placement, 3)
-        assert transfer_count(g) == brute_eta(g)
-        if transfer_count(g) > 0:
+        assert rep.eta == brute_eta(g)
+        if rep.eta > 0:
             assert rep.avg_latency == brute_latency(g, placement, 3)
 
 
@@ -208,7 +205,7 @@ def apply_symmetry(tile, n, perm, signs):
     for axis in range(3):
         v = xyz[perm[axis]]
         out.append(v if signs[axis] == 1 else n - 1 - v)
-    return tile_index(out[0], out[1], out[2], n)
+    return out[0] * n * n + out[1] * n + out[2]
 
 
 class TestInvariances:

@@ -10,11 +10,14 @@ from nocmap.taskgraph import graph_from_arcs
 def assert_valid_schedule(schedule, g, mesh):
     assert set(schedule.placement) == set(range(g.n_cores))
     assert all(0 <= t < mesh.tile_count for t in schedule.placement.values())
-    rebuilt = {}
-    for tile, tasks in schedule.slots.items():
-        for task in tasks:
-            rebuilt[task] = tile
-    assert rebuilt == schedule.placement
+
+
+def slots(schedule) -> dict[int, list[int]]:
+    """Tasks per tile, in the order the schedule assigned them."""
+    out: dict[int, list[int]] = {}
+    for task, tile in schedule.placement.items():
+        out.setdefault(tile, []).append(task)
+    return out
 
 
 class TestDynamic:
@@ -25,7 +28,7 @@ class TestDynamic:
         g = generate_random_graph(30, 60, seed=1)
         s = dynamic_schedule(g, mesh3)
         assert_valid_schedule(s, g, mesh3)
-        depths = [len(v) for v in s.slots.values()]
+        depths = [len(v) for v in slots(s).values()]
         assert max(depths) == 2
         assert sum(depths) == 30
         assert sum(1 for d in depths if d == 2) == 3
@@ -33,8 +36,8 @@ class TestDynamic:
     def test_fiftyfour_arc_free_tasks_fill_twice(self, mesh3):
         g = graph_from_arcs(54, [])
         s = dynamic_schedule(g, mesh3)
-        assert sorted(len(v) for v in s.slots.values()) == [2] * 27
-        assert len(s.slots) == 27
+        assert sorted(len(v) for v in slots(s).values()) == [2] * 27
+        assert len(slots(s)) == 27
 
     @given(st.integers(1, 70), st.integers(0, 1_000))
     @settings(max_examples=40, deadline=None)
@@ -44,7 +47,7 @@ class TestDynamic:
         s = dynamic_schedule(g, mesh)
         assert_valid_schedule(s, g, mesh)
         bound = -(-n_tasks // 27)  # ceil
-        assert max(len(v) for v in s.slots.values()) <= bound
+        assert max(len(v) for v in slots(s).values()) <= bound
 
     def test_empty_graph(self, mesh3):
         with pytest.raises(ValueError):
@@ -145,7 +148,7 @@ class TestClusterSchedule:
         s = cluster_schedule(g1, mesh3)
         assert set(s.placement.values()) == {13}
         assert evaluate(g1, s.placement, mesh3).total_energy == 0.0
-        assert s.slots[13] == [0, 1, 3, 2]  # chain order preserved in the slot
+        assert slots(s)[13] == [0, 1, 3, 2]  # chain order preserved in the slot
 
     def test_singleton_clusters_match_ddmap(self, mesh3):
         g = graph_from_arcs(4, [])

@@ -1,11 +1,13 @@
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nocmap import generate_random_graph
+from nocmap import generate_random_graph, taskgraph
 from nocmap.taskgraph import (
+    Arc,
     GraphFormatError,
     TaskGraph,
     graph_from_arcs,
@@ -66,6 +68,18 @@ class TestParse:
         assert err.value.line_no == line_no
         assert f"line {line_no}" in str(err.value)
         assert what in str(err.value)
+
+    def test_syntax_fault_reported_before_arc_fault(self):
+        # every line's syntax is checked before the arcs, so the later line wins
+        with pytest.raises(GraphFormatError, match="^line 3: unknown directive 'node'$"):
+            parse_graph("cores 2\nedge 0 0 5 1\nnode 3")
+
+    def test_each_arc_checked_once(self, monkeypatch):
+        calls = []
+        check = taskgraph._check_arc
+        monkeypatch.setattr(taskgraph, "_check_arc", lambda *args: calls.append(1) or check(*args))
+        g = parse_graph("cores 3\nedge 0 1 5 1\nedge 1 2 6 1\nedge 2 0 7 1\n")
+        assert len(g.arcs) == 3 and len(calls) == 3
 
     @given(graph_params)
     @settings(max_examples=60)
@@ -159,11 +173,47 @@ class TestTaskGraph:
         assert [f.name for f in dataclasses.fields(TaskGraph)] == ["n_cores", "arcs"]
         assert g1 == TaskGraph(4, g1.arcs)
 
+    @pytest.mark.parametrize(
+        "arcs, message",
+        [
+            ([(0, 2, 5, 1)], "core id out of range in arc 0->2"),
+            ([(-1, 0, 5, 1)], "core id out of range in arc -1->0"),
+            ([(1, 1, 5, 1)], "self-loop on core 1"),
+            ([(0, 1, 5, 1), (0, 1, 7, 2)], "duplicate arc 0->1"),
+            ([(0, 1, -5, 1)], "negative weight on arc 0->1"),
+            ([(0, 1, 5, -1)], "negative weight on arc 0->1"),
+        ],
+    )
+    def test_direct_construction_refuses_bad_arc(self, arcs, message):
+        exact = f"^{re.escape(message)}$"
+        with pytest.raises(ValueError, match=exact):
+            TaskGraph(2, tuple(Arc(*quad) for quad in arcs))
+        with pytest.raises(ValueError, match=exact):
+            graph_from_arcs(2, arcs)
+
+
+@st.composite
+def any_graph(draw):
+    """A random graph whose arcs may run both ways between a pair and carry zero volume."""
+    n_cores = draw(st.integers(1, 8))
+    pairs = [(i, j) for i in range(n_cores) for j in range(n_cores) if i != j]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    return graph_from_arcs(n_cores, [(i, j, draw(st.integers(0, 1000)), 1) for i, j in chosen])
+
+
+class TestVolumeBetween:
+    @given(any_graph())
+    @settings(max_examples=100)
+    def test_matches_volume_matrix(self, g):
+        m = volume_matrix(g)
+        for a in range(g.n_cores):
+            for b in range(g.n_cores):
+                assert g.volume_between(a, b) == m[a][b] + m[b][a]
+
 
 class TestInducedSubgraph:
     def test_relabels_and_filters(self, g1):
-        sub, ids = induced_subgraph(g1, [1, 3])
-        assert ids == [1, 3]
+        sub = induced_subgraph(g1, [1, 3])
         assert sub.n_cores == 2
         assert len(sub.arcs) == 1
         arc = sub.arcs[0]

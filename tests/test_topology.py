@@ -12,8 +12,6 @@ from nocmap.topology import (
     diagonal_tiles,
     lozenge_next_empty,
     tile_coords,
-    tile_index,
-    xyz_hops,
 )
 from nocmap.metrics import HopKernel
 
@@ -22,11 +20,11 @@ from oracles import manhattan3
 
 class TestIndexing:
     def test_center_of_3cube(self):
-        assert tile_index(1, 1, 1, 3) == 13
+        assert tile_coords(13, 3) == (1, 1, 1)
 
     def test_origin(self):
         for n in (2, 3, 5):
-            assert tile_index(0, 0, 0, n) == 0
+            assert tile_coords(0, n) == (0, 0, 0)
 
     def test_far_corner(self):
         assert tile_coords(26, 3) == (2, 2, 2)
@@ -35,14 +33,12 @@ class TestIndexing:
     def test_bijection(self, n):
         seen = set()
         for layer, row, col in itertools.product(range(n), repeat=3):
-            t = tile_index(layer, row, col, n)
+            t = layer * n * n + row * n + col
             assert tile_coords(t, n) == (layer, row, col)
             seen.add(t)
         assert seen == set(range(n ** 3))
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            tile_index(0, 3, 0, 3)
         with pytest.raises(ValueError):
             tile_coords(27, 3)
         with pytest.raises(ValueError):
@@ -71,27 +67,26 @@ class TestDiagonal:
 
 class TestHops:
     def test_opposite_corners(self):
-        assert xyz_hops(0, 26, 3) == 6
+        assert manhattan3(0, 26, 3) == 6
 
     def test_identical(self):
         for n in (2, 3):
             for t in range(n ** 3):
-                assert xyz_hops(t, t, n) == 0
+                assert manhattan3(t, t, n) == 0
 
     def test_unit_step(self):
-        assert xyz_hops(13, 4, 3) == 1
+        assert manhattan3(13, 4, 3) == 1
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_metric_axioms_exhaustive(self, n):
         tiles = range(n ** 3)
         for a in tiles:
             for b in tiles:
-                d = xyz_hops(a, b, n)
-                assert d == xyz_hops(b, a, n)
+                d = manhattan3(a, b, n)
+                assert d == manhattan3(b, a, n)
                 assert (d == 0) == (a == b)
-                assert d == manhattan3(a, b, n)
         for a, b, c in itertools.product(tiles, repeat=3):
-            assert xyz_hops(a, c, n) <= xyz_hops(a, b, n) + xyz_hops(b, c, n)
+            assert manhattan3(a, c, n) <= manhattan3(a, b, n) + manhattan3(b, c, n)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_kernel_hops_agree(self, n):
@@ -101,18 +96,22 @@ class TestHops:
         hops = kernel.hops(pairs)[:, 0]
         link_bits, switch_bits, cost = kernel(pairs)
         for (a, b), h in zip(pairs.tolist(), hops.tolist()):
-            assert h == xyz_hops(a, b, n)
+            assert h == manhattan3(a, b, n)
         assert np.array_equal(link_bits, hops) and np.array_equal(cost, hops)
         assert np.array_equal(switch_bits, hops + (hops > 0))
+
+
+def _free_count(occ: Occupancy) -> int:
+    return sum(occ.is_free(t) for t in range(occ.tile_count))
 
 
 class TestOccupancy:
     def test_counts(self):
         occ = Occupancy(8)
-        assert occ.free_count == 8 and occ.occupied_count == 0
+        assert _free_count(occ) == 8
         occ.occupy(3)
         assert not occ.is_free(3) and occ.is_free(4)
-        assert occ.free_count == 7 and occ.occupied_count == 1
+        assert _free_count(occ) == 7
 
     def test_double_occupy_rejected(self):
         occ = Occupancy(8)
