@@ -19,6 +19,7 @@ the sequence (``sequence_map``).
 
 from __future__ import annotations
 
+import heapq
 from typing import Sequence
 
 from .metrics import Mapping
@@ -30,42 +31,60 @@ def ddmap(g: TaskGraph, mesh: Mesh3D) -> Mapping:
     """Diagonal-seeded greedy mapping; injective, one core per tile.
 
     Keys are inserted in placement order, so iterating the result replays
-    the placement sequence.
+    the placement sequence.  The next core is the unmapped one with the most
+    traffic to the mapped set (ties to priority rank); its anchor is the
+    earliest-placed partner it exchanges the most volume with, or the first
+    seed when that volume is 0.  Traffic is updated along the arcs of each
+    newly placed core and read from a lazy heap, so the cost follows the
+    arcs, not all pairs.
     """
-    n = mesh.n
-    if g.n_cores > mesh.tile_count:
-        raise ValueError(f"{g.n_cores} cores exceed {mesh.tile_count} tiles")
+    n, n_cores = mesh.n, g.n_cores
+    if n_cores > mesh.tile_count:
+        raise ValueError(f"{n_cores} cores exceed {mesh.tile_count} tiles")
     order = priority_order(g)
-    rank = {core: i for i, core in enumerate(order)}
+    rank = [0] * n_cores
+    for i, core in enumerate(order):
+        rank[core] = i
+    partners, volume = g.partners, g.volume_between
 
     occ = Occupancy(mesh.tile_count)
     mapping: Mapping = {}
-    mapped_seq: list[int] = []
+    placed_at = [-1] * n_cores  # index in the placement sequence, -1 while unmapped
+    traffic = [0] * n_cores  # per unmapped core: volume exchanged with the mapped set
+    # Heap keys -traffic*N + rank order cores by (-traffic, rank); a key whose
+    # traffic has since grown is stale and skipped.
+    heap: list[int] = []
+
+    def place(core: int, tile: int) -> None:
+        mapping[core] = tile
+        occ.occupy(tile)
+        placed_at[core] = len(mapping) - 1
+        for p in partners[core]:
+            if placed_at[p] < 0:
+                v = volume(p, core)
+                if v:
+                    traffic[p] += v
+                    heapq.heappush(heap, rank[p] - traffic[p] * n_cores)
 
     # Interior-diagonal seeds; a 2x2x2 mesh has no interior, fall back to the origin.
     seeds = diagonal_tiles(n) or [0]
     for core, tile in zip(order, seeds):
-        mapping[core] = tile
-        occ.occupy(tile)
-        mapped_seq.append(core)
-
-    unmapped = [c for c in order if c not in mapping]
-    traffic = {c: sum(g.volume_between(c, m) for m in mapped_seq) for c in unmapped}
-    while unmapped:
-        core = min(unmapped, key=lambda c: (-traffic[c], rank[c]))
-        anchor_core = mapped_seq[0]
-        best = g.volume_between(core, anchor_core)
-        for m in mapped_seq[1:]:
-            v = g.volume_between(core, m)
-            if v > best:
-                best, anchor_core = v, m
-        tile = lozenge_next_empty(mapping[anchor_core], occ, mesh)
-        mapping[core] = tile
-        occ.occupy(tile)
-        mapped_seq.append(core)
-        unmapped.remove(core)
-        for c in unmapped:
-            traffic[c] += g.volume_between(c, core)
+        place(core, tile)
+    first = order[0]
+    heap.extend(rank[c] - traffic[c] * n_cores for c in order if placed_at[c] < 0)
+    heapq.heapify(heap)
+    while heap:
+        key = heapq.heappop(heap)
+        core = order[key % n_cores]
+        if placed_at[core] >= 0 or key != rank[core] - traffic[core] * n_cores:
+            continue
+        anchor_core, best = first, 0
+        for p in partners[core]:
+            if placed_at[p] >= 0:
+                v = volume(core, p)
+                if v > best or (v == best and v and placed_at[p] < placed_at[anchor_core]):
+                    anchor_core, best = p, v
+        place(core, lozenge_next_empty(mapping[anchor_core], occ, mesh))
     return mapping
 
 

@@ -70,14 +70,23 @@ def dynamic_schedule(g: TaskGraph, mesh: Mesh3D) -> Schedule:
     cap = mesh.tile_count
     placement: dict[int, int] = {}
     remaining = list(range(g.n_cores))
+    left = [True] * g.n_cores
     while remaining:
-        residual = induced_subgraph(g, remaining)
-        cohort = [remaining[c] for c in priority_order(residual)[:cap]]
+        # priority_order of the residual subgraph, without building it
+        degs, ranks = [0] * g.n_cores, [0] * g.n_cores
+        for a in g.arcs:
+            if left[a.src] and left[a.dst]:
+                degs[a.src] += 1
+                ranks[a.src] += a.volume
+                ranks[a.dst] += a.volume
+        residual = sorted(remaining, key=lambda c: (-degs[c], -ranks[c], c))
+        cohort = residual[:cap]
         round_map = map_with("ddmap", induced_subgraph(g, cohort), mesh)
         for new_id, tile in round_map.items():
             placement[cohort[new_id]] = tile
-        taken = set(cohort)
-        remaining = [c for c in remaining if c not in taken]
+        for c in cohort:
+            left[c] = False
+        remaining = [c for c in remaining if left[c]]
     return Schedule(placement)
 
 
@@ -94,37 +103,45 @@ def cluster_tasks(g: TaskGraph, max_clusters: int) -> ClusterSet:
     """
     if max_clusters < 1:
         raise ValueError("need at least one cluster")
-    unscheduled = set(range(g.n_cores))
-    scheduled: set[int] = set()
+    partners, volume = g.partners, g.volume_between
+    scheduled = [False] * g.n_cores
     chains: list[list[int]] = []
-    while unscheduled:
-        current = min(unscheduled)
-        unscheduled.discard(current)
-        scheduled.add(current)
+    for start in range(g.n_cores):
+        if scheduled[start]:
+            continue
+        current = start
+        scheduled[current] = True
         chain = [current]
         while True:
-            candidates = [t for t in g.partners[current] if t in unscheduled]
+            candidates = [t for t in partners[current] if not scheduled[t]]
             if not candidates:
                 break
-            nxt = min(candidates, key=lambda t: (-g.volume_between(current, t), t))
-            unscheduled.discard(nxt)
-            scheduled.add(nxt)
+            nxt = min(candidates, key=lambda t: (-volume(current, t), t))
+            scheduled[nxt] = True
             chain.append(nxt)
-            loops_back = any(p in scheduled and p != current for p in g.partners[nxt])
-            if loops_back:
-                break
+            if any(scheduled[p] and p != current for p in partners[nxt]):
+                break  # loops back
             current = nxt
         chains.append(chain)
 
     if len(chains) > max_clusters:
-        kept = [list(c) for c in chains[:max_clusters]]
+        kept = chains[:max_clusters]
+        owner = [-1] * g.n_cores  # task -> index of the retained cluster holding it
+        for i, cluster in enumerate(kept):
+            for t in cluster:
+                owner[t] = i
         for surplus in chains[max_clusters:]:
-            exchanged = [
-                sum(g.volume_between(u, v) for u in surplus for v in cluster)
-                for cluster in kept
-            ]
-            target = max(range(len(kept)), key=lambda i: (exchanged[i], -i))
+            exchanged: dict[int, int] = {}
+            for u in surplus:
+                for p in partners[u]:
+                    if owner[p] >= 0:
+                        exchanged[owner[p]] = exchanged.get(owner[p], 0) + volume(u, p)
+            target = max(exchanged, key=lambda i: (exchanged[i], -i), default=0)
+            if not exchanged.get(target):
+                target = 0
             kept[target].extend(surplus)
+            for t in surplus:
+                owner[t] = target
         chains = kept
     return ClusterSet(tuple(tuple(c) for c in chains))
 

@@ -86,11 +86,11 @@ class TaskGraph:
     @cached_property
     def partners(self) -> tuple[tuple[int, ...], ...]:
         """Per core: ids of cores reachable by an arc in either direction, ascending."""
-        adj: list[set[int]] = [set() for _ in range(self.n_cores)]
+        adj: list[list[int]] = [[] for _ in range(self.n_cores)]
         for a in self.arcs:
-            adj[a.src].add(a.dst)
-            adj[a.dst].add(a.src)
-        return tuple(tuple(sorted(s)) for s in adj)
+            adj[a.src].append(a.dst)
+            adj[a.dst].append(a.src)
+        return tuple(tuple(sorted(set(s))) for s in adj)
 
 
 def _check_arc(a: Arc, n_cores: int, seen: set[tuple[int, int]]) -> None:
@@ -203,13 +203,14 @@ def generate_random_graph(
         if lo > hi or lo < 0:
             raise ValueError(f"empty or negative weight range ({lo}, {hi})")
     rng = random.Random(seed)
-    pairs = [(i, j) for i in range(n_cores) for j in range(n_cores) if i != j]
-    chosen = rng.sample(pairs, n_arcs)
-    arcs = tuple(
-        Arc(src, dst, rng.randint(*volume_range), rng.randint(*bandwidth_range))
-        for src, dst in chosen
-    )
-    return TaskGraph(n_cores, arcs)
+    arcs = []
+    # Index k names the k-th ordered pair (i, j != i) in row-major order,
+    # so no list of all n(n-1) pairs is built.
+    for idx in rng.sample(range(n_cores * (n_cores - 1)), n_arcs):
+        src, dst = divmod(idx, n_cores - 1)
+        dst += dst >= src
+        arcs.append(Arc(src, dst, rng.randint(*volume_range), rng.randint(*bandwidth_range)))
+    return TaskGraph(n_cores, tuple(arcs))
 
 
 def induced_subgraph(g: TaskGraph, core_ids: Sequence[int]) -> TaskGraph:

@@ -10,9 +10,24 @@ order-independent and comparable bit-for-bit with the library.
 
 ``repair_permutation`` is the one-vector loop that ``nocmap.pso``'s
 whole-swarm repair must reproduce exactly.
+
+The second half keeps the dense reference implementations of the placement
+core (``ddmap``, ``lozenge_next_empty``, ``cluster_tasks``,
+``dynamic_schedule``) and the all-pairs ``generate_random_graph`` sampler.
+The library's sparse versions must reproduce them exactly, placement
+insertion order included.  They share ``Occupancy``, ``priority_order`` and
+``induced_subgraph`` with the library, and call each other rather than the
+library's fast paths.
 """
 
 from __future__ import annotations
+
+import random
+from typing import Iterator
+
+from nocmap.scheduler import ClusterSet, Schedule
+from nocmap.taskgraph import Arc, TaskGraph, induced_subgraph, priority_order
+from nocmap.topology import Mesh3D, Occupancy, diagonal_tiles, tile_coords
 
 
 def coords(tile: int, n: int) -> tuple[int, int, int]:
@@ -112,3 +127,176 @@ def repair_permutation(raw, dimension: int) -> list[int]:
         for i in duplicates:
             vals[i] = next(fill)
     return vals
+
+
+def generate_random_graph(
+    n_cores: int,
+    n_arcs: int,
+    volume_range: tuple[int, int] = (10, 1000),
+    bandwidth_range: tuple[int, int] = (1, 100),
+    seed: int = 0,
+) -> TaskGraph:
+    """All-pairs sampler: lists every ordered pair, then samples n_arcs of them."""
+    rng = random.Random(seed)
+    pairs = [(i, j) for i in range(n_cores) for j in range(n_cores) if i != j]
+    chosen = rng.sample(pairs, n_arcs)
+    arcs = tuple(
+        Arc(src, dst, rng.randint(*volume_range), rng.randint(*bandwidth_range))
+        for src, dst in chosen
+    )
+    return TaskGraph(n_cores, arcs)
+
+
+def _ring(row: int, col: int, d: int, clockwise: bool) -> Iterator[tuple[int, int]]:
+    """Positions of the diamond ring at Manhattan radius d, starting north.
+
+    Clockwise walks north -> east -> south -> west; counter-clockwise the
+    reverse.  Callers filter out-of-grid positions.
+    """
+    if d == 0:
+        yield (row, col)
+        return
+    if clockwise:
+        for k in range(d):
+            yield (row - d + k, col + k)
+        for k in range(d):
+            yield (row + k, col + d - k)
+        for k in range(d):
+            yield (row + d - k, col - k)
+        for k in range(d):
+            yield (row - k, col - d + k)
+    else:
+        for k in range(d):
+            yield (row - d + k, col - k)
+        for k in range(d):
+            yield (row + k, col - d + k)
+        for k in range(d):
+            yield (row + d - k, col + k)
+        for k in range(d):
+            yield (row - k, col + d - k)
+
+
+def lozenge_next_empty(anchor: int, occ: Occupancy, mesh: Mesh3D) -> int:
+    """Ring-by-ring walk: own layer d = 1..2(n-1), then layers +1, -1, +2, ...
+    from d = 0, the anchor last."""
+    n = mesh.n
+    if occ.tile_count != mesh.tile_count:
+        raise ValueError("occupancy size does not match mesh")
+    a_layer, a_row, a_col = tile_coords(anchor, n)
+    clockwise = (anchor % n) % 2 == 1
+    max_d = 2 * (n - 1)
+
+    layer_offsets = [0]
+    for off in range(1, n):
+        layer_offsets.extend((off, -off))
+    for off in layer_offsets:
+        layer = a_layer + off
+        if not (0 <= layer < n):
+            continue
+        d_start = 1 if off == 0 else 0
+        base = layer * n * n
+        for d in range(d_start, max_d + 1):
+            for r, c in _ring(a_row, a_col, d, clockwise):
+                if 0 <= r < n and 0 <= c < n:
+                    tile = base + r * n + c
+                    if occ.is_free(tile):
+                        return tile
+    if occ.is_free(anchor):
+        return anchor
+    raise ValueError("no free tile available")
+
+
+def ddmap(g: TaskGraph, mesh: Mesh3D) -> dict[int, int]:
+    """All-pairs greedy: rescans every unmapped and every mapped core per placement."""
+    n = mesh.n
+    if g.n_cores > mesh.tile_count:
+        raise ValueError(f"{g.n_cores} cores exceed {mesh.tile_count} tiles")
+    order = priority_order(g)
+    rank = {core: i for i, core in enumerate(order)}
+
+    occ = Occupancy(mesh.tile_count)
+    mapping: dict[int, int] = {}
+    mapped_seq: list[int] = []
+
+    # Interior-diagonal seeds; a 2x2x2 mesh has no interior, fall back to the origin.
+    seeds = diagonal_tiles(n) or [0]
+    for core, tile in zip(order, seeds):
+        mapping[core] = tile
+        occ.occupy(tile)
+        mapped_seq.append(core)
+
+    unmapped = [c for c in order if c not in mapping]
+    traffic = {c: sum(g.volume_between(c, m) for m in mapped_seq) for c in unmapped}
+    while unmapped:
+        core = min(unmapped, key=lambda c: (-traffic[c], rank[c]))
+        anchor_core = mapped_seq[0]
+        best = g.volume_between(core, anchor_core)
+        for m in mapped_seq[1:]:
+            v = g.volume_between(core, m)
+            if v > best:
+                best, anchor_core = v, m
+        tile = lozenge_next_empty(mapping[anchor_core], occ, mesh)
+        mapping[core] = tile
+        occ.occupy(tile)
+        mapped_seq.append(core)
+        unmapped.remove(core)
+        for c in unmapped:
+            traffic[c] += g.volume_between(c, core)
+    return mapping
+
+
+def dynamic_schedule(g: TaskGraph, mesh: Mesh3D) -> Schedule:
+    """Rebuilds the residual induced subgraph every round; rounds mapped by ``ddmap`` above."""
+    if g.n_cores == 0:
+        raise ValueError("cannot schedule an empty graph")
+    cap = mesh.tile_count
+    placement: dict[int, int] = {}
+    remaining = list(range(g.n_cores))
+    while remaining:
+        residual = induced_subgraph(g, remaining)
+        cohort = [remaining[c] for c in priority_order(residual)[:cap]]
+        round_map = ddmap(induced_subgraph(g, cohort), mesh)
+        for new_id, tile in round_map.items():
+            placement[cohort[new_id]] = tile
+        taken = set(cohort)
+        remaining = [c for c in remaining if c not in taken]
+    return Schedule(placement)
+
+
+def cluster_tasks(g: TaskGraph, max_clusters: int) -> ClusterSet:
+    """Chains from ``min(unscheduled)``; surplus merge over all (surplus, kept) pairs."""
+    if max_clusters < 1:
+        raise ValueError("need at least one cluster")
+    unscheduled = set(range(g.n_cores))
+    scheduled: set[int] = set()
+    chains: list[list[int]] = []
+    while unscheduled:
+        current = min(unscheduled)
+        unscheduled.discard(current)
+        scheduled.add(current)
+        chain = [current]
+        while True:
+            candidates = [t for t in g.partners[current] if t in unscheduled]
+            if not candidates:
+                break
+            nxt = min(candidates, key=lambda t: (-g.volume_between(current, t), t))
+            unscheduled.discard(nxt)
+            scheduled.add(nxt)
+            chain.append(nxt)
+            loops_back = any(p in scheduled and p != current for p in g.partners[nxt])
+            if loops_back:
+                break
+            current = nxt
+        chains.append(chain)
+
+    if len(chains) > max_clusters:
+        kept = [list(c) for c in chains[:max_clusters]]
+        for surplus in chains[max_clusters:]:
+            exchanged = [
+                sum(g.volume_between(u, v) for u in surplus for v in cluster)
+                for cluster in kept
+            ]
+            target = max(range(len(kept)), key=lambda i: (exchanged[i], -i))
+            kept[target].extend(surplus)
+        chains = kept
+    return ClusterSet(tuple(tuple(c) for c in chains))

@@ -3,7 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL line
 per criterion, plus the measured numbers of the paper's three experiments:
 the mappers' mean metrics (criterion 6), cluster against dynamic scheduling
-(criterion 7) and the seeded swarm against its seeds (criterion 8).
+and ddmap against spiral and crinkle on clusters (criterion 7) and the seeded swarm against its seeds (criterion 8).
 """
 
 import dataclasses
@@ -157,10 +157,11 @@ def test_criterion_6_mapper_energy_ordering():
 
 
 def test_criterion_7_cluster_beats_dynamic():
-    with criterion(7, "cluster scheduling beats dynamic on all three mean metrics"):
+    with criterion(7, "cluster beats dynamic on all three mean metrics; ddmap beats spiral and crinkle on clusters"):
         mesh = Mesh3D(3)
         dyn = {"energy": [], "cost": [], "latency": []}
         clu = {"energy": [], "cost": [], "latency": []}
+        clu_energy = {"ddmap": [], "spiral": [], "crinkle": []}  # per cluster mapper
         for seed in range(50):
             g = generate_random_graph(27, 40, seed=seed)
             for store, placement in (
@@ -171,6 +172,9 @@ def test_criterion_7_cluster_beats_dynamic():
                 store["energy"].append(rep.total_energy)
                 store["cost"].append(rep.comm_cost)
                 store["latency"].append(rep.avg_latency)
+            for mapper, energies in clu_energy.items():
+                placement = cluster_schedule(g, mesh, mapper).placement
+                energies.append(evaluate(g, placement, mesh).total_energy)
 
             # task-level evaluation must equal the cluster-level evaluation exactly
             parts = cluster_tasks(g, mesh.tile_count)
@@ -186,6 +190,16 @@ def test_criterion_7_cluster_beats_dynamic():
                 f"  {metric}: dynamic {mean_dyn:.1f} -> cluster {mean_clu:.1f} "
                 f"({100 * (mean_dyn - mean_clu) / mean_dyn:.1f}% reduction)"
             )
+
+        # the paper's last claim: cluster mapping with ddmap against spiral and crinkle
+        means = {mapper: statistics.mean(e) for mapper, e in clu_energy.items()}
+        for other, paper in (("spiral", 9), ("crinkle", 14)):
+            reduction = 100 * (means[other] - means["ddmap"]) / means[other]
+            print(
+                f"  cluster energy: ddmap {means['ddmap']:.1f} vs {other} {means[other]:.1f} "
+                f"({reduction:.1f}% reduction; paper {paper}%)"
+            )
+            assert means["ddmap"] < means[other]
 
 
 def test_criterion_8_seeded_pso_dominates_baselines():

@@ -6,6 +6,19 @@ from nocmap import Mesh3D, ddmap, generate_random_graph
 from nocmap.mappers import crinkle_order, map_with, sequence_map, spiral_order
 from nocmap.taskgraph import graph_from_arcs, priority_order
 
+import oracles
+
+
+@st.composite
+def sparse_graphs(draw, max_cores):
+    """Up to two arcs per core, so isolated cores are common; volumes drawn
+    from 0..hi, so hi = 0 or 1 gives zero-volume arcs and traffic ties."""
+    n_cores = draw(st.one_of(st.just(max_cores), st.integers(1, max_cores)))
+    n_arcs = draw(st.integers(0, min(2 * n_cores, n_cores * (n_cores - 1))))
+    hi = draw(st.sampled_from([0, 1, 5, 1000]))
+    seed = draw(st.integers(0, 2 ** 32))
+    return generate_random_graph(n_cores, n_arcs, volume_range=(0, hi), seed=seed)
+
 
 def assert_injective_total(mapping, g, mesh):
     assert set(mapping) == set(range(g.n_cores))
@@ -55,6 +68,15 @@ class TestDdmap:
     def test_deterministic(self, mesh3):
         g = generate_random_graph(16, 24, seed=5)
         assert ddmap(g, mesh3) == ddmap(g, mesh3)
+
+    @given(st.data(), st.integers(2, 5))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_all_pairs_oracle(self, data, n):
+        # same tiles in the same placement order as the dense greedy loop,
+        # meshes filled to the last tile included
+        mesh = Mesh3D(n)
+        g = data.draw(sparse_graphs(mesh.tile_count))
+        assert list(ddmap(g, mesh).items()) == list(oracles.ddmap(g, mesh).items())
 
 
 class TestTileOrders:

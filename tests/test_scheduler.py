@@ -6,6 +6,19 @@ from nocmap import Mesh3D, cluster_schedule, ddmap, evaluate, generate_random_gr
 from nocmap.scheduler import ClusterSet, cluster_graph, cluster_tasks, dynamic_schedule
 from nocmap.taskgraph import graph_from_arcs
 
+import oracles
+
+
+@st.composite
+def task_graphs(draw, max_tasks):
+    """Sparse graphs (up to two arcs per task) with volumes from 0..hi:
+    isolated tasks, zero-volume arcs and many more chains than tiles."""
+    n_tasks = draw(st.integers(1, max_tasks))
+    n_arcs = draw(st.integers(0, min(2 * n_tasks, n_tasks * (n_tasks - 1))))
+    hi = draw(st.sampled_from([0, 1, 5, 1000]))
+    seed = draw(st.integers(0, 2 ** 32))
+    return generate_random_graph(n_tasks, n_arcs, volume_range=(0, hi), seed=seed)
+
 
 def assert_valid_schedule(schedule, g, mesh):
     assert set(schedule.placement) == set(range(g.n_cores))
@@ -52,6 +65,15 @@ class TestDynamic:
     def test_empty_graph(self, mesh3):
         with pytest.raises(ValueError):
             dynamic_schedule(graph_from_arcs(0, []), mesh3)
+
+    @given(st.data(), st.integers(2, 5))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_residual_subgraph_oracle(self, data, n):
+        # up to three rounds; placements equal in assignment order
+        mesh = Mesh3D(n)
+        g = data.draw(task_graphs(3 * mesh.tile_count))
+        fast, slow = dynamic_schedule(g, mesh), oracles.dynamic_schedule(g, mesh)
+        assert list(fast.placement.items()) == list(slow.placement.items())
 
 
 class TestClusterTasks:
@@ -110,6 +132,23 @@ class TestClusterTasks:
         flat = [t for c in cs.clusters for t in c]
         assert sorted(flat) == list(range(n_tasks))
         assert len(cs.clusters) <= cap
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_all_pairs_oracle(self, data):
+        # caps below the chain count make the surplus merge run
+        g = data.draw(task_graphs(100))
+        cap = data.draw(st.integers(1, g.n_cores + 1))
+        assert cluster_tasks(g, cap) == oracles.cluster_tasks(g, cap)
+
+    def test_zero_exchange_surplus_goes_to_first_cluster(self):
+        # chains (0,1), (2,3) (cut: 3 also talks to 0) and (4,); the surplus
+        # (4,) has only a zero-volume arc, into the second chain, so its
+        # exchange is 0 with both and the merge picks cluster 0
+        g = graph_from_arcs(5, [(0, 1, 5, 1), (2, 3, 7, 1), (3, 0, 1, 1), (4, 3, 0, 1)])
+        assert cluster_tasks(g, 3).clusters == ((0, 1), (2, 3), (4,))
+        assert cluster_tasks(g, 2).clusters == ((0, 1, 4), (2, 3))
+        assert cluster_tasks(g, 2) == oracles.cluster_tasks(g, 2)
 
     def test_invalid_partition_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from nocmap.taskgraph import (
     serialize_graph,
 )
 
+import oracles
 from oracles import volume_matrix
 
 
@@ -154,6 +156,25 @@ class TestGenerate:
     def test_infeasible_arc_count(self):
         with pytest.raises(ValueError, match="infeasible"):
             generate_random_graph(3, 7)
+
+    @pytest.mark.parametrize(
+        "n_cores, n_arcs, seed",
+        [(1, 0, 0), (2, 2, 1), (3, 6, 2), (27, 40, 300), (30, 100, 3), (200, 500, 4), (50, 2450, 5)],
+    )
+    def test_same_graphs_as_all_pairs_sampler(self, n_cores, n_arcs, seed):
+        want = oracles.generate_random_graph(n_cores, n_arcs, seed=seed)
+        assert generate_random_graph(n_cores, n_arcs, seed=seed) == want
+
+    def test_many_cores_few_arcs_is_cheap(self):
+        # listing all n(n-1) ordered pairs would take ~1e10 tuples here
+        tracemalloc.start()
+        try:
+            g = generate_random_graph(100_000, 10, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.n_cores == 100_000 and len({(a.src, a.dst) for a in g.arcs}) == 10
+        assert peak < 1_000_000
 
     def test_weights_within_ranges(self):
         g = generate_random_graph(27, 40, (10, 1000), (1, 100), seed=42)

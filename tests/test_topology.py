@@ -15,6 +15,7 @@ from nocmap.topology import (
 )
 from nocmap.metrics import HopKernel
 
+import oracles
 from oracles import manhattan3
 
 
@@ -188,3 +189,46 @@ class TestLozenge:
         second = lozenge_next_empty(anchor, occupy_all_but(mesh, free), mesh)
         assert first == second
         assert first in free
+
+
+def _search(search, anchor, occ, mesh):
+    """The found tile, or the ValueError message."""
+    try:
+        return search(anchor, occ, mesh)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestLozengeAgainstRingWalk:
+    @given(st.integers(2, 5), st.integers(0, 2 ** 32), st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_every_anchor_on_random_occupancy(self, n, seed, density):
+        import random
+
+        mesh = Mesh3D(n)
+        rng = random.Random(seed)
+        occ = Occupancy(mesh.tile_count)
+        for t in range(mesh.tile_count):
+            if rng.random() < density:
+                occ.occupy(t)
+        for anchor in range(mesh.tile_count):
+            want = _search(oracles.lozenge_next_empty, anchor, occ, mesh)
+            assert _search(lozenge_next_empty, anchor, occ, mesh) == want
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_only_anchor_free_and_nothing_free(self, n):
+        mesh = Mesh3D(n)
+        for anchor in range(mesh.tile_count):
+            occ = occupy_all_but(mesh, {anchor})
+            assert lozenge_next_empty(anchor, occ, mesh) == anchor
+            assert oracles.lozenge_next_empty(anchor, occ, mesh) == anchor
+        full = occupy_all_but(mesh, set())
+        for anchor in (0, mesh.tile_count - 1):
+            for search in (lozenge_next_empty, oracles.lozenge_next_empty):
+                with pytest.raises(ValueError, match="^no free tile available$"):
+                    search(anchor, full, mesh)
+
+    def test_errors_unchanged(self, mesh3):
+        for anchor, occ in ((0, Occupancy(8)), (27, Occupancy(27)), (-1, Occupancy(27))):
+            want = _search(oracles.lozenge_next_empty, anchor, occ, mesh3)
+            assert _search(lozenge_next_empty, anchor, occ, mesh3) == want
