@@ -97,7 +97,7 @@ def _cmd_optimize(args) -> int:
     )
     _run(_config(
         args, args.graph, mode="pso", objective=args.objective, pso=params,
-        simulations=args.pso_simulations, seed_mapping=args.seed_mapping,
+        seed_mapping=args.seed_mapping,
     ))
     return 0
 
@@ -171,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pso-c1", type=float, default=PsoParams.c1)
     p.add_argument("--pso-c2", type=float, default=PsoParams.c2)
     p.add_argument("--pso-w", type=float, default=PsoParams.w)
-    p.add_argument("--pso-simulations", type=int, default=1)
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("gen", help="generate a seeded random graph file")

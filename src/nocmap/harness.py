@@ -14,6 +14,7 @@ import csv
 import io
 import itertools
 import math
+import re
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -51,7 +52,6 @@ class RunConfig:
     objective: str = "energy"  # pso mode only
     seed: int = 0
     pso: PsoParams | None = None  # pso mode only
-    simulations: int = 1  # pso mode only
     seed_mapping: str | Path | None = None  # pso mode only
     out_dir: str | Path | None = None
     csv_path: str | Path | None = None
@@ -67,7 +67,7 @@ class RunConfig:
         if self.mode in ("dynamic", "pso") and self.algo != "ddmap":
             raise ValueError(f"{self.mode} mode takes no algo, got {self.algo!r}")
         if self.mode != "pso":
-            pso_only = dict(objective="energy", pso=None, simulations=1, seed_mapping=None)
+            pso_only = dict(objective="energy", pso=None, seed_mapping=None)
             for key, default in pso_only.items():
                 if getattr(self, key) != default:
                     raise ValueError(f"{key} is read in pso mode only, not in {self.mode} mode")
@@ -112,13 +112,13 @@ def parse_mapping_artifact(text: str) -> tuple[Mapping, dict[str, str]]:
                 key, value = body.split("=", 1)
                 header[key.strip()] = value.strip()
             continue
-        parts = line.split()
-        if len(parts) != 5 or parts[0] != "core" or parts[2] != "->" or parts[3] != "tile":
+        match = re.fullmatch(r"core\s+(-?\d+)\s+->\s+tile\s+(-?\d+)", line)
+        if match is None:
             raise ValueError(f"artifact line {line_no}: expected 'core <id> -> tile <id>'")
-        core = int(parts[1])
+        core = int(match[1])
         if core in placement:
             raise ValueError(f"artifact line {line_no}: duplicate line for core {core}")
-        placement[core] = int(parts[4])
+        placement[core] = int(match[2])
     return placement, header
 
 
@@ -140,7 +140,10 @@ def _load_artifact(path: str | Path, run_mesh_n: int | None = None) -> tuple[Map
     For a seed of a run on mesh ``run_mesh_n``, a header naming no mesh means
     that mesh, and one naming another mesh is refused.
     """
-    placement, header = parse_mapping_artifact(Path(path).read_text(encoding="utf-8"))
+    try:
+        placement, header = parse_mapping_artifact(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if run_mesh_n is not None and "mesh" not in header:
         return placement, header, run_mesh_n
     mesh_n = _header_value(path, header, "mesh", int)
@@ -200,9 +203,7 @@ def run_benchmark(cfg: RunConfig) -> tuple[ReportRow, Mapping]:
         seed_map = None
         if cfg.seed_mapping is not None:
             seed_map, _, _ = _load_artifact(cfg.seed_mapping, cfg.mesh_n)
-        result = pso_optimize(
-            g, mesh, params, cfg.objective, cfg.model, seed_map, cfg.simulations
-        )
+        result = pso_optimize(g, mesh, params, cfg.objective, cfg.model, seed_map)
         placement = result.mapping
         trace = result.trace
     runtime_ms = (time.perf_counter() - started) * 1000.0

@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .metrics import Mapping
 from .taskgraph import TaskGraph, priority_order
-from .topology import Mesh3D, Occupancy, diagonal_tiles, lozenge_next_empty
+from .topology import Mesh3D, Occupancy, _layer_order, diagonal_tiles, lozenge_next_empty
 
 
 def ddmap(g: TaskGraph, mesh: Mesh3D) -> Mapping:
@@ -123,15 +123,9 @@ def _layer_spiral(n: int) -> list[tuple[int, int]]:
 def spiral_order(mesh: Mesh3D) -> list[int]:
     """Center-outward tile order; a permutation of 0..n^3-1."""
     n = mesh.n
-    start = (n - 1) // 2
-    layers = [start]
-    for off in range(1, n):
-        for layer in (start + off, start - off):
-            if 0 <= layer < n:
-                layers.append(layer)
     tiles = []
     cells = _layer_spiral(n)
-    for layer in layers:
+    for layer in _layer_order(n, (n - 1) // 2):
         tiles.extend(layer * n * n + r * n + c for r, c in cells)
     return tiles
 

@@ -13,9 +13,9 @@ evaluated candidate is a valid injective assignment.  Each iteration updates,
 repairs and scores the whole swarm as one (swarm size, D) array; no step
 loops over particles.
 
-Runs are deterministic: every random draw comes from one generator seeded
-from (seed, simulation index), and best-so-far reductions scan particles in
-index order.
+A call runs one swarm.  It is deterministic: every random draw comes from one
+generator seeded from ``PsoParams.seed``, and best-so-far reductions scan
+particles in index order.
 """
 
 from __future__ import annotations
@@ -28,9 +28,6 @@ import numpy as np
 from .metrics import EnergyModel, HopKernel, Mapping, objective_value
 from .taskgraph import TaskGraph, priority_order
 from .topology import Mesh3D
-
-MAX_SIMULATIONS = 100  # most independent restarts one pso_optimize call may run
-
 
 @dataclass(frozen=True)
 class PsoParams:
@@ -138,35 +135,37 @@ class _SlotFitness:
         return objective_value(self.objective, self.model, *sums).tolist()
 
 
-def _encode_seed(mapping: Mapping, order: list[int], dimension: int) -> np.ndarray:
-    tiles = []
-    for core in order:
-        if core not in mapping:
-            raise ValueError(f"seed mapping misses core {core}")
-        tiles.append(mapping[core])
-    if len(set(tiles)) != len(tiles):
-        raise ValueError("seed mapping is not injective")
-    if any(not 0 <= t < dimension for t in tiles):
-        raise ValueError("seed mapping uses an out-of-range tile")
-    if len(mapping) != len(order):
-        extra = min(set(mapping) - set(order))
-        raise ValueError(f"seed mapping names unknown core {extra}")
-    used = set(tiles)
-    tiles.extend(t for t in range(dimension) if t not in used)
-    return np.array(tiles, dtype=np.int64)
-
-
-def _run_simulation(
-    fitness: _SlotFitness,
-    params: PsoParams,
-    d: int,
-    seed_position: np.ndarray | None,
-    simulation: int,
-    n_cores: int,
+def pso_optimize(
+    g: TaskGraph,
+    mesh: Mesh3D,
+    params: PsoParams = PsoParams(),
+    objective: str = "energy",
+    model: EnergyModel = EnergyModel(),
+    seed_mapping: Mapping | None = None,
 ) -> PsoResult:
-    s = params.swarm_size
-    rng = np.random.default_rng(np.random.SeedSequence((params.seed, simulation)))
+    """Swarm-search tile assignments; returns the best mapping and its trace.
 
+    When ``seed_mapping`` is given it replaces one particle of the initial
+    swarm, so the result can never be worse than the seed.
+    """
+    d = mesh.tile_count
+    if g.n_cores > d:
+        raise ValueError(f"{g.n_cores} cores exceed {d} tiles")
+    fitness = _SlotFitness(g, mesh, objective, model)
+    seed_position = None
+    if seed_mapping is not None:
+        try:
+            tiles = fitness.kernel.placement(seed_mapping)
+        except ValueError as exc:
+            raise ValueError(f"seed mapping: {exc}") from None
+        used = np.bincount(tiles, minlength=d)
+        if used.max() > 1:
+            raise ValueError(f"seed mapping: tile {int(used.argmax())} holds more than one core")
+        seed_position = np.concatenate((tiles[fitness.order], np.flatnonzero(used == 0)))
+
+    s = params.swarm_size
+    # Seeded with (seed, 0): the stream every recorded result was made with.
+    rng = np.random.default_rng(np.random.SeedSequence((params.seed, 0)))
     positions = np.empty((s, d), dtype=np.int64)
     for i in range(s):
         positions[i] = rng.permutation(d)
@@ -202,41 +201,5 @@ def _run_simulation(
             gbest_val = values[best_i]
         trace.append((iteration, evals, gbest_val))
 
-    mapping = {core: int(gbest[i]) for i, core in enumerate(fitness.order[:n_cores])}
+    mapping = {core: int(gbest[i]) for i, core in enumerate(fitness.order)}
     return PsoResult(mapping, gbest_val, tuple(trace))
-
-
-def pso_optimize(
-    g: TaskGraph,
-    mesh: Mesh3D,
-    params: PsoParams = PsoParams(),
-    objective: str = "energy",
-    model: EnergyModel = EnergyModel(),
-    seed_mapping: Mapping | None = None,
-    simulations: int = 1,
-) -> PsoResult:
-    """Swarm-search tile assignments; returns the best mapping and its trace.
-
-    When ``seed_mapping`` is given it replaces one particle of the initial
-    swarm, so the result can never be worse than the seed.  ``simulations``
-    independent restarts (distinct derived seeds) are run and the best one is
-    returned; the default is a single restart, ``MAX_SIMULATIONS`` bounds how
-    many may be requested.
-    """
-    dimension = mesh.tile_count
-    if g.n_cores > dimension:
-        raise ValueError(f"{g.n_cores} cores exceed {dimension} tiles")
-    if not 1 <= simulations <= MAX_SIMULATIONS:
-        raise ValueError(f"simulations must be in 1..{MAX_SIMULATIONS}")
-
-    fitness = _SlotFitness(g, mesh, objective, model)
-    seed_position = (
-        _encode_seed(seed_mapping, fitness.order, dimension) if seed_mapping is not None else None
-    )
-    best: PsoResult | None = None
-    for sim in range(simulations):
-        result = _run_simulation(fitness, params, dimension, seed_position, sim, g.n_cores)
-        if best is None or result.fitness < best.fitness:
-            best = result
-    assert best is not None
-    return best

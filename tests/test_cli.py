@@ -65,6 +65,23 @@ def test_seed_mapping_from_another_mesh_rejected(demo_graph, tmp_path, capsys):
     assert not out_dir.exists() and not csv_path.exists()
 
 
+@pytest.mark.parametrize("bad", ["core 0 -> tile x", "core 0 -> tile 4.5"])
+def test_seed_mapping_with_non_integer_id_rejected(demo_graph, tmp_path, capsys, bad):
+    seed = tmp_path / "bad.map"
+    seed.write_text(f"# mesh = 2\n{bad}\n")
+    out_dir = tmp_path / "runs"
+    csv_path = tmp_path / "rows.csv"
+    rc = main([
+        "optimize", "--graph", str(demo_graph), "--mesh", "2", "--seed-mapping", str(seed),
+        "--pso-swarm-size", "50", "--pso-evals", "500",
+        "--out", str(out_dir), "--csv", str(csv_path),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{seed}: artifact line 2: expected 'core <id> -> tile <id>'" in err
+    assert not out_dir.exists() and not csv_path.exists()
+
+
 def test_oracle_output(tmp_path, capsys):
     path = tmp_path / "pair.ctg"
     path.write_text("cores 2\nedge 0 1 100 10\n")

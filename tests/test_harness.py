@@ -63,6 +63,11 @@ class TestArtifacts:
         with pytest.raises(ValueError, match="line 1"):
             parse_mapping_artifact("core 0 tile 4")
 
+    @pytest.mark.parametrize("bad", ["core 0 -> tile x", "core 0 -> tile 4.5", "core x -> tile 4"])
+    def test_non_integer_id_names_its_line(self, bad):
+        with pytest.raises(ValueError, match="^artifact line 2: expected 'core <id> -> tile <id>'$"):
+            parse_mapping_artifact(f"# mesh = 3\n{bad}\n")
+
     def test_duplicate_core_rejected(self):
         text = "# mesh = 3\ncore 0 -> tile 4\ncore 1 -> tile 5\ncore 0 -> tile 6\n"
         with pytest.raises(ValueError, match="line 4: duplicate line for core 0"):
@@ -139,10 +144,9 @@ class TestRunBenchmark:
             (dict(mode="pso", algo="crinkle"), "pso mode takes no algo, got 'crinkle'"),
             (dict(seed_mapping="does-not-exist.map"), "seed_mapping is read in pso mode only"),
             (dict(mode="cluster", objective="cost"), "objective is read in pso mode only"),
-            (dict(mode="dynamic", simulations=7), "simulations is read in pso mode only"),
             (dict(pso=PsoParams()), "pso is read in pso mode only"),
             (
-                dict(seed_mapping="does-not-exist.map", objective="makespan", simulations=7),
+                dict(seed_mapping="does-not-exist.map", objective="makespan"),
                 "unknown objective 'makespan'",
             ),
         ],
