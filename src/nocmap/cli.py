@@ -12,14 +12,7 @@ import glob as globlib
 import sys
 from pathlib import Path
 
-from .harness import (
-    ReportRow,
-    RunConfig,
-    compare_report,
-    exhaustive_oracle,
-    format_comparison,
-    run_benchmark,
-)
+from .harness import ReportRow, RunConfig, exhaustive_oracle, format_comparison, run_benchmark
 from .mappers import MAPPERS
 from .metrics import OBJECTIVES, EnergyModel
 from .pso import PsoParams
@@ -132,14 +125,21 @@ def _cmd_bench(args) -> int:
     algos = list(MAPPERS) if args.all_algos else [args.algo]
     # Every config is built, and so checked, before the first run writes anything.
     configs = [_config(args, path, mode=args.mode, algo=algo) for path in paths for algo in algos]
-    if args.compare:  # pair the labels on stand-in rows first, by compare_report's own rule
-        compare_report([
-            ReportRow(c.name or Path(c.graph).stem, c.algo, c.mode, 0.0, 0, None, 0, 0.0, c.seed)
-            for c in configs
-        ], *args.compare)
+    first = {}
+    for path in paths:  # the stem names the rows and the artifacts of a graph
+        stem = Path(path).stem
+        if first.setdefault(stem, path) != path:
+            raise ValueError(f"graphs {first[stem]} and {path} share the benchmark name {stem!r}")
+    if args.compare:
+        a, b = args.compare
+        if a == b or a not in algos or b not in algos:
+            raise ValueError(
+                f"--compare takes two different algos of this bench ({', '.join(algos)}): "
+                f"expected one row each for {a!r} and {b!r}"
+            )
     rows = [_run(cfg) for cfg in configs]
     if args.compare:
-        print(format_comparison(compare_report(rows, *args.compare)))
+        print(format_comparison(rows, *args.compare))
     return 0
 
 

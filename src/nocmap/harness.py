@@ -1,5 +1,6 @@
 """Experiment orchestration: benchmark runs, artifacts, CSV reports, the
-exhaustive assignment oracle, and pairwise comparison summaries.
+exhaustive assignment oracle, and the table of percentage reductions that
+``nocmap bench --compare`` prints.
 
 A run reads a graph file, executes the selected pipeline, re-evaluates the
 produced placement with the metrics module, and reports one row.  Everything
@@ -16,7 +17,7 @@ import itertools
 import math
 import re
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -203,7 +204,12 @@ def run_benchmark(cfg: RunConfig) -> tuple[ReportRow, Mapping]:
         seed_map = None
         if cfg.seed_mapping is not None:
             seed_map, _, _ = _load_artifact(cfg.seed_mapping, cfg.mesh_n)
-        result = pso_optimize(g, mesh, params, cfg.objective, cfg.model, seed_map)
+        try:
+            result = pso_optimize(g, mesh, params, cfg.objective, cfg.model, seed_map)
+        except ValueError as exc:  # pso_optimize checks the seed; name the file it came from
+            if seed_map is None or not str(exc).startswith("seed mapping:"):
+                raise
+            raise ValueError(f"{cfg.seed_mapping}: {exc}") from None
         placement = result.mapping
         trace = result.trace
     runtime_ms = (time.perf_counter() - started) * 1000.0
@@ -297,25 +303,6 @@ def exhaustive_oracle(
     return best_value, {core: tile for core, tile in enumerate(best_assign)}
 
 
-@dataclass
-class ComparisonRow:
-    benchmark: str
-    seed: int
-    energy_reduction_pct: float | None
-    cost_reduction_pct: float | None
-    latency_reduction_pct: float | None
-
-
-@dataclass
-class ComparisonSummary:
-    a_label: str
-    b_label: str
-    rows: list[ComparisonRow] = field(default_factory=list)
-    mean_energy_reduction_pct: float | None = None
-    mean_cost_reduction_pct: float | None = None
-    mean_latency_reduction_pct: float | None = None
-
-
 def _reduction(a_value, b_value) -> float | None:
     """Percentage reduction of a relative to baseline b: 100*(b-a)/b."""
     if a_value is None or b_value is None:
@@ -327,68 +314,32 @@ def _reduction(a_value, b_value) -> float | None:
     return 100.0 * (b_value - a_value) / b_value
 
 
-def _mean(values: list[float | None]) -> float | None:
-    present = [v for v in values if v is not None]
-    return sum(present) / len(present) if present else None
+def format_comparison(rows: list[ReportRow], a_algo: str, b_algo: str) -> str:
+    """Per-benchmark and mean percentage reductions of algo a against baseline algo b.
 
-
-def compare_report(rows: list[ReportRow], a_label: str, b_label: str) -> ComparisonSummary:
-    """Per-benchmark percentage reductions of pipeline a against baseline b.
-
-    Rows are matched by (benchmark, seed); a row belongs to a label when the
-    label equals its algo or its mode.  Every group must contain exactly one
-    row per label.
+    ``rows`` are one bench run's (one mode, one seed), so a row is named by its
+    (benchmark, algo); every benchmark must have a row for both algos.  The
+    mean of a metric skips the benchmarks where its reduction is undefined.
     """
+    by_key = {(row.benchmark, row.algo): row for row in rows}
 
-    def matches(row: ReportRow, label: str) -> bool:
-        return label in (row.algo, row.mode)
+    def fmt(values: list[float | None]) -> str:
+        energy, cost, latency = ("n/a" if v is None else f"{v:.2f}%" for v in values)
+        return f"energy {energy}, cost {cost}, latency {latency}"
 
-    groups: dict[tuple[str, int], list[ReportRow]] = {}
-    for row in rows:
-        groups.setdefault((row.benchmark, row.seed), []).append(row)
-
-    out = ComparisonSummary(a_label=a_label, b_label=b_label)
-    for key in sorted(groups):
-        group = groups[key]
-        side_a = [r for r in group if matches(r, a_label)]
-        side_b = [r for r in group if matches(r, b_label)]
-        if len(side_a) != 1 or len(side_b) != 1:
-            raise ValueError(
-                f"benchmark {key[0]!r} seed {key[1]}: expected one row each for "
-                f"{a_label!r} and {b_label!r}"
-            )
-        ra, rb = side_a[0], side_b[0]
-        out.rows.append(
-            ComparisonRow(
-                benchmark=key[0],
-                seed=key[1],
-                energy_reduction_pct=_reduction(ra.total_energy, rb.total_energy),
-                cost_reduction_pct=_reduction(ra.comm_cost, rb.comm_cost),
-                latency_reduction_pct=_reduction(ra.avg_latency, rb.avg_latency),
-            )
-        )
-    out.mean_energy_reduction_pct = _mean([r.energy_reduction_pct for r in out.rows])
-    out.mean_cost_reduction_pct = _mean([r.cost_reduction_pct for r in out.rows])
-    out.mean_latency_reduction_pct = _mean([r.latency_reduction_pct for r in out.rows])
-    return out
-
-
-def format_comparison(summary: ComparisonSummary) -> str:
-    def fmt(v: float | None) -> str:
-        return "n/a" if v is None else f"{v:.2f}%"
-
-    lines = [
-        f"{summary.a_label} vs {summary.b_label} "
-        f"(reduction = 100*(baseline-candidate)/baseline)"
-    ]
-    for row in summary.rows:
-        lines.append(
-            f"  {row.benchmark} seed={row.seed}: energy {fmt(row.energy_reduction_pct)}, "
-            f"cost {fmt(row.cost_reduction_pct)}, latency {fmt(row.latency_reduction_pct)}"
-        )
-    lines.append(
-        f"  mean: energy {fmt(summary.mean_energy_reduction_pct)}, "
-        f"cost {fmt(summary.mean_cost_reduction_pct)}, "
-        f"latency {fmt(summary.mean_latency_reduction_pct)}"
-    )
+    lines = [f"{a_algo} vs {b_algo} (reduction = 100*(baseline-candidate)/baseline)"]
+    table = []
+    for benchmark in sorted({row.benchmark for row in rows}):
+        a, b = by_key[benchmark, a_algo], by_key[benchmark, b_algo]
+        table.append([
+            _reduction(a.total_energy, b.total_energy),
+            _reduction(a.comm_cost, b.comm_cost),
+            _reduction(a.avg_latency, b.avg_latency),
+        ])
+        lines.append(f"  {benchmark} seed={a.seed}: {fmt(table[-1])}")
+    means = []
+    for i in range(3):
+        present = [r[i] for r in table if r[i] is not None]
+        means.append(sum(present) / len(present) if present else None)
+    lines.append(f"  mean: {fmt(means)}")
     return "\n".join(lines)

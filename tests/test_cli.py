@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from nocmap.cli import main
@@ -181,3 +183,85 @@ def test_bench_checks_compare_labels_before_running_any(demo_graph, tmp_path, ca
     assert "expected one row each for 'ddmap' and 'spiral'" in captured.err
     assert captured.out == ""
     assert not csv_path.exists() and not out_dir.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--mode", "cluster", "--compare", "cluster", "ddmap"],  # a mode is not an algo
+    ["--all-algos", "--compare", "ddmap", "ddmap"],  # a row compared with itself
+])
+def test_bench_compare_needs_two_algos_it_runs(demo_graph, tmp_path, capsys, flags):
+    out_dir = tmp_path / "runs"
+    csv_path = tmp_path / "rows.csv"
+    rc = main([
+        "bench", "--glob", str(demo_graph), "--mesh", "2", "--out", str(out_dir),
+        "--csv", str(csv_path), *flags,
+    ])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert f"expected one row each for '{flags[-2]}' and '{flags[-1]}'" in captured.err
+    assert captured.out == ""
+    assert not csv_path.exists() and not out_dir.exists()
+
+
+def test_bench_refuses_two_graphs_with_one_name(tmp_path, capsys):
+    # both would be benchmark 'x': one artifact name, two indistinguishable CSV rows
+    for sub, seed in (("a", "1"), ("b", "2")):
+        (tmp_path / sub).mkdir()
+        path = str(tmp_path / sub / "x.ctg")
+        assert main(["gen", "--cores", "6", "--arcs", "10", "--seed", seed, "--out", path]) == 0
+    capsys.readouterr()
+    out_dir = tmp_path / "runs"
+    csv_path = tmp_path / "rows.csv"
+    rc = main([
+        "bench", "--glob", str(tmp_path / "*" / "x.ctg"), "--mesh", "2",
+        "--out", str(out_dir), "--csv", str(csv_path),
+    ])
+    assert rc == 1
+    captured = capsys.readouterr()
+    a, b = tmp_path / "a" / "x.ctg", tmp_path / "b" / "x.ctg"
+    assert f"graphs {a} and {b} share the benchmark name 'x'" in captured.err
+    assert captured.out == ""
+    assert not csv_path.exists() and not out_dir.exists()
+
+
+def test_bench_compare_text(tmp_path, capsys):
+    for seed in ("1", "2"):
+        path = str(tmp_path / f"g{seed}.ctg")
+        assert main(["gen", "--cores", "8", "--arcs", "12", "--seed", seed, "--out", path]) == 0
+    capsys.readouterr()
+    rc = main([
+        "bench", "--glob", str(tmp_path / "g*.ctg"), "--all-algos", "--compare", "ddmap", "crinkle",
+    ])
+    assert rc == 0
+    out = re.sub(r"runtime_ms=[0-9.]+", "runtime_ms=X", capsys.readouterr().out)
+    assert out == """\
+g1 [map/ddmap] energy=5315.67 pJ cost=870 latency=441.083 eta=12 runtime_ms=X seed=0
+g1 [map/spiral] energy=7483.89 pJ cost=803 latency=687.583 eta=12 runtime_ms=X seed=0
+g1 [map/crinkle] energy=7187.75 pJ cost=777 latency=653.917 eta=12 runtime_ms=X seed=0
+g2 [map/ddmap] energy=9168.57 pJ cost=984 latency=815.667 eta=12 runtime_ms=X seed=0
+g2 [map/spiral] energy=11583.8 pJ cost=1070 latency=1090.25 eta=12 runtime_ms=X seed=0
+g2 [map/crinkle] energy=8958.2 pJ cost=930 latency=791.75 eta=12 runtime_ms=X seed=0
+ddmap vs crinkle (reduction = 100*(baseline-candidate)/baseline)
+  g1 seed=0: energy 26.05%, cost -11.97%, latency 32.55%
+  g2 seed=0: energy -2.35%, cost -5.81%, latency -3.02%
+  mean: energy 11.85%, cost -8.89%, latency 14.76%
+"""
+
+
+@pytest.mark.parametrize("lines, fault", [
+    (["core 0 -> tile 0", "core 1 -> tile 1"], "core 2 is unmapped"),
+    ([f"core {c} -> tile {c % 5}" for c in range(6)], "tile 0 holds more than one core"),
+])
+def test_seed_mapping_placement_error_names_file(demo_graph, tmp_path, capsys, lines, fault):
+    seed = tmp_path / "short.map"
+    seed.write_text("\n".join(["# mesh = 2", *lines]) + "\n")
+    out_dir = tmp_path / "runs"
+    csv_path = tmp_path / "rows.csv"
+    rc = main([
+        "optimize", "--graph", str(demo_graph), "--mesh", "2", "--seed-mapping", str(seed),
+        "--pso-swarm-size", "50", "--pso-evals", "500",
+        "--out", str(out_dir), "--csv", str(csv_path),
+    ])
+    assert rc == 1
+    assert f"error: {seed}: seed mapping: {fault}\n" in capsys.readouterr().err
+    assert not out_dir.exists() and not csv_path.exists()

@@ -20,8 +20,8 @@ from nocmap.harness import (
     CSV_COLUMNS,
     ReportRow,
     audit_artifact,
-    compare_report,
     exhaustive_oracle,
+    format_comparison,
     parse_mapping_artifact,
     write_mapping_artifact,
 )
@@ -298,38 +298,46 @@ class TestChunkedOracle:
 
 
 class TestCompare:
+    HEADER = "ddmap vs spiral (reduction = 100*(baseline-candidate)/baseline)"
+
     def test_identical_rows_reduce_zero(self):
         rows = [make_row(algo="ddmap"), make_row(algo="spiral")]
-        summary = compare_report(rows, "ddmap", "spiral")
-        assert summary.rows[0].energy_reduction_pct == 0.0
-        assert summary.mean_energy_reduction_pct == 0.0
+        assert format_comparison(rows, "ddmap", "spiral").splitlines() == [
+            self.HEADER,
+            "  b seed=0: energy 0.00%, cost 0.00%, latency 0.00%",
+            "  mean: energy 0.00%, cost 0.00%, latency 0.00%",
+        ]
 
     def test_halved_energy_is_fifty_percent(self):
         rows = [
             make_row(algo="ddmap", total_energy=100.0),
             make_row(algo="spiral", total_energy=200.0),
         ]
-        summary = compare_report(rows, "ddmap", "spiral")
-        assert summary.rows[0].energy_reduction_pct == 50.0
-
-    def test_mode_labels_match(self):
-        rows = [
-            make_row(mode="cluster", total_energy=50.0),
-            make_row(mode="dynamic", total_energy=100.0),
-        ]
-        summary = compare_report(rows, "cluster", "dynamic")
-        assert summary.rows[0].energy_reduction_pct == 50.0
-
-    def test_mismatched_sets_rejected(self):
-        rows = [make_row(algo="ddmap")]
-        with pytest.raises(ValueError, match="expected one row"):
-            compare_report(rows, "ddmap", "spiral")
+        lines = format_comparison(rows, "ddmap", "spiral").splitlines()
+        assert lines[1] == "  b seed=0: energy 50.00%, cost 0.00%, latency 0.00%"
 
     def test_none_latency_skipped(self):
         rows = [
             make_row(algo="ddmap", avg_latency=None),
             make_row(algo="spiral", avg_latency=None),
         ]
-        summary = compare_report(rows, "ddmap", "spiral")
-        assert summary.rows[0].latency_reduction_pct is None
-        assert summary.mean_latency_reduction_pct is None
+        assert format_comparison(rows, "ddmap", "spiral").splitlines()[1:] == [
+            "  b seed=0: energy 0.00%, cost 0.00%, latency n/a",
+            "  mean: energy 0.00%, cost 0.00%, latency n/a",
+        ]
+
+    def test_benchmarks_in_sorted_order_and_other_algos_ignored(self):
+        # the mean skips the latency that is undefined (zero baseline) on "a"
+        rows = [
+            make_row(benchmark="z", algo="spiral", total_energy=400.0, comm_cost=40),
+            make_row(benchmark="z", algo="ddmap", total_energy=100.0, comm_cost=10),
+            make_row(benchmark="z", algo="crinkle", total_energy=1.0),
+            make_row(benchmark="a", algo="spiral", comm_cost=20, avg_latency=0.0),
+            make_row(benchmark="a", algo="ddmap", total_energy=50.0, comm_cost=30),
+        ]
+        assert format_comparison(rows, "ddmap", "spiral").splitlines() == [
+            self.HEADER,
+            "  a seed=0: energy 50.00%, cost -50.00%, latency n/a",
+            "  z seed=0: energy 75.00%, cost 75.00%, latency 0.00%",
+            "  mean: energy 62.50%, cost 12.50%, latency 0.00%",
+        ]
