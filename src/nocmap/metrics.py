@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .taskgraph import TaskGraph
-from .topology import Mesh3D, coordinate_arrays
+from .topology import Mesh3D, hop_table
 
 Mapping = dict[int, int]
 
@@ -85,7 +85,8 @@ class HopKernel:
         self.dst = np.array([a.dst for a in g.arcs], dtype=np.intp)
         self.volume = np.array(volume, dtype=np.int64)
         self.bandwidth = np.array(bandwidth, dtype=np.int64)
-        self.layer, self.row, self.col = coordinate_arrays(mesh.n)
+        self.code, self.table = hop_table(mesh.n)
+        self.offset = len(self.table) // 2
 
     def placement(self, mapping: Mapping) -> np.ndarray:
         """The tile-per-core array of a mapping that places exactly cores 0..N-1."""
@@ -102,9 +103,8 @@ class HopKernel:
 
     def hops(self, tiles: np.ndarray) -> np.ndarray:
         """XYZ hop count of every arc, shape ``(..., arcs)``."""
-        s, d = tiles[..., self.src], tiles[..., self.dst]
-        layer, row, col = self.layer, self.row, self.col
-        return np.abs(layer[s] - layer[d]) + np.abs(row[s] - row[d]) + np.abs(col[s] - col[d])
+        code = self.code[tiles]
+        return self.table[code[..., self.src] - code[..., self.dst] + self.offset]
 
     def __call__(self, tiles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(link_bits, switch_bits, cost)`` for every placement in the batch."""

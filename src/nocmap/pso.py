@@ -61,14 +61,21 @@ class PsoResult:
 def velocity_update(
     position, velocity, pbest, gbest, params: PsoParams, rng, dimension: int
 ) -> np.ndarray:
-    """New velocity vector(s) clamped to [-dimension, dimension]; one particle or a swarm."""
-    x = np.asarray(position, dtype=float)
-    r1 = rng.uniform(0.0, params.c1, x.shape)
-    r2 = rng.uniform(0.0, params.c2, x.shape)
-    v = params.w * np.asarray(velocity, dtype=float)
-    v += r1 * (np.asarray(pbest, dtype=float) - x)
-    v += r2 * (np.asarray(gbest, dtype=float) - x)
-    return np.clip(v, -dimension, dimension)
+    """New velocity vector(s) clamped to [-dimension, dimension]; one particle or a swarm.
+
+    For integer positions the pulls ``pbest - x`` and ``gbest - x`` are exact
+    integer differences, so scaling the random factors by them in place gives
+    the same floats as subtracting after conversion to float.
+    """
+    shape = np.shape(position)
+    r1 = rng.uniform(0.0, params.c1, shape)
+    r2 = rng.uniform(0.0, params.c2, shape)
+    r1 *= np.subtract(pbest, position)
+    r2 *= np.subtract(gbest, position)
+    v = np.multiply(velocity, params.w, dtype=float)
+    v += r1
+    v += r2
+    return np.clip(v, -dimension, dimension, out=v)
 
 
 def position_update(position, velocity, dimension: int) -> np.ndarray:
@@ -82,37 +89,43 @@ def repair_permutation(raw, dimension: int) -> np.ndarray:
 
     In each vector first occurrences win; later duplicates are replaced, left
     to right, by the unused values in ascending order.  Idempotent on valid
-    vectors.  Returns a new array of the input's shape.
+    vectors.  Returns a new int64 array of the input's shape; float, bool and
+    other non-integer input is refused rather than truncated.
     """
-    pos = np.array(raw, dtype=np.int64)
+    given = np.asarray(raw)
+    if given.dtype.kind not in "iu" and given.size:  # an empty list comes as float64
+        raise ValueError(f"expected integer vectors, got dtype {given.dtype}")
+    pos = given.astype(np.int64)
     if pos.ndim not in (1, 2):
         raise ValueError(f"expected a vector or a batch of vectors, got {pos.ndim} dimensions")
     k = pos.shape[-1]
     if k > dimension:
         raise ValueError("vector longer than the value range")
-    bad = (pos < 0) | (pos >= dimension)
-    if bad.any():
-        raise ValueError(f"component {pos[bad][0]} out of range 0..{dimension - 1}")
+    if pos.size and (pos.min() < 0 or pos.max() >= dimension):
+        bad = pos[(pos < 0) | (pos >= dimension)]
+        raise ValueError(f"component {bad[0]} out of range 0..{dimension - 1}")
     rows = pos if pos.ndim == 2 else pos[np.newaxis]
     s = rows.shape[0]
-    row_start = np.arange(s)[:, None]
-    # A stable sort keeps equal values in index order, so within each run of
-    # equal sorted values all but the first are later duplicates.  Sorting a
-    # narrow copy lets numpy use radix sort; flat indices avoid 2-D fancy
-    # indexing, which costs several times more here.
-    narrow = rows.astype(np.min_scalar_type(max(dimension - 1, 0)))
-    order = np.argsort(narrow, axis=1, kind="stable")
-    order += row_start * k
-    ranked = narrow.ravel()[order]
-    dup = np.zeros(pos.size, dtype=bool)
-    dup[order[:, 1:][ranked[:, 1:] == ranked[:, :-1]]] = True
-    free = np.ones(s * dimension, dtype=bool)
-    free[(rows + row_start * dimension).ravel()] = False
-    free = free.reshape(s, dimension)
-    # Each row keeps its smallest dup-count free values; flatnonzero lists them
-    # row by row in ascending order, the order the dup mask is filled in.
-    free &= np.cumsum(free, axis=1) <= dup.reshape(s, k).sum(axis=1)[:, None]
-    pos.ravel()[dup] = np.flatnonzero(free) % dimension
+    # Scatter each element's flat index onto its (row, value) slot; the
+    # minimum is the value's first occurrence, and every other one is a
+    # duplicate.  Slots nothing reached hold the values the row is missing.
+    # The smallest dtype that holds every slot keeps these arrays small; at
+    # 200 x 125 that takes about a third off the repair's time.
+    small = np.min_scalar_type(s * dimension)
+    slot = (rows.astype(small) + np.arange(s, dtype=small)[:, None] * dimension).ravel()
+    index = np.arange(pos.size, dtype=small)
+    first = np.full(s * dimension, pos.size, dtype=small)
+    np.minimum.at(first, slot, index)
+    dup = first[slot] != index
+    free = (first == pos.size).reshape(s, dimension)
+    if k < dimension:
+        # Each row keeps only its smallest dup-count missing values; with
+        # k = dimension a row misses exactly as many values as it has duplicates.
+        dups_per_row = dup.reshape(s, k).sum(axis=1, dtype=np.int32)
+        free &= np.cumsum(free, axis=1, dtype=np.int32) <= dups_per_row[:, None]
+    # flatnonzero lists the fill values row by row in ascending order, the
+    # order in which the duplicates are listed too.
+    pos.ravel()[np.flatnonzero(dup)] = np.flatnonzero(free) % dimension
     return pos
 
 

@@ -51,12 +51,25 @@ def diagonal_tiles(n: int) -> list[int]:
     return [step * (i + 1) for i in range(n - 2)]
 
 
-def coordinate_arrays(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Layer, row and column of every tile as three int64 arrays (O(n^3) memory);
-    gathering from them gives the hop count of any batch of tile pairs."""
-    layer, rest = np.divmod(np.arange(n ** 3, dtype=np.int64), n * n)
+@functools.lru_cache(maxsize=None)
+def hop_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-tile codes and the hop table they index, built once per mesh size.
+
+    Tile (layer, row, col) has the code ``(layer*b + row)*b + col`` with
+    ``b = 2n-1``.  For tiles s and d, ``code[s] - code[d] + len(table)//2``
+    writes the three coordinate differences, each shifted into 0..b-1, as one
+    base-b number, and ``table`` holds the XYZ hop count of every such number:
+    (2n-1)^3 int64 entries, about 8x the tile count.  Codes are intp, numpy's
+    index type, so a lookup through them converts nothing.
+    """
+    b = 2 * n - 1
+    layer, rest = np.divmod(np.arange(n ** 3, dtype=np.intp), n * n)
     row, col = np.divmod(rest, n)
-    return layer, row, col
+    code = (layer * b + row) * b + col
+    step = np.abs(np.arange(b, dtype=np.int64) - (n - 1))
+    table = (step[:, None, None] + step[:, None] + step).ravel()
+    code.flags.writeable = table.flags.writeable = False  # shared through the cache
+    return code, table
 
 
 class Occupancy:

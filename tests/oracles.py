@@ -9,7 +9,9 @@ times links traversed (``link_bits``), then applies the closed form
 order-independent and comparable bit-for-bit with the library.
 
 ``repair_permutation`` is the one-vector loop that ``nocmap.pso``'s
-whole-swarm repair must reproduce exactly.
+whole-swarm repair must reproduce exactly, and ``velocity_update`` the
+float-difference velocity formula that its in-place update must reproduce
+bit for bit.
 
 The second half keeps the dense reference implementations of the placement
 core (``ddmap``, ``lozenge_next_empty``, ``cluster_tasks``,
@@ -24,6 +26,8 @@ from __future__ import annotations
 
 import random
 from typing import Iterator
+
+import numpy as np
 
 from nocmap.scheduler import ClusterSet, Schedule
 from nocmap.taskgraph import Arc, TaskGraph, induced_subgraph, priority_order
@@ -127,6 +131,17 @@ def repair_permutation(raw, dimension: int) -> list[int]:
         for i in duplicates:
             vals[i] = next(fill)
     return vals
+
+
+def velocity_update(position, velocity, pbest, gbest, params, rng, dimension: int):
+    """w*v + U(0, c1)*(pbest - x) + U(0, c2)*(gbest - x), every operand in float, clamped."""
+    x = np.asarray(position, dtype=float)
+    r1 = rng.uniform(0.0, params.c1, x.shape)
+    r2 = rng.uniform(0.0, params.c2, x.shape)
+    v = params.w * np.asarray(velocity, dtype=float)
+    v += r1 * (np.asarray(pbest, dtype=float) - x)
+    v += r2 * (np.asarray(gbest, dtype=float) - x)
+    return np.clip(v, -dimension, dimension)
 
 
 def generate_random_graph(

@@ -12,6 +12,7 @@ from nocmap.pso import position_update, repair_permutation, velocity_update
 from nocmap.scheduler import cluster_graph, cluster_tasks
 from nocmap.taskgraph import graph_from_arcs
 from oracles import repair_permutation as scalar_repair
+from oracles import velocity_update as float_velocity
 
 
 class ForcedRng:
@@ -55,6 +56,30 @@ class TestVelocityUpdate:
         moved = position_update(positions, v, d)
         for row in moved:
             assert repair_permutation(row.tolist(), d).tolist() == gbest.tolist()
+
+
+    @given(st.data())
+    @settings(max_examples=150)
+    def test_matches_float_formula(self, data):
+        # bit for bit, on one particle (1-D) or a swarm with a broadcast gbest
+        d = data.draw(st.integers(1, 40))
+        shape = data.draw(st.sampled_from([(d,), (1, d), (5, d)]))
+        size = int(np.prod(shape))
+
+        def draw(elements, count):
+            return np.array(data.draw(st.lists(elements, min_size=count, max_size=count)))
+
+        tiles = st.integers(0, d - 1)
+        position, pbest = draw(tiles, size).reshape(shape), draw(tiles, size).reshape(shape)
+        gbest = draw(tiles, d)
+        velocity = draw(st.floats(-d, d), size).reshape(shape)
+        constant = st.floats(0, 3)
+        params = PsoParams(c1=data.draw(constant), c2=data.draw(constant), w=data.draw(constant))
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        fast = velocity_update(position, velocity, pbest, gbest, params, np.random.default_rng(seed), d)
+        slow = float_velocity(position, velocity, pbest, gbest, params, np.random.default_rng(seed), d)
+        assert fast.shape == slow.shape == shape
+        assert np.array_equal(fast.view(np.int64), slow.view(np.int64))
 
 
 class TestPositionUpdate:
@@ -126,6 +151,26 @@ class TestRepair:
         assert fixed.tolist() == [scalar_repair(row, d) for row in rows]
         assert batch.tolist() == rows  # the input is left alone
         assert repair_permutation(rows[0], d).tolist() == scalar_repair(rows[0], d)
+
+    def test_matches_scalar_reference_at_bench_shape(self):
+        # the swarm shape of a 100-core graph on a 5x5x5 mesh: 200 rows, D = 125
+        d = 125
+        rng = np.random.default_rng(7)
+        positions = np.array([rng.permutation(d) for _ in range(200)])
+        raw = position_update(positions, rng.uniform(-8.0, 8.0, positions.shape), d)
+        assert all(len(set(row)) < d for row in raw.tolist())  # every row needs repair
+        fixed = repair_permutation(raw, d)
+        assert fixed.tolist() == [scalar_repair(row, d) for row in raw.tolist()]
+
+    @pytest.mark.parametrize("raw", [
+        np.array([[1.7, 1.2]]),
+        [True, True],
+        np.array([0.0, 1.0]),
+        ["0", "1"],
+    ], ids=["fractional", "bool", "integral-float", "str"])
+    def test_non_integer_input_refused(self, raw):
+        with pytest.raises(ValueError, match="expected integer vectors, got dtype"):
+            repair_permutation(raw, 3)
 
     def test_batch_errors(self):
         with pytest.raises(ValueError, match="component 3"):

@@ -89,7 +89,7 @@ class TestHops:
         for a, b, c in itertools.product(tiles, repeat=3):
             assert manhattan3(a, c, n) <= manhattan3(a, b, n) + manhattan3(b, c, n)
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_kernel_hops_agree(self, n):
         # every ordered tile pair, co-located ones included, as one batch
         kernel = HopKernel(graph_from_arcs(2, [(0, 1, 1, 1)]), Mesh3D(n))
@@ -100,6 +100,22 @@ class TestHops:
             assert h == manhattan3(a, b, n)
         assert np.array_equal(link_bits, hops) and np.array_equal(cost, hops)
         assert np.array_equal(switch_bits, hops + (hops > 0))
+
+    @pytest.mark.parametrize("n", [12, 40])
+    def test_kernel_hops_on_large_meshes(self, n):
+        # every pair of the eight corners, where the hop table's extreme
+        # entries sit, plus seeded random pairs
+        kernel = HopKernel(graph_from_arcs(2, [(0, 1, 1, 1)]), Mesh3D(n))
+        corners = [tile for tile in range(n ** 3) if set(tile_coords(tile, n)) <= {0, n - 1}]
+        assert len(corners) == 8
+        rng = np.random.default_rng(n)
+        pairs = np.concatenate((
+            np.array(list(itertools.product(corners, repeat=2))),
+            rng.integers(0, n ** 3, (2000, 2)),
+        ))
+        hops = kernel.hops(pairs)[:, 0]
+        assert hops.max() == 3 * (n - 1)
+        assert hops.tolist() == [manhattan3(a, b, n) for a, b in pairs.tolist()]
 
 
 def _free_count(occ: Occupancy) -> int:
