@@ -76,8 +76,7 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_schedule(args) -> int:
-    algo = args.cluster_mapper if args.mode == "cluster" else "ddmap"
-    _run(_config(args, args.graph, mode=args.mode, algo=algo))
+    _run(_config(args, args.graph, mode=args.mode, algo=args.cluster_mapper))
     return 0
 
 
@@ -193,8 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run a batch of graph files")
     p.add_argument("--glob", required=True, help="shell pattern for graph files")
-    p.add_argument("--all-algos", action="store_true", help="run every mapper")
-    p.add_argument("--algo", choices=MAPPERS, default="ddmap")
+    algos = p.add_mutually_exclusive_group()
+    algos.add_argument("--all-algos", action="store_true", help="run every mapper")
+    algos.add_argument("--algo", choices=MAPPERS, default="ddmap")
     p.add_argument("--mode", choices=("map", "dynamic", "cluster"), default="map")
     p.add_argument("--mesh", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)

@@ -22,9 +22,11 @@ from __future__ import annotations
 import heapq
 from typing import Sequence
 
+import numpy as np
+
 from .metrics import Mapping
 from .taskgraph import TaskGraph, priority_order
-from .topology import Mesh3D, Occupancy, _layer_order, diagonal_tiles, lozenge_next_empty
+from .topology import Mesh3D, _layer_order, diagonal_tiles, lozenge_next_empty
 
 
 def ddmap(g: TaskGraph, mesh: Mesh3D) -> Mapping:
@@ -47,7 +49,7 @@ def ddmap(g: TaskGraph, mesh: Mesh3D) -> Mapping:
         rank[core] = i
     partners, volume = g.partners, g.volume_between
 
-    occ = Occupancy(mesh.tile_count)
+    free = np.ones(mesh.tile_count, dtype=bool)  # per tile: still empty
     mapping: Mapping = {}
     placed_at = [-1] * n_cores  # index in the placement sequence, -1 while unmapped
     traffic = [0] * n_cores  # per unmapped core: volume exchanged with the mapped set
@@ -57,7 +59,7 @@ def ddmap(g: TaskGraph, mesh: Mesh3D) -> Mapping:
 
     def place(core: int, tile: int) -> None:
         mapping[core] = tile
-        occ.occupy(tile)
+        free[tile] = False
         placed_at[core] = len(mapping) - 1
         for p in partners[core]:
             if placed_at[p] < 0:
@@ -84,7 +86,7 @@ def ddmap(g: TaskGraph, mesh: Mesh3D) -> Mapping:
                 v = volume(core, p)
                 if v > best or (v == best and v and placed_at[p] < placed_at[anchor_core]):
                     anchor_core, best = p, v
-        place(core, lozenge_next_empty(mapping[anchor_core], occ, mesh))
+        place(core, lozenge_next_empty(mapping[anchor_core], free, mesh))
     return mapping
 
 

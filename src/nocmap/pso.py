@@ -31,7 +31,7 @@ from .topology import Mesh3D
 
 @dataclass(frozen=True)
 class PsoParams:
-    """Swarm constants; c1, c2 and w must be finite and non-negative."""
+    """Swarm constants; c1, c2 and w must be finite and non-negative, seed non-negative."""
 
     c1: float = 1.2
     c2: float = 1.3
@@ -45,6 +45,8 @@ class PsoParams:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.swarm_size < 1:
             raise ValueError("swarm size must be positive")
         if self.max_evals_per_simulation < self.swarm_size:

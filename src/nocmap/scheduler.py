@@ -15,9 +15,8 @@ is where the energy savings come from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
-from .mappers import map_with
+from .mappers import ddmap, map_with
 from .metrics import Mapping
 from .taskgraph import Arc, TaskGraph, induced_subgraph, priority_order
 from .topology import Mesh3D
@@ -40,14 +39,6 @@ class ClusterSet:
                 seen.add(t)
         if seen != set(range(len(seen))):
             raise ValueError("clusters must cover task ids 0..N-1 exactly")
-
-    @cached_property
-    def cluster_of(self) -> dict[int, int]:
-        return {t: i for i, cluster in enumerate(self.clusters) for t in cluster}
-
-    @property
-    def n_tasks(self) -> int:
-        return sum(len(c) for c in self.clusters)
 
 
 @dataclass
@@ -81,7 +72,7 @@ def dynamic_schedule(g: TaskGraph, mesh: Mesh3D) -> Schedule:
                 ranks[a.dst] += a.volume
         residual = sorted(remaining, key=lambda c: (-degs[c], -ranks[c], c))
         cohort = residual[:cap]
-        round_map = map_with("ddmap", induced_subgraph(g, cohort), mesh)
+        round_map = ddmap(induced_subgraph(g, cohort), mesh)
         for new_id, tile in round_map.items():
             placement[cohort[new_id]] = tile
         for c in cohort:
@@ -148,12 +139,13 @@ def cluster_tasks(g: TaskGraph, max_clusters: int) -> ClusterSet:
 
 def cluster_graph(g: TaskGraph, cs: ClusterSet) -> TaskGraph:
     """One node per cluster; crossing arcs aggregated, internal arcs dropped."""
-    if cs.n_tasks != g.n_cores:
+    cluster_of = {t: i for i, cluster in enumerate(cs.clusters) for t in cluster}
+    if len(cluster_of) != g.n_cores:
         raise ValueError("cluster set does not cover this graph")
     volumes: dict[tuple[int, int], int] = {}
     bandwidths: dict[tuple[int, int], int] = {}
     for a in g.arcs:
-        p, q = cs.cluster_of[a.src], cs.cluster_of[a.dst]
+        p, q = cluster_of[a.src], cluster_of[a.dst]
         if p == q:
             continue
         volumes[(p, q)] = volumes.get((p, q), 0) + a.volume

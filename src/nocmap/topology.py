@@ -72,27 +72,6 @@ def hop_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     return code, table
 
 
-class Occupancy:
-    """Free/occupied state per tile; owned by a single mapping run."""
-
-    def __init__(self, tile_count: int):
-        if tile_count < 1:
-            raise ValueError("tile count must be positive")
-        self._free = np.ones(tile_count, dtype=bool)
-
-    @property
-    def tile_count(self) -> int:
-        return len(self._free)
-
-    def is_free(self, tile: int) -> bool:
-        return bool(self._free[tile])
-
-    def occupy(self, tile: int) -> None:
-        if not self._free[tile]:
-            raise ValueError(f"tile {tile} already occupied")
-        self._free[tile] = False
-
-
 @functools.lru_cache(maxsize=None)
 def _layer_cells(n: int, row: int, col: int) -> np.ndarray:
     """In-layer cells ``r*n + c`` in lozenge visiting order around (row, col).
@@ -127,7 +106,7 @@ def _layer_order(n: int, layer: int) -> tuple[int, ...]:
     return tuple(order)
 
 
-def lozenge_next_empty(anchor: int, occ: Occupancy, mesh: Mesh3D) -> int:
+def lozenge_next_empty(anchor: int, free: np.ndarray, mesh: Mesh3D) -> int:
     """Nearest free tile around an anchor, found by diamond-ring rotation.
 
     The anchor's column parity selects the rotation: odd columns walk each
@@ -139,18 +118,19 @@ def lozenge_next_empty(anchor: int, occ: Occupancy, mesh: Mesh3D) -> int:
     The anchor tile itself is considered only as a last resort, so a fully
     packed mesh with only the anchor free still resolves.
 
-    Each visiting order is a table built once per mesh size and position;
-    a layer is scanned by gathering the free mask through it.
+    ``free`` is a bool array with one entry per tile, True where the tile is
+    empty.  Each visiting order is a table built once per mesh size and
+    position; a layer is scanned by gathering ``free`` through it.
 
     Raises ValueError when no tile is free (a caller bug: callers must track
     capacity).
     """
     n = mesh.n
-    if occ.tile_count != mesh.tile_count:
+    if len(free) != mesh.tile_count:
         raise ValueError("occupancy size does not match mesh")
     a_layer, a_row, a_col = tile_coords(anchor, n)
     cells = _layer_cells(n, a_row, a_col)
-    free, nn = occ._free, n * n
+    nn = n * n
     for layer in _layer_order(n, a_layer):
         order = cells[1:] if layer == a_layer else cells
         hits = free[layer * nn:(layer + 1) * nn][order]

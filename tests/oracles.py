@@ -17,7 +17,8 @@ The second half keeps the dense reference implementations of the placement
 core (``ddmap``, ``lozenge_next_empty``, ``cluster_tasks``,
 ``dynamic_schedule``) and the all-pairs ``generate_random_graph`` sampler.
 The library's sparse versions must reproduce them exactly, placement
-insertion order included.  They share ``Occupancy``, ``priority_order`` and
+insertion order included.  Like the library, they keep which tiles are
+empty as one bool mask per mesh; they share ``priority_order`` and
 ``induced_subgraph`` with the library, and call each other rather than the
 library's fast paths.
 """
@@ -31,7 +32,7 @@ import numpy as np
 
 from nocmap.scheduler import ClusterSet, Schedule
 from nocmap.taskgraph import Arc, TaskGraph, induced_subgraph, priority_order
-from nocmap.topology import Mesh3D, Occupancy, diagonal_tiles, tile_coords
+from nocmap.topology import Mesh3D, diagonal_tiles, tile_coords
 
 
 def coords(tile: int, n: int) -> tuple[int, int, int]:
@@ -191,11 +192,11 @@ def _ring(row: int, col: int, d: int, clockwise: bool) -> Iterator[tuple[int, in
             yield (row - k, col + d - k)
 
 
-def lozenge_next_empty(anchor: int, occ: Occupancy, mesh: Mesh3D) -> int:
+def lozenge_next_empty(anchor: int, free: np.ndarray, mesh: Mesh3D) -> int:
     """Ring-by-ring walk: own layer d = 1..2(n-1), then layers +1, -1, +2, ...
     from d = 0, the anchor last."""
     n = mesh.n
-    if occ.tile_count != mesh.tile_count:
+    if len(free) != mesh.tile_count:
         raise ValueError("occupancy size does not match mesh")
     a_layer, a_row, a_col = tile_coords(anchor, n)
     clockwise = (anchor % n) % 2 == 1
@@ -214,9 +215,9 @@ def lozenge_next_empty(anchor: int, occ: Occupancy, mesh: Mesh3D) -> int:
             for r, c in _ring(a_row, a_col, d, clockwise):
                 if 0 <= r < n and 0 <= c < n:
                     tile = base + r * n + c
-                    if occ.is_free(tile):
+                    if free[tile]:
                         return tile
-    if occ.is_free(anchor):
+    if free[anchor]:
         return anchor
     raise ValueError("no free tile available")
 
@@ -229,7 +230,7 @@ def ddmap(g: TaskGraph, mesh: Mesh3D) -> dict[int, int]:
     order = priority_order(g)
     rank = {core: i for i, core in enumerate(order)}
 
-    occ = Occupancy(mesh.tile_count)
+    free = np.ones(mesh.tile_count, dtype=bool)
     mapping: dict[int, int] = {}
     mapped_seq: list[int] = []
 
@@ -237,7 +238,7 @@ def ddmap(g: TaskGraph, mesh: Mesh3D) -> dict[int, int]:
     seeds = diagonal_tiles(n) or [0]
     for core, tile in zip(order, seeds):
         mapping[core] = tile
-        occ.occupy(tile)
+        free[tile] = False
         mapped_seq.append(core)
 
     unmapped = [c for c in order if c not in mapping]
@@ -250,9 +251,9 @@ def ddmap(g: TaskGraph, mesh: Mesh3D) -> dict[int, int]:
             v = g.volume_between(core, m)
             if v > best:
                 best, anchor_core = v, m
-        tile = lozenge_next_empty(mapping[anchor_core], occ, mesh)
+        tile = lozenge_next_empty(mapping[anchor_core], free, mesh)
         mapping[core] = tile
-        occ.occupy(tile)
+        free[tile] = False
         mapped_seq.append(core)
         unmapped.remove(core)
         for c in unmapped:

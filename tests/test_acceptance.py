@@ -29,7 +29,7 @@ from nocmap.mappers import crinkle_order, map_with, sequence_map, spiral_order
 from nocmap.metrics import EnergyModel
 from nocmap.scheduler import cluster_graph, cluster_tasks, dynamic_schedule
 from nocmap.taskgraph import graph_from_arcs, priority_order, serialize_graph
-from nocmap.topology import Occupancy, lozenge_next_empty
+from nocmap.topology import lozenge_next_empty
 
 from conftest import G1_ARCS
 from oracles import brute_cost, brute_energy, brute_eta, brute_latency, manhattan3
@@ -88,11 +88,9 @@ def test_criterion_3_topology_exhaustive():
         mesh = Mesh3D(3)
         for anchor in range(27):
             for free in range(27):
-                occ = Occupancy(27)
-                for t in range(27):
-                    if t != free:
-                        occ.occupy(t)
-                assert lozenge_next_empty(anchor, occ, mesh) == free
+                mask = np.zeros(27, dtype=bool)
+                mask[free] = True
+                assert lozenge_next_empty(anchor, mask, mesh) == free
 
 
 def test_criterion_4_ddmap_anchor_and_validity():

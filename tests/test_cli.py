@@ -118,6 +118,33 @@ def test_bench_dynamic_mode_refuses_other_algo(demo_graph, tmp_path, capsys):
     assert not csv_path.exists()
 
 
+def test_schedule_dynamic_mode_refuses_cluster_mapper(demo_graph, tmp_path, capsys):
+    csv_path = tmp_path / "rows.csv"
+    rc = main([
+        "schedule", "--graph", str(demo_graph), "--mode", "dynamic", "--cluster-mapper", "spiral",
+        "--csv", str(csv_path),
+    ])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "dynamic mode takes no algo, got 'spiral'" in captured.err
+    assert captured.out == ""
+    assert not csv_path.exists()
+
+
+def test_bench_all_algos_and_algo_are_exclusive(demo_graph, tmp_path, capsys):
+    csv_path = tmp_path / "rows.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "bench", "--glob", str(demo_graph), "--all-algos", "--algo", "spiral",
+            "--csv", str(csv_path),
+        ])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "not allowed with argument" in captured.err
+    assert captured.out == ""
+    assert not csv_path.exists()
+
+
 def test_bench_empty_glob(tmp_path, capsys):
     rc = main(["bench", "--glob", str(tmp_path / "*.nope")])
     assert rc == 1

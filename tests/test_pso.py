@@ -188,6 +188,10 @@ class TestParams:
         with pytest.raises(ValueError, match=f"{field} must be finite and non-negative"):
             PsoParams(**{field: value})
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            PsoParams(seed=-1)
+
     def test_swarm_checked_at_construction(self):
         with pytest.raises(ValueError, match="swarm size"):
             PsoParams(swarm_size=0)

@@ -7,12 +7,7 @@ from hypothesis import strategies as st
 
 from nocmap import Mesh3D
 from nocmap.taskgraph import graph_from_arcs
-from nocmap.topology import (
-    Occupancy,
-    diagonal_tiles,
-    lozenge_next_empty,
-    tile_coords,
-)
+from nocmap.topology import diagonal_tiles, lozenge_next_empty, tile_coords
 from nocmap.metrics import HopKernel
 
 import oracles
@@ -118,59 +113,35 @@ class TestHops:
         assert hops.tolist() == [manhattan3(a, b, n) for a, b in pairs.tolist()]
 
 
-def _free_count(occ: Occupancy) -> int:
-    return sum(occ.is_free(t) for t in range(occ.tile_count))
-
-
-class TestOccupancy:
-    def test_counts(self):
-        occ = Occupancy(8)
-        assert _free_count(occ) == 8
-        occ.occupy(3)
-        assert not occ.is_free(3) and occ.is_free(4)
-        assert _free_count(occ) == 7
-
-    def test_double_occupy_rejected(self):
-        occ = Occupancy(8)
-        occ.occupy(3)
-        with pytest.raises(ValueError):
-            occ.occupy(3)
-
-
-def occupy_all_but(mesh, free):
-    occ = Occupancy(mesh.tile_count)
-    for t in range(mesh.tile_count):
-        if t not in free:
-            occ.occupy(t)
-    return occ
+def free_only(mesh, free):
+    """The free mask with exactly the tiles in ``free`` empty."""
+    mask = np.zeros(mesh.tile_count, dtype=bool)
+    mask[list(free)] = True
+    return mask
 
 
 class TestLozenge:
     def test_all_free_goes_north(self, mesh3):
-        occ = Occupancy(27)
-        occ.occupy(13)
-        assert lozenge_next_empty(13, occ, mesh3) == 10
+        free = np.ones(27, dtype=bool)
+        free[13] = False
+        assert lozenge_next_empty(13, free, mesh3) == 10
 
     def test_full_layer_moves_up_first(self, mesh3):
-        occ = Occupancy(27)
-        for t in range(9, 18):
-            occ.occupy(t)
-        assert lozenge_next_empty(13, occ, mesh3) == 22
+        free = np.ones(27, dtype=bool)
+        free[9:18] = False
+        assert lozenge_next_empty(13, free, mesh3) == 22
 
     def test_single_free_tile_found(self, mesh3):
-        occ = occupy_all_but(mesh3, {25})
-        assert lozenge_next_empty(13, occ, mesh3) == 25
+        assert lozenge_next_empty(13, free_only(mesh3, {25}), mesh3) == 25
 
     def test_first_ring_order_clockwise(self, mesh3):
         # anchor 13 sits in an odd column, so the d=1 ring is walked N,E,S,W
         expected = [10, 14, 16, 12]
         blocked = []
         for want in expected:
-            occ = Occupancy(27)
-            occ.occupy(13)
-            for t in blocked:
-                occ.occupy(t)
-            assert lozenge_next_empty(13, occ, mesh3) == want
+            free = np.ones(27, dtype=bool)
+            free[[13, *blocked]] = False
+            assert lozenge_next_empty(13, free, mesh3) == want
             blocked.append(want)
 
     def test_first_ring_order_counter_clockwise(self, mesh3):
@@ -178,39 +149,35 @@ class TestLozenge:
         expected = [11, 13, 17]
         blocked = []
         for want in expected:
-            occ = Occupancy(27)
-            occ.occupy(14)
-            for t in blocked:
-                occ.occupy(t)
-            assert lozenge_next_empty(14, occ, mesh3) == want
+            free = np.ones(27, dtype=bool)
+            free[[14, *blocked]] = False
+            assert lozenge_next_empty(14, free, mesh3) == want
             blocked.append(want)
 
     def test_exhaustive_single_free(self, mesh3):
         # every anchor finds the unique free tile, wherever it is
         for anchor in range(27):
             for free in range(27):
-                occ = occupy_all_but(mesh3, {free})
-                assert lozenge_next_empty(anchor, occ, mesh3) == free
+                assert lozenge_next_empty(anchor, free_only(mesh3, {free}), mesh3) == free
 
     def test_no_free_tile_is_an_error(self, mesh3):
-        occ = occupy_all_but(mesh3, set())
         with pytest.raises(ValueError, match="no free tile"):
-            lozenge_next_empty(13, occ, mesh3)
+            lozenge_next_empty(13, free_only(mesh3, set()), mesh3)
 
     @given(st.integers(0, 26), st.sets(st.integers(0, 26), min_size=1))
     @settings(max_examples=80)
     def test_returns_a_free_tile_deterministically(self, anchor, free):
         mesh = Mesh3D(3)
-        first = lozenge_next_empty(anchor, occupy_all_but(mesh, free), mesh)
-        second = lozenge_next_empty(anchor, occupy_all_but(mesh, free), mesh)
+        first = lozenge_next_empty(anchor, free_only(mesh, free), mesh)
+        second = lozenge_next_empty(anchor, free_only(mesh, free), mesh)
         assert first == second
         assert first in free
 
 
-def _search(search, anchor, occ, mesh):
+def _search(search, anchor, free, mesh):
     """The found tile, or the ValueError message."""
     try:
-        return search(anchor, occ, mesh)
+        return search(anchor, free, mesh)
     except ValueError as exc:
         return str(exc)
 
@@ -223,28 +190,26 @@ class TestLozengeAgainstRingWalk:
 
         mesh = Mesh3D(n)
         rng = random.Random(seed)
-        occ = Occupancy(mesh.tile_count)
-        for t in range(mesh.tile_count):
-            if rng.random() < density:
-                occ.occupy(t)
+        free = np.array([rng.random() >= density for _ in range(mesh.tile_count)])
         for anchor in range(mesh.tile_count):
-            want = _search(oracles.lozenge_next_empty, anchor, occ, mesh)
-            assert _search(lozenge_next_empty, anchor, occ, mesh) == want
+            want = _search(oracles.lozenge_next_empty, anchor, free, mesh)
+            assert _search(lozenge_next_empty, anchor, free, mesh) == want
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_only_anchor_free_and_nothing_free(self, n):
         mesh = Mesh3D(n)
         for anchor in range(mesh.tile_count):
-            occ = occupy_all_but(mesh, {anchor})
-            assert lozenge_next_empty(anchor, occ, mesh) == anchor
-            assert oracles.lozenge_next_empty(anchor, occ, mesh) == anchor
-        full = occupy_all_but(mesh, set())
+            free = free_only(mesh, {anchor})
+            assert lozenge_next_empty(anchor, free, mesh) == anchor
+            assert oracles.lozenge_next_empty(anchor, free, mesh) == anchor
+        full = free_only(mesh, set())
         for anchor in (0, mesh.tile_count - 1):
             for search in (lozenge_next_empty, oracles.lozenge_next_empty):
                 with pytest.raises(ValueError, match="^no free tile available$"):
                     search(anchor, full, mesh)
 
     def test_errors_unchanged(self, mesh3):
-        for anchor, occ in ((0, Occupancy(8)), (27, Occupancy(27)), (-1, Occupancy(27))):
-            want = _search(oracles.lozenge_next_empty, anchor, occ, mesh3)
-            assert _search(lozenge_next_empty, anchor, occ, mesh3) == want
+        for anchor, size in ((0, 8), (27, 27), (-1, 27)):
+            free = np.ones(size, dtype=bool)
+            want = _search(oracles.lozenge_next_empty, anchor, free, mesh3)
+            assert _search(lozenge_next_empty, anchor, free, mesh3) == want
