@@ -31,7 +31,7 @@ from .topology import Mesh3D
 
 MODES = ("map", "dynamic", "cluster", "pso")
 ORACLE_MAX_ASSIGNMENTS = 10_000_000
-ORACLE_CHUNK = 1 << 10  # assignments scored per kernel call; bounds its memory
+ORACLE_CHUNK = 1 << 14  # most rows the oracle scores per kernel call; bounds its memory
 
 
 @dataclass(frozen=True)
@@ -265,6 +265,33 @@ def audit_artifact(path: str | Path) -> ReportRow:
     )
 
 
+def _oracle_blocks(tiles: int, k: int):
+    """Every injective assignment of k cores to ``tiles`` tiles, in lexicographic order.
+
+    Yields blocks of assignment rows: one block per prefix (the tiles of the
+    first k - j cores), holding every way to place the last j cores on the
+    tiles the prefix leaves free.  j is the largest suffix length whose block
+    has at most ORACLE_CHUNK rows.  Each block is the same array, refilled, so
+    a caller that keeps a row must copy it.
+    """
+    j = 0
+    while j < k and math.perm(tiles - k + j + 1, j + 1) <= ORACLE_CHUNK:
+        j += 1
+    free_count, p = tiles - k + j, k - j
+    # The j-permutations of range(free_count) in lexicographic order; indexing
+    # the ascending free tiles with it keeps that order.
+    count = math.perm(free_count, j)
+    perms = itertools.permutations(range(free_count), j)
+    table = np.fromiter(itertools.chain.from_iterable(perms), np.intp, count * j)
+    table = table.reshape(count, j)
+    rows = np.empty((count, k), dtype=np.intp)
+    all_tiles = np.arange(tiles)
+    for prefix in itertools.permutations(range(tiles), p):
+        rows[:, :p] = prefix
+        rows[:, p:] = np.delete(all_tiles, prefix)[table]
+        yield rows
+
+
 def exhaustive_oracle(
     g: TaskGraph,
     mesh: Mesh3D,
@@ -274,9 +301,10 @@ def exhaustive_oracle(
     """Enumerate every injective core->tile assignment; return the optimum.
 
     The minimizer returned is the lexicographically smallest assignment
-    vector (tile of core 0, tile of core 1, ...), scored ORACLE_CHUNK at a
-    time by the metric kernel.  Refuses instances with more than
-    ORACLE_MAX_ASSIGNMENTS candidate assignments.
+    vector (tile of core 0, tile of core 1, ...).  Assignments come in
+    lexicographic blocks of at most ORACLE_CHUNK rows (see _oracle_blocks),
+    each scored by one call of the metric kernel.  Refuses instances with
+    more than ORACLE_MAX_ASSIGNMENTS candidate assignments.
     """
     tiles = mesh.tile_count
     k = g.n_cores
@@ -289,16 +317,13 @@ def exhaustive_oracle(
         )
 
     kernel = HopKernel(g, mesh)
-    assignments = itertools.permutations(range(tiles), k)
     best_value = None
     best_assign = None
-    while chunk := list(itertools.islice(assignments, ORACLE_CHUNK)):
-        flat = itertools.chain.from_iterable(chunk)
-        rows = np.fromiter(flat, np.intp, len(chunk) * k).reshape(len(chunk), k)
+    for rows in _oracle_blocks(tiles, k):
         values = objective_value(objective, model, *kernel(rows))
-        i = int(np.argmin(values))  # first minimum: permutations come in lexicographic order
+        i = int(np.argmin(values))  # first minimum: blocks come in lexicographic order
         if best_value is None or values[i] < best_value:
-            best_value, best_assign = values[i].item(), chunk[i]
+            best_value, best_assign = values[i].item(), rows[i].tolist()
     assert best_assign is not None
     return best_value, {core: tile for core, tile in enumerate(best_assign)}
 

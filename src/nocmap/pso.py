@@ -65,13 +65,17 @@ def velocity_update(
 ) -> np.ndarray:
     """New velocity vector(s) clamped to [-dimension, dimension]; one particle or a swarm.
 
-    For integer positions the pulls ``pbest - x`` and ``gbest - x`` are exact
-    integer differences, so scaling the random factors by them in place gives
-    the same floats as subtracting after conversion to float.
+    Both random factors come from one draw of ``rng.random``, scaled by c1 and
+    c2: the same stream in the same order as two ``rng.uniform(0, c)`` calls,
+    and the same floats, since ``0.0 + c*u == c*u``.  For integer positions
+    the pulls ``pbest - x`` and ``gbest - x`` are exact integer differences,
+    so scaling the random factors by them in place gives the same floats as
+    subtracting after conversion to float.
     """
     shape = np.shape(position)
-    r1 = rng.uniform(0.0, params.c1, shape)
-    r2 = rng.uniform(0.0, params.c2, shape)
+    r1, r2 = rng.random((2, *shape))
+    r1 *= params.c1
+    r2 *= params.c2
     r1 *= np.subtract(pbest, position)
     r2 *= np.subtract(gbest, position)
     v = np.multiply(velocity, params.w, dtype=float)
@@ -145,9 +149,9 @@ class _SlotFitness:
         self.objective = objective
         self.model = model
 
-    def __call__(self, positions: np.ndarray) -> list:
+    def __call__(self, positions: np.ndarray) -> np.ndarray:
         sums = self.kernel(positions[:, self.slot_of_core])
-        return objective_value(self.objective, self.model, *sums).tolist()
+        return objective_value(self.objective, self.model, *sums)
 
 
 def pso_optimize(
@@ -191,10 +195,10 @@ def pso_optimize(
     values = fitness(positions)
     evals = s
     pbest = positions.copy()
-    pbest_val = np.array(values, dtype=float)
+    pbest_val = values.astype(float)
     best_i = int(np.argmin(pbest_val))
     gbest = positions[best_i].copy()
-    gbest_val = values[best_i]
+    gbest_val = values[best_i].item()  # a Python float (energy) or int (cost)
     trace = [(0, evals, gbest_val)]
 
     iteration = 0
@@ -205,15 +209,14 @@ def pso_optimize(
         values = fitness(positions)
         evals += s
 
-        current = np.array(values, dtype=float)
-        improved = current < pbest_val
+        improved = values < pbest_val
         pbest[improved] = positions[improved]
-        pbest_val[improved] = current[improved]
+        pbest_val[improved] = values[improved]
         best_i = int(np.argmin(pbest_val))
         if pbest_val[best_i] < float(gbest_val):
             # A strictly better pbest can only have been set this iteration.
             gbest = positions[best_i].copy()
-            gbest_val = values[best_i]
+            gbest_val = values[best_i].item()
         trace.append((iteration, evals, gbest_val))
 
     mapping = {core: int(gbest[i]) for i, core in enumerate(fitness.order)}

@@ -296,6 +296,17 @@ class TestChunkedOracle:
         cost = exhaustive_oracle(g, mesh2, "cost")
         assert cost == (0, expected[1]) and isinstance(cost[0], int)
 
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 1 << 15])
+    def test_blocks_are_the_permutations_in_order(self, monkeypatch, chunk):
+        # chunk 1 leaves no room for a suffix (j = 0): every block is one row
+        monkeypatch.setattr(harness, "ORACLE_CHUNK", chunk)
+        for tiles in range(7):
+            for k in range(tiles + 1):
+                blocks = [block.tolist() for block in harness._oracle_blocks(tiles, k)]
+                assert all(0 < len(block) <= chunk for block in blocks)
+                rows = [tuple(row) for block in blocks for row in block]
+                assert rows == list(itertools.permutations(range(tiles), k)), (tiles, k)
+
 
 class TestCompare:
     HEADER = "ddmap vs spiral (reduction = 100*(baseline-candidate)/baseline)"

@@ -16,14 +16,14 @@ from oracles import velocity_update as float_velocity
 
 
 class ForcedRng:
-    """Stub generator whose uniform draws always hit the upper bound."""
+    """Stub generator whose draws always hit the upper bound, so each factor is c1 or c2."""
 
-    def uniform(self, low, high, size):
-        return np.full(size, high)
+    def random(self, size):
+        return np.ones(size)
 
 
 class ZeroRng:
-    def uniform(self, low, high, size):
+    def random(self, size):
         return np.zeros(size)
 
 
@@ -304,11 +304,14 @@ class TestOptimize:
         res = pso_optimize(g, mesh2, PsoParams(seed=0, max_evals_per_simulation=2_000))
         assert sorted(res.mapping.values()) == list(range(8))
 
-    def test_cost_objective_is_integral(self, g1, mesh2):
+    @pytest.mark.parametrize("objective, kind", [("energy", float), ("cost", int)])
+    def test_fitness_and_trace_are_python_numbers(self, g1, mesh2, objective, kind):
+        # not numpy scalars: numpy 2 reprs them as np.float64(...), and json refuses np.int64
         res = pso_optimize(
-            g1, mesh2, PsoParams(seed=5, max_evals_per_simulation=2_000), objective="cost"
+            g1, mesh2, PsoParams(seed=5, max_evals_per_simulation=2_000), objective=objective
         )
-        assert isinstance(res.fitness, int)
+        assert type(res.fitness) is kind
+        assert all(type(gbest) is kind for _, _, gbest in res.trace)
 
     def test_validation(self, g1, mesh2):
         with pytest.raises(ValueError, match="budget"):
