@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .mappers import MAPPERS, map_with
-from .metrics import OBJECTIVES, EnergyModel, HopKernel, Mapping, evaluate, objective_value
+from .metrics import OBJECTIVES, EnergyModel, HopKernel, Mapping, evaluate
 from .pso import PsoParams, pso_optimize
 from .scheduler import cluster_schedule, dynamic_schedule
 from .taskgraph import TaskGraph, parse_graph
@@ -317,10 +317,13 @@ def exhaustive_oracle(
         )
 
     kernel = HopKernel(g, mesh)
+    scratch = None  # every block has one shape, so one set of work arrays serves them all
     best_value = None
     best_assign = None
     for rows in _oracle_blocks(tiles, k):
-        values = objective_value(objective, model, *kernel(rows))
+        if scratch is None:
+            scratch = kernel.scratch(rows.shape)
+        values = kernel.objective_values(rows, objective, model, scratch)
         i = int(np.argmin(values))  # first minimum: blocks come in lexicographic order
         if best_value is None or values[i] < best_value:
             best_value, best_assign = values[i].item(), rows[i].tolist()

@@ -11,7 +11,9 @@ with both random factors drawn per component and the result clamped to
 tile range, and then repaired back to duplicate-free vectors so every
 evaluated candidate is a valid injective assignment.  Each iteration updates,
 repairs and scores the whole swarm as one (swarm size, D) array; no step
-loops over particles.
+loops over particles, and no step allocates a swarm-sized array:
+``pso_optimize`` allocates them once per call, and each step writes into
+the ones it is passed.
 
 A call runs one swarm.  It is deterministic: every random draw comes from one
 generator seeded from ``PsoParams.seed``, and best-so-far reductions scan
@@ -25,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import EnergyModel, HopKernel, Mapping, objective_value
-from .taskgraph import TaskGraph, priority_order
+from .metrics import EnergyModel, HopKernel, Mapping
+from .taskgraph import TaskGraph, induced_subgraph, priority_order
 from .topology import Mesh3D
 
 @dataclass(frozen=True)
@@ -61,7 +63,8 @@ class PsoResult:
 
 
 def velocity_update(
-    position, velocity, pbest, gbest, params: PsoParams, rng, dimension: int
+    position, velocity, pbest, gbest, params: PsoParams, rng, dimension: int,
+    out=None, scratch=None,
 ) -> np.ndarray:
     """New velocity vector(s) clamped to [-dimension, dimension]; one particle or a swarm.
 
@@ -71,87 +74,129 @@ def velocity_update(
     the pulls ``pbest - x`` and ``gbest - x`` are exact integer differences,
     so scaling the random factors by them in place gives the same floats as
     subtracting after conversion to float.
+
+    The result goes into ``out``, a float array of the position's shape that
+    may be ``velocity`` itself; ``scratch``, a float array of shape
+    ``(3, *position.shape)``, holds the draw and the pulls.  Either one
+    missing is allocated.
     """
     shape = np.shape(position)
-    r1, r2 = rng.random((2, *shape))
-    r1 *= params.c1
-    r2 *= params.c2
-    r1 *= np.subtract(pbest, position)
-    r2 *= np.subtract(gbest, position)
-    v = np.multiply(velocity, params.w, dtype=float)
-    v += r1
-    v += r2
+    if scratch is None:
+        scratch = np.empty((3, *shape))
+    draw, pull = rng.random(out=scratch[:2]), scratch[2]
+    draw[0] *= params.c1
+    draw[1] *= params.c2
+    draw[0] *= np.subtract(pbest, position, out=pull)
+    draw[1] *= np.subtract(gbest, position, out=pull)
+    v = np.multiply(velocity, params.w, out=out, dtype=float)
+    v += draw[0]
+    v += draw[1]
     return np.clip(v, -dimension, dimension, out=v)
 
 
-def position_update(position, velocity, dimension: int) -> np.ndarray:
-    """Move by the floor of the velocity, clamped to valid tile ids."""
-    raw = np.asarray(position) + np.floor(velocity).astype(np.int64)
-    return np.clip(raw, 0, dimension - 1)
+def position_update(position, velocity, dimension: int, out=None) -> np.ndarray:
+    """Move by the floor of the velocity, clamped to valid tile ids.
+
+    The result goes into ``out``, an int64 array of the position's shape, or
+    a new one.
+    """
+    if out is None:
+        out = np.empty(np.shape(position), dtype=np.int64)
+    np.floor(velocity, out=out, casting="unsafe")  # |velocity| <= dimension: exact
+    out += position
+    return np.clip(out, 0, dimension - 1, out=out)
 
 
-def repair_permutation(raw, dimension: int) -> np.ndarray:
+def _repair_scratch(rows: int, k: int, dimension: int) -> tuple[np.ndarray, ...]:
+    """Work arrays for ``repair_permutation`` on batches of ``rows`` vectors of length k."""
+    small = np.min_scalar_type(rows * dimension)  # holds every flat index and the sentinel
+    return (
+        np.empty(rows * k, dtype=np.intp),
+        np.arange(rows * k, dtype=small),
+        np.empty(rows * dimension, dtype=small),
+        np.empty(rows * k, dtype=small),
+        np.empty(rows * k, dtype=bool),
+        np.empty(rows * dimension, dtype=bool),
+    )
+
+
+def repair_permutation(raw, dimension: int, out=None, scratch=None) -> np.ndarray:
     """Make integer vectors duplicate-free: one vector of shape (k,) or a batch (s, k).
 
     In each vector first occurrences win; later duplicates are replaced, left
     to right, by the unused values in ascending order.  Idempotent on valid
-    vectors.  Returns a new int64 array of the input's shape; float, bool and
-    other non-integer input is refused rather than truncated.
+    vectors.  Float, bool and other non-integer input is refused rather than
+    truncated.
+
+    The result goes into ``out``, a C-contiguous int64 array of the input's
+    shape that may be ``raw`` itself, or a new one.  ``scratch`` is
+    ``_repair_scratch(s, k, dimension)`` (s = 1 for one vector), or None to
+    allocate it.
     """
     given = np.asarray(raw)
     if given.dtype.kind not in "iu" and given.size:  # an empty list comes as float64
         raise ValueError(f"expected integer vectors, got dtype {given.dtype}")
-    pos = given.astype(np.int64)
-    if pos.ndim not in (1, 2):
-        raise ValueError(f"expected a vector or a batch of vectors, got {pos.ndim} dimensions")
-    k = pos.shape[-1]
+    if given.ndim not in (1, 2):
+        raise ValueError(f"expected a vector or a batch of vectors, got {given.ndim} dimensions")
+    k = given.shape[-1]
     if k > dimension:
         raise ValueError("vector longer than the value range")
-    if pos.size and (pos.min() < 0 or pos.max() >= dimension):
-        bad = pos[(pos < 0) | (pos >= dimension)]
+    if given.size and (given.min() < 0 or given.max() >= dimension):
+        bad = given[(given < 0) | (given >= dimension)]
         raise ValueError(f"component {bad[0]} out of range 0..{dimension - 1}")
-    rows = pos if pos.ndim == 2 else pos[np.newaxis]
+    if out is None:
+        out = given.astype(np.int64, order="C")
+    elif out is not given:
+        np.copyto(out, given)
+    rows = out if out.ndim == 2 else out[np.newaxis]
     s = rows.shape[0]
+    if scratch is None:
+        scratch = _repair_scratch(s, k, dimension)
+    slot, index, first, at_slot, dup, free = scratch
     # Scatter each element's flat index onto its (row, value) slot; the
     # minimum is the value's first occurrence, and every other one is a
     # duplicate.  Slots nothing reached hold the values the row is missing.
-    # The smallest dtype that holds every slot keeps these arrays small; at
-    # 200 x 125 that takes about a third off the repair's time.
-    small = np.min_scalar_type(s * dimension)
-    slot = (rows.astype(small) + np.arange(s, dtype=small)[:, None] * dimension).ravel()
-    index = np.arange(pos.size, dtype=small)
-    first = np.full(s * dimension, pos.size, dtype=small)
+    # The minima are kept in the smallest dtype that holds every flat index.
+    np.add(rows, np.arange(0, s * dimension, dimension)[:, None], out=slot.reshape(s, k))
+    first.fill(out.size)
     np.minimum.at(first, slot, index)
-    dup = first[slot] != index
-    free = (first == pos.size).reshape(s, dimension)
+    np.take(first, slot, out=at_slot, mode="clip")
+    np.not_equal(at_slot, index, out=dup)
+    np.equal(first, out.size, out=free)
     if k < dimension:
         # Each row keeps only its smallest dup-count missing values; with
         # k = dimension a row misses exactly as many values as it has duplicates.
+        free2 = free.reshape(s, dimension)
         dups_per_row = dup.reshape(s, k).sum(axis=1, dtype=np.int32)
-        free &= np.cumsum(free, axis=1, dtype=np.int32) <= dups_per_row[:, None]
+        free2 &= np.cumsum(free2, axis=1, dtype=np.int32) <= dups_per_row[:, None]
     # flatnonzero lists the fill values row by row in ascending order, the
     # order in which the duplicates are listed too.
-    pos.ravel()[np.flatnonzero(dup)] = np.flatnonzero(free) % dimension
-    return pos
+    fill = np.flatnonzero(free)
+    fill %= dimension
+    out.reshape(-1)[np.flatnonzero(dup)] = fill
+    return out
 
 
 class _SlotFitness:
     """Objective over position vectors, vectorized across a swarm.
 
-    Scores the whole swarm's decoded placements with one call of the integer
-    metrics.HopKernel, so each value is exactly what metrics.evaluate reports.
+    Scores the whole swarm with one call of the integer
+    ``metrics.HopKernel.objective_values``, so each value is exactly what
+    ``metrics.evaluate`` reports.  The kernel is built on the graph relabeled
+    in priority order, whose core i is slot i: it reads positions as they
+    are, and the dummy slots past the last core are columns it ignores.
     """
 
-    def __init__(self, g: TaskGraph, mesh: Mesh3D, objective: str, model: EnergyModel):
+    def __init__(self, g: TaskGraph, mesh: Mesh3D, objective: str, model: EnergyModel,
+                 swarm_size: int):
         self.order = priority_order(g)
-        self.slot_of_core = np.argsort(self.order)
-        self.kernel = HopKernel(g, mesh)
+        self.kernel = HopKernel(induced_subgraph(g, self.order), mesh)
         self.objective = objective
         self.model = model
+        self.scratch = self.kernel.scratch((swarm_size, mesh.tile_count))
 
     def __call__(self, positions: np.ndarray) -> np.ndarray:
-        sums = self.kernel(positions[:, self.slot_of_core])
-        return objective_value(self.objective, self.model, *sums)
+        return self.kernel.objective_values(positions, self.objective, self.model, self.scratch)
 
 
 def pso_optimize(
@@ -170,7 +215,8 @@ def pso_optimize(
     d = mesh.tile_count
     if g.n_cores > d:
         raise ValueError(f"{g.n_cores} cores exceed {d} tiles")
-    fitness = _SlotFitness(g, mesh, objective, model)
+    s = params.swarm_size
+    fitness = _SlotFitness(g, mesh, objective, model, s)
     seed_position = None
     if seed_mapping is not None:
         try:
@@ -182,7 +228,6 @@ def pso_optimize(
             raise ValueError(f"seed mapping: tile {int(used.argmax())} holds more than one core")
         seed_position = np.concatenate((tiles[fitness.order], np.flatnonzero(used == 0)))
 
-    s = params.swarm_size
     # Seeded with (seed, 0): the stream every recorded result was made with.
     rng = np.random.default_rng(np.random.SeedSequence((params.seed, 0)))
     positions = np.empty((s, d), dtype=np.int64)
@@ -191,11 +236,15 @@ def pso_optimize(
     if seed_position is not None:
         positions[0] = seed_position
     velocities = np.zeros((s, d), dtype=float)
+    # Every swarm-sized array a step writes is allocated here, once per call.
+    velocity_scratch = np.empty((3, s, d))
+    moved = np.empty((s, d), dtype=np.int64)
+    repair_work = _repair_scratch(s, d, d)
 
     values = fitness(positions)
     evals = s
     pbest = positions.copy()
-    pbest_val = values.astype(float)
+    pbest_val = values.copy()  # the objective's own dtype: int64 costs compare exactly
     best_i = int(np.argmin(pbest_val))
     gbest = positions[best_i].copy()
     gbest_val = values[best_i].item()  # a Python float (energy) or int (cost)
@@ -204,16 +253,18 @@ def pso_optimize(
     iteration = 0
     while evals + s <= params.max_evals_per_simulation:
         iteration += 1
-        velocities = velocity_update(positions, velocities, pbest, gbest, params, rng, d)
-        positions = repair_permutation(position_update(positions, velocities, d), d)
+        velocity_update(positions, velocities, pbest, gbest, params, rng, d,
+                        out=velocities, scratch=velocity_scratch)
+        position_update(positions, velocities, d, out=moved)
+        repair_permutation(moved, d, out=positions, scratch=repair_work)
         values = fitness(positions)
         evals += s
 
         improved = values < pbest_val
-        pbest[improved] = positions[improved]
-        pbest_val[improved] = values[improved]
+        np.copyto(pbest, positions, where=improved[:, np.newaxis])
+        np.copyto(pbest_val, values, where=improved)
         best_i = int(np.argmin(pbest_val))
-        if pbest_val[best_i] < float(gbest_val):
+        if pbest_val[best_i] < gbest_val:
             # A strictly better pbest can only have been set this iteration.
             gbest = positions[best_i].copy()
             gbest_val = values[best_i].item()

@@ -58,16 +58,20 @@ def hop_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     Tile (layer, row, col) has the code ``(layer*b + row)*b + col`` with
     ``b = 2n-1``.  For tiles s and d, ``code[s] - code[d] + len(table)//2``
     writes the three coordinate differences, each shifted into 0..b-1, as one
-    base-b number, and ``table`` holds the XYZ hop count of every such number:
-    (2n-1)^3 int64 entries, about 8x the tile count.  Codes are intp, numpy's
-    index type, so a lookup through them converts nothing.
+    base-b number.  ``table`` holds the XYZ hop count of every such number,
+    rotated left by ``len(table)//2`` so that ``table[code[s] - code[d]]``
+    reads it directly: a negative difference indexes from the end, as numpy
+    indices do.  That is (2n-1)^3 int64 entries, about 8x the tile count.
+    Codes are intp, numpy's index type, so a lookup through them converts
+    nothing.
     """
     b = 2 * n - 1
     layer, rest = np.divmod(np.arange(n ** 3, dtype=np.intp), n * n)
     row, col = np.divmod(rest, n)
     code = (layer * b + row) * b + col
     step = np.abs(np.arange(b, dtype=np.int64) - (n - 1))
-    table = (step[:, None, None] + step[:, None] + step).ravel()
+    shifted = (step[:, None, None] + step[:, None] + step).ravel()
+    table = np.roll(shifted, -(len(shifted) // 2))
     code.flags.writeable = table.flags.writeable = False  # shared through the cache
     return code, table
 

@@ -8,6 +8,10 @@ times links traversed (``link_bits``), then applies the closed form
 ``e_switch * switch_bits + e_link * link_bits`` once, so results are
 order-independent and comparable bit-for-bit with the library.
 
+``objective_values`` is the three-sum form that ``HopKernel.objective_values``
+must reproduce exactly: it reads all of ``HopKernel.__call__``'s sums, the
+co-located arcs' switch bits included.
+
 ``repair_permutation`` is the one-vector loop that ``nocmap.pso``'s
 whole-swarm repair must reproduce exactly, and ``velocity_update`` the
 float-difference velocity formula that its in-place update must reproduce
@@ -107,6 +111,16 @@ def brute_latency(g, placement, n, rho=1.0) -> float:
     if eta == 0:
         raise ValueError("no transfers")
     return hop_volume * rho / eta
+
+
+def objective_values(kernel, tiles, objective: str, model):
+    """Cost, or the energy of the link and switch bits, from all three of the kernel's sums."""
+    link_bits, switch_bits, cost = kernel(tiles)
+    if objective == "cost":
+        return cost
+    if objective == "energy":
+        return model.energy(switch_bits, link_bits)
+    raise ValueError(f"unknown objective {objective!r}")
 
 
 def repair_permutation(raw, dimension: int) -> list[int]:

@@ -2,15 +2,18 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nocmap import EnergyModel, Mesh3D, evaluate, generate_random_graph
+from nocmap.metrics import OBJECTIVES, HopKernel
 from nocmap.taskgraph import TaskGraph, graph_from_arcs
 from nocmap.topology import tile_coords
 
 from oracles import brute_cost, brute_energy, brute_eta, brute_latency
+from oracles import objective_values as three_sum_objective
 
 
 def random_pair(seed, n=3):
@@ -190,6 +193,40 @@ class TestEvaluateAgainstOracle:
         g, placement, n = case
         shuffled = TaskGraph(g.n_cores, tuple(rng.sample(g.arcs, len(g.arcs))))
         assert evaluate(shuffled, placement, Mesh3D(n)) == evaluate(g, placement, Mesh3D(n))
+
+
+class TestObjectiveValues:
+    """``HopKernel.objective_values`` takes one sum; the three-sum form must agree exactly."""
+
+    @staticmethod
+    def assert_agree(kernel, tiles, model):
+        for objective in OBJECTIVES:
+            fast = kernel.objective_values(tiles, objective, model)
+            slow = three_sum_objective(kernel, tiles, objective, model)
+            assert fast.dtype == slow.dtype and fast.shape == slow.shape
+            assert np.array_equal(fast, slow)
+
+    @given(graph_and_placement(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_three_sums(self, case, data):
+        # a batch of placements onto few tiles, so co-located arcs (h = 0) are common
+        g, placement, n = case
+        rows = data.draw(st.integers(1, 5))
+        used_tiles = data.draw(st.integers(1, n ** 3))
+        tiles = np.array([placement[c] for c in range(g.n_cores)] + data.draw(st.lists(
+            st.integers(0, used_tiles - 1), min_size=(rows - 1) * g.n_cores,
+            max_size=(rows - 1) * g.n_cores,
+        ))).reshape(rows, g.n_cores)
+        model = EnergyModel(data.draw(st.floats(0, 2)), data.draw(st.floats(0, 2)))
+        kernel = HopKernel(g, Mesh3D(n))
+        self.assert_agree(kernel, tiles, model)
+        self.assert_agree(kernel, tiles[0], model)  # one placement, not a batch
+
+    def test_every_core_on_one_tile(self, mesh3):
+        kernel = HopKernel(generate_random_graph(6, 12, seed=3), mesh3)
+        tiles = np.full((2, 6), 13)
+        self.assert_agree(kernel, tiles, EnergyModel())
+        assert kernel.objective_values(tiles, "energy", EnergyModel()).tolist() == [0.0, 0.0]
 
 
 CUBE_SYMMETRIES = [

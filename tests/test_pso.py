@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nocmap import Mesh3D, PsoParams, evaluate, generate_random_graph, pso_optimize
+from nocmap import pso
 from nocmap.harness import exhaustive_oracle
 from nocmap.mappers import ddmap, sequence_map, spiral_order
 from nocmap.pso import position_update, repair_permutation, velocity_update
@@ -18,13 +19,15 @@ from oracles import velocity_update as float_velocity
 class ForcedRng:
     """Stub generator whose draws always hit the upper bound, so each factor is c1 or c2."""
 
-    def random(self, size):
-        return np.ones(size)
+    def random(self, out):
+        out.fill(1.0)
+        return out
 
 
 class ZeroRng:
-    def random(self, size):
-        return np.zeros(size)
+    def random(self, out):
+        out.fill(0.0)
+        return out
 
 
 class TestVelocityUpdate:
@@ -80,6 +83,11 @@ class TestVelocityUpdate:
         slow = float_velocity(position, velocity, pbest, gbest, params, np.random.default_rng(seed), d)
         assert fast.shape == slow.shape == shape
         assert np.array_equal(fast.view(np.int64), slow.view(np.int64))
+        # the swarm's form: in place, with its own scratch
+        in_place = velocity.astype(float)
+        velocity_update(position, in_place, pbest, gbest, params, np.random.default_rng(seed), d,
+                        out=in_place, scratch=np.empty((3, *shape)))
+        assert np.array_equal(in_place.view(np.int64), slow.view(np.int64))
 
 
 class TestPositionUpdate:
@@ -150,6 +158,10 @@ class TestRepair:
         assert fixed.shape == batch.shape
         assert fixed.tolist() == [scalar_repair(row, d) for row in rows]
         assert batch.tolist() == rows  # the input is left alone
+        assert repair_permutation(np.asfortranarray(batch), d).tolist() == fixed.tolist()
+        in_place = batch.copy()
+        assert repair_permutation(in_place, d, out=in_place) is in_place
+        assert in_place.tolist() == fixed.tolist()
         assert repair_permutation(rows[0], d).tolist() == scalar_repair(rows[0], d)
 
     def test_matches_scalar_reference_at_bench_shape(self):
@@ -351,6 +363,39 @@ class TestOptimize:
         params = PsoParams(max_evals_per_simulation=400)
         with pytest.raises(ValueError, match=r"^seed mapping: .*" + re.escape(what)):
             pso_optimize(g1, mesh2, params, seed_mapping=seed_map)
+
+    def test_cost_above_two_to_the_53_compares_exactly(self, mesh2):
+        # float64 cannot tell 2^56 + 3 from 2^56 + 5, so float bests would miss improvements
+        g = graph_from_arcs(4, [(0, 1, 1, 2 ** 56), (1, 2, 1, 1), (2, 3, 1, 1), (3, 0, 1, 1)])
+        optimum, _ = exhaustive_oracle(g, mesh2, "cost")
+        assert optimum == 2 ** 56 + 3
+        for seed in range(20):
+            params = PsoParams(swarm_size=20, max_evals_per_simulation=2_000, seed=seed)
+            assert pso_optimize(g, mesh2, params, objective="cost").fitness == optimum
+
+    def test_interleaved_calls_return_what_each_returns_alone(self, monkeypatch):
+        # A second swarm and an oracle run inside the first swarm's first step,
+        # so an array shared between calls would be overwritten mid-run; the
+        # first swarm is small and takes many steps, so that would change its trace.
+        first = (generate_random_graph(12, 30, seed=8), Mesh3D(3),
+                 PsoParams(swarm_size=5, seed=4, max_evals_per_simulation=1_000))
+        second = (generate_random_graph(6, 10, seed=9), Mesh3D(2),
+                  PsoParams(swarm_size=30, seed=5, max_evals_per_simulation=900), "cost")
+        oracle = (generate_random_graph(4, 6, seed=10), Mesh3D(2))
+        alone = pso_optimize(*first), pso_optimize(*second), exhaustive_oracle(*oracle)
+
+        inner = {}
+        step = pso.velocity_update
+
+        def interleaving_step(*args, **kwargs):
+            if not inner:
+                inner["started"] = True  # the second swarm's own steps pass straight through
+                inner["results"] = pso_optimize(*second), exhaustive_oracle(*oracle)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(pso, "velocity_update", interleaving_step)
+        outer = pso_optimize(*first)
+        assert (outer, *inner["results"]) == alone
 
     def test_seed_mapping_with_extra_core(self, g1, mesh2):
         seed_map = {0: 0, 1: 1, 2: 2, 3: 3, 7: 5}
