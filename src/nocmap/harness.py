@@ -242,7 +242,7 @@ def run_benchmark(cfg: RunConfig) -> tuple[ReportRow, Mapping]:
             writer = csv.writer(buf)
             writer.writerow(["iteration", "evals", "gbest_fitness"])
             for iteration, evals, gbest in trace:
-                writer.writerow([iteration, evals, _format_cell(float(gbest))])
+                writer.writerow([iteration, evals, _format_cell(gbest)])
             (out_dir / (stem + ".trace.csv")).write_text(buf.getvalue(), encoding="utf-8")
     if cfg.csv_path is not None:
         append_report_csv(cfg.csv_path, [row])

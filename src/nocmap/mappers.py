@@ -47,7 +47,7 @@ def ddmap(g: TaskGraph, mesh: Mesh3D) -> Mapping:
     rank = [0] * n_cores
     for i, core in enumerate(order):
         rank[core] = i
-    partners, volume = g.partners, g.volume_between
+    neighbours = g.neighbours
 
     free = np.ones(mesh.tile_count, dtype=bool)  # per tile: still empty
     mapping: Mapping = {}
@@ -56,17 +56,16 @@ def ddmap(g: TaskGraph, mesh: Mesh3D) -> Mapping:
     # Heap keys -traffic*N + rank order cores by (-traffic, rank); a key whose
     # traffic has since grown is stale and skipped.
     heap: list[int] = []
+    resume: dict[int, int] = {}  # layers each anchor's searches found full; free only shrinks
 
     def place(core: int, tile: int) -> None:
         mapping[core] = tile
         free[tile] = False
         placed_at[core] = len(mapping) - 1
-        for p in partners[core]:
-            if placed_at[p] < 0:
-                v = volume(p, core)
-                if v:
-                    traffic[p] += v
-                    heapq.heappush(heap, rank[p] - traffic[p] * n_cores)
+        for p, v in neighbours[core].items():
+            if v and placed_at[p] < 0:
+                traffic[p] += v
+                heapq.heappush(heap, rank[p] - traffic[p] * n_cores)
 
     # Interior-diagonal seeds; a 2x2x2 mesh has no interior, fall back to the origin.
     seeds = diagonal_tiles(n) or [0]
@@ -81,12 +80,11 @@ def ddmap(g: TaskGraph, mesh: Mesh3D) -> Mapping:
         if placed_at[core] >= 0 or key != rank[core] - traffic[core] * n_cores:
             continue
         anchor_core, best = first, 0
-        for p in partners[core]:
+        for p, v in neighbours[core].items():
             if placed_at[p] >= 0:
-                v = volume(core, p)
                 if v > best or (v == best and v and placed_at[p] < placed_at[anchor_core]):
                     anchor_core, best = p, v
-        place(core, lozenge_next_empty(mapping[anchor_core], free, mesh))
+        place(core, lozenge_next_empty(mapping[anchor_core], free, mesh, resume))
     return mapping
 
 

@@ -58,8 +58,8 @@ class PsoParams:
 @dataclass(frozen=True)
 class PsoResult:
     mapping: Mapping
-    fitness: float
-    trace: tuple[tuple[int, int, float], ...]  # (iteration, evals, gbest)
+    fitness: float | int  # a float for energy, an exact int for cost
+    trace: tuple[tuple[int, int, float | int], ...]  # (iteration, evals, gbest)
 
 
 def velocity_update(

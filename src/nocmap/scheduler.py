@@ -71,13 +71,12 @@ def dynamic_schedule(g: TaskGraph, mesh: Mesh3D) -> Schedule:
                 ranks[a.src] += a.volume
                 ranks[a.dst] += a.volume
         residual = sorted(remaining, key=lambda c: (-degs[c], -ranks[c], c))
-        cohort = residual[:cap]
+        cohort, remaining = residual[:cap], residual[cap:]
         round_map = ddmap(induced_subgraph(g, cohort), mesh)
         for new_id, tile in round_map.items():
             placement[cohort[new_id]] = tile
         for c in cohort:
             left[c] = False
-        remaining = [c for c in remaining if left[c]]
     return Schedule(placement)
 
 
@@ -94,7 +93,7 @@ def cluster_tasks(g: TaskGraph, max_clusters: int) -> ClusterSet:
     """
     if max_clusters < 1:
         raise ValueError("need at least one cluster")
-    partners, volume = g.partners, g.volume_between
+    neighbours = g.neighbours
     scheduled = [False] * g.n_cores
     chains: list[list[int]] = []
     for start in range(g.n_cores):
@@ -104,13 +103,13 @@ def cluster_tasks(g: TaskGraph, max_clusters: int) -> ClusterSet:
         scheduled[current] = True
         chain = [current]
         while True:
-            candidates = [t for t in partners[current] if not scheduled[t]]
+            candidates = [(-v, t) for t, v in neighbours[current].items() if not scheduled[t]]
             if not candidates:
                 break
-            nxt = min(candidates, key=lambda t: (-volume(current, t), t))
+            nxt = min(candidates)[1]
             scheduled[nxt] = True
             chain.append(nxt)
-            if any(scheduled[p] and p != current for p in partners[nxt]):
+            if any(scheduled[p] and p != current for p in neighbours[nxt]):
                 break  # loops back
             current = nxt
         chains.append(chain)
@@ -124,12 +123,10 @@ def cluster_tasks(g: TaskGraph, max_clusters: int) -> ClusterSet:
         for surplus in chains[max_clusters:]:
             exchanged: dict[int, int] = {}
             for u in surplus:
-                for p in partners[u]:
-                    if owner[p] >= 0:
-                        exchanged[owner[p]] = exchanged.get(owner[p], 0) + volume(u, p)
+                for p, v in neighbours[u].items():
+                    if v and owner[p] >= 0:
+                        exchanged[owner[p]] = exchanged.get(owner[p], 0) + v
             target = max(exchanged, key=lambda i: (exchanged[i], -i), default=0)
-            if not exchanged.get(target):
-                target = 0
             kept[target].extend(surplus)
             for t in surplus:
                 owner[t] = target

@@ -54,17 +54,22 @@ class TaskGraph:
             _check_arc(a, self.n_cores, seen)
 
     @cached_property
-    def _pair_volumes(self) -> dict[tuple[int, int], int]:
-        """Volume per connected pair, both directions summed, keyed (a, b) and (b, a)."""
-        volumes: dict[tuple[int, int], int] = {}
+    def neighbours(self) -> tuple[dict[int, int], ...]:
+        """Per core: each core an arc links it to, either way -> volume exchanged both ways.
+
+        Zero-volume arcs count.  Keys come in arc order, which no caller's
+        result depends on.  Every caller gets the same dicts: read them only.
+        """
+        nbrs: tuple[dict[int, int], ...] = tuple({} for _ in range(self.n_cores))
         for a in self.arcs:
-            total = volumes.get((a.src, a.dst), 0) + a.volume
-            volumes[a.src, a.dst] = volumes[a.dst, a.src] = total
-        return volumes
+            total = nbrs[a.src].get(a.dst, 0) + a.volume
+            nbrs[a.src][a.dst] = nbrs[a.dst][a.src] = total
+        return nbrs
 
     def volume_between(self, a: int, b: int) -> int:
         """Traffic exchanged between two cores, both directions summed."""
-        return self._pair_volumes.get((a, b), 0)
+        _check_core(self, a, b)
+        return self.neighbours[a].get(b, 0)
 
     @cached_property
     def out_degrees(self) -> tuple[int, ...]:
@@ -82,15 +87,6 @@ class TaskGraph:
             totals[a.src] += a.volume
             totals[a.dst] += a.volume
         return tuple(totals)
-
-    @cached_property
-    def partners(self) -> tuple[tuple[int, ...], ...]:
-        """Per core: ids of cores reachable by an arc in either direction, ascending."""
-        adj: list[list[int]] = [[] for _ in range(self.n_cores)]
-        for a in self.arcs:
-            adj[a.src].append(a.dst)
-            adj[a.dst].append(a.src)
-        return tuple(tuple(sorted(set(s))) for s in adj)
 
 
 def _check_arc(a: Arc, n_cores: int, seen: set[tuple[int, int]]) -> None:
@@ -163,9 +159,10 @@ def serialize_graph(g: TaskGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check_core(g: TaskGraph, core: int) -> None:
-    if not (0 <= core < g.n_cores):
-        raise ValueError(f"core id {core} out of range 0..{g.n_cores - 1}")
+def _check_core(g: TaskGraph, *cores: int) -> None:
+    for core in cores:
+        if not (0 <= core < g.n_cores):
+            raise ValueError(f"core id {core} out of range 0..{g.n_cores - 1}")
 
 
 def priority_order(g: TaskGraph) -> list[int]:
@@ -221,8 +218,7 @@ def induced_subgraph(g: TaskGraph, core_ids: Sequence[int]) -> TaskGraph:
     """
     if len(set(core_ids)) != len(core_ids):
         raise ValueError("duplicate core id in selection")
-    for c in core_ids:
-        _check_core(g, c)
+    _check_core(g, *core_ids)
     new_id = {old: new for new, old in enumerate(core_ids)}
     arcs = tuple(
         Arc(new_id[a.src], new_id[a.dst], a.volume, a.bandwidth)

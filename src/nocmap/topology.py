@@ -110,7 +110,9 @@ def _layer_order(n: int, layer: int) -> tuple[int, ...]:
     return tuple(order)
 
 
-def lozenge_next_empty(anchor: int, free: np.ndarray, mesh: Mesh3D) -> int:
+def lozenge_next_empty(
+    anchor: int, free: np.ndarray, mesh: Mesh3D, resume: dict[int, int] | None = None
+) -> int:
     """Nearest free tile around an anchor, found by diamond-ring rotation.
 
     The anchor's column parity selects the rotation: odd columns walk each
@@ -126,6 +128,10 @@ def lozenge_next_empty(anchor: int, free: np.ndarray, mesh: Mesh3D) -> int:
     empty.  Each visiting order is a table built once per mesh size and
     position; a layer is scanned by gathering ``free`` through it.
 
+    ``resume``, if given, maps an anchor to the first index in its layer
+    order that may still hold a free tile; the search starts there and
+    records where it found one.  Keep one per mask that only loses free tiles.
+
     Raises ValueError when no tile is free (a caller bug: callers must track
     capacity).
     """
@@ -135,11 +141,14 @@ def lozenge_next_empty(anchor: int, free: np.ndarray, mesh: Mesh3D) -> int:
     a_layer, a_row, a_col = tile_coords(anchor, n)
     cells = _layer_cells(n, a_row, a_col)
     nn = n * n
-    for layer in _layer_order(n, a_layer):
+    resume = {} if resume is None else resume
+    start = resume.get(anchor, 0)
+    for i, layer in enumerate(_layer_order(n, a_layer)[start:], start):
         order = cells[1:] if layer == a_layer else cells
         hits = free[layer * nn:(layer + 1) * nn][order]
         first = int(hits.argmax())
         if hits[first]:
+            resume[anchor] = i
             return layer * nn + int(order[first])
     if free[anchor]:
         return anchor

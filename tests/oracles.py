@@ -24,7 +24,9 @@ The library's sparse versions must reproduce them exactly, placement
 insertion order included.  Like the library, they keep which tiles are
 empty as one bool mask per mesh; they share ``priority_order`` and
 ``induced_subgraph`` with the library, and call each other rather than the
-library's fast paths.
+library's fast paths.  They read volumes and partners from the arcs
+(``exchange_matrix``, ``partner_sets``), never from the graph's neighbour
+map, so a fault there cannot hide in both.
 """
 
 from __future__ import annotations
@@ -57,6 +59,21 @@ def volume_matrix(g) -> list[list[int]]:
     for a in g.arcs:
         m[a.src][a.dst] = a.volume
     return m
+
+
+def exchange_matrix(g) -> list[list[int]]:
+    """Volume exchanged per pair of cores, both directions summed; symmetric."""
+    m = volume_matrix(g)
+    return [[m[a][b] + m[b][a] for b in range(g.n_cores)] for a in range(g.n_cores)]
+
+
+def partner_sets(g) -> list[set[int]]:
+    """Per core: the cores an arc links it to, either way, zero-volume arcs included."""
+    partners: list[set[int]] = [set() for _ in range(g.n_cores)]
+    for a in g.arcs:
+        partners[a.src].add(a.dst)
+        partners[a.dst].add(a.src)
+    return partners
 
 
 def bandwidth_matrix(g) -> list[list[int]]:
@@ -255,14 +272,15 @@ def ddmap(g: TaskGraph, mesh: Mesh3D) -> dict[int, int]:
         free[tile] = False
         mapped_seq.append(core)
 
+    volume = exchange_matrix(g)
     unmapped = [c for c in order if c not in mapping]
-    traffic = {c: sum(g.volume_between(c, m) for m in mapped_seq) for c in unmapped}
+    traffic = {c: sum(volume[c][m] for m in mapped_seq) for c in unmapped}
     while unmapped:
         core = min(unmapped, key=lambda c: (-traffic[c], rank[c]))
         anchor_core = mapped_seq[0]
-        best = g.volume_between(core, anchor_core)
+        best = volume[core][anchor_core]
         for m in mapped_seq[1:]:
-            v = g.volume_between(core, m)
+            v = volume[core][m]
             if v > best:
                 best, anchor_core = v, m
         tile = lozenge_next_empty(mapping[anchor_core], free, mesh)
@@ -271,7 +289,7 @@ def ddmap(g: TaskGraph, mesh: Mesh3D) -> dict[int, int]:
         mapped_seq.append(core)
         unmapped.remove(core)
         for c in unmapped:
-            traffic[c] += g.volume_between(c, core)
+            traffic[c] += volume[c][core]
     return mapping
 
 
@@ -297,6 +315,7 @@ def cluster_tasks(g: TaskGraph, max_clusters: int) -> ClusterSet:
     """Chains from ``min(unscheduled)``; surplus merge over all (surplus, kept) pairs."""
     if max_clusters < 1:
         raise ValueError("need at least one cluster")
+    volume, partners = exchange_matrix(g), partner_sets(g)
     unscheduled = set(range(g.n_cores))
     scheduled: set[int] = set()
     chains: list[list[int]] = []
@@ -306,14 +325,14 @@ def cluster_tasks(g: TaskGraph, max_clusters: int) -> ClusterSet:
         scheduled.add(current)
         chain = [current]
         while True:
-            candidates = [t for t in g.partners[current] if t in unscheduled]
+            candidates = [t for t in partners[current] if t in unscheduled]
             if not candidates:
                 break
-            nxt = min(candidates, key=lambda t: (-g.volume_between(current, t), t))
+            nxt = min(candidates, key=lambda t: (-volume[current][t], t))
             unscheduled.discard(nxt)
             scheduled.add(nxt)
             chain.append(nxt)
-            loops_back = any(p in scheduled and p != current for p in g.partners[nxt])
+            loops_back = any(p in scheduled and p != current for p in partners[nxt])
             if loops_back:
                 break
             current = nxt
@@ -323,7 +342,7 @@ def cluster_tasks(g: TaskGraph, max_clusters: int) -> ClusterSet:
         kept = [list(c) for c in chains[:max_clusters]]
         for surplus in chains[max_clusters:]:
             exchanged = [
-                sum(g.volume_between(u, v) for u in surplus for v in cluster)
+                sum(volume[u][v] for u in surplus for v in cluster)
                 for cluster in kept
             ]
             target = max(range(len(kept)), key=lambda i: (exchanged[i], -i))

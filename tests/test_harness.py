@@ -203,6 +203,28 @@ class TestRunBenchmark:
         values = [float(line.split(",")[2]) for line in lines[1:]]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize(
+        "arcs",
+        [G1_ARCS, [(0, 1, 1, 2 ** 56), (1, 2, 1, 1), (2, 3, 1, 1), (3, 0, 1, 1)]],
+        ids=["g1", "cost-above-2^53"],
+    )
+    def test_cost_trace_ends_at_the_rows_exact_cost(self, tmp_path, arcs):
+        # costs are exact integers, written as such: 24, not 24.0, and 2^56 + 3
+        # digit for digit, not rounded to a float
+        graph = tmp_path / "g.ctg"
+        graph.write_text(serialize_graph(graph_from_arcs(4, arcs)))
+        cfg = RunConfig(
+            graph=graph, mesh_n=2, mode="pso", objective="cost",
+            pso=PsoParams(swarm_size=20, max_evals_per_simulation=2_000),
+            out_dir=tmp_path / "out", csv_path=tmp_path / "rows.csv",
+        )
+        run_benchmark(cfg)
+        (trace,) = (tmp_path / "out").glob("*.trace.csv")
+        last = trace.read_text().splitlines()[-1].split(",")[2]
+        with (tmp_path / "rows.csv").open(newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert last == row["comm_cost"]
+
 
 @pytest.mark.parametrize(
     "load, key, value",

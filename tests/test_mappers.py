@@ -78,6 +78,12 @@ class TestDdmap:
         g = data.draw(sparse_graphs(mesh.tile_count))
         assert list(ddmap(g, mesh).items()) == list(oracles.ddmap(g, mesh).items())
 
+    def test_matches_oracle_at_benchmark_scale(self):
+        # 1000 cores fill a 10x10x10 mesh: only this deep do searches from
+        # one anchor resume past several full layers
+        g, mesh = generate_random_graph(1000, 1500, seed=1), Mesh3D(10)
+        assert list(ddmap(g, mesh).items()) == list(oracles.ddmap(g, mesh).items())
+
 
 class TestTileOrders:
     def test_crinkle_n2(self, mesh2):

@@ -75,6 +75,12 @@ class TestDynamic:
         fast, slow = dynamic_schedule(g, mesh), oracles.dynamic_schedule(g, mesh)
         assert list(fast.placement.items()) == list(slow.placement.items())
 
+    def test_matches_oracle_at_benchmark_scale(self):
+        # three full rounds of 512 tasks on an 8x8x8 mesh
+        g, mesh = generate_random_graph(1536, 2304, seed=2), Mesh3D(8)
+        fast, slow = dynamic_schedule(g, mesh), oracles.dynamic_schedule(g, mesh)
+        assert list(fast.placement.items()) == list(slow.placement.items())
+
 
 class TestClusterTasks:
     def test_g1_single_chain(self, g1):

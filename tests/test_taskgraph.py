@@ -227,9 +227,18 @@ class TestVolumeBetween:
     @settings(max_examples=100)
     def test_matches_volume_matrix(self, g):
         m = volume_matrix(g)
+        linked = {(a.src, a.dst) for a in g.arcs} | {(a.dst, a.src) for a in g.arcs}
         for a in range(g.n_cores):
             for b in range(g.n_cores):
                 assert g.volume_between(a, b) == m[a][b] + m[b][a]
+            # every linked core is a neighbour, zero-volume arcs included
+            want = {b: m[a][b] + m[b][a] for b in range(g.n_cores) if (a, b) in linked}
+            assert g.neighbours[a] == want
+
+    def test_core_off_the_graph_is_refused(self, g1):
+        for a, b in ((-1, 0), (0, 4), (4, 0)):
+            with pytest.raises(ValueError, match="out of range"):
+                g1.volume_between(a, b)
 
 
 class TestInducedSubgraph:

@@ -154,6 +154,16 @@ class TestLozenge:
             assert lozenge_next_empty(14, free, mesh3) == want
             blocked.append(want)
 
+    def test_resume_records_the_layer_found(self, mesh3):
+        free = np.ones(27, dtype=bool)
+        free[9:18] = False
+        resume = {}
+        assert lozenge_next_empty(13, free, mesh3, resume) == 22
+        assert resume == {13: 1}  # layer order of 13: 1, 2, 0; the own layer is full
+        free[18:27] = False
+        assert lozenge_next_empty(13, free, mesh3, resume) == 4
+        assert resume == {13: 2}
+
     def test_exhaustive_single_free(self, mesh3):
         # every anchor finds the unique free tile, wherever it is
         for anchor in range(27):
@@ -207,6 +217,30 @@ class TestLozengeAgainstRingWalk:
             for search in (lozenge_next_empty, oracles.lozenge_next_empty):
                 with pytest.raises(ValueError, match="^no free tile available$"):
                     search(anchor, full, mesh)
+
+    @given(st.integers(2, 5), st.integers(0, 2 ** 32), st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_resumed_searches_on_a_shrinking_mask(self, n, seed, n_anchors):
+        # a few anchors, each searched many times with one shared resume dict
+        # on one mask that only loses free tiles: each found tile is filled,
+        # some steps fill a random one too, until the mesh is full
+        import random
+
+        mesh = Mesh3D(n)
+        rng = random.Random(seed)
+        anchors = rng.sample(range(mesh.tile_count), n_anchors)
+        free = np.ones(mesh.tile_count, dtype=bool)
+        resume: dict[int, int] = {}
+        while free.any():
+            anchor = rng.choice(anchors)
+            want = oracles.lozenge_next_empty(anchor, free, mesh)
+            assert lozenge_next_empty(anchor, free, mesh, resume) == want
+            free[want] = False
+            if rng.random() < 0.3 and free.any():
+                free[rng.choice(np.flatnonzero(free).tolist())] = False
+        for anchor in anchors:
+            with pytest.raises(ValueError, match="^no free tile available$"):
+                lozenge_next_empty(anchor, free, mesh, resume)
 
     def test_errors_unchanged(self, mesh3):
         for anchor, size in ((0, 8), (27, 27), (-1, 27)):
