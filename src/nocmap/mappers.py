@@ -22,8 +22,6 @@ from __future__ import annotations
 import heapq
 from typing import Sequence
 
-import numpy as np
-
 from .metrics import Mapping
 from .taskgraph import TaskGraph, priority_order
 from .topology import Mesh3D, _layer_order, diagonal_tiles, lozenge_next_empty
@@ -39,6 +37,12 @@ def ddmap(g: TaskGraph, mesh: Mesh3D) -> Mapping:
     seed when that volume is 0.  Traffic is updated along the arcs of each
     newly placed core and read from a lazy heap, so the cost follows the
     arcs, not all pairs.
+
+    The empty tiles are one ``bytearray`` mask plus a count per layer, kept
+    in step as each core is placed.  Every tile after the seeds comes from
+    one ``lozenge_next_empty`` call that reads both and resumes, through one
+    cursor dict per ddmap call, where the anchor's previous search stopped;
+    tiles are only ever filled, which keeps that cursor valid.
     """
     n, n_cores = mesh.n, g.n_cores
     if n_cores > mesh.tile_count:
@@ -49,18 +53,21 @@ def ddmap(g: TaskGraph, mesh: Mesh3D) -> Mapping:
         rank[core] = i
     neighbours = g.neighbours
 
-    free = np.ones(mesh.tile_count, dtype=bool)  # per tile: still empty
+    nn = n * n
+    free = bytearray(b"\x01") * (nn * n)  # per tile: still empty
+    counts = [nn] * n  # per layer: empty tiles
     mapping: Mapping = {}
     placed_at = [-1] * n_cores  # index in the placement sequence, -1 while unmapped
     traffic = [0] * n_cores  # per unmapped core: volume exchanged with the mapped set
     # Heap keys -traffic*N + rank order cores by (-traffic, rank); a key whose
     # traffic has since grown is stale and skipped.
     heap: list[int] = []
-    resume: dict[int, int] = {}  # layers each anchor's searches found full; free only shrinks
+    resume: dict[int, int] = {}  # per anchor: where its last search ended; free only shrinks
 
     def place(core: int, tile: int) -> None:
         mapping[core] = tile
-        free[tile] = False
+        free[tile] = 0
+        counts[tile // nn] -= 1
         placed_at[core] = len(mapping) - 1
         for p, v in neighbours[core].items():
             if v and placed_at[p] < 0:
@@ -84,7 +91,7 @@ def ddmap(g: TaskGraph, mesh: Mesh3D) -> Mapping:
             if placed_at[p] >= 0:
                 if v > best or (v == best and v and placed_at[p] < placed_at[anchor_core]):
                     anchor_core, best = p, v
-        place(core, lozenge_next_empty(mapping[anchor_core], free, mesh, resume))
+        place(core, lozenge_next_empty(mapping[anchor_core], free, counts, mesh, resume))
     return mapping
 
 

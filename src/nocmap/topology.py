@@ -10,20 +10,39 @@ recovers the column, which drives the search rotation below.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 
+def _hop_table_bytes(n: int) -> int:
+    """Size of ``hop_table(n)``'s table, (2n-1)^3 int64 entries: the largest per-mesh table."""
+    return 8 * (2 * n - 1) ** 3
+
+
+MAX_TABLE_BYTES = 2 ** 28
+# The largest side whose hop table fits MAX_TABLE_BYTES (161).
+MAX_SIDE = next(n for n in itertools.count(2) if _hop_table_bytes(n + 1) > MAX_TABLE_BYTES)
+
+
 @dataclass(frozen=True)
 class Mesh3D:
-    """An n x n x n tile grid, n >= 2."""
+    """An n x n x n tile grid, 2 <= n <= MAX_SIDE.
+
+    A larger mesh is refused here, before any per-mesh table is built.
+    """
 
     n: int
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("mesh side length must be at least 2")
+        if self.n > MAX_SIDE:
+            raise ValueError(
+                f"mesh side length {self.n} is above the limit of {MAX_SIDE}: its hop table "
+                f"would take {_hop_table_bytes(self.n)} bytes, more than {MAX_TABLE_BYTES}"
+            )
 
     @property
     def tile_count(self) -> int:
@@ -77,7 +96,7 @@ def hop_table(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=None)
-def _layer_cells(n: int, row: int, col: int) -> np.ndarray:
+def _layer_cells(n: int, row: int, col: int) -> tuple[int, ...]:
     """In-layer cells ``r*n + c`` in lozenge visiting order around (row, col).
 
     Diamond rings of Manhattan radius d = 0..2(n-1), each starting at its
@@ -86,7 +105,7 @@ def _layer_cells(n: int, row: int, col: int) -> np.ndarray:
     is a permutation of the n^2 cells starting with (row, col) itself.
 
     Cached per position, never per tile: n^4 entries per mesh size once
-    every position has been an anchor (80 kB at n = 10).
+    every position has been an anchor (10,000 at n = 10).
     """
     sign = 1 if col % 2 == 1 else -1
     cells = [row * n + col]
@@ -96,9 +115,7 @@ def _layer_cells(n: int, row: int, col: int) -> np.ndarray:
         ring += [(row + d - k, col - sign * k) for k in range(d)]
         ring += [(row - k, col - sign * (d - k)) for k in range(d)]
         cells.extend(r * n + c for r, c in ring if 0 <= r < n and 0 <= c < n)
-    table = np.array(cells, dtype=np.intp)
-    table.flags.writeable = False  # shared by every caller through the cache
-    return table
+    return tuple(cells)
 
 
 @functools.lru_cache(maxsize=None)
@@ -111,7 +128,11 @@ def _layer_order(n: int, layer: int) -> tuple[int, ...]:
 
 
 def lozenge_next_empty(
-    anchor: int, free: np.ndarray, mesh: Mesh3D, resume: dict[int, int] | None = None
+    anchor: int,
+    free: bytearray | np.ndarray,
+    counts: list[int],
+    mesh: Mesh3D,
+    resume: dict[int, int] | None = None,
 ) -> int:
     """Nearest free tile around an anchor, found by diamond-ring rotation.
 
@@ -124,32 +145,45 @@ def lozenge_next_empty(
     The anchor tile itself is considered only as a last resort, so a fully
     packed mesh with only the anchor free still resolves.
 
-    ``free`` is a bool array with one entry per tile, True where the tile is
-    empty.  Each visiting order is a table built once per mesh size and
-    position; a layer is scanned by gathering ``free`` through it.
+    ``free`` has one truthy entry per empty tile (a ``bytearray`` is the
+    fastest to index; a numpy bool array works too), and ``counts[layer]``
+    is the number of empty tiles in each layer.  The two must agree: a layer
+    whose count shows no empty tile is skipped without a look, and so is
+    the anchor's own layer when the anchor is its only empty tile.  The
+    visiting orders are tables built once per mesh size and position, and
+    the walk is a plain loop that stops at the first empty tile.
 
-    ``resume``, if given, maps an anchor to the first index in its layer
-    order that may still hold a free tile; the search starts there and
-    records where it found one.  Keep one per mask that only loses free tiles.
+    ``resume``, if given, maps an anchor to its position in the visiting
+    order (layer index * n^2 + cell index) where the last search from it
+    found a tile; the search starts there and records where it found one.
+    Keep one per mask that only loses free tiles: the tiles visited before
+    that position are still full.
 
     Raises ValueError when no tile is free (a caller bug: callers must track
     capacity).
     """
     n = mesh.n
-    if len(free) != mesh.tile_count:
+    nn = n * n
+    if len(free) != nn * n:
         raise ValueError("occupancy size does not match mesh")
+    if len(counts) != n:
+        raise ValueError("free counts size does not match mesh")
     a_layer, a_row, a_col = tile_coords(anchor, n)
     cells = _layer_cells(n, a_row, a_col)
-    nn = n * n
+    layers = _layer_order(n, a_layer)
     resume = {} if resume is None else resume
-    start = resume.get(anchor, 0)
-    for i, layer in enumerate(_layer_order(n, a_layer)[start:], start):
-        order = cells[1:] if layer == a_layer else cells
-        hits = free[layer * nn:(layer + 1) * nn][order]
-        first = int(hits.argmax())
-        if hits[first]:
-            resume[anchor] = i
-            return layer * nn + int(order[first])
+    # Position 0 is the anchor itself, which is tried last.
+    i, k = divmod(resume.get(anchor, 1), nn)
+    for i in range(i, n):
+        layer = layers[i]
+        # The anchor's own layer (i == 0) needs an empty tile besides the anchor.
+        if counts[layer] > (i == 0 and free[anchor]):
+            base = layer * nn
+            for k in range(k, nn):
+                if free[base + cells[k]]:
+                    resume[anchor] = i * nn + k
+                    return base + cells[k]
+        k = 0
     if free[anchor]:
         return anchor
     raise ValueError("no free tile available")

@@ -223,6 +223,12 @@ def _ring(row: int, col: int, d: int, clockwise: bool) -> Iterator[tuple[int, in
             yield (row - k, col + d - k)
 
 
+def layer_counts(free, mesh: Mesh3D) -> list[int]:
+    """Empty tiles per layer of a free mask, as ``nocmap.topology.lozenge_next_empty`` takes them."""
+    nn = mesh.n * mesh.n
+    return [sum(bool(f) for f in free[layer * nn:(layer + 1) * nn]) for layer in range(mesh.n)]
+
+
 def lozenge_next_empty(anchor: int, free: np.ndarray, mesh: Mesh3D) -> int:
     """Ring-by-ring walk: own layer d = 1..2(n-1), then layers +1, -1, +2, ...
     from d = 0, the anchor last."""

@@ -32,7 +32,7 @@ from nocmap.taskgraph import graph_from_arcs, priority_order, serialize_graph
 from nocmap.topology import lozenge_next_empty
 
 from conftest import G1_ARCS
-from oracles import brute_cost, brute_energy, brute_eta, brute_latency, manhattan3
+from oracles import brute_cost, brute_energy, brute_eta, brute_latency, layer_counts, manhattan3
 
 
 @contextmanager
@@ -90,7 +90,7 @@ def test_criterion_3_topology_exhaustive():
             for free in range(27):
                 mask = np.zeros(27, dtype=bool)
                 mask[free] = True
-                assert lozenge_next_empty(anchor, mask, mesh) == free
+                assert lozenge_next_empty(anchor, mask, layer_counts(mask, mesh), mesh) == free
 
 
 def test_criterion_4_ddmap_anchor_and_validity():

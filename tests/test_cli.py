@@ -84,6 +84,14 @@ def test_seed_mapping_with_non_integer_id_rejected(demo_graph, tmp_path, capsys,
     assert not out_dir.exists() and not csv_path.exists()
 
 
+@pytest.mark.parametrize("command", ["map", "schedule", "optimize", "oracle"])
+def test_oversize_mesh_is_an_error_not_a_traceback(demo_graph, command, capsys):
+    # refused by Mesh3D before any per-mesh table is allocated
+    rc = main([command, "--graph", str(demo_graph), "--mesh", "5000"])
+    assert rc == 1
+    assert re.match(r"error: mesh side length 5000 is above the limit of \d+: ", capsys.readouterr().err)
+
+
 def test_oracle_output(tmp_path, capsys):
     path = tmp_path / "pair.ctg"
     path.write_text("cores 2\nedge 0 1 100 10\n")

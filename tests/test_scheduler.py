@@ -200,6 +200,17 @@ class TestClusterSchedule:
         s = cluster_schedule(g, mesh3)
         assert s.placement == ddmap(g, mesh3)
 
+    def test_matches_oracle_at_benchmark_scale(self):
+        # the benchmark's 3000-task schedule graph: its chains merge into a
+        # cluster graph that fills the 10x10x10 mesh, so late searches skip
+        # full layers by their counts
+        g, mesh = generate_random_graph(3000, 4500, seed=1), Mesh3D(10)
+        cs = oracles.cluster_tasks(g, mesh.tile_count)
+        cluster_map = oracles.ddmap(cluster_graph(g, cs), mesh)
+        assert len(cs.clusters) == mesh.tile_count
+        want = [(task, cluster_map[i]) for i, cluster in enumerate(cs.clusters) for task in cluster]
+        assert list(cluster_schedule(g, mesh).placement.items()) == want
+
     def test_choice_of_mapper(self, mesh3):
         g = generate_random_graph(20, 30, seed=9)
         for mapper in ("ddmap", "spiral", "crinkle"):

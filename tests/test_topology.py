@@ -7,11 +7,44 @@ from hypothesis import strategies as st
 
 from nocmap import Mesh3D
 from nocmap.taskgraph import graph_from_arcs
-from nocmap.topology import diagonal_tiles, lozenge_next_empty, tile_coords
+from nocmap.topology import (
+    MAX_SIDE,
+    MAX_TABLE_BYTES,
+    _hop_table_bytes,
+    _layer_order,
+    diagonal_tiles,
+    hop_table,
+    lozenge_next_empty,
+    tile_coords,
+)
 from nocmap.metrics import HopKernel
 
 import oracles
-from oracles import manhattan3
+from oracles import layer_counts, manhattan3
+
+
+class TestMeshSize:
+    def test_bound_is_the_largest_side_whose_hop_table_fits(self):
+        assert _hop_table_bytes(MAX_SIDE) <= MAX_TABLE_BYTES < _hop_table_bytes(MAX_SIDE + 1)
+        for n in (2, 3, 12):
+            assert _hop_table_bytes(n) == hop_table(n)[1].nbytes
+        assert MAX_SIDE >= 40  # the largest mesh the suite builds
+
+    def test_largest_accepted_mesh_builds_nothing(self):
+        # construction only checks n; the tables are built lazily per mesh size
+        built = hop_table.cache_info().currsize
+        assert Mesh3D(MAX_SIDE).n == MAX_SIDE
+        assert hop_table.cache_info().currsize == built
+
+    @pytest.mark.parametrize("n", [MAX_SIDE + 1, 5000, 10 ** 9])
+    def test_oversize_mesh_is_refused(self, n):
+        with pytest.raises(ValueError, match=rf"^mesh side length {n} is above the limit of {MAX_SIDE}: "):
+            Mesh3D(n)
+
+    def test_too_small_mesh_is_refused(self):
+        for n in (1, 0, -3):
+            with pytest.raises(ValueError, match="^mesh side length must be at least 2$"):
+                Mesh3D(n)
 
 
 class TestIndexing:
@@ -120,19 +153,25 @@ def free_only(mesh, free):
     return mask
 
 
+def search(anchor, free, mesh, resume=None):
+    """The library search, with the per-layer counts built from the mask."""
+    return lozenge_next_empty(anchor, free, layer_counts(free, mesh), mesh, resume)
+
+
 class TestLozenge:
     def test_all_free_goes_north(self, mesh3):
         free = np.ones(27, dtype=bool)
         free[13] = False
-        assert lozenge_next_empty(13, free, mesh3) == 10
+        assert lozenge_next_empty(13, free, layer_counts(free, mesh3), mesh3) == 10
 
     def test_full_layer_moves_up_first(self, mesh3):
         free = np.ones(27, dtype=bool)
         free[9:18] = False
-        assert lozenge_next_empty(13, free, mesh3) == 22
+        assert lozenge_next_empty(13, free, layer_counts(free, mesh3), mesh3) == 22
 
     def test_single_free_tile_found(self, mesh3):
-        assert lozenge_next_empty(13, free_only(mesh3, {25}), mesh3) == 25
+        free = free_only(mesh3, {25})
+        assert lozenge_next_empty(13, free, layer_counts(free, mesh3), mesh3) == 25
 
     def test_first_ring_order_clockwise(self, mesh3):
         # anchor 13 sits in an odd column, so the d=1 ring is walked N,E,S,W
@@ -141,7 +180,7 @@ class TestLozenge:
         for want in expected:
             free = np.ones(27, dtype=bool)
             free[[13, *blocked]] = False
-            assert lozenge_next_empty(13, free, mesh3) == want
+            assert lozenge_next_empty(13, free, layer_counts(free, mesh3), mesh3) == want
             blocked.append(want)
 
     def test_first_ring_order_counter_clockwise(self, mesh3):
@@ -151,35 +190,42 @@ class TestLozenge:
         for want in expected:
             free = np.ones(27, dtype=bool)
             free[[14, *blocked]] = False
-            assert lozenge_next_empty(14, free, mesh3) == want
+            assert lozenge_next_empty(14, free, layer_counts(free, mesh3), mesh3) == want
             blocked.append(want)
 
-    def test_resume_records_the_layer_found(self, mesh3):
+    def test_resume_records_the_position_found(self, mesh3):
+        # layer order of 13: 1, 2, 0; each layer visits cells 4, 1, 5, 7, 3, ...
+        # (its projection first, then the d = 1 ring N, E, S, W)
         free = np.ones(27, dtype=bool)
         free[9:18] = False
+        counts = layer_counts(free, mesh3)
         resume = {}
-        assert lozenge_next_empty(13, free, mesh3, resume) == 22
-        assert resume == {13: 1}  # layer order of 13: 1, 2, 0; the own layer is full
-        free[18:27] = False
-        assert lozenge_next_empty(13, free, mesh3, resume) == 4
-        assert resume == {13: 2}
+        assert lozenge_next_empty(13, free, counts, mesh3, resume) == 22
+        assert resume == {13: 9}  # layer index 1, cell index 0
+        free[22], counts[2] = False, counts[2] - 1
+        assert lozenge_next_empty(13, free, counts, mesh3, resume) == 19
+        assert resume == {13: 10}  # same layer, one cell on
+        free[18:27], counts[2] = False, 0
+        assert lozenge_next_empty(13, free, counts, mesh3, resume) == 4
+        assert resume == {13: 18}  # layer index 2, cell index 0
 
     def test_exhaustive_single_free(self, mesh3):
         # every anchor finds the unique free tile, wherever it is
         for anchor in range(27):
             for free in range(27):
-                assert lozenge_next_empty(anchor, free_only(mesh3, {free}), mesh3) == free
+                assert search(anchor, free_only(mesh3, {free}), mesh3) == free
 
     def test_no_free_tile_is_an_error(self, mesh3):
+        free = free_only(mesh3, set())
         with pytest.raises(ValueError, match="no free tile"):
-            lozenge_next_empty(13, free_only(mesh3, set()), mesh3)
+            lozenge_next_empty(13, free, layer_counts(free, mesh3), mesh3)
 
     @given(st.integers(0, 26), st.sets(st.integers(0, 26), min_size=1))
     @settings(max_examples=80)
     def test_returns_a_free_tile_deterministically(self, anchor, free):
         mesh = Mesh3D(3)
-        first = lozenge_next_empty(anchor, free_only(mesh, free), mesh)
-        second = lozenge_next_empty(anchor, free_only(mesh, free), mesh)
+        first = search(anchor, free_only(mesh, free), mesh)
+        second = search(anchor, free_only(mesh, free), mesh)
         assert first == second
         assert first in free
 
@@ -203,47 +249,125 @@ class TestLozengeAgainstRingWalk:
         free = np.array([rng.random() >= density for _ in range(mesh.tile_count)])
         for anchor in range(mesh.tile_count):
             want = _search(oracles.lozenge_next_empty, anchor, free, mesh)
-            assert _search(lozenge_next_empty, anchor, free, mesh) == want
+            assert _search(search, anchor, free, mesh) == want
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_only_anchor_free_and_nothing_free(self, n):
         mesh = Mesh3D(n)
         for anchor in range(mesh.tile_count):
             free = free_only(mesh, {anchor})
-            assert lozenge_next_empty(anchor, free, mesh) == anchor
+            assert search(anchor, free, mesh) == anchor
             assert oracles.lozenge_next_empty(anchor, free, mesh) == anchor
         full = free_only(mesh, set())
         for anchor in (0, mesh.tile_count - 1):
-            for search in (lozenge_next_empty, oracles.lozenge_next_empty):
+            for find in (search, oracles.lozenge_next_empty):
                 with pytest.raises(ValueError, match="^no free tile available$"):
-                    search(anchor, full, mesh)
+                    find(anchor, full, mesh)
 
     @given(st.integers(2, 5), st.integers(0, 2 ** 32), st.integers(1, 4))
     @settings(max_examples=60, deadline=None)
     def test_resumed_searches_on_a_shrinking_mask(self, n, seed, n_anchors):
         # a few anchors, each searched many times with one shared resume dict
         # on one mask that only loses free tiles: each found tile is filled,
-        # some steps fill a random one too, until the mesh is full
+        # some steps fill a random one too, until the mesh is full; the
+        # per-layer counts are kept in step with the mask, as ddmap keeps them
+        import random
+
+        mesh = Mesh3D(n)
+        nn = n * n
+        rng = random.Random(seed)
+        anchors = rng.sample(range(mesh.tile_count), n_anchors)
+        free = np.ones(mesh.tile_count, dtype=bool)
+        counts = [nn] * n
+        resume: dict[int, int] = {}
+
+        def fill(tile):
+            free[tile] = False
+            counts[tile // nn] -= 1
+
+        while free.any():
+            anchor = rng.choice(anchors)
+            want = oracles.lozenge_next_empty(anchor, free, mesh)
+            assert lozenge_next_empty(anchor, free, counts, mesh, resume) == want
+            fill(want)
+            if rng.random() < 0.3 and free.any():
+                fill(rng.choice(np.flatnonzero(free).tolist()))
+        assert counts == [0] * n
+        for anchor in anchors:
+            with pytest.raises(ValueError, match="^no free tile available$"):
+                lozenge_next_empty(anchor, free, counts, mesh, resume)
+
+    @given(st.integers(2, 5), st.integers(0, 2 ** 32))
+    @settings(max_examples=40, deadline=None)
+    def test_anchor_alone_in_its_layer(self, n, seed):
+        # the anchor's own layer is skipped when the anchor is its only free
+        # tile: the search must go on to the other layers, and fall back to
+        # the anchor only when they are full too
+        import random
+
+        mesh = Mesh3D(n)
+        nn = n * n
+        rng = random.Random(seed)
+        for anchor in range(mesh.tile_count):
+            elsewhere = [t for t in range(mesh.tile_count) if t // nn != anchor // nn]
+            for others in (set(), set(rng.sample(elsewhere, rng.randint(1, len(elsewhere))))):
+                free = free_only(mesh, {anchor} | others)
+                want = oracles.lozenge_next_empty(anchor, free, mesh)
+                assert search(anchor, free, mesh) == want
+                assert (want == anchor) == (not others)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_only_the_farthest_layer_has_room(self, n):
+        # every layer is full except the last one the anchor visits, which
+        # has one free tile or is entirely free
+        import random
+
+        mesh = Mesh3D(n)
+        nn = n * n
+        rng = random.Random(n)
+        for anchor in range(mesh.tile_count):
+            farthest = _layer_order(n, anchor // nn)[-1]
+            layer = range(farthest * nn, (farthest + 1) * nn)
+            for room in ({rng.choice(layer)}, set(layer)):
+                free = free_only(mesh, room)
+                want = oracles.lozenge_next_empty(anchor, free, mesh)
+                assert search(anchor, free, mesh) == want
+                resume: dict[int, int] = {}
+                assert search(anchor, free, mesh, resume) == want
+                assert resume[anchor] // nn == n - 1
+
+    @given(st.integers(2, 5), st.integers(0, 2 ** 32), st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    @settings(max_examples=30, deadline=None)
+    def test_bytearray_and_bool_masks_agree(self, n, seed, density):
         import random
 
         mesh = Mesh3D(n)
         rng = random.Random(seed)
-        anchors = rng.sample(range(mesh.tile_count), n_anchors)
-        free = np.ones(mesh.tile_count, dtype=bool)
-        resume: dict[int, int] = {}
-        while free.any():
-            anchor = rng.choice(anchors)
-            want = oracles.lozenge_next_empty(anchor, free, mesh)
-            assert lozenge_next_empty(anchor, free, mesh, resume) == want
-            free[want] = False
-            if rng.random() < 0.3 and free.any():
-                free[rng.choice(np.flatnonzero(free).tolist())] = False
-        for anchor in anchors:
-            with pytest.raises(ValueError, match="^no free tile available$"):
-                lozenge_next_empty(anchor, free, mesh, resume)
+        mask = np.array([rng.random() >= density for _ in range(mesh.tile_count)])
+        raw = bytearray(mask.tobytes())
+        counts = layer_counts(mask, mesh)
+        assert layer_counts(raw, mesh) == counts
+        for anchor in range(mesh.tile_count):
+            want = _search(oracles.lozenge_next_empty, anchor, mask, mesh)
+            for free in (mask, raw):
+                got = _search(lambda a, f, m: lozenge_next_empty(a, f, counts, m), anchor, free, mesh)
+                assert got == want
 
     def test_errors_unchanged(self, mesh3):
         for anchor, size in ((0, 8), (27, 27), (-1, 27)):
             free = np.ones(size, dtype=bool)
             want = _search(oracles.lozenge_next_empty, anchor, free, mesh3)
-            assert _search(lozenge_next_empty, anchor, free, mesh3) == want
+            assert _search(search, anchor, free, mesh3) == want
+
+    def test_bad_input_is_refused(self, mesh3):
+        free = bytearray(b"\x01") * 27
+        counts = [9, 9, 9]
+        for mask in (free[:26], free + b"\x01", bytearray()):
+            with pytest.raises(ValueError, match="^occupancy size does not match mesh$"):
+                lozenge_next_empty(13, mask, counts, mesh3)
+        for wrong in (counts[:2], counts + [0], []):
+            with pytest.raises(ValueError, match="^free counts size does not match mesh$"):
+                lozenge_next_empty(13, free, wrong, mesh3)
+        for anchor in (-1, 27, 1000):
+            with pytest.raises(ValueError, match=f"^tile id {anchor} out of range 0..26$"):
+                lozenge_next_empty(anchor, free, counts, mesh3)
