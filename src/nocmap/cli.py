@@ -16,13 +16,7 @@ from .harness import ReportRow, RunConfig, exhaustive_oracle, format_comparison,
 from .mappers import MAPPERS
 from .metrics import OBJECTIVES, EnergyModel
 from .pso import PsoParams
-from .taskgraph import (
-    BANDWIDTH_RANGE,
-    VOLUME_RANGE,
-    generate_random_graph,
-    parse_graph,
-    serialize_graph,
-)
+from .taskgraph import generate_random_graph, parse_graph, serialize_graph
 from .topology import Mesh3D
 
 
@@ -41,12 +35,10 @@ def _energy_model(args) -> EnergyModel:
 
 
 def _run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--graph", required=True, help="graph file")
     parser.add_argument("--mesh", type=int, default=3, help="mesh side length n")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="directory for mapping artifacts")
     parser.add_argument("--csv", default=None, help="append a report row to this CSV")
-    parser.add_argument("--name", default=None, help="benchmark name (default: file stem)")
     _energy_flags(parser)
 
 
@@ -54,7 +46,7 @@ def _config(args, graph: str, **pipeline) -> RunConfig:
     """The run the flags describe on one graph."""
     return RunConfig(
         graph=graph, mesh_n=args.mesh, model=_energy_model(args), seed=args.seed,
-        out_dir=args.out, csv_path=args.csv, name=getattr(args, "name", None), **pipeline,
+        out_dir=args.out, csv_path=args.csv, **pipeline,
     )
 
 
@@ -95,12 +87,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    g = generate_random_graph(
-        args.cores, args.arcs,
-        volume_range=(args.vol_min, args.vol_max),
-        bandwidth_range=(args.bw_min, args.bw_max),
-        seed=args.seed,
-    )
+    g = generate_random_graph(args.cores, args.arcs, seed=args.seed)
     Path(args.out).write_text(serialize_graph(g), encoding="utf-8")
     print(f"wrote {args.out}: {g.n_cores} cores, {len(g.arcs)} arcs, seed {args.seed}")
     return 0
@@ -151,17 +138,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("map", help="one-core-per-tile mapping")
+    p.add_argument("--graph", required=True, help="graph file")
     _run_flags(p)
     p.add_argument("--algo", choices=MAPPERS, default="ddmap")
     p.set_defaults(func=_cmd_map)
 
     p = sub.add_parser("schedule", help="many-tasks-per-tile scheduling")
+    p.add_argument("--graph", required=True, help="graph file")
     _run_flags(p)
     p.add_argument("--mode", choices=("dynamic", "cluster"), default="dynamic")
     p.add_argument("--cluster-mapper", choices=MAPPERS, default="ddmap")
     p.set_defaults(func=_cmd_schedule)
 
     p = sub.add_parser("optimize", help="particle-swarm refinement of a mapping")
+    p.add_argument("--graph", required=True, help="graph file")
     _run_flags(p)
     p.add_argument("--objective", choices=OBJECTIVES, default="energy")
     p.add_argument("--seed-mapping", default=None, help="mapping artifact used to seed the swarm")
@@ -177,10 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arcs", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--vol-min", type=int, default=VOLUME_RANGE[0])
-    p.add_argument("--vol-max", type=int, default=VOLUME_RANGE[1])
-    p.add_argument("--bw-min", type=int, default=BANDWIDTH_RANGE[0])
-    p.add_argument("--bw-max", type=int, default=BANDWIDTH_RANGE[1])
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("oracle", help="exhaustive optimum for small instances")
@@ -196,13 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
     algos.add_argument("--all-algos", action="store_true", help="run every mapper")
     algos.add_argument("--algo", choices=MAPPERS, default="ddmap")
     p.add_argument("--mode", choices=("map", "dynamic", "cluster"), default="map")
-    p.add_argument("--mesh", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.add_argument("--csv", default=None)
+    _run_flags(p)
     p.add_argument("--compare", nargs=2, metavar=("A", "B"),
                    help="print percentage reductions of A relative to baseline B")
-    _energy_flags(p)
     p.set_defaults(func=_cmd_bench)
 
     return parser

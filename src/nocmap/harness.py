@@ -56,7 +56,6 @@ class RunConfig:
     seed_mapping: str | Path | None = None  # pso mode only
     out_dir: str | Path | None = None
     csv_path: str | Path | None = None
-    name: str | None = None
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -110,8 +109,10 @@ def parse_mapping_artifact(text: str) -> tuple[Mapping, dict[str, str]]:
         if line.startswith("#"):
             body = line[1:].strip()
             if "=" in body:
-                key, value = body.split("=", 1)
-                header[key.strip()] = value.strip()
+                key, value = (part.strip() for part in body.split("=", 1))
+                if key in header:
+                    raise ValueError(f"artifact line {line_no}: duplicate header key {key!r}")
+                header[key] = value
             continue
         match = re.fullmatch(r"core\s+(-?\d+)\s+->\s+tile\s+(-?\d+)", line)
         if match is None:
@@ -188,7 +189,7 @@ def run_benchmark(cfg: RunConfig) -> tuple[ReportRow, Mapping]:
     """Execute one configured pipeline; optionally write artifact and CSV row."""
     g = parse_graph(Path(cfg.graph).read_text(encoding="utf-8"))
     mesh = Mesh3D(cfg.mesh_n)
-    benchmark = cfg.name or Path(cfg.graph).stem
+    benchmark = Path(cfg.graph).stem
 
     algo = "pso" if cfg.mode == "pso" else cfg.algo
     trace = None

@@ -29,7 +29,7 @@ import numpy as np
 
 from .metrics import EnergyModel, HopKernel, Mapping
 from .taskgraph import TaskGraph, induced_subgraph, priority_order
-from .topology import Mesh3D
+from .topology import MAX_TABLE_BYTES, Mesh3D
 
 @dataclass(frozen=True)
 class PsoParams:
@@ -63,10 +63,9 @@ class PsoResult:
 
 
 def velocity_update(
-    position, velocity, pbest, gbest, params: PsoParams, rng, dimension: int,
-    out=None, scratch=None,
+    position, velocity, pbest, gbest, params: PsoParams, rng, out=None, scratch=None,
 ) -> np.ndarray:
-    """New velocity vector(s) clamped to [-dimension, dimension]; one particle or a swarm.
+    """New swarm velocities clamped to [-D, D], D being the length of a row.
 
     Both random factors come from one draw of ``rng.random``, scaled by c1 and
     c2: the same stream in the same order as two ``rng.uniform(0, c)`` calls,
@@ -91,88 +90,79 @@ def velocity_update(
     v = np.multiply(velocity, params.w, out=out, dtype=float)
     v += draw[0]
     v += draw[1]
-    return np.clip(v, -dimension, dimension, out=v)
+    return np.clip(v, -shape[-1], shape[-1], out=v)
 
 
-def position_update(position, velocity, dimension: int, out=None) -> np.ndarray:
-    """Move by the floor of the velocity, clamped to valid tile ids.
+def position_update(position, velocity, out=None) -> np.ndarray:
+    """Move by the floor of the velocity, clamped to the tile ids 0..D-1 of a row of length D.
 
     The result goes into ``out``, an int64 array of the position's shape, or
     a new one.
     """
     if out is None:
         out = np.empty(np.shape(position), dtype=np.int64)
-    np.floor(velocity, out=out, casting="unsafe")  # |velocity| <= dimension: exact
+    np.floor(velocity, out=out, casting="unsafe")  # |velocity| <= D: exact
     out += position
-    return np.clip(out, 0, dimension - 1, out=out)
+    return np.clip(out, 0, out.shape[-1] - 1, out=out)
 
 
-def _repair_scratch(rows: int, k: int, dimension: int) -> tuple[np.ndarray, ...]:
-    """Work arrays for ``repair_permutation`` on batches of ``rows`` vectors of length k."""
-    small = np.min_scalar_type(rows * dimension)  # holds every flat index and the sentinel
+def _repair_scratch(rows: int, d: int) -> tuple[np.ndarray, ...]:
+    """Work arrays for ``repair_permutation`` on a (rows, d) batch."""
+    size = rows * d
+    small = np.min_scalar_type(size)  # holds every flat index and the sentinel
     return (
-        np.empty(rows * k, dtype=np.intp),
-        np.arange(rows * k, dtype=small),
-        np.empty(rows * dimension, dtype=small),
-        np.empty(rows * k, dtype=small),
-        np.empty(rows * k, dtype=bool),
-        np.empty(rows * dimension, dtype=bool),
+        np.empty(size, dtype=np.intp),
+        np.arange(size, dtype=small),
+        np.empty(size, dtype=small),
+        np.empty(size, dtype=small),
+        np.empty(size, dtype=bool),
+        np.empty(size, dtype=bool),
     )
 
 
-def repair_permutation(raw, dimension: int, out=None, scratch=None) -> np.ndarray:
-    """Make integer vectors duplicate-free: one vector of shape (k,) or a batch (s, k).
+def repair_permutation(raw, out=None, scratch=None) -> np.ndarray:
+    """Make each row of an (s, D) integer batch a permutation of 0..D-1.
 
-    In each vector first occurrences win; later duplicates are replaced, left
-    to right, by the unused values in ascending order.  Idempotent on valid
-    vectors.  Float, bool and other non-integer input is refused rather than
-    truncated.
+    In each row first occurrences win; later duplicates are replaced, left
+    to right, by the missing values in ascending order.  Idempotent on
+    permutations.  Float, bool and other non-integer input is refused rather
+    than truncated.
 
     The result goes into ``out``, a C-contiguous int64 array of the input's
     shape that may be ``raw`` itself, or a new one.  ``scratch`` is
-    ``_repair_scratch(s, k, dimension)`` (s = 1 for one vector), or None to
-    allocate it.
+    ``_repair_scratch(s, D)``, or None to allocate it.
     """
     given = np.asarray(raw)
-    if given.dtype.kind not in "iu" and given.size:  # an empty list comes as float64
+    if given.dtype.kind not in "iu":
         raise ValueError(f"expected integer vectors, got dtype {given.dtype}")
-    if given.ndim not in (1, 2):
-        raise ValueError(f"expected a vector or a batch of vectors, got {given.ndim} dimensions")
-    k = given.shape[-1]
-    if k > dimension:
-        raise ValueError("vector longer than the value range")
-    if given.size and (given.min() < 0 or given.max() >= dimension):
-        bad = given[(given < 0) | (given >= dimension)]
-        raise ValueError(f"component {bad[0]} out of range 0..{dimension - 1}")
+    if given.ndim != 2:
+        raise ValueError(f"expected a batch of vectors, got {given.ndim} dimensions")
+    s, d = given.shape
+    if given.size and (given.min() < 0 or given.max() >= d):
+        bad = given[(given < 0) | (given >= d)]
+        raise ValueError(f"component {bad[0]} out of range 0..{d - 1}")
     if out is None:
         out = given.astype(np.int64, order="C")
     elif out is not given:
         np.copyto(out, given)
-    rows = out if out.ndim == 2 else out[np.newaxis]
-    s = rows.shape[0]
     if scratch is None:
-        scratch = _repair_scratch(s, k, dimension)
+        scratch = _repair_scratch(s, d)
     slot, index, first, at_slot, dup, free = scratch
     # Scatter each element's flat index onto its (row, value) slot; the
     # minimum is the value's first occurrence, and every other one is a
-    # duplicate.  Slots nothing reached hold the values the row is missing.
-    # The minima are kept in the smallest dtype that holds every flat index.
-    np.add(rows, np.arange(0, s * dimension, dimension)[:, None], out=slot.reshape(s, k))
+    # duplicate.  Slots nothing reached hold the values the row is missing,
+    # as many as the row has duplicates.  The minima are kept in the
+    # smallest dtype that holds every flat index.
+    np.add(out, np.arange(0, s * d, d)[:, None], out=slot.reshape(s, d))
     first.fill(out.size)
     np.minimum.at(first, slot, index)
     np.take(first, slot, out=at_slot, mode="clip")
     np.not_equal(at_slot, index, out=dup)
     np.equal(first, out.size, out=free)
-    if k < dimension:
-        # Each row keeps only its smallest dup-count missing values; with
-        # k = dimension a row misses exactly as many values as it has duplicates.
-        free2 = free.reshape(s, dimension)
-        dups_per_row = dup.reshape(s, k).sum(axis=1, dtype=np.int32)
-        free2 &= np.cumsum(free2, axis=1, dtype=np.int32) <= dups_per_row[:, None]
     # flatnonzero lists the fill values row by row in ascending order, the
     # order in which the duplicates are listed too.
     fill = np.flatnonzero(free)
-    fill %= dimension
+    fill %= d
     out.reshape(-1)[np.flatnonzero(dup)] = fill
     return out
 
@@ -210,12 +200,18 @@ def pso_optimize(
     """Swarm-search tile assignments; returns the best mapping and its trace.
 
     When ``seed_mapping`` is given it replaces one particle of the initial
-    swarm, so the result can never be worse than the seed.
+    swarm, so the result can never be worse than the seed.  A swarm whose
+    (swarm size, D) int64 array would exceed ``MAX_TABLE_BYTES`` is refused.
     """
     d = mesh.tile_count
     if g.n_cores > d:
         raise ValueError(f"{g.n_cores} cores exceed {d} tiles")
     s = params.swarm_size
+    if 8 * s * d > MAX_TABLE_BYTES:  # checked before the hop table or any swarm array is built
+        raise ValueError(
+            f"a swarm of {s} particles on {d} tiles needs {8 * s * d} bytes per int64 array, "
+            f"more than {MAX_TABLE_BYTES}"
+        )
     fitness = _SlotFitness(g, mesh, objective, model, s)
     seed_position = None
     if seed_mapping is not None:
@@ -239,7 +235,7 @@ def pso_optimize(
     # Every swarm-sized array a step writes is allocated here, once per call.
     velocity_scratch = np.empty((3, s, d))
     moved = np.empty((s, d), dtype=np.int64)
-    repair_work = _repair_scratch(s, d, d)
+    repair_work = _repair_scratch(s, d)
 
     values = fitness(positions)
     evals = s
@@ -253,10 +249,10 @@ def pso_optimize(
     iteration = 0
     while evals + s <= params.max_evals_per_simulation:
         iteration += 1
-        velocity_update(positions, velocities, pbest, gbest, params, rng, d,
+        velocity_update(positions, velocities, pbest, gbest, params, rng,
                         out=velocities, scratch=velocity_scratch)
-        position_update(positions, velocities, d, out=moved)
-        repair_permutation(moved, d, out=positions, scratch=repair_work)
+        position_update(positions, velocities, out=moved)
+        repair_permutation(moved, out=positions, scratch=repair_work)
         values = fitness(positions)
         evals += s
 

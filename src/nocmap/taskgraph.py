@@ -21,9 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-VOLUME_RANGE = (10, 1000)  # default weight ranges of generated graphs, inclusive
-BANDWIDTH_RANGE = (1, 100)
-
 
 class GraphFormatError(ValueError):
     """Malformed graph file; carries the offending 1-based line number."""
@@ -65,11 +62,6 @@ class TaskGraph:
             total = nbrs[a.src].get(a.dst, 0) + a.volume
             nbrs[a.src][a.dst] = nbrs[a.dst][a.src] = total
         return nbrs
-
-    def volume_between(self, a: int, b: int) -> int:
-        """Traffic exchanged between two cores, both directions summed."""
-        _check_core(self, a, b)
-        return self.neighbours[a].get(b, 0)
 
     @cached_property
     def out_degrees(self) -> tuple[int, ...]:
@@ -159,12 +151,6 @@ def serialize_graph(g: TaskGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check_core(g: TaskGraph, *cores: int) -> None:
-    for core in cores:
-        if not (0 <= core < g.n_cores):
-            raise ValueError(f"core id {core} out of range 0..{g.n_cores - 1}")
-
-
 def priority_order(g: TaskGraph) -> list[int]:
     """Placement priority: descending out-degree, then descending ranking, then id.
 
@@ -180,8 +166,8 @@ def priority_order(g: TaskGraph) -> list[int]:
 def generate_random_graph(
     n_cores: int,
     n_arcs: int,
-    volume_range: tuple[int, int] = VOLUME_RANGE,
-    bandwidth_range: tuple[int, int] = BANDWIDTH_RANGE,
+    volume_range: tuple[int, int] = (10, 1000),
+    bandwidth_range: tuple[int, int] = (1, 100),
     seed: int = 0,
 ) -> TaskGraph:
     """Seeded random graph: exactly n_arcs distinct ordered pairs, no self-loops.
@@ -218,7 +204,9 @@ def induced_subgraph(g: TaskGraph, core_ids: Sequence[int]) -> TaskGraph:
     """
     if len(set(core_ids)) != len(core_ids):
         raise ValueError("duplicate core id in selection")
-    _check_core(g, *core_ids)
+    for core in core_ids:
+        if not (0 <= core < g.n_cores):
+            raise ValueError(f"core id {core} out of range 0..{g.n_cores - 1}")
     new_id = {old: new for new, old in enumerate(core_ids)}
     arcs = tuple(
         Arc(new_id[a.src], new_id[a.dst], a.volume, a.bandwidth)

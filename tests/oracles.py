@@ -25,8 +25,8 @@ insertion order included.  Like the library, they keep which tiles are
 empty as one bool mask per mesh; they share ``priority_order`` and
 ``induced_subgraph`` with the library, and call each other rather than the
 library's fast paths.  They read volumes and partners from the arcs
-(``exchange_matrix``, ``partner_sets``), never from the graph's neighbour
-map, so a fault there cannot hide in both.
+(``exchange_matrix``, ``exchange_pairs``, ``partner_sets``), never from the
+graph's neighbour map, so a fault there cannot hide in both.
 """
 
 from __future__ import annotations
@@ -65,6 +65,15 @@ def exchange_matrix(g) -> list[list[int]]:
     """Volume exchanged per pair of cores, both directions summed; symmetric."""
     m = volume_matrix(g)
     return [[m[a][b] + m[b][a] for b in range(g.n_cores)] for a in range(g.n_cores)]
+
+
+def exchange_pairs(g) -> dict[tuple[int, int], int]:
+    """Volume exchanged per linked pair of cores, both directions summed, under both orders."""
+    pairs: dict[tuple[int, int], int] = {}
+    for a in g.arcs:
+        for pair in ((a.src, a.dst), (a.dst, a.src)):
+            pairs[pair] = pairs.get(pair, 0) + a.volume
+    return pairs
 
 
 def partner_sets(g) -> list[set[int]]:
@@ -321,7 +330,7 @@ def cluster_tasks(g: TaskGraph, max_clusters: int) -> ClusterSet:
     """Chains from ``min(unscheduled)``; surplus merge over all (surplus, kept) pairs."""
     if max_clusters < 1:
         raise ValueError("need at least one cluster")
-    volume, partners = exchange_matrix(g), partner_sets(g)
+    volume, partners = exchange_pairs(g), partner_sets(g)
     unscheduled = set(range(g.n_cores))
     scheduled: set[int] = set()
     chains: list[list[int]] = []
@@ -334,7 +343,7 @@ def cluster_tasks(g: TaskGraph, max_clusters: int) -> ClusterSet:
             candidates = [t for t in partners[current] if t in unscheduled]
             if not candidates:
                 break
-            nxt = min(candidates, key=lambda t: (-volume[current][t], t))
+            nxt = min(candidates, key=lambda t: (-volume[current, t], t))
             unscheduled.discard(nxt)
             scheduled.add(nxt)
             chain.append(nxt)
@@ -348,7 +357,7 @@ def cluster_tasks(g: TaskGraph, max_clusters: int) -> ClusterSet:
         kept = [list(c) for c in chains[:max_clusters]]
         for surplus in chains[max_clusters:]:
             exchanged = [
-                sum(volume[u][v] for u in surplus for v in cluster)
+                sum(volume.get((u, v), 0) for u in surplus for v in cluster)
                 for cluster in kept
             ]
             target = max(range(len(kept)), key=lambda i: (exchanged[i], -i))

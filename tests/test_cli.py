@@ -84,6 +84,29 @@ def test_seed_mapping_with_non_integer_id_rejected(demo_graph, tmp_path, capsys,
     assert not out_dir.exists() and not csv_path.exists()
 
 
+def test_seed_mapping_with_duplicate_header_key_rejected(demo_graph, tmp_path, capsys):
+    # the last mesh line names the run's mesh, but the artifact says two things
+    seed = tmp_path / "dup.map"
+    seed.write_text("# mesh = 2\n# mesh = 3\n" + "".join(f"core {c} -> tile {c}\n" for c in range(6)))
+    out_dir = tmp_path / "runs"
+    rc = main([
+        "optimize", "--graph", str(demo_graph), "--mesh", "3", "--seed-mapping", str(seed),
+        "--pso-swarm-size", "50", "--pso-evals", "500", "--out", str(out_dir),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {seed}: artifact line 2: duplicate header key 'mesh'\n"
+    assert not out_dir.exists()
+
+
+def test_oversize_swarm_is_an_error_not_a_traceback(demo_graph, capsys):
+    # 200 particles on a 100x100x100 mesh: 1.6 GB per swarm array, refused before any is built
+    rc = main(["optimize", "--graph", str(demo_graph), "--mesh", "100"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "error: a swarm of 200 particles on 1000000 tiles needs 1600000000 bytes per int64 array"
+    )
+
+
 @pytest.mark.parametrize("command", ["map", "schedule", "optimize", "oracle"])
 def test_oversize_mesh_is_an_error_not_a_traceback(demo_graph, command, capsys):
     # refused by Mesh3D before any per-mesh table is allocated

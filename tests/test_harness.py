@@ -73,6 +73,12 @@ class TestArtifacts:
         with pytest.raises(ValueError, match="line 4: duplicate line for core 0"):
             parse_mapping_artifact(text)
 
+    def test_duplicate_header_key_rejected(self):
+        # the key is stripped, so spacing does not make a second key
+        text = "# mesh = 2\n# seed = 0\n#mesh=3\ncore 0 -> tile 4\n"
+        with pytest.raises(ValueError, match="^artifact line 3: duplicate header key 'mesh'$"):
+            parse_mapping_artifact(text)
+
 
 class TestRunBenchmark:
     def test_row_matches_fresh_evaluation(self, g1_file, mesh3):

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,23 +31,29 @@ class ZeroRng:
         return out
 
 
+def one_particle(d, *values):
+    """Arrays of a one-particle swarm of D = d: one (1, d) array per value, every slot holding it."""
+    return [np.full((1, d), value) for value in values]
+
+
 class TestVelocityUpdate:
+    # arrays are (position, velocity, pbest, gbest)
     def test_fixed_point_when_all_agree(self):
-        v = velocity_update([2.0], [0.0], [2.0], [2.0], PsoParams(), ForcedRng(), 27)
-        assert v[0] == 0.0
+        v = velocity_update(*one_particle(27, 2, 0.0, 2, 2), PsoParams(), ForcedRng())
+        assert (v == 0.0).all()
 
     def test_forced_maxima(self):
-        v = velocity_update([2.0], [1.0], [4.0], [6.0], PsoParams(), ForcedRng(), 27)
-        assert v[0] == pytest.approx(0.721348 + 2.4 + 5.2, abs=1e-12)
+        v = velocity_update(*one_particle(27, 2, 1.0, 4, 6), PsoParams(), ForcedRng())
+        assert v == pytest.approx(np.full((1, 27), 0.721348 + 2.4 + 5.2), abs=1e-12)
 
     def test_zero_weight_zero_rands(self):
-        params = PsoParams(w=0.0)
-        v = velocity_update([5.0], [123.0], [9.0], [3.0], params, ZeroRng(), 27)
-        assert v[0] == 0.0
+        v = velocity_update(*one_particle(27, 5, 123.0, 9, 3), PsoParams(w=0.0), ZeroRng())
+        assert (v == 0.0).all()
 
     def test_clamped_to_dimension(self):
-        v = velocity_update([0.0], [100.0], [3.0], [3.0], PsoParams(), ForcedRng(), 4)
-        assert v[0] == 4.0
+        # D is the row length: 0.721348*100 + 1.2*3 + 1.3*3 is clamped to D = 4
+        v = velocity_update(*one_particle(4, 0, 100.0, 3, 3), PsoParams(), ForcedRng())
+        assert (v == 4.0).all()
 
     def test_swarm_collapses_onto_gbest_under_forced_pull(self):
         # w=0, c1=0, c2=1 with forced-maximum draws moves any particle
@@ -55,18 +62,16 @@ class TestVelocityUpdate:
         params = PsoParams(w=0.0, c1=0.0, c2=1.0)
         gbest = np.array([3, 1, 5, 0, 2, 4])
         positions = np.array([[0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0]])
-        v = velocity_update(positions, np.zeros((2, d)), positions, gbest, params, ForcedRng(), d)
-        moved = position_update(positions, v, d)
-        for row in moved:
-            assert repair_permutation(row.tolist(), d).tolist() == gbest.tolist()
-
+        v = velocity_update(positions, np.zeros((2, d)), positions, gbest, params, ForcedRng())
+        moved = position_update(positions, v)
+        assert repair_permutation(moved).tolist() == [gbest.tolist()] * 2
 
     @given(st.data())
     @settings(max_examples=150)
     def test_matches_float_formula(self, data):
-        # bit for bit, on one particle (1-D) or a swarm with a broadcast gbest
+        # bit for bit, on a swarm of one or five particles with a broadcast gbest
         d = data.draw(st.integers(1, 40))
-        shape = data.draw(st.sampled_from([(d,), (1, d), (5, d)]))
+        shape = data.draw(st.sampled_from([(1, d), (5, d)]))
         size = int(np.prod(shape))
 
         def draw(elements, count):
@@ -79,63 +84,61 @@ class TestVelocityUpdate:
         constant = st.floats(0, 3)
         params = PsoParams(c1=data.draw(constant), c2=data.draw(constant), w=data.draw(constant))
         seed = data.draw(st.integers(0, 2 ** 32 - 1))
-        fast = velocity_update(position, velocity, pbest, gbest, params, np.random.default_rng(seed), d)
+        fast = velocity_update(position, velocity, pbest, gbest, params, np.random.default_rng(seed))
         slow = float_velocity(position, velocity, pbest, gbest, params, np.random.default_rng(seed), d)
         assert fast.shape == slow.shape == shape
         assert np.array_equal(fast.view(np.int64), slow.view(np.int64))
         # the swarm's form: in place, with its own scratch
         in_place = velocity.astype(float)
-        velocity_update(position, in_place, pbest, gbest, params, np.random.default_rng(seed), d,
+        velocity_update(position, in_place, pbest, gbest, params, np.random.default_rng(seed),
                         out=in_place, scratch=np.empty((3, *shape)))
         assert np.array_equal(in_place.view(np.int64), slow.view(np.int64))
 
 
 class TestPositionUpdate:
     def test_floor_is_added(self):
-        assert position_update([2], [8.321348], 27)[0] == 10
+        assert (position_update(*one_particle(27, 2, 8.321348)) == 10).all()
 
     def test_small_velocity_keeps_position(self):
-        assert position_update([5], [0.999], 27)[0] == 5
+        assert (position_update(*one_particle(27, 5, 0.999)) == 5).all()
 
     def test_clamped_high(self):
-        assert position_update([26], [3.5], 27)[0] == 26
+        assert (position_update(*one_particle(27, 26, 3.5)) == 26).all()
 
     def test_clamped_low(self):
-        assert position_update([0], [-2.5], 27)[0] == 0
+        assert (position_update(*one_particle(27, 0, -2.5)) == 0).all()
 
     def test_negative_floor(self):
-        assert position_update([5], [-1.5], 27)[0] == 3
+        assert (position_update(*one_particle(27, 5, -1.5)) == 3).all()
 
 
 class TestRepair:
     def test_duplicate_filled_with_smallest_unused(self):
-        assert repair_permutation([10, 10, 3], 11).tolist() == [10, 0, 3]
+        # D = 11: the second 10 takes 0, the one value the row is missing
+        raw = [[10, 10, 3, 1, 2, 4, 5, 6, 7, 8, 9]]
+        assert repair_permutation(raw).tolist() == [[10, 0, 3, 1, 2, 4, 5, 6, 7, 8, 9]]
 
     def test_identity_on_valid(self):
-        assert repair_permutation([2, 0, 1], 3).tolist() == [2, 0, 1]
+        assert repair_permutation([[2, 0, 1]]).tolist() == [[2, 0, 1]]
 
     def test_all_same(self):
-        assert repair_permutation([0, 0, 0], 3).tolist() == [0, 1, 2]
+        assert repair_permutation([[0, 0, 0]]).tolist() == [[0, 1, 2]]
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            repair_permutation([3], 3)
-
-    def test_too_long(self):
-        with pytest.raises(ValueError):
-            repair_permutation([0, 1, 2, 0], 3)
+        with pytest.raises(ValueError, match="component 3 out of range 0..2"):
+            repair_permutation([[3, 0, 1]])
 
     @given(st.integers(1, 30).flatmap(
-        lambda d: st.tuples(st.just(d), st.lists(st.integers(0, d - 1), min_size=1, max_size=d))
+        lambda d: st.lists(st.integers(0, d - 1), min_size=d, max_size=d)
     ))
     @settings(max_examples=120)
-    def test_repair_properties(self, case):
-        d, raw = case
-        fixed = repair_permutation(raw, d)
+    def test_repair_properties(self, raw):
+        d = len(raw)
+        fixed = repair_permutation([raw])[0]
         assert len(fixed) == len(raw)
         assert len(set(fixed)) == len(fixed)
         assert all(0 <= v < d for v in fixed)
-        assert repair_permutation(fixed, d).tolist() == fixed.tolist()
+        assert repair_permutation([fixed]).tolist() == [fixed.tolist()]
         # first occurrences survive
         seen = set()
         for i, v in enumerate(raw):
@@ -149,48 +152,46 @@ class TestRepair:
         # values from [0, hi) with hi <= d make duplicates common
         d = data.draw(st.integers(1, 64))
         hi = data.draw(st.integers(1, d))
-        k = data.draw(st.integers(0, d))
         rows = data.draw(st.lists(
-            st.lists(st.integers(0, hi - 1), min_size=k, max_size=k), min_size=1, max_size=8
+            st.lists(st.integers(0, hi - 1), min_size=d, max_size=d), min_size=1, max_size=8
         ))
-        batch = np.array(rows, dtype=np.int64).reshape(len(rows), k)
-        fixed = repair_permutation(batch, d)
+        batch = np.array(rows, dtype=np.int64)
+        fixed = repair_permutation(batch)
         assert fixed.shape == batch.shape
         assert fixed.tolist() == [scalar_repair(row, d) for row in rows]
         assert batch.tolist() == rows  # the input is left alone
-        assert repair_permutation(np.asfortranarray(batch), d).tolist() == fixed.tolist()
+        assert repair_permutation(np.asfortranarray(batch)).tolist() == fixed.tolist()
         in_place = batch.copy()
-        assert repair_permutation(in_place, d, out=in_place) is in_place
+        assert repair_permutation(in_place, out=in_place) is in_place
         assert in_place.tolist() == fixed.tolist()
-        assert repair_permutation(rows[0], d).tolist() == scalar_repair(rows[0], d)
 
     def test_matches_scalar_reference_at_bench_shape(self):
         # the swarm shape of a 100-core graph on a 5x5x5 mesh: 200 rows, D = 125
         d = 125
         rng = np.random.default_rng(7)
         positions = np.array([rng.permutation(d) for _ in range(200)])
-        raw = position_update(positions, rng.uniform(-8.0, 8.0, positions.shape), d)
+        raw = position_update(positions, rng.uniform(-8.0, 8.0, positions.shape))
         assert all(len(set(row)) < d for row in raw.tolist())  # every row needs repair
-        fixed = repair_permutation(raw, d)
+        fixed = repair_permutation(raw)
         assert fixed.tolist() == [scalar_repair(row, d) for row in raw.tolist()]
 
     @pytest.mark.parametrize("raw", [
         np.array([[1.7, 1.2]]),
-        [True, True],
-        np.array([0.0, 1.0]),
-        ["0", "1"],
+        [[True, True]],
+        np.array([[0.0, 1.0]]),
+        [["0", "1"]],
     ], ids=["fractional", "bool", "integral-float", "str"])
     def test_non_integer_input_refused(self, raw):
         with pytest.raises(ValueError, match="expected integer vectors, got dtype"):
-            repair_permutation(raw, 3)
+            repair_permutation(raw)
 
     def test_batch_errors(self):
         with pytest.raises(ValueError, match="component 3"):
-            repair_permutation([[0, 1], [2, 3]], 3)
-        with pytest.raises(ValueError, match="longer"):
-            repair_permutation([[0, 1, 2, 0]], 3)
+            repair_permutation([[0, 1, 2], [2, 3, 0]])
         with pytest.raises(ValueError, match="batch"):
-            repair_permutation(np.zeros((2, 2, 2), dtype=np.int64), 3)
+            repair_permutation([0, 1, 2])
+        with pytest.raises(ValueError, match="batch"):
+            repair_permutation(np.zeros((2, 2, 2), dtype=np.int64))
 
 
 class TestParams:
@@ -341,6 +342,21 @@ class TestOptimize:
         res = pso_optimize(g, mesh, PsoParams(swarm_size=2, max_evals_per_simulation=4))
         assert [evals for _, evals, _ in res.trace] == [2, 4]
         assert res.fitness == evaluate(g, res.mapping, mesh).total_energy
+
+    def test_oversize_swarm_refused_before_any_allocation(self):
+        # 200 particles on 10^6 tiles: each int64 swarm array would take 1.6 GB
+        g = graph_from_arcs(2, [(0, 1, 100, 10)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=(
+                r"^a swarm of 200 particles on 1000000 tiles needs 1600000000 bytes per int64 "
+                r"array, more than 268435456$"
+            )):
+                pso_optimize(g, Mesh3D(100))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_bad_seed_mapping(self, g1, mesh2):
         with pytest.raises(ValueError, match="seed mapping: tile 1 holds more than one core"):

@@ -222,23 +222,16 @@ def any_graph(draw):
     return graph_from_arcs(n_cores, [(i, j, draw(st.integers(0, 1000)), 1) for i, j in chosen])
 
 
-class TestVolumeBetween:
+class TestNeighbours:
     @given(any_graph())
     @settings(max_examples=100)
     def test_matches_volume_matrix(self, g):
         m = volume_matrix(g)
         linked = {(a.src, a.dst) for a in g.arcs} | {(a.dst, a.src) for a in g.arcs}
         for a in range(g.n_cores):
-            for b in range(g.n_cores):
-                assert g.volume_between(a, b) == m[a][b] + m[b][a]
             # every linked core is a neighbour, zero-volume arcs included
             want = {b: m[a][b] + m[b][a] for b in range(g.n_cores) if (a, b) in linked}
             assert g.neighbours[a] == want
-
-    def test_core_off_the_graph_is_refused(self, g1):
-        for a, b in ((-1, 0), (0, 4), (4, 0)):
-            with pytest.raises(ValueError, match="out of range"):
-                g1.volume_between(a, b)
 
 
 class TestInducedSubgraph:
@@ -252,3 +245,8 @@ class TestInducedSubgraph:
     def test_duplicate_selection_rejected(self, g1):
         with pytest.raises(ValueError):
             induced_subgraph(g1, [0, 0])
+
+    def test_core_off_the_graph_is_refused(self, g1):
+        for core_ids in ([-1, 0], [0, 4], [4]):
+            with pytest.raises(ValueError, match="out of range"):
+                induced_subgraph(g1, core_ids)
