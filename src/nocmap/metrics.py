@@ -64,8 +64,8 @@ class HopKernel:
     A placement is a tile-per-core array; a batch has shape ``(..., columns)``
     where column c holds the tile of core c, and columns past the last core
     are ignored.  Tiles must be valid tile ids: the gathers clip rather than
-    check, and every caller has checked them already (``placement``,
-    ``pso.repair_permutation``, the oracle's own enumeration).  Construction
+    check, and every caller has checked them already (``placement``, the
+    swarm's clamp and repair, the oracle's own enumeration).  Construction
     refuses graphs whose sums could overflow int64.
     """
 

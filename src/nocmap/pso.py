@@ -11,9 +11,11 @@ with both random factors drawn per component and the result clamped to
 tile range, and then repaired back to duplicate-free vectors so every
 evaluated candidate is a valid injective assignment.  Each iteration updates,
 repairs and scores the whole swarm as one (swarm size, D) array; no step
-loops over particles, and no step allocates a swarm-sized array:
-``pso_optimize`` allocates them once per call, and each step writes into
-the ones it is passed.
+loops over particles.  The swarm is float-resident: positions, bests and
+velocities are float arrays, exact because every tile id is an integer below
+2^53, and the repair works on the flat slots ``row*D + tile`` of one int
+array.  ``pso_optimize`` allocates its swarm-sized arrays once per call, and
+each step writes into the ones it is passed.
 
 A call runs one swarm.  It is deterministic: every random draw comes from one
 generator seeded from ``PsoParams.seed``, and best-so-far reductions scan
@@ -23,6 +25,7 @@ particles in index order.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +36,7 @@ from .topology import MAX_TABLE_BYTES, Mesh3D
 
 @dataclass(frozen=True)
 class PsoParams:
-    """Swarm constants; c1, c2 and w must be finite and non-negative, seed non-negative."""
+    """Swarm constants; c1, c2 and w must be finite and non-negative, the counts and seed integers."""
 
     c1: float = 1.2
     c2: float = 1.3
@@ -47,6 +50,10 @@ class PsoParams:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
+        for name in ("swarm_size", "max_evals_per_simulation", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.swarm_size < 1:
@@ -69,10 +76,11 @@ def velocity_update(
 
     Both random factors come from one draw of ``rng.random``, scaled by c1 and
     c2: the same stream in the same order as two ``rng.uniform(0, c)`` calls,
-    and the same floats, since ``0.0 + c*u == c*u``.  For integer positions
-    the pulls ``pbest - x`` and ``gbest - x`` are exact integer differences,
-    so scaling the random factors by them in place gives the same floats as
-    subtracting after conversion to float.
+    and the same floats, since ``0.0 + c*u == c*u``.  Positions hold integers
+    below 2^53, in int or float arrays, so the pulls ``pbest - x`` and
+    ``gbest - x`` are exact, and scaling the random factors by them in place
+    gives the same floats as subtracting after conversion to float.
+    ``pso_optimize`` passes float arrays, which need no conversion.
 
     The result goes into ``out``, a float array of the position's shape that
     may be ``velocity`` itself; ``scratch``, a float array of shape
@@ -96,22 +104,24 @@ def velocity_update(
 def position_update(position, velocity, out=None) -> np.ndarray:
     """Move by the floor of the velocity, clamped to the tile ids 0..D-1 of a row of length D.
 
-    The result goes into ``out``, an int64 array of the position's shape, or
-    a new one.
+    The result goes into ``out``, an array of the position's shape, or a new
+    int64 one.  ``pso_optimize`` passes float positions and a float ``out``:
+    every value is an integer of magnitude at most 2D, so each float step is
+    exact and the step casts nothing.
     """
     if out is None:
         out = np.empty(np.shape(position), dtype=np.int64)
     np.floor(velocity, out=out, casting="unsafe")  # |velocity| <= D: exact
     out += position
-    return np.clip(out, 0, out.shape[-1] - 1, out=out)
+    np.maximum(out, 0, out=out)
+    return np.minimum(out, out.shape[-1] - 1, out=out)
 
 
 def _repair_scratch(rows: int, d: int) -> tuple[np.ndarray, ...]:
-    """Work arrays for ``repair_permutation`` on a (rows, d) batch."""
+    """Work arrays for ``_repair_slots`` on a (rows, d) batch."""
     size = rows * d
     small = np.min_scalar_type(size)  # holds every flat index and the sentinel
     return (
-        np.empty(size, dtype=np.intp),
         np.arange(size, dtype=small),
         np.empty(size, dtype=small),
         np.empty(size, dtype=small),
@@ -120,7 +130,27 @@ def _repair_scratch(rows: int, d: int) -> tuple[np.ndarray, ...]:
     )
 
 
-def repair_permutation(raw, out=None, scratch=None) -> np.ndarray:
+def _repair_slots(slot: np.ndarray, scratch: tuple[np.ndarray, ...]) -> None:
+    """Repair an (s, D) batch in slot space, in place.
+
+    ``slot`` is the batch's flat array of slots ``row*D + tile``, every tile
+    in 0..D-1 (not checked here); ``scratch`` is ``_repair_scratch(s, D)``.
+    Each element's flat index is scattered onto its slot: the minimum is the
+    value's first occurrence, and every other element there is a duplicate.
+    Slots nothing reached are the row's missing values, as many as the row
+    has duplicates.  ``flatnonzero`` lists both row by row in ascending
+    order, so the duplicates take the free slots as they are, row included.
+    """
+    index, first, at_slot, dup, free = scratch
+    first.fill(slot.size)
+    np.minimum.at(first, slot, index)
+    np.take(first, slot, out=at_slot, mode="clip")
+    np.not_equal(at_slot, index, out=dup)
+    np.equal(first, slot.size, out=free)
+    slot[np.flatnonzero(dup)] = np.flatnonzero(free)
+
+
+def repair_permutation(raw, out=None) -> np.ndarray:
     """Make each row of an (s, D) integer batch a permutation of 0..D-1.
 
     In each row first occurrences win; later duplicates are replaced, left
@@ -128,9 +158,8 @@ def repair_permutation(raw, out=None, scratch=None) -> np.ndarray:
     permutations.  Float, bool and other non-integer input is refused rather
     than truncated.
 
-    The result goes into ``out``, a C-contiguous int64 array of the input's
-    shape that may be ``raw`` itself, or a new one.  ``scratch`` is
-    ``_repair_scratch(s, D)``, or None to allocate it.
+    The result goes into ``out``, an int64 array of the input's shape that
+    may be ``raw`` itself, or a new C-contiguous int64 array.
     """
     given = np.asarray(raw)
     if given.dtype.kind not in "iu":
@@ -141,30 +170,33 @@ def repair_permutation(raw, out=None, scratch=None) -> np.ndarray:
     if given.size and (given.min() < 0 or given.max() >= d):
         bad = given[(given < 0) | (given >= d)]
         raise ValueError(f"component {bad[0]} out of range 0..{d - 1}")
+    row_start = np.arange(0, s * d, d)[:, None]
+    slots = given.astype(np.int64, order="C")
+    slots += row_start
+    _repair_slots(slots.reshape(-1), _repair_scratch(s, d))
+    slots -= row_start
     if out is None:
-        out = given.astype(np.int64, order="C")
-    elif out is not given:
-        np.copyto(out, given)
-    if scratch is None:
-        scratch = _repair_scratch(s, d)
-    slot, index, first, at_slot, dup, free = scratch
-    # Scatter each element's flat index onto its (row, value) slot; the
-    # minimum is the value's first occurrence, and every other one is a
-    # duplicate.  Slots nothing reached hold the values the row is missing,
-    # as many as the row has duplicates.  The minima are kept in the
-    # smallest dtype that holds every flat index.
-    np.add(out, np.arange(0, s * d, d)[:, None], out=slot.reshape(s, d))
-    first.fill(out.size)
-    np.minimum.at(first, slot, index)
-    np.take(first, slot, out=at_slot, mode="clip")
-    np.not_equal(at_slot, index, out=dup)
-    np.equal(first, out.size, out=free)
-    # flatnonzero lists the fill values row by row in ascending order, the
-    # order in which the duplicates are listed too.
-    fill = np.flatnonzero(free)
-    fill %= d
-    out.reshape(-1)[np.flatnonzero(dup)] = fill
+        return slots
+    np.copyto(out, slots)
     return out
+
+
+def _swarm_bytes(s: int, d: int, arcs: int) -> int:
+    """The bytes of every (s, D) and (arcs, s) array ``pso_optimize`` allocates, all at once.
+
+    Per (s, D) element: the float positions, velocities and pbest, the
+    3-deep velocity scratch, the int tiles (the repair's slot array) and
+    their row starts, the kernel's two code arrays, the repair's three index
+    arrays in their compact dtype and its two masks, the two index lists of
+    duplicates and free slots, each up to s*D long, and the improved rows
+    gathered for pbest, up to all of them.  Per (arcs, s)
+    element: the kernel's end codes (two per arc), its hop lookup, and the
+    mask of co-located arcs with the int64 copy its product makes (built
+    only when some arc has h = 0, which a swarm placement never has).
+    """
+    small = np.min_scalar_type(s * d).itemsize
+    per_element = 8 * (3 + 3 + 2 + 2 + 2 + 1) + 3 * small + 2
+    return s * d * per_element + arcs * s * (8 * 4 + 1)
 
 
 class _SlotFitness:
@@ -201,43 +233,58 @@ def pso_optimize(
 
     When ``seed_mapping`` is given it replaces one particle of the initial
     swarm, so the result can never be worse than the seed.  A swarm whose
-    (swarm size, D) int64 array would exceed ``MAX_TABLE_BYTES`` is refused.
+    arrays together (``_swarm_bytes``) would exceed ``MAX_TABLE_BYTES`` is
+    refused.
+
+    Positions, pbest, gbest and velocities are float arrays: every value is
+    a tile id below 2^53, so float differences of positions are exact.  The
+    moved positions are cast once to int tiles, and adding the row starts
+    gives the flat slots ``row*D + tile`` the repair works on.  Subtracting
+    them again gives the int tiles the fitness reads, and a cast back gives
+    the next float positions.
     """
     d = mesh.tile_count
     if g.n_cores > d:
         raise ValueError(f"{g.n_cores} cores exceed {d} tiles")
     s = params.swarm_size
-    if 8 * s * d > MAX_TABLE_BYTES:  # checked before the hop table or any swarm array is built
+    need = _swarm_bytes(s, d, len(g.arcs))
+    if need > MAX_TABLE_BYTES:  # checked before the hop table or any swarm array is built
         raise ValueError(
-            f"a swarm of {s} particles on {d} tiles needs {8 * s * d} bytes per int64 array, "
+            f"a swarm of {s} particles on {d} tiles needs {need} bytes of arrays, "
             f"more than {MAX_TABLE_BYTES}"
         )
     fitness = _SlotFitness(g, mesh, objective, model, s)
     seed_position = None
     if seed_mapping is not None:
         try:
-            tiles = fitness.kernel.placement(seed_mapping)
+            placed = fitness.kernel.placement(seed_mapping)
         except ValueError as exc:
             raise ValueError(f"seed mapping: {exc}") from None
-        used = np.bincount(tiles, minlength=d)
+        used = np.bincount(placed, minlength=d)
         if used.max() > 1:
             raise ValueError(f"seed mapping: tile {int(used.argmax())} holds more than one core")
-        seed_position = np.concatenate((tiles[fitness.order], np.flatnonzero(used == 0)))
+        seed_position = np.concatenate((placed[fitness.order], np.flatnonzero(used == 0)))
 
     # Seeded with (seed, 0): the stream every recorded result was made with.
     rng = np.random.default_rng(np.random.SeedSequence((params.seed, 0)))
-    positions = np.empty((s, d), dtype=np.int64)
+    # Every swarm-sized array is allocated here, once per call.  Between
+    # steps ``tiles`` holds the swarm's int tiles; within one it holds the
+    # flat slots, ``slots`` being its flat view.
+    tiles = np.empty((s, d), dtype=np.intp)
     for i in range(s):
-        positions[i] = rng.permutation(d)
+        tiles[i] = rng.permutation(d)
     if seed_position is not None:
-        positions[0] = seed_position
-    velocities = np.zeros((s, d), dtype=float)
-    # Every swarm-sized array a step writes is allocated here, once per call.
+        tiles[0] = seed_position
+    slots = tiles.reshape(-1)
+    # Each slot's row start, as a full array: adding one beats broadcasting a column.
+    row_start = np.repeat(np.arange(0, s * d, d), d).reshape(s, d)
+    positions = tiles.astype(float)
+    velocities = np.zeros((s, d))
     velocity_scratch = np.empty((3, s, d))
-    moved = np.empty((s, d), dtype=np.int64)
+    moved = velocity_scratch[2]  # the pull buffer, free once the velocity is written
     repair_work = _repair_scratch(s, d)
 
-    values = fitness(positions)
+    values = fitness(tiles)
     evals = s
     pbest = positions.copy()
     pbest_val = values.copy()  # the objective's own dtype: int64 costs compare exactly
@@ -252,13 +299,17 @@ def pso_optimize(
         velocity_update(positions, velocities, pbest, gbest, params, rng,
                         out=velocities, scratch=velocity_scratch)
         position_update(positions, velocities, out=moved)
-        repair_permutation(moved, out=positions, scratch=repair_work)
-        values = fitness(positions)
+        np.copyto(tiles, moved, casting="unsafe")  # the one float-to-int cast
+        tiles += row_start
+        _repair_slots(slots, repair_work)
+        tiles -= row_start
+        values = fitness(tiles)
+        np.copyto(positions, tiles)
         evals += s
 
-        improved = values < pbest_val
-        np.copyto(pbest, positions, where=improved[:, np.newaxis])
-        np.copyto(pbest_val, values, where=improved)
+        improved = np.flatnonzero(values < pbest_val)
+        pbest[improved] = positions[improved]
+        pbest_val[improved] = values[improved]
         best_i = int(np.argmin(pbest_val))
         if pbest_val[best_i] < gbest_val:
             # A strictly better pbest can only have been set this iteration.

@@ -21,7 +21,7 @@ def _hop_table_bytes(n: int) -> int:
     return 8 * (2 * n - 1) ** 3
 
 
-MAX_TABLE_BYTES = 2 ** 28  # the most one per-mesh table or one swarm array may take
+MAX_TABLE_BYTES = 2 ** 28  # the most one per-mesh table, or one swarm's arrays together, may take
 # The largest side whose hop table fits MAX_TABLE_BYTES (161).
 MAX_SIDE = next(n for n in itertools.count(2) if _hop_table_bytes(n + 1) > MAX_TABLE_BYTES)
 

@@ -15,7 +15,10 @@ co-located arcs' switch bits included.
 ``repair_permutation`` is the one-vector loop that ``nocmap.pso``'s
 whole-swarm repair must reproduce exactly, and ``velocity_update`` the
 float-difference velocity formula that its in-place update must reproduce
-bit for bit.
+bit for bit.  ``pso_optimize`` runs the swarm from those two: int64
+positions, one repair per row and one ``metrics.evaluate`` per particle, so
+the library's float-resident loop must return its mapping, fitness and
+trace exactly.
 
 The second half keeps the dense reference implementations of the placement
 core (``ddmap``, ``lozenge_next_empty``, ``cluster_tasks``,
@@ -36,6 +39,7 @@ from typing import Iterator
 
 import numpy as np
 
+from nocmap.metrics import EnergyModel, evaluate
 from nocmap.scheduler import ClusterSet, Schedule
 from nocmap.taskgraph import Arc, TaskGraph, induced_subgraph, priority_order
 from nocmap.topology import Mesh3D, diagonal_tiles, tile_coords
@@ -183,6 +187,52 @@ def velocity_update(position, velocity, pbest, gbest, params, rng, dimension: in
     v += r1 * (np.asarray(pbest, dtype=float) - x)
     v += r2 * (np.asarray(gbest, dtype=float) - x)
     return np.clip(v, -dimension, dimension)
+
+
+def pso_optimize(g, mesh, params, objective="energy", model=EnergyModel(), seed_mapping=None):
+    """The swarm one particle at a time: ``(mapping, fitness, trace)``.
+
+    It reads the library's generator stream: ``SeedSequence((seed, 0))``,
+    one permutation per particle, then per step the draws of
+    ``velocity_update`` above.  A seed mapping replaces particle 0, its
+    unused tiles appended in ascending order.  Positions move as int64
+    arrays by ``floor(v)``, clamped to 0..D-1.
+    """
+    d, s = mesh.tile_count, params.swarm_size
+    order = priority_order(g)
+    rng = np.random.default_rng(np.random.SeedSequence((params.seed, 0)))
+    positions = np.array([rng.permutation(d) for _ in range(s)], dtype=np.int64)
+    if seed_mapping is not None:
+        placed = [seed_mapping[core] for core in order]
+        positions[0] = placed + sorted(set(range(d)) - set(placed))
+
+    def score(row):
+        report = evaluate(g, {core: int(row[i]) for i, core in enumerate(order)}, mesh, model)
+        return report.total_energy if objective == "energy" else report.comm_cost
+
+    values = [score(row) for row in positions]
+    evals = s
+    pbest, pbest_val = positions.copy(), list(values)
+    best = min(range(s), key=pbest_val.__getitem__)
+    gbest, gbest_val = pbest[best].copy(), pbest_val[best]
+    trace = [(0, evals, gbest_val)]
+    velocities = np.zeros((s, d))
+    iteration = 0
+    while evals + s <= params.max_evals_per_simulation:
+        iteration += 1
+        velocities = velocity_update(positions, velocities, pbest, gbest, params, rng, d)
+        moved = np.clip(positions + np.floor(velocities).astype(np.int64), 0, d - 1)
+        positions = np.array([repair_permutation(row, d) for row in moved], dtype=np.int64)
+        values = [score(row) for row in positions]
+        evals += s
+        for i in range(s):
+            if values[i] < pbest_val[i]:
+                pbest[i], pbest_val[i] = positions[i], values[i]
+        best = min(range(s), key=pbest_val.__getitem__)
+        if pbest_val[best] < gbest_val:
+            gbest, gbest_val = pbest[best].copy(), pbest_val[best]
+        trace.append((iteration, evals, gbest_val))
+    return {core: int(gbest[i]) for i, core in enumerate(order)}, gbest_val, tuple(trace)
 
 
 def generate_random_graph(

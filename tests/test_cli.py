@@ -99,11 +99,11 @@ def test_seed_mapping_with_duplicate_header_key_rejected(demo_graph, tmp_path, c
 
 
 def test_oversize_swarm_is_an_error_not_a_traceback(demo_graph, capsys):
-    # 200 particles on a 100x100x100 mesh: 1.6 GB per swarm array, refused before any is built
+    # 200 particles on a 100x100x100 mesh: 23.6 GB of swarm arrays, refused before any is built
     rc = main(["optimize", "--graph", str(demo_graph), "--mesh", "100"])
     assert rc == 1
     assert capsys.readouterr().err.startswith(
-        "error: a swarm of 200 particles on 1000000 tiles needs 1600000000 bytes per int64 array"
+        "error: a swarm of 200 particles on 1000000 tiles needs 23600066000 bytes of arrays"
     )
 
 

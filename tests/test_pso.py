@@ -13,6 +13,8 @@ from nocmap.mappers import ddmap, sequence_map, spiral_order
 from nocmap.pso import position_update, repair_permutation, velocity_update
 from nocmap.scheduler import cluster_graph, cluster_tasks
 from nocmap.taskgraph import graph_from_arcs
+from nocmap.topology import hop_table
+from oracles import pso_optimize as reference_swarm
 from oracles import repair_permutation as scalar_repair
 from oracles import velocity_update as float_velocity
 
@@ -211,6 +213,25 @@ class TestParams:
         with pytest.raises(ValueError, match="budget"):
             PsoParams(swarm_size=50, max_evals_per_simulation=10)
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_evals_per_simulation", 1000.5),
+        ("max_evals_per_simulation", "1000"),
+        ("swarm_size", 2.5),
+        ("swarm_size", True),
+        ("seed", 1.5),
+        ("seed", True),
+        ("seed", np.float64(2.0)),
+    ])
+    def test_non_integer_count_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            PsoParams(**{field: value})
+
+    def test_numpy_integers_accepted(self, g1, mesh2):
+        params = PsoParams(swarm_size=np.int64(5), max_evals_per_simulation=np.int32(50),
+                           seed=np.uint8(3))
+        plain = PsoParams(swarm_size=5, max_evals_per_simulation=50, seed=3)
+        assert pso_optimize(g1, mesh2, params) == pso_optimize(g1, mesh2, plain)
+
 
 # pso_optimize results as (tiles in core order, fitness, gbest after each swarm
 # pass), recorded with the scalar repair of tests/oracles.py run once per
@@ -270,6 +291,35 @@ def test_golden_results(case):
     assert [res.mapping[c] for c in sorted(res.mapping)] == tiles
     assert res.fitness == fitness
     assert res.trace == tuple((i, 200 * (i + 1), v) for i, v in enumerate(gbest))
+
+
+class TestLoopAgainstReference:
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_particle_by_particle_loop(self, data):
+        # mapping, fitness and trace equal those of oracles.pso_optimize, which
+        # moves int64 positions, repairs each row and evaluates each particle
+        mesh = Mesh3D(data.draw(st.sampled_from([2, 3])))
+        n_cores = data.draw(st.integers(2, min(12, mesh.tile_count)))
+        n_arcs = data.draw(st.integers(0, min(30, n_cores * (n_cores - 1))))
+        g = generate_random_graph(n_cores, n_arcs, seed=data.draw(st.integers(0, 2 ** 16)))
+        swarm = data.draw(st.integers(1, 9))
+        constant = st.floats(0, 3)
+        params = PsoParams(
+            c1=data.draw(constant), c2=data.draw(constant), w=data.draw(constant),
+            swarm_size=swarm, max_evals_per_simulation=swarm * data.draw(st.integers(2, 30)),
+            seed=data.draw(st.integers(0, 2 ** 32 - 1)),
+        )
+        objective = data.draw(st.sampled_from(["energy", "cost"]))
+        seed_map = None
+        if data.draw(st.booleans()):
+            tiles = data.draw(st.permutations(range(mesh.tile_count)))
+            seed_map = dict(enumerate(tiles[:n_cores]))
+        res = pso_optimize(g, mesh, params, objective, seed_mapping=seed_map)
+        mapping, fitness, trace = reference_swarm(g, mesh, params, objective, seed_mapping=seed_map)
+        assert res.mapping == mapping
+        assert res.fitness == fitness and type(res.fitness) is type(fitness)
+        assert res.trace == trace
 
 
 class TestOptimize:
@@ -344,19 +394,36 @@ class TestOptimize:
         assert res.fitness == evaluate(g, res.mapping, mesh).total_energy
 
     def test_oversize_swarm_refused_before_any_allocation(self):
-        # 200 particles on 10^6 tiles: each int64 swarm array would take 1.6 GB
+        # 200 particles on 10^6 tiles: each (200, 10^6) float array alone would take 1.6 GB
         g = graph_from_arcs(2, [(0, 1, 100, 10)])
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=(
-                r"^a swarm of 200 particles on 1000000 tiles needs 1600000000 bytes per int64 "
-                r"array, more than 268435456$"
+                r"^a swarm of 200 particles on 1000000 tiles needs 23600006600 bytes of "
+                r"arrays, more than 268435456$"
             )):
                 pso_optimize(g, Mesh3D(100))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("objective", ["energy", "cost"])
+    def test_peak_memory_within_swarm_budget(self, objective):
+        # 200 particles on 8000 tiles, 12.8 MB per (200, 8000) array; the table
+        # is rebuilt inside the trace, so it counts as well
+        mesh = Mesh3D(20)
+        g = generate_random_graph(100, 180, seed=1)
+        params = PsoParams(max_evals_per_simulation=400)
+        hop_table.cache_clear()
+        tracemalloc.start()
+        try:
+            pso_optimize(g, mesh, params, objective)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = sum(a.nbytes for a in hop_table(mesh.n))
+        assert peak <= pso._swarm_bytes(200, mesh.tile_count, len(g.arcs)) + table
 
     def test_bad_seed_mapping(self, g1, mesh2):
         with pytest.raises(ValueError, match="seed mapping: tile 1 holds more than one core"):
