@@ -257,7 +257,13 @@ def audit_artifact(path: str | Path) -> ReportRow:
     def value(key, kind=str):
         return _header_value(path, header, key, kind)
 
-    g = parse_graph(Path(value("graph")).read_text(encoding="utf-8"))
+    graph = value("graph")
+    try:
+        g = parse_graph(Path(graph).read_text(encoding="utf-8"))
+    except OSError as exc:  # a relative graph path is read from the current directory
+        raise ValueError(
+            f"artifact {path}: header 'graph' = {graph!r} cannot be read: {exc.strerror}"
+        ) from None
     model = EnergyModel(value("e_switch", float), value("e_link", float), value("rho", float))
     return _report_row(
         g, placement, Mesh3D(mesh_n), model, 0.0,

@@ -15,7 +15,8 @@ loops over particles.  The swarm is float-resident: positions, bests and
 velocities are float arrays, exact because every tile id is an integer below
 2^53, and the repair works on the flat slots ``row*D + tile`` of one int
 array.  ``pso_optimize`` allocates its swarm-sized arrays once per call, and
-each step writes into the ones it is passed.
+each step has one form: it writes into the arrays it is passed, and the loop
+calls it by its public name.
 
 A call runs one swarm.  It is deterministic: every random draw comes from one
 generator seeded from ``PsoParams.seed``, and best-so-far reductions scan
@@ -69,59 +70,50 @@ class PsoResult:
     trace: tuple[tuple[int, int, float | int], ...]  # (iteration, evals, gbest)
 
 
-def velocity_update(
-    position, velocity, pbest, gbest, params: PsoParams, rng, out=None, scratch=None,
-) -> np.ndarray:
-    """New swarm velocities clamped to [-D, D], D being the length of a row.
+def velocity_update(position, velocity, pbest, gbest, params: PsoParams, rng, scratch) -> None:
+    """Update the swarm's velocities in place, clamped to [-D, D], D being the length of a row.
 
     Both random factors come from one draw of ``rng.random``, scaled by c1 and
     c2: the same stream in the same order as two ``rng.uniform(0, c)`` calls,
     and the same floats, since ``0.0 + c*u == c*u``.  Positions hold integers
-    below 2^53, in int or float arrays, so the pulls ``pbest - x`` and
-    ``gbest - x`` are exact, and scaling the random factors by them in place
-    gives the same floats as subtracting after conversion to float.
-    ``pso_optimize`` passes float arrays, which need no conversion.
-
-    The result goes into ``out``, a float array of the position's shape that
-    may be ``velocity`` itself; ``scratch``, a float array of shape
-    ``(3, *position.shape)``, holds the draw and the pulls.  Either one
-    missing is allocated.
+    below 2^53, so the pulls ``pbest - x`` and ``gbest - x`` are exact.
+    ``velocity`` is a float array of the position's shape; ``scratch``, a
+    float array of shape ``(3, *position.shape)``, holds the draw and the pulls.
     """
-    shape = np.shape(position)
-    if scratch is None:
-        scratch = np.empty((3, *shape))
+    d = position.shape[-1]
     draw, pull = rng.random(out=scratch[:2]), scratch[2]
     draw[0] *= params.c1
     draw[1] *= params.c2
     draw[0] *= np.subtract(pbest, position, out=pull)
     draw[1] *= np.subtract(gbest, position, out=pull)
-    v = np.multiply(velocity, params.w, out=out, dtype=float)
-    v += draw[0]
-    v += draw[1]
-    return np.clip(v, -shape[-1], shape[-1], out=v)
+    velocity *= params.w
+    velocity += draw[0]
+    velocity += draw[1]
+    np.clip(velocity, -d, d, out=velocity)
 
 
-def position_update(position, velocity, out=None) -> np.ndarray:
+def position_update(position, velocity, out) -> np.ndarray:
     """Move by the floor of the velocity, clamped to the tile ids 0..D-1 of a row of length D.
 
-    The result goes into ``out``, an array of the position's shape, or a new
-    int64 one.  ``pso_optimize`` passes float positions and a float ``out``:
-    every value is an integer of magnitude at most 2D, so each float step is
-    exact and the step casts nothing.
+    The result goes into ``out``, a float array of the position's shape, and
+    is returned.  Every value is an integer of magnitude at most 2D, so each
+    float step is exact.
     """
-    if out is None:
-        out = np.empty(np.shape(position), dtype=np.int64)
-    np.floor(velocity, out=out, casting="unsafe")  # |velocity| <= D: exact
+    np.floor(velocity, out=out)  # |velocity| <= D: exact
     out += position
     np.maximum(out, 0, out=out)
     return np.minimum(out, out.shape[-1] - 1, out=out)
 
 
 def _repair_scratch(rows: int, d: int) -> tuple[np.ndarray, ...]:
-    """Work arrays for ``_repair_slots`` on a (rows, d) batch."""
+    """Work arrays for ``repair_permutation`` on a (rows, d) batch.
+
+    The row starts come as a full array, since adding one beats broadcasting a column.
+    """
     size = rows * d
     small = np.min_scalar_type(size)  # holds every flat index and the sentinel
     return (
+        np.repeat(np.arange(0, size, d), d).reshape(rows, d),
         np.arange(size, dtype=small),
         np.empty(size, dtype=small),
         np.empty(size, dtype=small),
@@ -130,69 +122,49 @@ def _repair_scratch(rows: int, d: int) -> tuple[np.ndarray, ...]:
     )
 
 
-def _repair_slots(slot: np.ndarray, scratch: tuple[np.ndarray, ...]) -> None:
-    """Repair an (s, D) batch in slot space, in place.
+def repair_permutation(tiles: np.ndarray, work: tuple[np.ndarray, ...]) -> None:
+    """Make each row of a C-ordered (s, D) intp batch a permutation of 0..D-1, in place.
 
-    ``slot`` is the batch's flat array of slots ``row*D + tile``, every tile
-    in 0..D-1 (not checked here); ``scratch`` is ``_repair_scratch(s, D)``.
-    Each element's flat index is scattered onto its slot: the minimum is the
-    value's first occurrence, and every other element there is a duplicate.
-    Slots nothing reached are the row's missing values, as many as the row
-    has duplicates.  ``flatnonzero`` lists both row by row in ascending
-    order, so the duplicates take the free slots as they are, row included.
+    In each row first occurrences win; later duplicates are replaced, left
+    to right, by the missing values in ascending order.  Idempotent on
+    permutations.  ``work`` is ``_repair_scratch(s, D)``.  Every tile must
+    lie in 0..D-1, which is not checked: the position step's clamp bounds
+    them.  A batch that is not C-contiguous is refused: its flat view would
+    be a copy, and the batch would stay unrepaired.
+
+    It works on the flat slots ``row*D + tile``.  Each element's flat index
+    is scattered onto its slot: the minimum is the value's first occurrence,
+    and every other element there is a duplicate.  Slots nothing reached are
+    the row's missing values, as many as the row has duplicates.
+    ``flatnonzero`` lists both row by row in ascending order, so the
+    duplicates take the free slots as they are, row included.
     """
-    index, first, at_slot, dup, free = scratch
+    if not tiles.flags.c_contiguous:
+        raise ValueError("expected a C-contiguous batch")
+    row_start, index, first, at_slot, dup, free = work
+    tiles += row_start
+    slot = tiles.reshape(-1)
     first.fill(slot.size)
     np.minimum.at(first, slot, index)
     np.take(first, slot, out=at_slot, mode="clip")
     np.not_equal(at_slot, index, out=dup)
     np.equal(first, slot.size, out=free)
     slot[np.flatnonzero(dup)] = np.flatnonzero(free)
-
-
-def repair_permutation(raw, out=None) -> np.ndarray:
-    """Make each row of an (s, D) integer batch a permutation of 0..D-1.
-
-    In each row first occurrences win; later duplicates are replaced, left
-    to right, by the missing values in ascending order.  Idempotent on
-    permutations.  Float, bool and other non-integer input is refused rather
-    than truncated.
-
-    The result goes into ``out``, an int64 array of the input's shape that
-    may be ``raw`` itself, or a new C-contiguous int64 array.
-    """
-    given = np.asarray(raw)
-    if given.dtype.kind not in "iu":
-        raise ValueError(f"expected integer vectors, got dtype {given.dtype}")
-    if given.ndim != 2:
-        raise ValueError(f"expected a batch of vectors, got {given.ndim} dimensions")
-    s, d = given.shape
-    if given.size and (given.min() < 0 or given.max() >= d):
-        bad = given[(given < 0) | (given >= d)]
-        raise ValueError(f"component {bad[0]} out of range 0..{d - 1}")
-    row_start = np.arange(0, s * d, d)[:, None]
-    slots = given.astype(np.int64, order="C")
-    slots += row_start
-    _repair_slots(slots.reshape(-1), _repair_scratch(s, d))
-    slots -= row_start
-    if out is None:
-        return slots
-    np.copyto(out, slots)
-    return out
+    tiles -= row_start
 
 
 def _swarm_bytes(s: int, d: int, arcs: int) -> int:
     """The bytes of every (s, D) and (arcs, s) array ``pso_optimize`` allocates, all at once.
 
     Per (s, D) element: the float positions, velocities and pbest, the
-    3-deep velocity scratch, the int tiles (the repair's slot array) and
-    their row starts, the kernel's two code arrays, the repair's three index
-    arrays in their compact dtype and its two masks, the two index lists of
-    duplicates and free slots, each up to s*D long, and the improved rows
-    gathered for pbest, up to all of them.  Per (arcs, s)
-    element: the kernel's end codes (two per arc), its hop lookup, and the
-    mask of co-located arcs with the int64 copy its product makes (built
-    only when some arc has h = 0, which a swarm placement never has).
+    3-deep velocity scratch, the int tiles, the repair's row starts, the
+    kernel's two code arrays, the repair's three index arrays in their
+    compact dtype and its two masks, the two index lists of duplicates and
+    free slots, each up to s*D long, and the improved rows gathered for
+    pbest, up to all of them.  Per (arcs, s) element: the kernel's end codes
+    (two per arc), its hop lookup, and the mask of co-located arcs with the
+    int64 copy its product makes (built only when some arc has h = 0, which
+    a swarm placement never has).
     """
     small = np.min_scalar_type(s * d).itemsize
     per_element = 8 * (3 + 3 + 2 + 2 + 2 + 1) + 3 * small + 2
@@ -238,10 +210,9 @@ def pso_optimize(
 
     Positions, pbest, gbest and velocities are float arrays: every value is
     a tile id below 2^53, so float differences of positions are exact.  The
-    moved positions are cast once to int tiles, and adding the row starts
-    gives the flat slots ``row*D + tile`` the repair works on.  Subtracting
-    them again gives the int tiles the fitness reads, and a cast back gives
-    the next float positions.
+    steps write into arrays allocated once here.  The moved positions are
+    cast once to int tiles, which the repair fixes in place and the fitness
+    reads, and a cast back gives the next float positions.
     """
     d = mesh.tile_count
     if g.n_cores > d:
@@ -267,17 +238,12 @@ def pso_optimize(
 
     # Seeded with (seed, 0): the stream every recorded result was made with.
     rng = np.random.default_rng(np.random.SeedSequence((params.seed, 0)))
-    # Every swarm-sized array is allocated here, once per call.  Between
-    # steps ``tiles`` holds the swarm's int tiles; within one it holds the
-    # flat slots, ``slots`` being its flat view.
+    # Every swarm-sized array is allocated here, once per call.
     tiles = np.empty((s, d), dtype=np.intp)
     for i in range(s):
         tiles[i] = rng.permutation(d)
     if seed_position is not None:
         tiles[0] = seed_position
-    slots = tiles.reshape(-1)
-    # Each slot's row start, as a full array: adding one beats broadcasting a column.
-    row_start = np.repeat(np.arange(0, s * d, d), d).reshape(s, d)
     positions = tiles.astype(float)
     velocities = np.zeros((s, d))
     velocity_scratch = np.empty((3, s, d))
@@ -296,13 +262,10 @@ def pso_optimize(
     iteration = 0
     while evals + s <= params.max_evals_per_simulation:
         iteration += 1
-        velocity_update(positions, velocities, pbest, gbest, params, rng,
-                        out=velocities, scratch=velocity_scratch)
-        position_update(positions, velocities, out=moved)
+        velocity_update(positions, velocities, pbest, gbest, params, rng, velocity_scratch)
+        position_update(positions, velocities, moved)
         np.copyto(tiles, moved, casting="unsafe")  # the one float-to-int cast
-        tiles += row_start
-        _repair_slots(slots, repair_work)
-        tiles -= row_start
+        repair_permutation(tiles, repair_work)
         values = fitness(tiles)
         np.copyto(positions, tiles)
         evals += s

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,7 @@ MAX_SIDE = next(n for n in itertools.count(2) if _hop_table_bytes(n + 1) > MAX_T
 
 @dataclass(frozen=True)
 class Mesh3D:
-    """An n x n x n tile grid, 2 <= n <= MAX_SIDE.
+    """An n x n x n tile grid, n an integer with 2 <= n <= MAX_SIDE.
 
     A larger mesh is refused here, before any per-mesh table is built.
     """
@@ -36,6 +37,8 @@ class Mesh3D:
     n: int
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"mesh side length must be an integer, got {self.n!r}")
         if self.n < 2:
             raise ValueError("mesh side length must be at least 2")
         if self.n > MAX_SIDE:

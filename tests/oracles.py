@@ -13,9 +13,9 @@ must reproduce exactly: it reads all of ``HopKernel.__call__``'s sums, the
 co-located arcs' switch bits included.
 
 ``repair_permutation`` is the one-vector loop that ``nocmap.pso``'s
-whole-swarm repair must reproduce exactly, and ``velocity_update`` the
-float-difference velocity formula that its in-place update must reproduce
-bit for bit.  ``pso_optimize`` runs the swarm from those two: int64
+``repair_permutation``, an in-place slot-space repair of the whole swarm,
+must reproduce exactly, and ``velocity_update`` the float-difference
+velocity formula that its in-place update must reproduce bit for bit.  ``pso_optimize`` runs the swarm from those two: int64
 positions, one repair per row and one ``metrics.evaluate`` per particle, so
 the library's float-resident loop must return its mapping, fitness and
 trace exactly.

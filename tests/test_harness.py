@@ -259,6 +259,17 @@ def test_bad_artifact_header_names_file_and_key(g1_file, tmp_path, load, key, va
             run_benchmark(RunConfig(graph=g1_file, mode="pso", seed_mapping=artifact))
 
 
+def test_unreadable_graph_names_the_artifact(g1_file, tmp_path, monkeypatch):
+    # the header's relative graph path is read from the current directory
+    monkeypatch.chdir(tmp_path)
+    run_benchmark(RunConfig(graph=g1_file.name, out_dir="sub"))
+    monkeypatch.chdir(tmp_path / "sub")
+    with pytest.raises(ValueError, match=(
+        r"^artifact g1__map__ddmap__seed0\.map: header 'graph' = 'g1\.ctg' cannot be read: "
+    )):
+        audit_artifact("g1__map__ddmap__seed0.map")
+
+
 class TestOracle:
     def test_single_core(self, mesh2):
         g = graph_from_arcs(1, [])

@@ -38,23 +38,41 @@ def one_particle(d, *values):
     return [np.full((1, d), value) for value in values]
 
 
+def stepped(position, velocity, pbest, gbest, params, rng):
+    """``velocity`` after one velocity step, which updates it in place."""
+    velocity_update(position, velocity, pbest, gbest, params, rng, np.empty((3, *velocity.shape)))
+    return velocity
+
+
+def moved(position, velocity):
+    """The moved positions, in a new float array."""
+    return position_update(position, velocity, np.empty(np.shape(velocity)))
+
+
+def repaired(raw):
+    """A C-ordered intp copy of the batch ``raw``, repaired in place."""
+    tiles = np.array(raw, dtype=np.intp)
+    repair_permutation(tiles, pso._repair_scratch(*tiles.shape))
+    return tiles
+
+
 class TestVelocityUpdate:
     # arrays are (position, velocity, pbest, gbest)
     def test_fixed_point_when_all_agree(self):
-        v = velocity_update(*one_particle(27, 2, 0.0, 2, 2), PsoParams(), ForcedRng())
+        v = stepped(*one_particle(27, 2, 0.0, 2, 2), PsoParams(), ForcedRng())
         assert (v == 0.0).all()
 
     def test_forced_maxima(self):
-        v = velocity_update(*one_particle(27, 2, 1.0, 4, 6), PsoParams(), ForcedRng())
+        v = stepped(*one_particle(27, 2, 1.0, 4, 6), PsoParams(), ForcedRng())
         assert v == pytest.approx(np.full((1, 27), 0.721348 + 2.4 + 5.2), abs=1e-12)
 
     def test_zero_weight_zero_rands(self):
-        v = velocity_update(*one_particle(27, 5, 123.0, 9, 3), PsoParams(w=0.0), ZeroRng())
+        v = stepped(*one_particle(27, 5, 123.0, 9, 3), PsoParams(w=0.0), ZeroRng())
         assert (v == 0.0).all()
 
     def test_clamped_to_dimension(self):
         # D is the row length: 0.721348*100 + 1.2*3 + 1.3*3 is clamped to D = 4
-        v = velocity_update(*one_particle(4, 0, 100.0, 3, 3), PsoParams(), ForcedRng())
+        v = stepped(*one_particle(4, 0, 100.0, 3, 3), PsoParams(), ForcedRng())
         assert (v == 4.0).all()
 
     def test_swarm_collapses_onto_gbest_under_forced_pull(self):
@@ -64,9 +82,8 @@ class TestVelocityUpdate:
         params = PsoParams(w=0.0, c1=0.0, c2=1.0)
         gbest = np.array([3, 1, 5, 0, 2, 4])
         positions = np.array([[0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0]])
-        v = velocity_update(positions, np.zeros((2, d)), positions, gbest, params, ForcedRng())
-        moved = position_update(positions, v)
-        assert repair_permutation(moved).tolist() == [gbest.tolist()] * 2
+        v = stepped(positions, np.zeros((2, d)), positions, gbest, params, ForcedRng())
+        assert repaired(moved(positions, v)).tolist() == [gbest.tolist()] * 2
 
     @given(st.data())
     @settings(max_examples=150)
@@ -86,49 +103,40 @@ class TestVelocityUpdate:
         constant = st.floats(0, 3)
         params = PsoParams(c1=data.draw(constant), c2=data.draw(constant), w=data.draw(constant))
         seed = data.draw(st.integers(0, 2 ** 32 - 1))
-        fast = velocity_update(position, velocity, pbest, gbest, params, np.random.default_rng(seed))
+        fast = stepped(position, velocity.copy(), pbest, gbest, params, np.random.default_rng(seed))
         slow = float_velocity(position, velocity, pbest, gbest, params, np.random.default_rng(seed), d)
         assert fast.shape == slow.shape == shape
         assert np.array_equal(fast.view(np.int64), slow.view(np.int64))
-        # the swarm's form: in place, with its own scratch
-        in_place = velocity.astype(float)
-        velocity_update(position, in_place, pbest, gbest, params, np.random.default_rng(seed),
-                        out=in_place, scratch=np.empty((3, *shape)))
-        assert np.array_equal(in_place.view(np.int64), slow.view(np.int64))
 
 
 class TestPositionUpdate:
     def test_floor_is_added(self):
-        assert (position_update(*one_particle(27, 2, 8.321348)) == 10).all()
+        assert (moved(*one_particle(27, 2, 8.321348)) == 10).all()
 
     def test_small_velocity_keeps_position(self):
-        assert (position_update(*one_particle(27, 5, 0.999)) == 5).all()
+        assert (moved(*one_particle(27, 5, 0.999)) == 5).all()
 
     def test_clamped_high(self):
-        assert (position_update(*one_particle(27, 26, 3.5)) == 26).all()
+        assert (moved(*one_particle(27, 26, 3.5)) == 26).all()
 
     def test_clamped_low(self):
-        assert (position_update(*one_particle(27, 0, -2.5)) == 0).all()
+        assert (moved(*one_particle(27, 0, -2.5)) == 0).all()
 
     def test_negative_floor(self):
-        assert (position_update(*one_particle(27, 5, -1.5)) == 3).all()
+        assert (moved(*one_particle(27, 5, -1.5)) == 3).all()
 
 
 class TestRepair:
     def test_duplicate_filled_with_smallest_unused(self):
         # D = 11: the second 10 takes 0, the one value the row is missing
         raw = [[10, 10, 3, 1, 2, 4, 5, 6, 7, 8, 9]]
-        assert repair_permutation(raw).tolist() == [[10, 0, 3, 1, 2, 4, 5, 6, 7, 8, 9]]
+        assert repaired(raw).tolist() == [[10, 0, 3, 1, 2, 4, 5, 6, 7, 8, 9]]
 
     def test_identity_on_valid(self):
-        assert repair_permutation([[2, 0, 1]]).tolist() == [[2, 0, 1]]
+        assert repaired([[2, 0, 1]]).tolist() == [[2, 0, 1]]
 
     def test_all_same(self):
-        assert repair_permutation([[0, 0, 0]]).tolist() == [[0, 1, 2]]
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError, match="component 3 out of range 0..2"):
-            repair_permutation([[3, 0, 1]])
+        assert repaired([[0, 0, 0]]).tolist() == [[0, 1, 2]]
 
     @given(st.integers(1, 30).flatmap(
         lambda d: st.lists(st.integers(0, d - 1), min_size=d, max_size=d)
@@ -136,11 +144,11 @@ class TestRepair:
     @settings(max_examples=120)
     def test_repair_properties(self, raw):
         d = len(raw)
-        fixed = repair_permutation([raw])[0]
+        fixed = repaired([raw])[0]
         assert len(fixed) == len(raw)
         assert len(set(fixed)) == len(fixed)
         assert all(0 <= v < d for v in fixed)
-        assert repair_permutation([fixed]).tolist() == [fixed.tolist()]
+        assert repaired([fixed]).tolist() == [fixed.tolist()]
         # first occurrences survive
         seen = set()
         for i, v in enumerate(raw):
@@ -157,43 +165,34 @@ class TestRepair:
         rows = data.draw(st.lists(
             st.lists(st.integers(0, hi - 1), min_size=d, max_size=d), min_size=1, max_size=8
         ))
-        batch = np.array(rows, dtype=np.int64)
-        fixed = repair_permutation(batch)
-        assert fixed.shape == batch.shape
-        assert fixed.tolist() == [scalar_repair(row, d) for row in rows]
-        assert batch.tolist() == rows  # the input is left alone
-        assert repair_permutation(np.asfortranarray(batch)).tolist() == fixed.tolist()
-        in_place = batch.copy()
-        assert repair_permutation(in_place, out=in_place) is in_place
-        assert in_place.tolist() == fixed.tolist()
+        batch = np.array(rows, dtype=np.intp)
+        work = pso._repair_scratch(*batch.shape)
+        repair_permutation(batch, work)
+        assert batch.tolist() == [scalar_repair(row, d) for row in rows]
+        # the work arrays carry nothing over: the swarm reuses them every step
+        repair_permutation(batch, work)
+        assert batch.tolist() == [scalar_repair(row, d) for row in rows]
 
     def test_matches_scalar_reference_at_bench_shape(self):
         # the swarm shape of a 100-core graph on a 5x5x5 mesh: 200 rows, D = 125
         d = 125
         rng = np.random.default_rng(7)
         positions = np.array([rng.permutation(d) for _ in range(200)])
-        raw = position_update(positions, rng.uniform(-8.0, 8.0, positions.shape))
+        raw = moved(positions, rng.uniform(-8.0, 8.0, positions.shape)).astype(np.intp)
         assert all(len(set(row)) < d for row in raw.tolist())  # every row needs repair
-        fixed = repair_permutation(raw)
-        assert fixed.tolist() == [scalar_repair(row, d) for row in raw.tolist()]
+        assert repaired(raw).tolist() == [scalar_repair(row, d) for row in raw.tolist()]
 
-    @pytest.mark.parametrize("raw", [
-        np.array([[1.7, 1.2]]),
-        [[True, True]],
-        np.array([[0.0, 1.0]]),
-        [["0", "1"]],
-    ], ids=["fractional", "bool", "integral-float", "str"])
-    def test_non_integer_input_refused(self, raw):
-        with pytest.raises(ValueError, match="expected integer vectors, got dtype"):
-            repair_permutation(raw)
-
-    def test_batch_errors(self):
-        with pytest.raises(ValueError, match="component 3"):
-            repair_permutation([[0, 1, 2], [2, 3, 0]])
-        with pytest.raises(ValueError, match="batch"):
-            repair_permutation([0, 1, 2])
-        with pytest.raises(ValueError, match="batch"):
-            repair_permutation(np.zeros((2, 2, 2), dtype=np.int64))
+    @pytest.mark.parametrize("layout", ["fortran", "column-slice"])
+    def test_non_contiguous_batch_refused(self, layout):
+        # its flat view would be a copy, so a repair would leave the batch as it was
+        rows = [[0, 0, 1], [2, 2, 2]]
+        if layout == "fortran":
+            batch = np.asfortranarray(np.array(rows, dtype=np.intp))
+        else:
+            batch = np.array([row + [0] for row in rows], dtype=np.intp)[:, :3]
+        with pytest.raises(ValueError, match="^expected a C-contiguous batch$"):
+            repair_permutation(batch, pso._repair_scratch(2, 3))
+        assert batch.tolist() == rows
 
 
 class TestParams:

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nocmap import Mesh3D
+from nocmap.mappers import ddmap
 from nocmap.taskgraph import graph_from_arcs
 from nocmap.topology import (
     MAX_SIDE,
@@ -45,6 +47,20 @@ class TestMeshSize:
         for n in (1, 0, -3):
             with pytest.raises(ValueError, match="^mesh side length must be at least 2$"):
                 Mesh3D(n)
+
+    @pytest.mark.parametrize("n", [3.0, 2.5, True, np.float64(3.0)],
+                             ids=["float", "fractional", "bool", "numpy-float"])
+    def test_non_integer_side_is_refused(self, n):
+        # a float side made tile_count a float, which ddmap then failed on
+        shown = re.escape(repr(n))
+        with pytest.raises(ValueError, match=f"^mesh side length must be an integer, got {shown}$"):
+            Mesh3D(n)
+
+    def test_numpy_integer_side_accepted(self):
+        g = graph_from_arcs(3, [(0, 1, 5, 1), (1, 2, 5, 1)])
+        mesh = Mesh3D(np.int64(3))
+        assert mesh.tile_count == 27
+        assert ddmap(g, mesh) == ddmap(g, Mesh3D(3))
 
 
 class TestIndexing:
