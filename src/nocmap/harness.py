@@ -162,8 +162,20 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _check_report_csv(path: str | Path) -> None:
+    """Refuse a non-empty file whose first line is not the report header."""
+    header = ",".join(CSV_COLUMNS).encode()
+    try:
+        with open(path, "rb") as fh:
+            first = fh.readline(len(header) + 2)
+    except FileNotFoundError:
+        return
+    if first and first not in (header + b"\r\n", header + b"\n"):
+        raise ValueError(f"{path} is not a report CSV: its first line is not the report header")
+
+
 def append_report_csv(path: str | Path, rows: list[ReportRow]) -> None:
-    """Append rows, writing the header when the file is new or empty."""
+    """Append rows, writing the header when the file is new or empty (see _check_report_csv)."""
     path = Path(path)
     need_header = not path.exists() or path.stat().st_size == 0
     with path.open("a", newline="", encoding="utf-8") as fh:
@@ -174,10 +186,6 @@ def append_report_csv(path: str | Path, rows: list[ReportRow]) -> None:
             writer.writerow([_format_cell(getattr(row, col)) for col in CSV_COLUMNS])
 
 
-def _artifact_name(benchmark: str, mode: str, algo: str, seed: int) -> str:
-    return f"{benchmark}__{mode}__{algo}__seed{seed}.map"
-
-
 def _report_row(
     g: TaskGraph, placement: Mapping, mesh: Mesh3D, model: EnergyModel, runtime_ms: float, **run
 ) -> ReportRow:
@@ -186,7 +194,9 @@ def _report_row(
 
 
 def run_benchmark(cfg: RunConfig) -> tuple[ReportRow, Mapping]:
-    """Execute one configured pipeline; optionally write artifact and CSV row."""
+    """Execute one configured pipeline; optionally write artifact and CSV row (to a report CSV)."""
+    if cfg.csv_path is not None:
+        _check_report_csv(cfg.csv_path)
     g = parse_graph(Path(cfg.graph).read_text(encoding="utf-8"))
     mesh = Mesh3D(cfg.mesh_n)
     benchmark = Path(cfg.graph).stem
@@ -236,7 +246,7 @@ def run_benchmark(cfg: RunConfig) -> tuple[ReportRow, Mapping]:
         }
         if cfg.mode == "pso":
             header["objective"] = cfg.objective
-        stem = _artifact_name(benchmark, cfg.mode, algo, cfg.seed)
+        stem = f"{benchmark}__{cfg.mode}__{algo}__seed{cfg.seed}.map"
         write_mapping_artifact(out_dir / stem, placement, header)
         if trace is not None:
             buf = io.StringIO()
@@ -323,14 +333,11 @@ def exhaustive_oracle(
             f"{count} assignments exceed the oracle limit of {ORACLE_MAX_ASSIGNMENTS}"
         )
 
-    kernel = HopKernel(g, mesh)
-    scratch = None  # every block has one shape, so one set of work arrays serves them all
+    kernel = HopKernel(g, mesh)  # every block has one shape: its work arrays serve them all
     best_value = None
     best_assign = None
     for rows in _oracle_blocks(tiles, k):
-        if scratch is None:
-            scratch = kernel.scratch(rows.shape)
-        values = kernel.objective_values(rows, objective, model, scratch)
+        values = kernel.objective_values(rows, objective, model)
         i = int(np.argmin(values))  # first minimum: blocks come in lexicographic order
         if best_value is None or values[i] < best_value:
             best_value, best_assign = values[i].item(), rows[i].tolist()

@@ -7,13 +7,14 @@ Moving one bit across h links visits h+1 routers, so the per-bit charge is
 nothing because intra-tile traffic never enters the network.
 
 Every metric reads three exact integer sums over the arcs from one kernel,
-``HopKernel``: ``link_bits = sum(vol*h)``,
-``switch_bits = link_bits + sum(vol for h > 0)`` and ``cost = sum(bw*h)``.
+``HopKernel``: ``link_bits = sum(vol*h)``, ``cost = sum(bw*h)`` and
+``switch_bits = link_bits + sum(vol) - sum(vol for h = 0)``, in one helper.
 Energy is ``e_switch_bit*switch_bits + e_link_bit*link_bits`` and latency
 ``rho*link_bits/eta``.  Integer sums make results independent of arc order,
 and a schedule evaluated task by task equals its aggregated cluster graph
 bit for bit.  The swarm and the exhaustive oracle score through the same
-kernel's ``objective_values``, which takes only the sum its objective needs.
+kernel's ``objective_values``, which takes only the sums its objective needs.
+The kernel owns its work arrays and states their size (``batch_bytes``).
 """
 
 from __future__ import annotations
@@ -83,6 +84,7 @@ class HopKernel:
         self.total_volume = sum(volume)
         self.bandwidth = np.array(bandwidth, dtype=np.int64)
         self.code, self.table = hop_table(mesh.n)
+        self._work = None  # hops' work arrays, for the last batch shape it saw
 
     def placement(self, mapping: Mapping) -> np.ndarray:
         """The tile-per-core array of a mapping that places exactly cores 0..N-1."""
@@ -97,67 +99,63 @@ class HopKernel:
             raise ValueError(f"mapping names unknown core {extra}")
         return np.array([mapping[c] for c in range(self.n_cores)], dtype=np.intp)
 
-    def scratch(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Work arrays for batches of ``shape``, for a caller that scores many of them.
+    @staticmethod
+    def batch_bytes(rows: int, columns: int, arcs: int) -> int:
+        """The bytes the kernel holds at once to score a batch of (rows, columns).
 
-        They hold the batch's tile codes, the same transposed, and its arcs'
-        end codes.  A caller that passes them to ``hops`` or
-        ``objective_values`` owns them; no two calls may use one set at the
-        same time.
+        Per cell the tile codes and their transpose; per (arc, row) the two end
+        codes, the hop lookup, and the h = 0 mask with its product's int64 copy.
         """
-        transposed = tuple(reversed(shape))
-        return (
-            np.empty(shape, dtype=np.intp),
-            np.empty(transposed, dtype=np.intp),
-            np.empty((len(self.ends), *transposed[1:]), dtype=np.intp),
-        )
+        return 16 * rows * columns + 33 * arcs * rows
 
-    def hops(self, tiles, scratch=None) -> np.ndarray:
+    def hops(self, tiles) -> np.ndarray:
         """XYZ hop count of every arc, shape ``(..., arcs)``.
 
         The codes are gathered once and transposed, so each arc end is one
         contiguous row; ``np.take`` with ``out`` and ``mode="clip"`` writes
-        into the ``scratch(tiles.shape)`` arrays without a temporary, and
-        without ``scratch`` they are allocated.  The table lookup stays plain
-        indexing, which checks its bounds and beats ``np.take``'s buffered
-        raise mode.  The result is a transposed view of that arcs-first
-        lookup.
+        into work arrays without a temporary.  They are kept for the last batch
+        shape and reused while it repeats, as in a search, so a kernel serves
+        one caller at a time.  The table lookup stays plain indexing, which
+        checks its bounds and beats ``np.take``'s buffered raise mode; the
+        result is a transposed view of that new arcs-first lookup.
         """
         tiles = np.asarray(tiles)
-        code, code_t, ends = self.scratch(tiles.shape) if scratch is None else scratch
+        if self._work is None or self._work[0].shape != tiles.shape:
+            transposed = tiles.shape[::-1]
+            shapes = (tiles.shape, transposed, (len(self.ends), *transposed[1:]))
+            self._work = [np.empty(shape, dtype=np.intp) for shape in shapes]
+        code, code_t, ends = self._work
         np.take(self.code, tiles, out=code, mode="clip")
         np.copyto(code_t, code.T)
         np.take(code_t, self.ends, axis=0, out=ends, mode="clip")
         arcs = len(self.volume)
         return self.table[np.subtract(ends[:arcs], ends[arcs:], out=ends[:arcs])].T
 
+    def _bits(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Link and switch bits of hops h: a bit crossing h >= 1 links visits h + 1 routers."""
+        link_bits = h @ self.volume
+        switch_bits = link_bits + self.total_volume
+        if h.size and h.min() == 0:  # never for an injective placement
+            switch_bits -= (h == 0) @ self.volume
+        return link_bits, switch_bits
+
     def __call__(self, tiles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(link_bits, switch_bits, cost)`` for every placement in the batch."""
         h = self.hops(tiles)
-        link_bits = h @ self.volume
-        switch_bits = link_bits + (h > 0) @ self.volume
-        return link_bits, switch_bits, h @ self.bandwidth
+        return *self._bits(h), h @ self.bandwidth
 
-    def objective_values(self, tiles, objective: str, model: EnergyModel, scratch=None):
+    def objective_values(self, tiles, objective: str, model: EnergyModel):
         """What a search minimizes, for every placement in the batch: ``cost``, or energy.
 
-        Takes one sum over the hops: ``cost = sum(bw*h)``, or for energy
-        ``link_bits = sum(vol*h)``.  An arc with h >= 1 visits h + 1 routers,
-        so ``switch_bits = link_bits + sum(vol)`` less the volume of the arcs
-        with h = 0.  That correction runs only when some arc in the batch has
-        h = 0, which never happens for an injective placement.  The values are
-        exactly ``model.energy`` of ``__call__``'s sums, or its cost.
-        ``scratch`` is passed on to ``hops``.
+        It takes only the sums its objective needs, and the values are exactly
+        ``model.energy`` of ``__call__``'s sums, or its cost.
         """
         if objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {objective!r}")
-        h = self.hops(tiles, scratch)
+        h = self.hops(tiles)
         if objective == "cost":
             return h @ self.bandwidth
-        link_bits = h @ self.volume
-        switch_bits = link_bits + self.total_volume
-        if h.size and h.min() == 0:
-            switch_bits -= (h == 0) @ self.volume
+        link_bits, switch_bits = self._bits(h)
         return model.energy(switch_bits, link_bits)
 
 

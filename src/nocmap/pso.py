@@ -154,21 +154,17 @@ def repair_permutation(tiles: np.ndarray, work: tuple[np.ndarray, ...]) -> None:
 
 
 def _swarm_bytes(s: int, d: int, arcs: int) -> int:
-    """The bytes of every (s, D) and (arcs, s) array ``pso_optimize`` allocates, all at once.
+    """The bytes of every array ``pso_optimize`` and its kernel hold, all at once.
 
-    Per (s, D) element: the float positions, velocities and pbest, the
-    3-deep velocity scratch, the int tiles, the repair's row starts, the
-    kernel's two code arrays, the repair's three index arrays in their
-    compact dtype and its two masks, the two index lists of duplicates and
-    free slots, each up to s*D long, and the improved rows gathered for
-    pbest, up to all of them.  Per (arcs, s) element: the kernel's end codes
-    (two per arc), its hop lookup, and the mask of co-located arcs with the
-    int64 copy its product makes (built only when some arc has h = 0, which
-    a swarm placement never has).
+    Per (s, D) element: the float positions, velocities and pbest, the 3-deep
+    velocity scratch, the int tiles, the repair's row starts, its three index
+    arrays in their compact dtype and its two masks, the two index lists of
+    duplicates and free slots, each up to s*D long, and the improved rows
+    gathered for pbest, up to all of them.  Plus the kernel's ``batch_bytes``.
     """
     small = np.min_scalar_type(s * d).itemsize
-    per_element = 8 * (3 + 3 + 2 + 2 + 2 + 1) + 3 * small + 2
-    return s * d * per_element + arcs * s * (8 * 4 + 1)
+    per_element = 8 * (3 + 3 + 2 + 2 + 1) + 3 * small + 2
+    return s * d * per_element + HopKernel.batch_bytes(s, d, arcs)
 
 
 class _SlotFitness:
@@ -181,16 +177,14 @@ class _SlotFitness:
     are, and the dummy slots past the last core are columns it ignores.
     """
 
-    def __init__(self, g: TaskGraph, mesh: Mesh3D, objective: str, model: EnergyModel,
-                 swarm_size: int):
+    def __init__(self, g: TaskGraph, mesh: Mesh3D, objective: str, model: EnergyModel):
         self.order = priority_order(g)
         self.kernel = HopKernel(induced_subgraph(g, self.order), mesh)
         self.objective = objective
         self.model = model
-        self.scratch = self.kernel.scratch((swarm_size, mesh.tile_count))
 
     def __call__(self, positions: np.ndarray) -> np.ndarray:
-        return self.kernel.objective_values(positions, self.objective, self.model, self.scratch)
+        return self.kernel.objective_values(positions, self.objective, self.model)
 
 
 def pso_optimize(
@@ -224,7 +218,7 @@ def pso_optimize(
             f"a swarm of {s} particles on {d} tiles needs {need} bytes of arrays, "
             f"more than {MAX_TABLE_BYTES}"
         )
-    fitness = _SlotFitness(g, mesh, objective, model, s)
+    fitness = _SlotFitness(g, mesh, objective, model)
     seed_position = None
     if seed_mapping is not None:
         try:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .mappers import ddmap, map_with
 from .metrics import Mapping
-from .taskgraph import Arc, TaskGraph, induced_subgraph, priority_order
+from .taskgraph import Arc, TaskGraph, induced_subgraph
 from .topology import Mesh3D
 
 

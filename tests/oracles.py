@@ -9,8 +9,9 @@ times links traversed (``link_bits``), then applies the closed form
 order-independent and comparable bit-for-bit with the library.
 
 ``objective_values`` is the three-sum form that ``HopKernel.objective_values``
-must reproduce exactly: it reads all of ``HopKernel.__call__``'s sums, the
-co-located arcs' switch bits included.
+must reproduce exactly.  It takes only the kernel's hops and sums them itself,
+switch bits as ``link_bits + (h > 0) @ volume``, not as the kernel's
+``sum(vol)`` less the co-located arcs, so the two forms check each other.
 
 ``repair_permutation`` is the one-vector loop that ``nocmap.pso``'s
 ``repair_permutation``, an in-place slot-space repair of the whole swarm,
@@ -144,8 +145,11 @@ def brute_latency(g, placement, n, rho=1.0) -> float:
 
 
 def objective_values(kernel, tiles, objective: str, model):
-    """Cost, or the energy of the link and switch bits, from all three of the kernel's sums."""
-    link_bits, switch_bits, cost = kernel(tiles)
+    """Cost, or the energy of the link and switch bits, from three sums over the kernel's hops."""
+    h = kernel.hops(tiles)
+    link_bits = h @ kernel.volume
+    switch_bits = link_bits + (h > 0) @ kernel.volume
+    cost = h @ kernel.bandwidth
     if objective == "cost":
         return cost
     if objective == "energy":

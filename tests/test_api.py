@@ -1,4 +1,6 @@
+import ast
 import types
+from pathlib import Path
 
 import nocmap
 
@@ -24,3 +26,24 @@ def test_exports_are_the_readme_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == set(nocmap.__all__) == README_NAMES
+
+
+def test_library_modules_use_every_name_they_import():
+    # A name a module imports and never reads is dead weight; the package
+    # __init__ re-exports its imports through __all__, which counts as a use.
+    package = Path(nocmap.__file__).parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if path.name == "__init__.py":
+            used |= set(nocmap.__all__)
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []

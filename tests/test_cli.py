@@ -32,6 +32,36 @@ def test_map_writes_artifact_and_csv(demo_graph, tmp_path, capsys):
     assert csv_path.read_text().splitlines()[0].startswith("benchmark,algo,mode")
 
 
+def test_csv_appends_to_a_report_once_headed(demo_graph, tmp_path, capsys):
+    csv_path = tmp_path / "rows.csv"
+    csv_path.write_bytes(b"")  # an empty file is a new report
+    for _ in range(2):
+        assert main(["map", "--graph", str(demo_graph), "--csv", str(csv_path)]) == 0
+    header, *rows = csv_path.read_text().splitlines()
+    assert header.startswith("benchmark,algo,mode") and len(rows) == 2
+
+
+@pytest.mark.parametrize("text", [
+    b"cores 4\nedge 0 1 5 1\n",  # a graph file given as --csv by mistake
+    b"\n",
+    b"benchmark,algo,mode\r\n",  # a header of other columns
+    b"benchmark,algo,mode,total_energy,comm_cost,avg_latency,eta,runtime_ms,seed,x\r\n",
+    b"benchmark,algo,mode,total_energy,comm_cost,avg_latency,eta,runtime_ms,seed",  # no row end
+    b"\xff\xfe\x00binary",
+])
+def test_csv_that_is_not_a_report_is_refused(demo_graph, tmp_path, capsys, text):
+    victim = tmp_path / "victim.ctg"
+    victim.write_bytes(text)
+    out_dir = tmp_path / "runs"
+    rc = main(["map", "--graph", str(demo_graph), "--out", str(out_dir), "--csv", str(victim)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(victim) in captured.err
+    assert captured.out == ""
+    assert victim.read_bytes() == text
+    assert not out_dir.exists()
+
+
 def test_schedule_modes(demo_graph, capsys):
     assert main(["schedule", "--graph", str(demo_graph), "--mode", "dynamic"]) == 0
     assert main([

@@ -228,6 +228,25 @@ class TestObjectiveValues:
         self.assert_agree(kernel, tiles, EnergyModel())
         assert kernel.objective_values(tiles, "energy", EnergyModel()).tolist() == [0.0, 0.0]
 
+    def test_work_arrays_follow_the_batch_shape(self, mesh3):
+        # One kernel keeps its work arrays while the batch shape repeats and
+        # replaces them when it changes; a fresh kernel must agree on every
+        # batch, and a later call must not overwrite an earlier result.
+        g = generate_random_graph(6, 12, seed=5)
+        rng = np.random.default_rng(5)
+        batches = [rng.integers(0, 27, size=shape) for shape in ((5, 6), (6,), (5, 6), (3, 6))]
+
+        def scores(kernel, tiles):
+            return [kernel.hops(tiles), *kernel(tiles), *(
+                kernel.objective_values(tiles, objective, EnergyModel()) for objective in OBJECTIVES
+            )]
+
+        kernel = HopKernel(g, mesh3)
+        kept = [scores(kernel, tiles) for tiles in batches]
+        for tiles, got in zip(batches, kept):
+            want = scores(HopKernel(g, mesh3), tiles)
+            assert all(np.array_equal(a, b) and a.shape == b.shape for a, b in zip(got, want))
+
 
 CUBE_SYMMETRIES = [
     (perm, signs)
