@@ -3,6 +3,12 @@
 Subcommands: map, schedule, optimize, gen, oracle, bench.  Each run prints
 one human-readable result line; artifacts and CSV rows are written only when
 --out / --csv are given, and are byte-stable for a fixed config and seed.
+
+Each subcommand is one entry of ``_COMMANDS``: its help, the function that
+adds its flags, and its handler.  ``main`` builds the parser of the command it
+was given and of no other, since building all six is most of a small run's
+cost; a missing or unknown command, or a top-level ``-h``, gets the full parser,
+so that help and those errors still list every command.
 """
 
 from __future__ import annotations
@@ -109,7 +115,8 @@ def _cmd_bench(args) -> int:
         print(f"no graphs match {args.glob!r}", file=sys.stderr)
         return 1
     algos = list(MAPPERS) if args.all_algos else [args.algo]
-    # Every config is built, and so checked, before the first run writes anything.
+    # Every config is built and every graph read, and so checked, before the
+    # first run writes anything.
     configs = [_config(args, path, mode=args.mode, algo=algo) for path in paths for algo in algos]
     first = {}
     for path in paths:  # the stem names the rows and the artifacts of a graph
@@ -123,34 +130,34 @@ def _cmd_bench(args) -> int:
                 f"--compare takes two different algos of this bench ({', '.join(algos)}): "
                 f"expected one row each for {a!r} and {b!r}"
             )
+    tiles = Mesh3D(args.mesh).tile_count
+    for path in paths:
+        try:
+            g = parse_graph(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        if args.mode == "map" and g.n_cores > tiles:
+            raise ValueError(f"{path}: {g.n_cores} cores exceed {tiles} tiles")
     rows = [_run(cfg) for cfg in configs]
     if args.compare:
         print(format_comparison(rows, *args.compare))
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nocmap",
-        description="Map task graphs onto a 3D mesh network-on-chip and report "
-        "communication energy, cost, and latency.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("map", help="one-core-per-tile mapping")
+def _map_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph", required=True, help="graph file")
     _run_flags(p)
     p.add_argument("--algo", choices=MAPPERS, default="ddmap")
-    p.set_defaults(func=_cmd_map)
 
-    p = sub.add_parser("schedule", help="many-tasks-per-tile scheduling")
+
+def _schedule_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph", required=True, help="graph file")
     _run_flags(p)
     p.add_argument("--mode", choices=("dynamic", "cluster"), default="dynamic")
     p.add_argument("--cluster-mapper", choices=MAPPERS, default="ddmap")
-    p.set_defaults(func=_cmd_schedule)
 
-    p = sub.add_parser("optimize", help="particle-swarm refinement of a mapping")
+
+def _optimize_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph", required=True, help="graph file")
     _run_flags(p)
     p.add_argument("--objective", choices=OBJECTIVES, default="energy")
@@ -160,23 +167,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pso-c1", type=float, default=PsoParams.c1)
     p.add_argument("--pso-c2", type=float, default=PsoParams.c2)
     p.add_argument("--pso-w", type=float, default=PsoParams.w)
-    p.set_defaults(func=_cmd_optimize)
 
-    p = sub.add_parser("gen", help="generate a seeded random graph file")
+
+def _gen_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cores", type=int, required=True)
     p.add_argument("--arcs", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("oracle", help="exhaustive optimum for small instances")
+
+def _oracle_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph", required=True)
     p.add_argument("--mesh", type=int, default=3)
     p.add_argument("--objective", choices=OBJECTIVES, default="energy")
     _energy_flags(p)
-    p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("bench", help="run a batch of graph files")
+
+def _bench_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--glob", required=True, help="shell pattern for graph files")
     algos = p.add_mutually_exclusive_group()
     algos.add_argument("--all-algos", action="store_true", help="run every mapper")
@@ -185,13 +192,47 @@ def build_parser() -> argparse.ArgumentParser:
     _run_flags(p)
     p.add_argument("--compare", nargs=2, metavar=("A", "B"),
                    help="print percentage reductions of A relative to baseline B")
-    p.set_defaults(func=_cmd_bench)
 
+
+# name -> (help, flag adder, handler), in the order the full parser lists them
+_COMMANDS = {
+    "map": ("one-core-per-tile mapping", _map_flags, _cmd_map),
+    "schedule": ("many-tasks-per-tile scheduling", _schedule_flags, _cmd_schedule),
+    "optimize": ("particle-swarm refinement of a mapping", _optimize_flags, _cmd_optimize),
+    "gen": ("generate a seeded random graph file", _gen_flags, _cmd_gen),
+    "oracle": ("exhaustive optimum for small instances", _oracle_flags, _cmd_oracle),
+    "bench": ("run a batch of graph files", _bench_flags, _cmd_bench),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser: every subcommand, or only ``command`` when it names one.
+
+    A one-command parser parses that command's argv to the same namespace, help
+    and errors as the full parser; building it costs a fraction of the full one.
+    """
+    parser = argparse.ArgumentParser(
+        prog="nocmap",
+        description="Map task graphs onto a 3D mesh network-on-chip and report "
+        "communication energy, cost, and latency.",
+    )
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    # a one-command parser's usage, which an unrecognized argument prints,
+    # still lists every command
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_flags, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_flags(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -1,8 +1,9 @@
+import argparse
 import re
 
 import pytest
 
-from nocmap.cli import main
+from nocmap.cli import build_parser, main
 
 
 @pytest.fixture
@@ -242,6 +243,29 @@ def test_bench_checks_every_run_before_running_any(demo_graph, tmp_path, capsys)
     assert not csv_path.exists()
 
 
+@pytest.mark.parametrize("text, fault", [
+    ("cores 2\nedge 0 0 5 1\n", "line 2: self-loop on core 0"),
+    ("cores 9\n", "9 cores exceed 8 tiles"),
+])
+def test_bench_checks_every_graph_before_running_any(tmp_path, capsys, text, fault):
+    # a.ctg runs on its own; b.ctg cannot run, so neither may
+    graphs = tmp_path / "graphs"
+    graphs.mkdir()
+    (graphs / "a.ctg").write_text("cores 4\nedge 0 1 100 10\nedge 1 2 50 5\n")
+    (graphs / "b.ctg").write_text(text)
+    out_dir = tmp_path / "runs"
+    csv_path = tmp_path / "rows.csv"
+    rc = main([
+        "bench", "--glob", str(graphs / "*.ctg"), "--mesh", "2",
+        "--out", str(out_dir), "--csv", str(csv_path),
+    ])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {graphs / 'b.ctg'}: {fault}\n"
+    assert captured.out == ""
+    assert not csv_path.exists() and not out_dir.exists()
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--pso-w", "nan"), ("--pso-c1", "-5"), ("--pso-c2", "inf"),
 ])
@@ -353,3 +377,93 @@ def test_seed_mapping_placement_error_names_file(demo_graph, tmp_path, capsys, l
     assert rc == 1
     assert f"error: {seed}: seed mapping: {fault}\n" in capsys.readouterr().err
     assert not out_dir.exists() and not csv_path.exists()
+
+
+# The energy flags, and the flags every map, schedule, optimize and bench run
+# takes, all off their defaults.
+_ENERGY = ["--e-link", "1.5", "--e-switch", "2.5", "--rho", "3.5"]
+_RUN = ["--mesh", "4", "--seed", "2", "--out", "o", "--csv", "c", *_ENERGY]
+# command -> (the required flags, argv lists that together move every flag off
+# its default, a bad choice or None, a non-integer)
+_ARGV = {
+    "map": (["--graph", "g"], [["--graph", "h", *_RUN, "--algo", "spiral"]],
+            ["--algo", "nope"], ["--mesh", "2.5"]),
+    "schedule": (["--graph", "g"],
+                 [["--graph", "h", *_RUN, "--mode", "cluster", "--cluster-mapper", "crinkle"]],
+                 ["--mode", "nope"], ["--mesh", "2.5"]),
+    "optimize": (["--graph", "g"],
+                 [["--graph", "h", *_RUN, "--objective", "cost", "--seed-mapping", "s.map",
+                   "--pso-swarm-size", "7", "--pso-evals", "9", "--pso-c1", "0.5",
+                   "--pso-c2", "0.25", "--pso-w", "0.125"]],
+                 ["--objective", "nope"], ["--mesh", "2.5"]),
+    "gen": (["--cores", "4", "--arcs", "6", "--out", "g"],
+            [["--cores", "5", "--arcs", "7", "--out", "h", "--seed", "3"]],
+            None, ["--cores", "x"]),
+    "oracle": (["--graph", "g"],
+               [["--graph", "h", "--mesh", "2", "--objective", "cost", *_ENERGY]],
+               ["--objective", "nope"], ["--mesh", "2.5"]),
+    "bench": (["--glob", "g"],
+              [["--glob", "h", "--all-algos", "--mode", "cluster", *_RUN,
+                "--compare", "ddmap", "spiral"],
+               ["--glob", "h", "--algo", "crinkle"]],
+              ["--mode", "nope"], ["--mesh", "2.5"]),
+}
+
+
+def _outcome(parser, argv, capsys):
+    """A parse's namespace, or its exit code and output."""
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", list(_ARGV))
+def test_one_command_parser_matches_full_parser(command, capsys):
+    required, every, bad_choice, non_int = _ARGV[command]
+    lazy, full = build_parser(command), build_parser()
+
+    defaults = _outcome(lazy, [command, *required], capsys)
+    assert defaults == _outcome(full, [command, *required], capsys)
+    moved = set()
+    for flags in every:
+        parsed = _outcome(lazy, [command, *flags], capsys)
+        assert parsed == _outcome(full, [command, *flags], capsys)
+        moved |= {key for key in parsed if parsed[key] != defaults[key]}
+    assert moved == set(defaults) - {"command", "func"}
+
+    code, out, err = _outcome(lazy, [command, "-h"], capsys)
+    assert code == 0 and out.startswith(f"usage: nocmap {command} ") and err == ""
+    assert (code, out, err) == _outcome(full, [command, "-h"], capsys)
+
+    errors = [[], [*required, "--bogus"], [*required, *non_int]]
+    if bad_choice is not None:
+        errors.append([*required, *bad_choice])
+    for argv in errors:
+        code, out, err = _outcome(lazy, [command, *argv], capsys)
+        assert code == 2 and out == "" and err.startswith("usage: nocmap")
+        assert (code, out, err) == _outcome(full, [command, *argv], capsys)
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["nope"]])
+def test_no_known_command_gets_the_full_parser(argv, capsys):
+    expected = _outcome(build_parser(), argv, capsys)
+    assert "{map,schedule,optimize,gen,oracle,bench}" in expected[1] + expected[2]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out, captured.err) == expected
+
+
+def test_main_registers_only_the_command_it_runs(demo_graph, monkeypatch, capsys):
+    registered = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        registered.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    assert main(["map", "--graph", str(demo_graph), "--mesh", "2"]) == 0
+    assert registered == ["map"]
