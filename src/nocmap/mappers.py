@@ -59,30 +59,26 @@ def ddmap(g: TaskGraph, mesh: Mesh3D) -> Mapping:
     mapping: Mapping = {}
     placed_at = [-1] * n_cores  # index in the placement sequence, -1 while unmapped
     traffic = [0] * n_cores  # per unmapped core: volume exchanged with the mapped set
-    # Heap keys -traffic*N + rank order cores by (-traffic, rank); a key whose
-    # traffic has since grown is stale and skipped.
-    heap: list[int] = []
     resume: dict[int, int] = {}  # per anchor: where its last search ended; free only shrinks
 
-    def place(core: int, tile: int) -> None:
+    # Interior-diagonal seeds; a 2x2x2 mesh has no interior, fall back to the origin.
+    for core, tile in zip(order, diagonal_tiles(n) or [0]):
         mapping[core] = tile
         free[tile] = 0
         counts[tile // nn] -= 1
         placed_at[core] = len(mapping) - 1
+    for core in mapping:
         for p, v in neighbours[core].items():
-            if v and placed_at[p] < 0:
+            if placed_at[p] < 0:
                 traffic[p] += v
-                heapq.heappush(heap, rank[p] - traffic[p] * n_cores)
-
-    # Interior-diagonal seeds; a 2x2x2 mesh has no interior, fall back to the origin.
-    seeds = diagonal_tiles(n) or [0]
-    for core, tile in zip(order, seeds):
-        place(core, tile)
-    first = order[0]
-    heap.extend(rank[c] - traffic[c] * n_cores for c in order if placed_at[c] < 0)
+    # Heap keys -traffic*N + rank order cores by (-traffic, rank); a key whose
+    # traffic has since grown is stale and skipped.
+    heap = [rank[c] - traffic[c] * n_cores for c in order if placed_at[c] < 0]
     heapq.heapify(heap)
+    heappush, heappop = heapq.heappush, heapq.heappop
+    first, placed = order[0], len(mapping)
     while heap:
-        key = heapq.heappop(heap)
+        key = heappop(heap)
         core = order[key % n_cores]
         if placed_at[core] >= 0 or key != rank[core] - traffic[core] * n_cores:
             continue
@@ -91,7 +87,16 @@ def ddmap(g: TaskGraph, mesh: Mesh3D) -> Mapping:
             if placed_at[p] >= 0:
                 if v > best or (v == best and v and placed_at[p] < placed_at[anchor_core]):
                     anchor_core, best = p, v
-        place(core, lozenge_next_empty(mapping[anchor_core], free, counts, mesh, resume))
+        tile = lozenge_next_empty(mapping[anchor_core], free, counts, mesh, resume)
+        mapping[core] = tile
+        free[tile] = 0
+        counts[tile // nn] -= 1
+        placed_at[core] = placed
+        placed += 1
+        for p, v in neighbours[core].items():
+            if v and placed_at[p] < 0:
+                traffic[p] += v
+                heappush(heap, rank[p] - traffic[p] * n_cores)
     return mapping
 
 

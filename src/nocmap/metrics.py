@@ -14,7 +14,9 @@ Energy is ``e_switch_bit*switch_bits + e_link_bit*link_bits`` and latency
 and a schedule evaluated task by task equals its aggregated cluster graph
 bit for bit.  The swarm and the exhaustive oracle score through the same
 kernel's ``objective_values``, which takes only the sums its objective needs.
-The kernel owns its work arrays and states their size (``batch_bytes``).
+The kernel reads its arc arrays from the graph's cached, read-only
+``arc_columns``, so a graph's arcs become arrays once however often it is
+scored; it owns only its work arrays and states their size (``batch_bytes``).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .taskgraph import TaskGraph
+from .taskgraph import INT64_MAX, TaskGraph
 from .topology import Mesh3D, hop_table
 
 Mapping = dict[int, int]
@@ -72,17 +74,16 @@ class HopKernel:
 
     def __init__(self, g: TaskGraph, mesh: Mesh3D):
         max_hops = 3 * (mesh.n - 1)
-        volume = [a.volume for a in g.arcs]
-        bandwidth = [a.bandwidth for a in g.arcs]
-        if max(sum(volume) * (max_hops + 1), sum(bandwidth) * max_hops) > 2 ** 63 - 1:
+        columns = g.arc_columns
+        # Exact: the columns refuse a graph whose totals do not fit int64.
+        self.total_volume, total_bandwidth = columns[2:].sum(axis=1).tolist()
+        if max(self.total_volume * (max_hops + 1), total_bandwidth * max_hops) > INT64_MAX:
             raise ValueError(f"arc weights too large: hop sums on mesh {mesh.n} overflow int64")
         self.n_cores = g.n_cores
         self.tile_count = mesh.tile_count
-        # Every arc's source core, then every arc's destination core.
-        self.ends = np.array([a.src for a in g.arcs] + [a.dst for a in g.arcs], dtype=np.intp)
-        self.volume = np.array(volume, dtype=np.int64)
-        self.total_volume = sum(volume)
-        self.bandwidth = np.array(bandwidth, dtype=np.int64)
+        # Every arc's source core, then every arc's destination core: a view.
+        self.ends = columns[:2].ravel()
+        self.volume, self.bandwidth = columns[2], columns[3]
         self.code, self.table = hop_table(mesh.n)
         self._work = None  # hops' work arrays, for the last batch shape it saw
 
@@ -168,7 +169,7 @@ def evaluate(
     """All metrics at once; latency is None when the graph moves no data."""
     kernel = HopKernel(g, mesh)
     link_bits, switch_bits, cost = (int(v) for v in kernel(kernel.placement(mapping)))
-    eta = sum(1 for a in g.arcs if a.volume > 0)  # transfers: arcs that move data
+    eta = int(np.count_nonzero(kernel.volume))  # transfers: arcs that move data
     return EvalReport(
         total_energy=model.energy(switch_bits, link_bits),
         comm_cost=cost,

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .mappers import ddmap, map_with
 from .metrics import Mapping
 from .taskgraph import Arc, TaskGraph, induced_subgraph
@@ -55,28 +57,34 @@ def dynamic_schedule(g: TaskGraph, mesh: Mesh3D) -> Schedule:
     subgraph's priority order, maps them (induced arcs only) on an empty
     mesh, and stacks the placements.  No tile ends up with more than
     ceil(N / n^3) tasks.
+
+    The residual order is ranked from the graph's ``arc_columns`` without
+    building the residual subgraph: each round counts the out-degrees and
+    sums the volumes (exactly, in int64) of the arcs with neither end placed,
+    and a stable ``np.lexsort`` of all cores, in id order, by (placed,
+    -degree, -volume) puts the unplaced ones first in ``priority_order``'s
+    order, id tiebreak included.
     """
     if g.n_cores == 0:
         raise ValueError("cannot schedule an empty graph")
     cap = mesh.tile_count
+    src, dst, volume, _ = g.arc_columns
     placement: dict[int, int] = {}
-    remaining = list(range(g.n_cores))
-    left = [True] * g.n_cores
-    while remaining:
-        # priority_order of the residual subgraph, without building it
-        degs, ranks = [0] * g.n_cores, [0] * g.n_cores
-        for a in g.arcs:
-            if left[a.src] and left[a.dst]:
-                degs[a.src] += 1
-                ranks[a.src] += a.volume
-                ranks[a.dst] += a.volume
-        residual = sorted(remaining, key=lambda c: (-degs[c], -ranks[c], c))
-        cohort, remaining = residual[:cap], residual[cap:]
+    placed = np.zeros(g.n_cores, dtype=bool)
+    for done in range(0, g.n_cores, cap):
+        both = ~(placed[src] | placed[dst])
+        tails, heads, volumes = src[both], dst[both], volume[both]
+        degs = np.bincount(tails, minlength=g.n_cores)
+        ranks = np.zeros(g.n_cores, dtype=np.int64)  # exact: no core's sum exceeds the graph's total
+        np.add.at(ranks, tails, volumes)
+        np.add.at(ranks, heads, volumes)
+        # Placed cores sort last, the rest by (-degree, -volume, id).
+        chosen = np.lexsort((-ranks, -degs, placed))[:min(cap, g.n_cores - done)]
+        placed[chosen] = True
+        cohort = chosen.tolist()
         round_map = ddmap(induced_subgraph(g, cohort), mesh)
         for new_id, tile in round_map.items():
             placement[cohort[new_id]] = tile
-        for c in cohort:
-            left[c] = False
     return Schedule(placement)
 
 
@@ -103,14 +111,21 @@ def cluster_tasks(g: TaskGraph, max_clusters: int) -> ClusterSet:
         scheduled[current] = True
         chain = [current]
         while True:
-            candidates = [(-v, t) for t, v in neighbours[current].items() if not scheduled[t]]
-            if not candidates:
+            nxt, best = -1, -1  # the heaviest unscheduled partner, ties to the lower id
+            for t, v in neighbours[current].items():
+                if not scheduled[t] and (v > best or (v == best and t < nxt)):
+                    nxt, best = t, v
+            if nxt < 0:
                 break
-            nxt = min(candidates)[1]
             scheduled[nxt] = True
             chain.append(nxt)
-            if any(scheduled[p] and p != current for p in neighbours[nxt]):
-                break  # loops back
+            loops_back = False
+            for p in neighbours[nxt]:
+                if scheduled[p] and p != current:
+                    loops_back = True
+                    break
+            if loops_back:
+                break
             current = nxt
         chains.append(chain)
 
@@ -136,22 +151,25 @@ def cluster_tasks(g: TaskGraph, max_clusters: int) -> ClusterSet:
 
 def cluster_graph(g: TaskGraph, cs: ClusterSet) -> TaskGraph:
     """One node per cluster; crossing arcs aggregated, internal arcs dropped."""
-    cluster_of = {t: i for i, cluster in enumerate(cs.clusters) for t in cluster}
-    if len(cluster_of) != g.n_cores:
+    if sum(map(len, cs.clusters)) != g.n_cores:  # a ClusterSet covers 0..its size-1
         raise ValueError("cluster set does not cover this graph")
-    volumes: dict[tuple[int, int], int] = {}
-    bandwidths: dict[tuple[int, int], int] = {}
-    for a in g.arcs:
-        p, q = cluster_of[a.src], cluster_of[a.dst]
-        if p == q:
-            continue
-        volumes[(p, q)] = volumes.get((p, q), 0) + a.volume
-        bandwidths[(p, q)] = bandwidths.get((p, q), 0) + a.bandwidth
-    arcs = tuple(
-        Arc(p, q, volumes[(p, q)], bandwidths[(p, q)])
-        for p, q in sorted(volumes)
-    )
-    return TaskGraph(len(cs.clusters), arcs)
+    m = len(cs.clusters)
+    cluster_of = [0] * g.n_cores
+    for i, cluster in enumerate(cs.clusters):
+        for t in cluster:
+            cluster_of[t] = i
+    sums: dict[int, list[int]] = {}  # cluster pair p*m + q -> [volume, bandwidth]
+    for src, dst, volume, bandwidth in zip(*g.arc_columns.tolist()):
+        p, q = cluster_of[src], cluster_of[dst]
+        if p != q:
+            pair = sums.get(p * m + q)
+            if pair is None:
+                sums[p * m + q] = [volume, bandwidth]
+            else:
+                pair[0] += volume
+                pair[1] += bandwidth
+    arcs = tuple(Arc(*divmod(key, m), *sums[key]) for key in sorted(sums))
+    return TaskGraph(m, arcs)
 
 
 def cluster_schedule(g: TaskGraph, mesh: Mesh3D, mapper: str = "ddmap") -> Schedule:

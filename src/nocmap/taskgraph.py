@@ -21,6 +21,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
+import numpy as np
+
+INT64_MAX = 2 ** 63 - 1
+
 
 class GraphFormatError(ValueError):
     """Malformed graph file; carries the offending 1-based line number."""
@@ -62,6 +66,25 @@ class TaskGraph:
             total = nbrs[a.src].get(a.dst, 0) + a.volume
             nbrs[a.src][a.dst] = nbrs[a.dst][a.src] = total
         return nbrs
+
+    @cached_property
+    def arc_columns(self) -> np.ndarray:
+        """Every arc's src, dst, volume and bandwidth: a read-only int64 array of shape (4, arcs).
+
+        Row r holds field r of every arc, in arc order, so
+        ``src, dst, volume, bandwidth = g.arc_columns`` unpacks it.  It is
+        built once per graph on first use and shared by every caller, so it
+        cannot be written.  A graph whose total volume or total bandwidth
+        does not fit int64 is refused here, so no sum over a column wraps.
+        """
+        arcs = self.arcs
+        volume, bandwidth = [a.volume for a in arcs], [a.bandwidth for a in arcs]
+        for name, column in (("volume", volume), ("bandwidth", bandwidth)):
+            if sum(column) > INT64_MAX:
+                raise ValueError(f"total arc {name} {sum(column)} does not fit int64")
+        columns = np.array([[a.src for a in arcs], [a.dst for a in arcs], volume, bandwidth], dtype=np.int64)
+        columns.flags.writeable = False
+        return columns
 
     @cached_property
     def out_degrees(self) -> tuple[int, ...]:
@@ -159,8 +182,10 @@ def priority_order(g: TaskGraph) -> list[int]:
     """
     if g.n_cores == 0:
         raise ValueError("empty graph has no priority order")
-    degs, ranks = g.out_degrees, g.rankings
-    return sorted(range(g.n_cores), key=lambda c: (-degs[c], -ranks[c], c))
+    # Two stable sorts, minor key first; reverse=True keeps equal keys in order.
+    order = sorted(range(g.n_cores), key=g.rankings.__getitem__, reverse=True)
+    order.sort(key=g.out_degrees.__getitem__, reverse=True)
+    return order
 
 
 def generate_random_graph(

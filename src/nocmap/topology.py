@@ -107,8 +107,9 @@ def _layer_cells(n: int, row: int, col: int) -> tuple[int, ...]:
     even columns the reverse.  Off-grid positions are dropped, so the result
     is a permutation of the n^2 cells starting with (row, col) itself.
 
-    Cached per position, never per tile: n^4 entries per mesh size once
-    every position has been an anchor (10,000 at n = 10).
+    Cached per position: n^4 cells per mesh size once every position has
+    been an anchor (10,000 at n = 10).  The per-tile cache above it,
+    ``_visiting_orders``, holds only n^3 pairs of references to these tuples.
     """
     sign = 1 if col % 2 == 1 else -1
     cells = [row * n + col]
@@ -119,6 +120,18 @@ def _layer_cells(n: int, row: int, col: int) -> tuple[int, ...]:
         ring += [(row - k, col - sign * (d - k)) for k in range(d)]
         cells.extend(r * n + c for r, c in ring if 0 <= r < n and 0 <= c < n)
     return tuple(cells)
+
+
+@functools.lru_cache(maxsize=None)
+def _visiting_orders(n: int, anchor: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(_layer_cells, _layer_order)`` of an anchor tile, found in one cached lookup.
+
+    Cached per tile: n^3 pairs of references to the shared per-position and
+    per-layer tuples once every tile has been an anchor.  An anchor off the
+    mesh raises from ``tile_coords`` and is never cached.
+    """
+    layer, row, col = tile_coords(anchor, n)
+    return _layer_cells(n, row, col), _layer_order(n, layer)
 
 
 @functools.lru_cache(maxsize=None)
@@ -153,8 +166,9 @@ def lozenge_next_empty(
     is the number of empty tiles in each layer.  The two must agree: a layer
     whose count shows no empty tile is skipped without a look, and so is
     the anchor's own layer when the anchor is its only empty tile.  The
-    visiting orders are tables built once per mesh size and position, and
-    the walk is a plain loop that stops at the first empty tile.
+    visiting orders are tables built once per mesh size and position and
+    found by one cached lookup per anchor, and the walk is a plain loop that
+    stops at the first empty tile.
 
     ``resume``, if given, maps an anchor to its position in the visiting
     order (layer index * n^2 + cell index) where the last search from it
@@ -171,9 +185,7 @@ def lozenge_next_empty(
         raise ValueError("occupancy size does not match mesh")
     if len(counts) != n:
         raise ValueError("free counts size does not match mesh")
-    a_layer, a_row, a_col = tile_coords(anchor, n)
-    cells = _layer_cells(n, a_row, a_col)
-    layers = _layer_order(n, a_layer)
+    cells, layers = _visiting_orders(n, anchor)
     resume = {} if resume is None else resume
     # Position 0 is the anchor itself, which is tried last.
     i, k = divmod(resume.get(anchor, 1), nn)

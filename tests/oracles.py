@@ -31,10 +31,20 @@ empty as one bool mask per mesh; they share ``priority_order`` and
 library's fast paths.  They read volumes and partners from the arcs
 (``exchange_matrix``, ``exchange_pairs``, ``partner_sets``), never from the
 graph's neighbour map, so a fault there cannot hide in both.
+
+The last part keeps the per-arc Python forms that the library's placement
+path replaced: the residual ranking that rescans every arc per round
+(``residual_order``, ``dynamic_schedule_rescan``), the chain step with
+candidate lists (``cluster_tasks_candidates``), the two-dict aggregation
+(``cluster_graph_pairs``), and the lozenge search that looks up its visiting
+orders per call (``lozenge_lookup``), reached through ``ddmap``'s ``place``
+helper (``ddmap_place``).  The library's array and inlined forms must
+reproduce them exactly, dict insertion order included.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from typing import Iterator
 
@@ -43,7 +53,7 @@ import numpy as np
 from nocmap.metrics import EnergyModel, evaluate
 from nocmap.scheduler import ClusterSet, Schedule
 from nocmap.taskgraph import Arc, TaskGraph, induced_subgraph, priority_order
-from nocmap.topology import Mesh3D, diagonal_tiles, tile_coords
+from nocmap.topology import Mesh3D, _layer_cells, _layer_order, diagonal_tiles, tile_coords
 
 
 def coords(tile: int, n: int) -> tuple[int, int, int]:
@@ -418,3 +428,187 @@ def cluster_tasks(g: TaskGraph, max_clusters: int) -> ClusterSet:
             kept[target].extend(surplus)
         chains = kept
     return ClusterSet(tuple(tuple(c) for c in chains))
+
+
+# The per-arc Python forms of the placement path, kept as they were before it
+# read the graph's arc columns: the residual ranking of ``dynamic_schedule``,
+# the chain step of ``cluster_tasks``, the two-dict aggregation of
+# ``cluster_graph``, and ``lozenge_next_empty``'s per-call lookup of its
+# visiting orders, with ``ddmap``'s ``place`` helper.  They call each other,
+# never the library's versions of these functions.
+
+
+def lozenge_lookup(anchor: int, free, counts: list[int], mesh: Mesh3D, resume: dict[int, int] | None = None) -> int:
+    """``lozenge_next_empty`` finding the visiting orders per call: ``tile_coords``, then two tables."""
+    n = mesh.n
+    nn = n * n
+    if len(free) != nn * n:
+        raise ValueError("occupancy size does not match mesh")
+    if len(counts) != n:
+        raise ValueError("free counts size does not match mesh")
+    a_layer, a_row, a_col = tile_coords(anchor, n)
+    cells = _layer_cells(n, a_row, a_col)
+    layers = _layer_order(n, a_layer)
+    resume = {} if resume is None else resume
+    i, k = divmod(resume.get(anchor, 1), nn)
+    for i in range(i, n):
+        layer = layers[i]
+        if counts[layer] > (i == 0 and free[anchor]):
+            base = layer * nn
+            for k in range(k, nn):
+                if free[base + cells[k]]:
+                    resume[anchor] = i * nn + k
+                    return base + cells[k]
+        k = 0
+    if free[anchor]:
+        return anchor
+    raise ValueError("no free tile available")
+
+
+def ddmap_place(g: TaskGraph, mesh: Mesh3D) -> dict[int, int]:
+    """Sparse greedy ddmap through a ``place`` helper and ``lozenge_lookup``."""
+    n, n_cores = mesh.n, g.n_cores
+    if n_cores > mesh.tile_count:
+        raise ValueError(f"{n_cores} cores exceed {mesh.tile_count} tiles")
+    order = priority_order(g)
+    rank = [0] * n_cores
+    for i, core in enumerate(order):
+        rank[core] = i
+    neighbours = g.neighbours
+    nn = n * n
+    free = bytearray(b"\x01") * (nn * n)
+    counts = [nn] * n
+    mapping: dict[int, int] = {}
+    placed_at = [-1] * n_cores
+    traffic = [0] * n_cores
+    heap: list[int] = []
+    resume: dict[int, int] = {}
+
+    def place(core: int, tile: int) -> None:
+        mapping[core] = tile
+        free[tile] = 0
+        counts[tile // nn] -= 1
+        placed_at[core] = len(mapping) - 1
+        for p, v in neighbours[core].items():
+            if v and placed_at[p] < 0:
+                traffic[p] += v
+                heapq.heappush(heap, rank[p] - traffic[p] * n_cores)
+
+    seeds = diagonal_tiles(n) or [0]
+    for core, tile in zip(order, seeds):
+        place(core, tile)
+    first = order[0]
+    heap.extend(rank[c] - traffic[c] * n_cores for c in order if placed_at[c] < 0)
+    heapq.heapify(heap)
+    while heap:
+        key = heapq.heappop(heap)
+        core = order[key % n_cores]
+        if placed_at[core] >= 0 or key != rank[core] - traffic[core] * n_cores:
+            continue
+        anchor_core, best = first, 0
+        for p, v in neighbours[core].items():
+            if placed_at[p] >= 0:
+                if v > best or (v == best and v and placed_at[p] < placed_at[anchor_core]):
+                    anchor_core, best = p, v
+        place(core, lozenge_lookup(mapping[anchor_core], free, counts, mesh, resume))
+    return mapping
+
+
+def residual_order(g: TaskGraph, left: list[bool]) -> list[int]:
+    """Priority order of the cores still ``left``, from one rescan of every arc and a key-lambda sort."""
+    degs, ranks = [0] * g.n_cores, [0] * g.n_cores
+    for a in g.arcs:
+        if left[a.src] and left[a.dst]:
+            degs[a.src] += 1
+            ranks[a.src] += a.volume
+            ranks[a.dst] += a.volume
+    return sorted((c for c in range(g.n_cores) if left[c]), key=lambda c: (-degs[c], -ranks[c], c))
+
+
+def dynamic_schedule_rescan(g: TaskGraph, mesh: Mesh3D) -> Schedule:
+    """Rounds ranked by ``residual_order`` and mapped by ``ddmap_place``."""
+    if g.n_cores == 0:
+        raise ValueError("cannot schedule an empty graph")
+    cap = mesh.tile_count
+    placement: dict[int, int] = {}
+    left = [True] * g.n_cores
+    while any(left):
+        cohort = residual_order(g, left)[:cap]
+        round_map = ddmap_place(induced_subgraph(g, cohort), mesh)
+        for new_id, tile in round_map.items():
+            placement[cohort[new_id]] = tile
+        for c in cohort:
+            left[c] = False
+    return Schedule(placement)
+
+
+def cluster_tasks_candidates(g: TaskGraph, max_clusters: int) -> ClusterSet:
+    """Chains grown from candidate lists with ``min``, cut by an ``any`` loop-back test."""
+    if max_clusters < 1:
+        raise ValueError("need at least one cluster")
+    neighbours = g.neighbours
+    scheduled = [False] * g.n_cores
+    chains: list[list[int]] = []
+    for start in range(g.n_cores):
+        if scheduled[start]:
+            continue
+        current = start
+        scheduled[current] = True
+        chain = [current]
+        while True:
+            candidates = [(-v, t) for t, v in neighbours[current].items() if not scheduled[t]]
+            if not candidates:
+                break
+            nxt = min(candidates)[1]
+            scheduled[nxt] = True
+            chain.append(nxt)
+            if any(scheduled[p] and p != current for p in neighbours[nxt]):
+                break
+            current = nxt
+        chains.append(chain)
+    if len(chains) > max_clusters:
+        kept = chains[:max_clusters]
+        owner = [-1] * g.n_cores
+        for i, cluster in enumerate(kept):
+            for t in cluster:
+                owner[t] = i
+        for surplus in chains[max_clusters:]:
+            exchanged: dict[int, int] = {}
+            for u in surplus:
+                for p, v in neighbours[u].items():
+                    if v and owner[p] >= 0:
+                        exchanged[owner[p]] = exchanged.get(owner[p], 0) + v
+            target = max(exchanged, key=lambda i: (exchanged[i], -i), default=0)
+            kept[target].extend(surplus)
+            for t in surplus:
+                owner[t] = target
+        chains = kept
+    return ClusterSet(tuple(tuple(c) for c in chains))
+
+
+def cluster_graph_pairs(g: TaskGraph, cs: ClusterSet) -> TaskGraph:
+    """Crossing arcs summed in one volume dict and one bandwidth dict keyed by cluster pair."""
+    cluster_of = {t: i for i, cluster in enumerate(cs.clusters) for t in cluster}
+    if len(cluster_of) != g.n_cores:
+        raise ValueError("cluster set does not cover this graph")
+    volumes: dict[tuple[int, int], int] = {}
+    bandwidths: dict[tuple[int, int], int] = {}
+    for a in g.arcs:
+        p, q = cluster_of[a.src], cluster_of[a.dst]
+        if p == q:
+            continue
+        volumes[(p, q)] = volumes.get((p, q), 0) + a.volume
+        bandwidths[(p, q)] = bandwidths.get((p, q), 0) + a.bandwidth
+    arcs = tuple(Arc(p, q, volumes[(p, q)], bandwidths[(p, q)]) for p, q in sorted(volumes))
+    return TaskGraph(len(cs.clusters), arcs)
+
+
+def cluster_schedule_pairs(g: TaskGraph, mesh: Mesh3D) -> Schedule:
+    """``cluster_tasks_candidates``, ``cluster_graph_pairs`` and ``ddmap_place``, expanded to tasks."""
+    cs = cluster_tasks_candidates(g, mesh.tile_count)
+    cluster_map = ddmap_place(cluster_graph_pairs(g, cs), mesh)
+    placement: dict[int, int] = {}
+    for idx, cluster in enumerate(cs.clusters):
+        for task in cluster:
+            placement[task] = cluster_map[idx]
+    return Schedule(placement)

@@ -3,8 +3,18 @@
 Each run's stdout, mapping artifact, PSO trace CSV and CSV report row must
 match the digests in ``golden_cli.json``; the runtime is removed from stdout
 and from the row first, since it is the only field that varies between
-identical runs.  A change that alters any output on purpose re-records the
-file, from the repository root, with::
+identical runs.
+
+The ``ci/`` runs are the CI workflow's benchmark-scale commands: 3000 tasks
+scheduled and 1000 cores mapped on a 10x10x10 mesh, the D = 125 swarm and
+the oracle at its limit.  They work from a directory holding the generated
+graphs under the workflow's names (``big.ctg``, ``g1000.ctg``, ``g100.ctg``,
+``g5.ctg``), because an artifact header records the graph path as given;
+so their artifacts, traces and oracle output are the bytes the workflow
+used to pin by sha256.
+
+A change that alters any output on purpose re-records the file, from the
+repository root, with::
 
     PYTHONPATH=src python tests/test_golden_cli.py > tests/golden_cli.json
 
@@ -36,8 +46,18 @@ PARTS = ("stdout", "artifact", "trace", "row")
 RUNTIME = re.compile(r" runtime_ms=\S+")
 
 
+# The CI workflow's generated graphs: file name -> ``gen`` arguments.
+CI_GRAPHS = {
+    "big.ctg": ["--cores", "3000", "--arcs", "4500", "--seed", "1"],
+    "g1000.ctg": ["--cores", "1000", "--arcs", "1500", "--seed", "1"],
+    "g100.ctg": ["--cores", "100", "--arcs", "180", "--seed", "1"],
+    "g5.ctg": ["--cores", "5", "--arcs", "8", "--seed", "1"],
+}
+
+
 def corpus() -> dict[str, list[str]]:
-    """Run id -> CLI arguments, with graph paths relative to the repository root."""
+    """Run id -> CLI arguments, with graph paths relative to the repository root
+    or, for ``ci/`` ids, to the directory of ``CI_GRAPHS``."""
     runs: dict[str, list[str]] = {}
     for path in sorted((ROOT / "benchmarks").glob("*.ctg")):
         name = path.stem
@@ -57,26 +77,44 @@ def corpus() -> dict[str, list[str]]:
         runs[f"demo4/oracle/{objective}"] = [
             "oracle", "--graph", "benchmarks/demo4.ctg", "--mesh", "2", "--objective", objective,
         ]
+    runs["ci/big/schedule/dynamic"] = ["schedule", "--graph", "big.ctg", "--mesh", "10", "--mode", "dynamic"]
+    runs["ci/big/schedule/cluster"] = ["schedule", "--graph", "big.ctg", "--mesh", "10", "--mode", "cluster"]
+    runs["ci/g1000/map/ddmap"] = ["map", "--graph", "g1000.ctg", "--mesh", "10"]
+    for objective in OBJECTIVES:
+        runs[f"ci/g100/optimize/{objective}"] = [
+            "optimize", "--graph", "g100.ctg", "--mesh", "5", "--objective", objective,
+        ]
+        runs[f"ci/g5/oracle/{objective}"] = [
+            "oracle", "--graph", "g5.ctg", "--mesh", "3", "--objective", objective,
+        ]
     return runs
 
 
 @contextlib.contextmanager
-def _at_root():
-    """Work from the repository root, so artifact headers name relative graph paths."""
+def _working_in(directory: Path):
+    """Work from ``directory``, so artifact headers name graph paths relative to it."""
     previous = os.getcwd()
-    os.chdir(ROOT)
+    os.chdir(directory)
     try:
         yield
     finally:
         os.chdir(previous)
 
 
+def make_ci_graphs(directory: Path) -> Path:
+    """Generate ``CI_GRAPHS`` into ``directory`` with the CLI, as the workflow does."""
+    for name, args in CI_GRAPHS.items():
+        with _working_in(directory), contextlib.redirect_stdout(io.StringIO()):
+            assert main(["gen", *args, "--out", name]) == 0
+    return directory
+
+
 def _digest(text: str | None) -> str | None:
     return None if text is None else hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def run_digests(argv: list[str], work: Path) -> dict[str, str | None]:
-    """Run one CLI command from the repository root; digest each of its outputs.
+def run_digests(argv: list[str], work: Path, cwd: Path = ROOT) -> dict[str, str | None]:
+    """Run one CLI command from ``cwd``; digest each of its outputs.
 
     ``work`` must be an empty directory; the run writes its artifact and CSV
     row there, so runs that share an artifact name are digested apart.
@@ -85,7 +123,7 @@ def run_digests(argv: list[str], work: Path) -> dict[str, str | None]:
     if argv[0] != "oracle":
         argv = [*argv, "--out", str(out_dir), "--csv", str(csv_path)]
     sink = io.StringIO()
-    with _at_root(), contextlib.redirect_stdout(sink):
+    with _working_in(cwd), contextlib.redirect_stdout(sink):
         code = main(argv)
     assert code == 0, f"exit {code}"
     outputs: dict[str, str | None] = dict.fromkeys(PARTS)
@@ -102,10 +140,16 @@ def run_digests(argv: list[str], work: Path) -> dict[str, str | None]:
     return {part: _digest(text) for part, text in outputs.items()}
 
 
+@pytest.fixture(scope="module")
+def ci_graphs(tmp_path_factory) -> Path:
+    return make_ci_graphs(tmp_path_factory.mktemp("ci_graphs"))
+
+
 @pytest.mark.parametrize("run", list(corpus()))
-def test_cli_output_matches_golden(run, tmp_path):
+def test_cli_output_matches_golden(run, tmp_path, request):
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))[run]
-    got = run_digests(corpus()[run], tmp_path)
+    cwd = request.getfixturevalue("ci_graphs") if run.startswith("ci/") else ROOT
+    got = run_digests(corpus()[run], tmp_path, cwd)
     changed = [part for part in PARTS if got[part] != expected[part]]
     assert not changed, f"{run}: {', '.join(changed)} differ from the recorded output"
 
@@ -116,8 +160,11 @@ def test_golden_covers_the_corpus():
 
 if __name__ == "__main__":
     golden = {}
-    for run_id, args in corpus().items():
-        with tempfile.TemporaryDirectory() as tmp:
-            golden[run_id] = run_digests(args, Path(tmp))
+    with tempfile.TemporaryDirectory() as graphs:
+        make_ci_graphs(Path(graphs))
+        for run_id, args in corpus().items():
+            with tempfile.TemporaryDirectory() as tmp:
+                cwd = Path(graphs) if run_id.startswith("ci/") else ROOT
+                golden[run_id] = run_digests(args, Path(tmp), cwd)
     json.dump(golden, sys.stdout, indent=1)
     print()

@@ -20,6 +20,16 @@ def sparse_graphs(draw, max_cores):
     return generate_random_graph(n_cores, n_arcs, volume_range=(0, hi), seed=seed)
 
 
+@st.composite
+def tied_graphs(draw, max_cores):
+    """Up to four arcs per core with volumes 0, 1 or 2: a core's placed
+    partners often tie on volume, so anchors fall to the placement order."""
+    n_cores = draw(st.integers(1, max_cores))
+    every = [(s, d) for s in range(n_cores) for d in range(n_cores) if s != d]
+    pairs = draw(st.lists(st.sampled_from(every), max_size=4 * n_cores, unique=True)) if every else []
+    return graph_from_arcs(n_cores, [(s, d, draw(st.sampled_from([0, 1, 1, 2])), 1) for s, d in pairs])
+
+
 def assert_injective_total(mapping, g, mesh):
     assert set(mapping) == set(range(g.n_cores))
     tiles = list(mapping.values())
@@ -78,11 +88,22 @@ class TestDdmap:
         g = data.draw(sparse_graphs(mesh.tile_count))
         assert list(ddmap(g, mesh).items()) == list(oracles.ddmap(g, mesh).items())
 
+    @given(st.data(), st.integers(2, 4))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_place_helper_form(self, data, n):
+        # the inlined loop against the form with a place helper and per-call
+        # lozenge lookups: same tiles, same insertion order
+        mesh = Mesh3D(n)
+        g = data.draw(st.one_of(sparse_graphs(mesh.tile_count), tied_graphs(mesh.tile_count)))
+        assert list(ddmap(g, mesh).items()) == list(oracles.ddmap_place(g, mesh).items())
+
     def test_matches_oracle_at_benchmark_scale(self):
         # 1000 cores fill a 10x10x10 mesh: only this deep do searches from
         # one anchor resume past several full layers
         g, mesh = generate_random_graph(1000, 1500, seed=1), Mesh3D(10)
-        assert list(ddmap(g, mesh).items()) == list(oracles.ddmap(g, mesh).items())
+        want = list(oracles.ddmap(g, mesh).items())
+        assert list(ddmap(g, mesh).items()) == want
+        assert list(oracles.ddmap_place(g, mesh).items()) == want
 
 
 class TestTileOrders:

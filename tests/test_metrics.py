@@ -247,6 +247,19 @@ class TestObjectiveValues:
             want = scores(HopKernel(g, mesh3), tiles)
             assert all(np.array_equal(a, b) and a.shape == b.shape for a, b in zip(got, want))
 
+    def test_arc_arrays_are_the_graph_columns(self, mesh3):
+        # the kernel reads the graph's one read-only copy of its arcs; it
+        # builds no arc array of its own and cannot write into the graph's
+        g = generate_random_graph(6, 12, seed=5)
+        src, dst, volume, bandwidth = g.arc_columns
+        kernel = HopKernel(g, mesh3)
+        assert kernel.ends.tolist() == src.tolist() + dst.tolist()
+        for mine, theirs in ((kernel.ends, g.arc_columns), (kernel.volume, volume), (kernel.bandwidth, bandwidth)):
+            assert np.shares_memory(mine, theirs)
+            with pytest.raises(ValueError, match="read-only"):
+                mine[0] = 1
+        assert kernel.total_volume == sum(a.volume for a in g.arcs)
+
 
 CUBE_SYMMETRIES = [
     (perm, signs)

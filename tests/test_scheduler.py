@@ -20,6 +20,17 @@ def task_graphs(draw, max_tasks):
     return generate_random_graph(n_tasks, n_arcs, volume_range=(0, hi), seed=seed)
 
 
+@st.composite
+def tied_graphs(draw, min_tasks, max_tasks):
+    """Up to two arcs per task, each weight drawn from a few small values,
+    zero included: zero-volume arcs and tied degrees, rankings and partners."""
+    n_tasks = draw(st.integers(min_tasks, max_tasks))
+    every = [(s, d) for s in range(n_tasks) for d in range(n_tasks) if s != d]
+    pairs = draw(st.lists(st.sampled_from(every), max_size=2 * n_tasks, unique=True)) if every else []
+    weight = st.sampled_from([0, 1, 1, 2, 5])
+    return graph_from_arcs(n_tasks, [(s, d, draw(weight), draw(weight)) for s, d in pairs])
+
+
 def assert_valid_schedule(schedule, g, mesh):
     assert set(schedule.placement) == set(range(g.n_cores))
     assert all(0 <= t < mesh.tile_count for t in schedule.placement.values())
@@ -73,6 +84,15 @@ class TestDynamic:
         mesh = Mesh3D(n)
         g = data.draw(task_graphs(3 * mesh.tile_count))
         fast, slow = dynamic_schedule(g, mesh), oracles.dynamic_schedule(g, mesh)
+        assert list(fast.placement.items()) == list(slow.placement.items())
+
+    @given(tied_graphs(9, 40))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_arc_rescan(self, g):
+        # 9-40 tasks on a 2x2x2 mesh take 2-5 rounds; each round's ranking
+        # from the arc columns must pick the cohort the Python rescan picks
+        mesh = Mesh3D(2)
+        fast, slow = dynamic_schedule(g, mesh), oracles.dynamic_schedule_rescan(g, mesh)
         assert list(fast.placement.items()) == list(slow.placement.items())
 
     def test_matches_oracle_at_benchmark_scale(self):
@@ -186,6 +206,17 @@ class TestClusterGraph:
     def test_mismatched_cover_rejected(self, g1):
         with pytest.raises(ValueError):
             cluster_graph(g1, ClusterSet(((0, 1),)))
+        with pytest.raises(ValueError):
+            cluster_graph(g1, ClusterSet(((0, 1), (2, 3, 4))))
+
+    @given(tied_graphs(1, 40), st.integers(1, 12))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_two_dict_aggregation(self, g, cap):
+        # same chains as the candidate-list form, and the same cluster graph,
+        # arc order included
+        cs = cluster_tasks(g, cap)
+        assert cs == oracles.cluster_tasks_candidates(g, cap)
+        assert cluster_graph(g, cs) == oracles.cluster_graph_pairs(g, cs)
 
 
 class TestClusterSchedule:
@@ -211,6 +242,13 @@ class TestClusterSchedule:
         want = [(task, cluster_map[i]) for i, cluster in enumerate(cs.clusters) for task in cluster]
         assert list(cluster_schedule(g, mesh).placement.items()) == want
 
+    @given(tied_graphs(9, 40))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_arc_forms(self, g):
+        mesh = Mesh3D(2)
+        fast, slow = cluster_schedule(g, mesh), oracles.cluster_schedule_pairs(g, mesh)
+        assert list(fast.placement.items()) == list(slow.placement.items())
+
     def test_choice_of_mapper(self, mesh3):
         g = generate_random_graph(20, 30, seed=9)
         for mapper in ("ddmap", "spiral", "crinkle"):
@@ -228,3 +266,27 @@ class TestClusterSchedule:
         task_level = cluster_schedule(g, mesh).placement
         cluster_level = evaluate(cg, cluster_map, mesh)
         assert evaluate(g, task_level, mesh).total_energy == cluster_level.total_energy
+
+
+class TestOverflowingWeights:
+    @pytest.mark.parametrize("schedule", [dynamic_schedule, cluster_schedule])
+    @pytest.mark.parametrize(
+        "arcs, name",
+        [
+            ([(0, 1, 2 ** 63, 1)], "volume"),
+            ([(0, 1, 1, 2 ** 63)], "bandwidth"),
+            ([(0, 1, 2 ** 62, 1), (1, 2, 2 ** 62, 1)], "volume"),
+            ([(0, 1, 1, 2 ** 62), (2, 1, 1, 2 ** 62)], "bandwidth"),
+        ],
+    )
+    def test_refused_by_name(self, schedule, arcs, name, mesh3):
+        # these used to schedule; a sum that does not fit int64 must not wrap
+        g = graph_from_arcs(3, arcs)
+        with pytest.raises(ValueError, match=f"^total arc {name} {2 ** 63} does not fit int64$"):
+            schedule(g, mesh3)
+
+    @pytest.mark.parametrize("schedule", [dynamic_schedule, cluster_schedule])
+    def test_largest_totals_schedule(self, schedule, mesh3):
+        top = 2 ** 63 - 1
+        g = graph_from_arcs(3, [(0, 1, top - 5, top - 7), (1, 2, 5, 7)])
+        assert_valid_schedule(schedule(g, mesh3), g, mesh3)

@@ -2,6 +2,7 @@ import dataclasses
 import re
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -193,6 +194,36 @@ class TestTaskGraph:
     def test_fields_are_count_and_arcs(self, g1):
         assert [f.name for f in dataclasses.fields(TaskGraph)] == ["n_cores", "arcs"]
         assert g1 == TaskGraph(4, g1.arcs)
+
+    def test_arc_columns_are_the_arcs_read_only(self, g1):
+        columns = g1.arc_columns
+        assert columns.dtype == np.int64
+        assert columns.tolist() == [[a.src for a in g1.arcs], [a.dst for a in g1.arcs],
+                                    [a.volume for a in g1.arcs], [a.bandwidth for a in g1.arcs]]
+        assert g1.arc_columns is columns  # built once, shared by every caller
+        for write in (lambda: columns.__setitem__((2, 0), 0), lambda: columns[3].fill(0),
+                      lambda: columns.sort(axis=1)):
+            with pytest.raises(ValueError, match="read-only"):
+                write()
+        assert columns.tolist()[2] == [100, 70, 50, 20]
+        assert graph_from_arcs(3, []).arc_columns.shape == (4, 0)
+
+    @pytest.mark.parametrize(
+        "arcs, message",
+        [
+            ([(0, 1, 2 ** 63, 0)], f"total arc volume {2 ** 63} does not fit int64"),
+            ([(0, 1, 2 ** 62, 0), (1, 0, 2 ** 62, 0)], f"total arc volume {2 ** 63} does not fit int64"),
+            ([(0, 1, 0, 2 ** 64)], f"total arc bandwidth {2 ** 64} does not fit int64"),
+        ],
+    )
+    def test_arc_columns_refuse_totals_past_int64(self, arcs, message):
+        g = graph_from_arcs(2, arcs)  # the graph itself is valid
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            g.arc_columns
+
+    def test_arc_columns_take_totals_of_exactly_int64_max(self):
+        top = graph_from_arcs(2, [(0, 1, 2 ** 62, 2 ** 63 - 1), (1, 0, 2 ** 62 - 1, 0)])
+        assert top.arc_columns[2:].sum(axis=1).tolist() == [2 ** 63 - 1, 2 ** 63 - 1]
 
     @pytest.mark.parametrize(
         "arcs, message",

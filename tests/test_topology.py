@@ -313,6 +313,29 @@ class TestLozengeAgainstRingWalk:
             with pytest.raises(ValueError, match="^no free tile available$"):
                 lozenge_next_empty(anchor, free, counts, mesh, resume)
 
+    @given(st.integers(2, 6), st.integers(0, 2 ** 32))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_call_lookup(self, n, seed):
+        # every anchor searched in turn, each found tile filled, with one
+        # resume dict per form: the per-anchor cache must find the same tiles
+        # and leave the same cursors as the per-call tile_coords lookup
+        import random
+
+        mesh = Mesh3D(n)
+        nn = n * n
+        rng = random.Random(seed)
+        free = bytearray(b"\x01") * mesh.tile_count
+        counts = [nn] * n
+        cached: dict[int, int] = {}
+        per_call: dict[int, int] = {}
+        while any(free):
+            anchor = rng.randrange(mesh.tile_count)
+            want = oracles.lozenge_lookup(anchor, free, counts, mesh, per_call)
+            assert lozenge_next_empty(anchor, free, counts, mesh, cached) == want
+            assert cached == per_call
+            free[want] = 0
+            counts[want // nn] -= 1
+
     @given(st.integers(2, 5), st.integers(0, 2 ** 32))
     @settings(max_examples=40, deadline=None)
     def test_anchor_alone_in_its_layer(self, n, seed):
