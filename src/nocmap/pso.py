@@ -212,7 +212,7 @@ def pso_optimize(
     if g.n_cores > d:
         raise ValueError(f"{g.n_cores} cores exceed {d} tiles")
     s = params.swarm_size
-    need = _swarm_bytes(s, d, len(g.arcs))
+    need = _swarm_bytes(s, d, g.arc_columns.shape[1])
     if need > MAX_TABLE_BYTES:  # checked before the hop table or any swarm array is built
         raise ValueError(
             f"a swarm of {s} particles on {d} tiles needs {need} bytes of arrays, "

@@ -20,7 +20,7 @@ import numpy as np
 
 from .mappers import ddmap, map_with
 from .metrics import Mapping
-from .taskgraph import Arc, TaskGraph, induced_subgraph
+from .taskgraph import TaskGraph, _traffic, induced_subgraph
 from .topology import Mesh3D
 
 
@@ -59,25 +59,22 @@ def dynamic_schedule(g: TaskGraph, mesh: Mesh3D) -> Schedule:
     ceil(N / n^3) tasks.
 
     The residual order is ranked from the graph's ``arc_columns`` without
-    building the residual subgraph: each round counts the out-degrees and
-    sums the volumes (exactly, in int64) of the arcs with neither end placed,
-    and a stable ``np.lexsort`` of all cores, in id order, by (placed,
-    -degree, -volume) puts the unplaced ones first in ``priority_order``'s
-    order, id tiebreak included.
+    building the residual subgraph: each round takes the out-degrees and
+    volumes of the arcs with neither end placed, as ``priority_order`` does
+    for a whole graph, and a stable ``np.lexsort`` of all cores, in id order,
+    by (placed, -degree, -volume) puts the unplaced ones first in
+    ``priority_order``'s order, id tiebreak included.
     """
     if g.n_cores == 0:
         raise ValueError("cannot schedule an empty graph")
     cap = mesh.tile_count
-    src, dst, volume, _ = g.arc_columns
+    ends, volume = g.arc_columns[:2], g.arc_columns[2]
+    src, dst = ends
     placement: dict[int, int] = {}
     placed = np.zeros(g.n_cores, dtype=bool)
     for done in range(0, g.n_cores, cap):
         both = ~(placed[src] | placed[dst])
-        tails, heads, volumes = src[both], dst[both], volume[both]
-        degs = np.bincount(tails, minlength=g.n_cores)
-        ranks = np.zeros(g.n_cores, dtype=np.int64)  # exact: no core's sum exceeds the graph's total
-        np.add.at(ranks, tails, volumes)
-        np.add.at(ranks, heads, volumes)
+        degs, ranks = _traffic(g.n_cores, np.compress(both, ends, axis=1), volume[both])
         # Placed cores sort last, the rest by (-degree, -volume, id).
         chosen = np.lexsort((-ranks, -degs, placed))[:min(cap, g.n_cores - done)]
         placed[chosen] = True
@@ -150,7 +147,13 @@ def cluster_tasks(g: TaskGraph, max_clusters: int) -> ClusterSet:
 
 
 def cluster_graph(g: TaskGraph, cs: ClusterSet) -> TaskGraph:
-    """One node per cluster; crossing arcs aggregated, internal arcs dropped."""
+    """One node per cluster; crossing arcs aggregated, internal arcs dropped.
+
+    Arcs come in (src, dst) order.  Built from ``g.arc_columns``: a stable
+    sort of the crossing arcs' cluster pair keys ``p*m + q`` and one
+    ``np.add.reduceat`` per run of equal keys, exact in int64 because no sum
+    exceeds the graph's totals.  No ``Arc`` is made and no arc checked again.
+    """
     if sum(map(len, cs.clusters)) != g.n_cores:  # a ClusterSet covers 0..its size-1
         raise ValueError("cluster set does not cover this graph")
     m = len(cs.clusters)
@@ -158,18 +161,18 @@ def cluster_graph(g: TaskGraph, cs: ClusterSet) -> TaskGraph:
     for i, cluster in enumerate(cs.clusters):
         for t in cluster:
             cluster_of[t] = i
-    sums: dict[int, list[int]] = {}  # cluster pair p*m + q -> [volume, bandwidth]
-    for src, dst, volume, bandwidth in zip(*g.arc_columns.tolist()):
-        p, q = cluster_of[src], cluster_of[dst]
-        if p != q:
-            pair = sums.get(p * m + q)
-            if pair is None:
-                sums[p * m + q] = [volume, bandwidth]
-            else:
-                pair[0] += volume
-                pair[1] += bandwidth
-    arcs = tuple(Arc(*divmod(key, m), *sums[key]) for key in sorted(sums))
-    return TaskGraph(m, arcs)
+    tails, heads = np.array(cluster_of, dtype=np.int64)[g.arc_columns[:2]]
+    keys = tails * m + heads
+    crossing = (tails != heads).nonzero()[0]
+    by_key = crossing[np.argsort(keys[crossing], kind="stable")]
+    keys = keys[by_key]
+    first = np.ones(len(keys), dtype=bool)  # per sorted arc: the first of its pair
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = first.nonzero()[0]
+    columns = np.empty((4, len(starts)), dtype=np.int64)
+    np.divmod(keys[starts], m, out=(columns[0], columns[1]))
+    np.add.reduceat(g.arc_columns[2:].take(by_key, axis=1), starts, axis=1, out=columns[2:])
+    return TaskGraph._from_columns(m, columns)
 
 
 def cluster_schedule(g: TaskGraph, mesh: Mesh3D, mapper: str = "ddmap") -> Schedule:

@@ -5,6 +5,18 @@ are the ids 0..N-1.  Each arc carries the payload it moves (``volume``,
 bits) and its sustained rate requirement (``bandwidth``, bits/s).  Graphs
 are immutable values and safe to share between threads.
 
+A graph holds its arcs in two forms: ``arcs``, a tuple of ``Arc`` values, and
+``arc_columns``, one read-only int64 array.  It keeps the form it was built
+from and derives the other once, on first read.  The constructor takes
+``Arc`` values and checks every arc; the graphs the library derives from a
+checked graph (``induced_subgraph`` and ``scheduler.cluster_graph``) are
+built from columns, with numpy and without a second check.  Every library
+path reads the columns: ``neighbours``, ``out_degrees``, ``rankings`` and
+``priority_order``, and through them the mappers, the schedulers, the
+swarm and the ``metrics`` kernel, so none of them makes an ``Arc`` for a
+derived graph.  Only ``==``, ``hash``, ``repr`` and ``serialize_graph`` read
+``arcs``, and give the same answer for either form.
+
 Graph file format (UTF-8 text, ``#`` starts a comment, blank lines ignored)::
 
     cores <N>
@@ -16,6 +28,7 @@ to itself never enters the network).
 
 from __future__ import annotations
 
+import numbers
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -54,6 +67,21 @@ class TaskGraph:
         for a in self.arcs:
             _check_arc(a, self.n_cores, seen)
 
+    @classmethod
+    def _from_columns(cls, n_cores: int, columns: np.ndarray) -> TaskGraph:
+        """A graph derived from a checked graph, held as its ``arc_columns``; no arc is checked.
+
+        ``columns`` is a new C-ordered int64 array of shape (4, arcs), made
+        read-only here.  The caller vouches for the checks the constructor
+        would make: ids in range, no loop, one arc per ordered pair, no
+        negative weight, and totals that fit int64, which holds for every
+        sum of a parent's weights.  ``arcs`` is made from it on first read.
+        """
+        columns.flags.writeable = False
+        g = object.__new__(cls)
+        g.__dict__.update(n_cores=n_cores, arc_columns=columns)
+        return g
+
     @cached_property
     def neighbours(self) -> tuple[dict[int, int], ...]:
         """Per core: each core an arc links it to, either way -> volume exchanged both ways.
@@ -61,10 +89,11 @@ class TaskGraph:
         Zero-volume arcs count.  Keys come in arc order, which no caller's
         result depends on.  Every caller gets the same dicts: read them only.
         """
-        nbrs: tuple[dict[int, int], ...] = tuple({} for _ in range(self.n_cores))
-        for a in self.arcs:
-            total = nbrs[a.src].get(a.dst, 0) + a.volume
-            nbrs[a.src][a.dst] = nbrs[a.dst][a.src] = total
+        nbrs: tuple[dict[int, int], ...] = tuple([{} for _ in range(self.n_cores)])
+        src, dst, volume, _ = self.arc_columns.tolist()
+        for s, d, v in zip(src, dst, volume):
+            total = nbrs[s].get(d, 0) + v
+            nbrs[s][d] = nbrs[d][s] = total
         return nbrs
 
     @cached_property
@@ -72,8 +101,9 @@ class TaskGraph:
         """Every arc's src, dst, volume and bandwidth: a read-only int64 array of shape (4, arcs).
 
         Row r holds field r of every arc, in arc order, so
-        ``src, dst, volume, bandwidth = g.arc_columns`` unpacks it.  It is
-        built once per graph on first use and shared by every caller, so it
+        ``src, dst, volume, bandwidth = g.arc_columns`` unpacks it.  A graph
+        built from ``Arc`` values makes it once, on first use, and a derived
+        graph is built from it; either way every caller shares it, so it
         cannot be written.  A graph whose total volume or total bandwidth
         does not fit int64 is refused here, so no sum over a column wraps.
         """
@@ -89,19 +119,38 @@ class TaskGraph:
     @cached_property
     def out_degrees(self) -> tuple[int, ...]:
         """Per core: number of arcs leaving it."""
-        degs = [0] * self.n_cores
-        for a in self.arcs:
-            degs[a.src] += 1
-        return tuple(degs)
+        return tuple(np.bincount(self.arc_columns[0], minlength=self.n_cores).tolist())
 
     @cached_property
     def rankings(self) -> tuple[int, ...]:
         """Per core: total traffic touching it, volumes of all arcs in and out, in bits."""
-        totals = [0] * self.n_cores
-        for a in self.arcs:
-            totals[a.src] += a.volume
-            totals[a.dst] += a.volume
-        return tuple(totals)
+        return tuple(_traffic(self.n_cores, self.arc_columns[:2], self.arc_columns[2])[1].tolist())
+
+
+def _arcs_from_columns(g: TaskGraph) -> tuple[Arc, ...]:
+    """A derived graph's ``Arc`` values, made from its columns on first read."""
+    return tuple(map(Arc, *g.arc_columns.tolist()))
+
+
+# A constructed graph's own ``arcs`` sit in its instance dict, which this
+# non-data descriptor never overrides; only a derived graph reaches it.  It is
+# set after the dataclass is made, so ``arcs`` stays a plain field.
+TaskGraph.arcs = cached_property(_arcs_from_columns)
+TaskGraph.arcs.__set_name__(TaskGraph, "arcs")
+
+
+def _traffic(n_cores: int, ends: np.ndarray, volume: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per core: the out-degree and the total volume in and out of some arcs.
+
+    ``ends`` holds the arcs' sources and destinations as two rows, as
+    ``arc_columns[:2]`` does.  The volumes are summed exactly in int64: no
+    core's sum exceeds the graph's total volume, which ``arc_columns`` bounds.
+    """
+    ranks = np.zeros(n_cores, dtype=np.int64)
+    # One row at a time: numpy 2.4.6 sums a (2, k) index with (k,) values wrongly.
+    np.add.at(ranks, ends[0], volume)
+    np.add.at(ranks, ends[1], volume)
+    return np.bincount(ends[0], minlength=n_cores), ranks
 
 
 def _check_arc(a: Arc, n_cores: int, seen: set[tuple[int, int]]) -> None:
@@ -182,10 +231,9 @@ def priority_order(g: TaskGraph) -> list[int]:
     """
     if g.n_cores == 0:
         raise ValueError("empty graph has no priority order")
-    # Two stable sorts, minor key first; reverse=True keeps equal keys in order.
-    order = sorted(range(g.n_cores), key=g.rankings.__getitem__, reverse=True)
-    order.sort(key=g.out_degrees.__getitem__, reverse=True)
-    return order
+    degs, ranks = _traffic(g.n_cores, g.arc_columns[:2], g.arc_columns[2])
+    # Stable, on the cores in id order: the last key is the major one.
+    return np.lexsort((-ranks, -degs)).tolist()
 
 
 def generate_random_graph(
@@ -224,18 +272,31 @@ def generate_random_graph(
 def induced_subgraph(g: TaskGraph, core_ids: Sequence[int]) -> TaskGraph:
     """Subgraph on the given cores, relabeled 0..k-1 in the given order.
 
-    New id i is old id ``core_ids[i]``.  Arcs are kept only when both
-    endpoints are selected.
+    New id i is old id ``core_ids[i]``.  Arcs are kept, in the graph's arc
+    order, only when both endpoints are selected.  Each id must be an
+    integer (numpy's included, ``bool`` not), and selected once.  The
+    subgraph is built from ``g.arc_columns`` by one relabelling array, with
+    no ``Arc`` made and no arc checked again.
     """
-    if len(set(core_ids)) != len(core_ids):
+    for kind in set(map(type, core_ids)) - {int}:
+        if kind is bool or not issubclass(kind, numbers.Integral):
+            bad = next(core for core in core_ids if type(core) is kind)
+            raise ValueError(f"core id {bad!r} is not an integer")
+    try:
+        ids = np.array(core_ids, dtype=np.int64)  # exact: every id is an integer
+    except OverflowError:
+        ids = np.array([-1])  # an id past int64, so out of range
+    # Read as unsigned, a negative id lies past every core, so one bound checks both ends.
+    if ids.size and ids.view(np.uint64).max() >= g.n_cores:
+        if len(set(core_ids)) != len(core_ids):
+            raise ValueError("duplicate core id in selection")
+        bad = next(core for core in core_ids if not 0 <= core < g.n_cores)
+        raise ValueError(f"core id {bad} out of range 0..{g.n_cores - 1}")
+    new_id = np.full(g.n_cores, -1, dtype=np.int64)
+    new_id[ids] = np.arange(len(ids))
+    if np.count_nonzero(new_id >= 0) != len(ids):
         raise ValueError("duplicate core id in selection")
-    for core in core_ids:
-        if not (0 <= core < g.n_cores):
-            raise ValueError(f"core id {core} out of range 0..{g.n_cores - 1}")
-    new_id = {old: new for new, old in enumerate(core_ids)}
-    arcs = tuple(
-        Arc(new_id[a.src], new_id[a.dst], a.volume, a.bandwidth)
-        for a in g.arcs
-        if a.src in new_id and a.dst in new_id
-    )
-    return TaskGraph(len(core_ids), arcs)
+    columns = g.arc_columns.copy()
+    np.take(new_id, g.arc_columns[:2], out=columns[:2])
+    # An arc stays when neither end is -1: the sign bit of neither is set.
+    return TaskGraph._from_columns(len(ids), np.compress((columns[0] | columns[1]) >= 0, columns, axis=1))

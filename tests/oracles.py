@@ -26,9 +26,9 @@ core (``ddmap``, ``lozenge_next_empty``, ``cluster_tasks``,
 ``dynamic_schedule``) and the all-pairs ``generate_random_graph`` sampler.
 The library's sparse versions must reproduce them exactly, placement
 insertion order included.  Like the library, they keep which tiles are
-empty as one bool mask per mesh; they share ``priority_order`` and
-``induced_subgraph`` with the library, and call each other rather than the
-library's fast paths.  They read volumes and partners from the arcs
+empty as one bool mask per mesh; they share ``priority_order`` with the
+library, build subgraphs with ``induced_subgraph_arcs`` below, and call each
+other rather than the library's fast paths.  They read volumes and partners from the arcs
 (``exchange_matrix``, ``exchange_pairs``, ``partner_sets``), never from the
 graph's neighbour map, so a fault there cannot hide in both.
 
@@ -36,10 +36,13 @@ The last part keeps the per-arc Python forms that the library's placement
 path replaced: the residual ranking that rescans every arc per round
 (``residual_order``, ``dynamic_schedule_rescan``), the chain step with
 candidate lists (``cluster_tasks_candidates``), the two-dict aggregation
-(``cluster_graph_pairs``), and the lozenge search that looks up its visiting
+(``cluster_graph_pairs``), the per-arc relabelling of ``induced_subgraph``
+(``induced_subgraph_arcs``), and the lozenge search that looks up its visiting
 orders per call (``lozenge_lookup``), reached through ``ddmap``'s ``place``
 helper (``ddmap_place``).  The library's array and inlined forms must
-reproduce them exactly, dict insertion order included.
+reproduce them exactly, dict insertion order included.  The two graph
+builders make ``Arc`` values and go through the checking ``TaskGraph``
+constructor, where the library builds its derived graphs from arc columns.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ import numpy as np
 
 from nocmap.metrics import EnergyModel, evaluate
 from nocmap.scheduler import ClusterSet, Schedule
-from nocmap.taskgraph import Arc, TaskGraph, induced_subgraph, priority_order
+from nocmap.taskgraph import Arc, TaskGraph, priority_order
 from nocmap.topology import Mesh3D, _layer_cells, _layer_order, diagonal_tiles, tile_coords
 
 
@@ -380,9 +383,9 @@ def dynamic_schedule(g: TaskGraph, mesh: Mesh3D) -> Schedule:
     placement: dict[int, int] = {}
     remaining = list(range(g.n_cores))
     while remaining:
-        residual = induced_subgraph(g, remaining)
+        residual = induced_subgraph_arcs(g, remaining)
         cohort = [remaining[c] for c in priority_order(residual)[:cap]]
-        round_map = ddmap(induced_subgraph(g, cohort), mesh)
+        round_map = ddmap(induced_subgraph_arcs(g, cohort), mesh)
         for new_id, tile in round_map.items():
             placement[cohort[new_id]] = tile
         taken = set(cohort)
@@ -433,8 +436,9 @@ def cluster_tasks(g: TaskGraph, max_clusters: int) -> ClusterSet:
 # The per-arc Python forms of the placement path, kept as they were before it
 # read the graph's arc columns: the residual ranking of ``dynamic_schedule``,
 # the chain step of ``cluster_tasks``, the two-dict aggregation of
-# ``cluster_graph``, and ``lozenge_next_empty``'s per-call lookup of its
-# visiting orders, with ``ddmap``'s ``place`` helper.  They call each other,
+# ``cluster_graph``, the relabelling of ``induced_subgraph``, and
+# ``lozenge_next_empty``'s per-call lookup of its visiting orders, with
+# ``ddmap``'s ``place`` helper.  They call each other,
 # never the library's versions of these functions.
 
 
@@ -534,7 +538,7 @@ def dynamic_schedule_rescan(g: TaskGraph, mesh: Mesh3D) -> Schedule:
     left = [True] * g.n_cores
     while any(left):
         cohort = residual_order(g, left)[:cap]
-        round_map = ddmap_place(induced_subgraph(g, cohort), mesh)
+        round_map = ddmap_place(induced_subgraph_arcs(g, cohort), mesh)
         for new_id, tile in round_map.items():
             placement[cohort[new_id]] = tile
         for c in cohort:
@@ -601,6 +605,22 @@ def cluster_graph_pairs(g: TaskGraph, cs: ClusterSet) -> TaskGraph:
         bandwidths[(p, q)] = bandwidths.get((p, q), 0) + a.bandwidth
     arcs = tuple(Arc(p, q, volumes[(p, q)], bandwidths[(p, q)]) for p, q in sorted(volumes))
     return TaskGraph(len(cs.clusters), arcs)
+
+
+def induced_subgraph_arcs(g: TaskGraph, core_ids) -> TaskGraph:
+    """The subgraph on ``core_ids``, relabeled in their order: one ``Arc`` per kept arc, in arc order."""
+    if len(set(core_ids)) != len(core_ids):
+        raise ValueError("duplicate core id in selection")
+    for core in core_ids:
+        if not (0 <= core < g.n_cores):
+            raise ValueError(f"core id {core} out of range 0..{g.n_cores - 1}")
+    new_id = {old: new for new, old in enumerate(core_ids)}
+    arcs = tuple(
+        Arc(new_id[a.src], new_id[a.dst], a.volume, a.bandwidth)
+        for a in g.arcs
+        if a.src in new_id and a.dst in new_id
+    )
+    return TaskGraph(len(core_ids), arcs)
 
 
 def cluster_schedule_pairs(g: TaskGraph, mesh: Mesh3D) -> Schedule:

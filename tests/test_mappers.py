@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nocmap import Mesh3D, ddmap, generate_random_graph
-from nocmap.mappers import crinkle_order, map_with, sequence_map, spiral_order
+from nocmap.mappers import MAPPERS, crinkle_order, map_with, sequence_map, spiral_order
 from nocmap.taskgraph import graph_from_arcs, priority_order
 
 import oracles
@@ -169,3 +169,13 @@ class TestAllMappers:
     def test_unknown_kind(self, g1, mesh3):
         with pytest.raises(ValueError, match="unknown mapper"):
             map_with("zigzag", g1, mesh3)
+
+
+class TestOverflowingWeights:
+    @pytest.mark.parametrize("kind", MAPPERS)
+    @pytest.mark.parametrize("arcs, name", [([(0, 1, 2 ** 63, 1)], "volume"), ([(0, 1, 1, 2 ** 63)], "bandwidth")])
+    def test_refused_by_name(self, kind, arcs, name, mesh3):
+        # every mapper reads the arc columns, which refuse a total past int64
+        g = graph_from_arcs(3, arcs)
+        with pytest.raises(ValueError, match=f"^total arc {name} {2 ** 63} does not fit int64$"):
+            map_with(kind, g, mesh3)

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nocmap import generate_random_graph, taskgraph
+from nocmap import Mesh3D, PsoParams, evaluate, generate_random_graph, pso_optimize, taskgraph
+from nocmap.mappers import MAPPERS, ddmap
+from nocmap.scheduler import ClusterSet, cluster_graph, cluster_schedule, cluster_tasks, dynamic_schedule
 from nocmap.taskgraph import (
     Arc,
     GraphFormatError,
@@ -281,3 +283,88 @@ class TestInducedSubgraph:
         for core_ids in ([-1, 0], [0, 4], [4]):
             with pytest.raises(ValueError, match="out of range"):
                 induced_subgraph(g1, core_ids)
+
+    @pytest.mark.parametrize(
+        "core_ids, shown",
+        [([0, 1.5], "1.5"), ([True, 2], "True"), ([np.float64(2.0)], "np.float64(2.0)"), ([np.bool_(False)], "np.False_")],
+    )
+    def test_non_integer_id_is_refused_by_name(self, g1, core_ids, shown):
+        # 1.5 used to select no arc and True to stand for core 1
+        with pytest.raises(ValueError, match=f"^core id {re.escape(shown)} is not an integer$"):
+            induced_subgraph(g1, core_ids)
+
+    def test_numpy_integer_ids_are_accepted(self, g1):
+        assert induced_subgraph(g1, [np.int64(3), np.int32(1)]) == induced_subgraph(g1, [3, 1])
+        assert induced_subgraph(g1, np.array([2, 0])) == induced_subgraph(g1, [2, 0])
+
+
+@st.composite
+def tied_graphs(draw):
+    """Up to three arcs per core with weights from 0, 1, 1, 2 and 5: zero-volume
+    arcs and tied degrees and rankings are common."""
+    n_cores = draw(st.integers(1, 14))
+    every = [(s, d) for s in range(n_cores) for d in range(n_cores) if s != d]
+    pairs = draw(st.lists(st.sampled_from(every), max_size=3 * n_cores, unique=True)) if every else []
+    weight = st.sampled_from([0, 1, 1, 2, 5])
+    return graph_from_arcs(n_cores, [(s, d, draw(weight), draw(weight)) for s, d in pairs])
+
+
+def assert_same_graph(derived, constructed):
+    """A graph built from arc columns agrees with the same arcs through the checking constructor."""
+    # The views read from the columns come first, while the derived graph has no arcs yet.
+    assert "arcs" not in vars(derived)
+    assert derived.arc_columns.tolist() == constructed.arc_columns.tolist()
+    assert derived.neighbours == constructed.neighbours
+    assert [list(keys) for keys in derived.neighbours] == [list(keys) for keys in constructed.neighbours]
+    assert derived.out_degrees == constructed.out_degrees
+    assert derived.rankings == constructed.rankings
+    if constructed.n_cores:
+        per_arc = oracles.residual_order(constructed, [True] * constructed.n_cores)
+        assert priority_order(derived) == priority_order(constructed) == per_arc
+    assert "arcs" not in vars(derived)
+    assert derived == constructed and constructed == derived
+    assert hash(derived) == hash(constructed)
+    assert derived.arcs == constructed.arcs
+    assert repr(derived) == repr(constructed)
+
+
+class _NoArcs:
+    """Stands in for ``TaskGraph.arcs``: a constructed graph's own arcs shadow
+    it, so only reading a derived graph's arcs reaches it."""
+
+    def __get__(self, g, owner=None):
+        raise AssertionError("the arcs of a derived graph were made")
+
+
+class TestDerivedGraphs:
+    @given(tied_graphs(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_induced_subgraph_matches_per_arc_relabelling(self, g, data):
+        core_ids = data.draw(st.permutations(range(g.n_cores)))[:data.draw(st.integers(0, g.n_cores))]
+        assert_same_graph(induced_subgraph(g, core_ids), oracles.induced_subgraph_arcs(g, core_ids))
+
+    @given(tied_graphs(), st.integers(1, 8))
+    @settings(max_examples=150, deadline=None)
+    def test_cluster_graph_matches_two_dict_aggregation(self, g, cap):
+        cs = cluster_tasks(g, cap)
+        assert_same_graph(cluster_graph(g, cs), oracles.cluster_graph_pairs(g, cs))
+
+    def test_empty_derived_graphs(self, g1):
+        assert_same_graph(induced_subgraph(g1, []), TaskGraph(0, ()))
+        empty = graph_from_arcs(0, [])
+        assert_same_graph(cluster_graph(empty, ClusterSet(())), TaskGraph(0, ()))
+
+    def test_derived_graph_of_a_derived_graph(self, g1):
+        sub = induced_subgraph(induced_subgraph(g1, [3, 2, 0]), [2, 0])
+        assert_same_graph(sub, oracles.induced_subgraph_arcs(g1, [0, 3]))
+
+    def test_pipelines_never_make_derived_arcs(self, monkeypatch):
+        g, mesh = generate_random_graph(60, 90, seed=3), Mesh3D(3)  # three dynamic rounds
+        monkeypatch.setattr(TaskGraph, "arcs", _NoArcs())
+        dynamic_schedule(g, mesh)
+        for mapper in MAPPERS:
+            cluster_schedule(g, mesh, mapper)
+        cg = cluster_graph(g, cluster_tasks(g, mesh.tile_count))
+        pso_optimize(cg, mesh, PsoParams(max_evals_per_simulation=400))
+        evaluate(cg, ddmap(cg, mesh), mesh)
+        assert "arcs" not in vars(cg)
