@@ -20,6 +20,7 @@ the sequence (``sequence_map``).
 from __future__ import annotations
 
 import heapq
+import numbers
 from typing import Sequence
 
 from .metrics import Mapping
@@ -34,9 +35,14 @@ def ddmap(g: TaskGraph, mesh: Mesh3D) -> Mapping:
     the placement sequence.  The next core is the unmapped one with the most
     traffic to the mapped set (ties to priority rank); its anchor is the
     earliest-placed partner it exchanges the most volume with, or the first
-    seed when that volume is 0.  Traffic is updated along the arcs of each
-    newly placed core and read from a lazy heap, so the cost follows the
-    arcs, not all pairs.
+    seed when that volume is 0.
+
+    Each placement makes one pass over the new core's partners: for every
+    unmapped one linked by a non-zero volume it lowers the heap key
+    ``rank - traffic*N``, pushes the new key on a lazy heap, and makes the
+    new core its anchor when that volume beats the anchor's (a later core
+    never wins a tie).  So the cost follows the arcs, not all pairs, and
+    placing a core reads its anchor without a second look at its partners.
 
     The empty tiles are one ``bytearray`` mask plus a count per layer, kept
     in step as each core is placed.  Every tile after the seeds comes from
@@ -48,7 +54,7 @@ def ddmap(g: TaskGraph, mesh: Mesh3D) -> Mapping:
     if n_cores > mesh.tile_count:
         raise ValueError(f"{n_cores} cores exceed {mesh.tile_count} tiles")
     order = priority_order(g)
-    rank = [0] * n_cores
+    rank = [0] * n_cores  # per core: its index in order
     for i, core in enumerate(order):
         rank[core] = i
     neighbours = g.neighbours
@@ -57,8 +63,9 @@ def ddmap(g: TaskGraph, mesh: Mesh3D) -> Mapping:
     free = bytearray(b"\x01") * (nn * n)  # per tile: still empty
     counts = [nn] * n  # per layer: empty tiles
     mapping: Mapping = {}
-    placed_at = [-1] * n_cores  # index in the placement sequence, -1 while unmapped
-    traffic = [0] * n_cores  # per unmapped core: volume exchanged with the mapped set
+    waiting = bytearray(b"\x01") * n_cores  # per core: still unmapped
+    keys = rank.copy()  # per unmapped core: its heap key, rank - traffic*N
+    best = [0] * n_cores  # per unmapped core: the largest volume it exchanges with one mapped core
     resume: dict[int, int] = {}  # per anchor: where its last search ended; free only shrinks
 
     # Interior-diagonal seeds; a 2x2x2 mesh has no interior, fall back to the origin.
@@ -66,37 +73,37 @@ def ddmap(g: TaskGraph, mesh: Mesh3D) -> Mapping:
         mapping[core] = tile
         free[tile] = 0
         counts[tile // nn] -= 1
-        placed_at[core] = len(mapping) - 1
-    for core in mapping:
+        waiting[core] = 0
+    anchor = [mapping[order[0]]] * n_cores  # per unmapped core: its anchor's tile
+    for core, tile in mapping.items():
         for p, v in neighbours[core].items():
-            if placed_at[p] < 0:
-                traffic[p] += v
-    # Heap keys -traffic*N + rank order cores by (-traffic, rank); a key whose
-    # traffic has since grown is stale and skipped.
-    heap = [rank[c] - traffic[c] * n_cores for c in order if placed_at[c] < 0]
+            if v and waiting[p]:
+                keys[p] -= v * n_cores
+                if v > best[p]:
+                    best[p], anchor[p] = v, tile
+    # Keys order cores by (-traffic, rank), and each core's key falls as its
+    # traffic grows; a popped key that is no longer its core's is stale and
+    # skipped.  Every key is pushed once, so a mapped core's own key is gone
+    # from the heap.
+    heap = [keys[core] for core in range(n_cores) if waiting[core]]
     heapq.heapify(heap)
     heappush, heappop = heapq.heappush, heapq.heappop
-    first, placed = order[0], len(mapping)
     while heap:
         key = heappop(heap)
         core = order[key % n_cores]
-        if placed_at[core] >= 0 or key != rank[core] - traffic[core] * n_cores:
+        if key != keys[core]:
             continue
-        anchor_core, best = first, 0
-        for p, v in neighbours[core].items():
-            if placed_at[p] >= 0:
-                if v > best or (v == best and v and placed_at[p] < placed_at[anchor_core]):
-                    anchor_core, best = p, v
-        tile = lozenge_next_empty(mapping[anchor_core], free, counts, mesh, resume)
+        tile = lozenge_next_empty(anchor[core], free, counts, mesh, resume)
         mapping[core] = tile
         free[tile] = 0
         counts[tile // nn] -= 1
-        placed_at[core] = placed
-        placed += 1
+        waiting[core] = 0
         for p, v in neighbours[core].items():
-            if v and placed_at[p] < 0:
-                traffic[p] += v
-                heappush(heap, rank[p] - traffic[p] * n_cores)
+            if v and waiting[p]:
+                keys[p] = lowered = keys[p] - v * n_cores
+                heappush(heap, lowered)
+                if v > best[p]:
+                    best[p], anchor[p] = v, tile
     return mapping
 
 
@@ -143,12 +150,24 @@ def spiral_order(mesh: Mesh3D) -> list[int]:
 
 
 def sequence_map(g: TaskGraph, mesh: Mesh3D, order: Sequence[int]) -> Mapping:
-    """Priority-ordered cores onto a tile sequence prefix; injective."""
+    """Priority-ordered cores onto a tile sequence prefix; injective.
+
+    The prefix's N tiles, N the core count, must be distinct integer tile
+    ids of the mesh.
+    """
     if g.n_cores > mesh.tile_count:
         raise ValueError(f"{g.n_cores} cores exceed {mesh.tile_count} tiles")
     if len(order) < g.n_cores:
         raise ValueError("tile sequence shorter than the core list")
-    return {core: order[i] for i, core in enumerate(priority_order(g))}
+    tiles, count = order[:g.n_cores], mesh.tile_count
+    # Checks over the whole prefix first; the per-tile search runs only when one fails.
+    if not (set(map(type, tiles)) <= {int} and (len(tiles) == 0 or (0 <= min(tiles) and max(tiles) < count))):
+        for tile in tiles:
+            if isinstance(tile, bool) or not isinstance(tile, numbers.Integral) or not 0 <= tile < count:
+                raise ValueError(f"tile {tile!r} in the tile sequence is not a tile of the mesh (0..{count - 1})")
+    if len(set(tiles)) < len(tiles):
+        raise ValueError("tile sequence repeats a tile")
+    return dict(zip(priority_order(g), tiles))
 
 
 def map_with(kind: str, g: TaskGraph, mesh: Mesh3D) -> Mapping:

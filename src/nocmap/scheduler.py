@@ -14,6 +14,7 @@ is where the energy savings come from.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,16 @@ class ClusterSet:
                 seen.add(t)
         if seen != set(range(len(seen))):
             raise ValueError("clusters must cover task ids 0..N-1 exactly")
+
+    @classmethod
+    def _unchecked(cls, clusters: tuple[tuple[int, ...], ...]) -> ClusterSet:
+        """A cluster set whose caller vouches that ``clusters`` is a partition of 0..N-1; no check.
+
+        It compares, hashes and prints as ``ClusterSet(clusters)`` does.
+        """
+        cs = object.__new__(cls)
+        cs.__dict__["clusters"] = clusters
+        return cs
 
 
 @dataclass
@@ -95,7 +106,13 @@ def cluster_tasks(g: TaskGraph, max_clusters: int) -> ClusterSet:
     predecessor -- the looped task is kept, the chain stops.  Surplus chains
     are merged, in creation order, into the retained cluster they exchange
     the most volume with (ties to the lowest cluster index).
+
+    ``max_clusters`` must be an integer (numpy's included, ``bool`` not).
+    Every task joins one chain once, so the result is a partition by
+    construction and is built without ``ClusterSet``'s check.
     """
+    if isinstance(max_clusters, bool) or not isinstance(max_clusters, numbers.Integral):
+        raise ValueError(f"cluster limit must be an integer, got {max_clusters!r}")
     if max_clusters < 1:
         raise ValueError("need at least one cluster")
     neighbours = g.neighbours
@@ -104,26 +121,26 @@ def cluster_tasks(g: TaskGraph, max_clusters: int) -> ClusterSet:
     for start in range(g.n_cores):
         if scheduled[start]:
             continue
-        current = start
-        scheduled[current] = True
-        chain = [current]
+        scheduled[start] = True
+        chain = [start]
+        prev, current = -1, start  # the start has no predecessor and is never cut
         while True:
-            nxt, best = -1, -1  # the heaviest unscheduled partner, ties to the lower id
+            # One pass over the newest task's partners: a scheduled one other
+            # than its predecessor cuts the chain, else the heaviest
+            # unscheduled one, ties to the lower id, comes next.
+            nxt, best = -1, -1
             for t, v in neighbours[current].items():
-                if not scheduled[t] and (v > best or (v == best and t < nxt)):
-                    nxt, best = t, v
+                if not scheduled[t]:
+                    if v > best or (v == best and t < nxt):
+                        nxt, best = t, v
+                elif t != prev and prev >= 0:
+                    nxt = -1
+                    break
             if nxt < 0:
                 break
             scheduled[nxt] = True
             chain.append(nxt)
-            loops_back = False
-            for p in neighbours[nxt]:
-                if scheduled[p] and p != current:
-                    loops_back = True
-                    break
-            if loops_back:
-                break
-            current = nxt
+            prev, current = current, nxt
         chains.append(chain)
 
     if len(chains) > max_clusters:
@@ -143,7 +160,7 @@ def cluster_tasks(g: TaskGraph, max_clusters: int) -> ClusterSet:
             for t in surplus:
                 owner[t] = target
         chains = kept
-    return ClusterSet(tuple(tuple(c) for c in chains))
+    return ClusterSet._unchecked(tuple(map(tuple, chains)))
 
 
 def cluster_graph(g: TaskGraph, cs: ClusterSet) -> TaskGraph:

@@ -154,16 +154,23 @@ def _traffic(n_cores: int, ends: np.ndarray, volume: np.ndarray) -> tuple[np.nda
 
 
 def _check_arc(a: Arc, n_cores: int, seen: set[tuple[int, int]]) -> None:
-    """Refuse an arc off 0..n_cores-1, a loop, a pair already in ``seen`` or a negative weight."""
-    if not (0 <= a.src < n_cores and 0 <= a.dst < n_cores):
-        raise ValueError(f"core id out of range in arc {a.src}->{a.dst}")
-    if a.src == a.dst:
-        raise ValueError(f"self-loop on core {a.src}")
-    if (a.src, a.dst) in seen:
-        raise ValueError(f"duplicate arc {a.src}->{a.dst}")
-    if a.volume < 0 or a.bandwidth < 0:
-        raise ValueError(f"negative weight on arc {a.src}->{a.dst}")
-    seen.add((a.src, a.dst))
+    """Refuse an arc with a field that is not an integer (numpy's are, ``bool`` is not), an
+    end off 0..n_cores-1, a loop, a pair already in ``seen`` or a negative weight."""
+    src, dst, volume, bandwidth = a.src, a.dst, a.volume, a.bandwidth
+    if not (type(src) is int and type(dst) is int and type(volume) is int and type(bandwidth) is int):
+        for value in (src, dst, volume, bandwidth):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"non-integer field {value!r} in arc {src}->{dst}")
+    if not (0 <= src < n_cores and 0 <= dst < n_cores):
+        raise ValueError(f"core id out of range in arc {src}->{dst}")
+    if src == dst:
+        raise ValueError(f"self-loop on core {src}")
+    pair = (src, dst)
+    if pair in seen:
+        raise ValueError(f"duplicate arc {src}->{dst}")
+    if volume < 0 or bandwidth < 0:
+        raise ValueError(f"negative weight on arc {src}->{dst}")
+    seen.add(pair)
 
 
 def graph_from_arcs(n_cores: int, arcs: Iterable[tuple[int, int, int, int]]) -> TaskGraph:
@@ -196,7 +203,7 @@ def parse_graph(text: str) -> TaskGraph:
         if len(fields) != 5:
             raise GraphFormatError(line_no, "expected 'edge <src> <dst> <volume> <bandwidth>'")
         try:
-            arc = Arc(*(int(f) for f in fields[1:]))
+            arc = Arc(*map(int, fields[1:]))
         except ValueError:
             raise GraphFormatError(line_no, "edge fields must be integers") from None
         arcs.append(arc)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import numbers
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,8 +109,9 @@ def _layer_cells(n: int, row: int, col: int) -> tuple[int, ...]:
     is a permutation of the n^2 cells starting with (row, col) itself.
 
     Cached per position: n^4 cells per mesh size once every position has
-    been an anchor (10,000 at n = 10).  The per-tile cache above it,
-    ``_visiting_orders``, holds only n^3 pairs of references to these tuples.
+    been an anchor (10,000 at n = 10).  The per-tile pairs that
+    ``lozenge_next_empty`` keeps in ``_ORDERS`` hold only references to
+    these tuples.
     """
     sign = 1 if col % 2 == 1 else -1
     cells = [row * n + col]
@@ -122,16 +124,21 @@ def _layer_cells(n: int, row: int, col: int) -> tuple[int, ...]:
     return tuple(cells)
 
 
-@functools.lru_cache(maxsize=None)
 def _visiting_orders(n: int, anchor: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``(_layer_cells, _layer_order)`` of an anchor tile, found in one cached lookup.
+    """``(_layer_cells, _layer_order)`` of an anchor tile, made once per tile.
 
-    Cached per tile: n^3 pairs of references to the shared per-position and
-    per-layer tuples once every tile has been an anchor.  An anchor off the
-    mesh raises from ``tile_coords`` and is never cached.
+    ``lozenge_next_empty`` keeps the result in ``_ORDERS[n]``, one dict per
+    mesh side keyed by tile, and reads it back with one ``dict.get``; it
+    does not hash ``(n, anchor)`` as a cache of this function would.  Once
+    every tile has been an anchor a dict holds n^3 pairs of references to
+    the shared per-position and per-layer tuples.  An anchor off the mesh
+    raises from ``tile_coords`` and is never kept.
     """
     layer, row, col = tile_coords(anchor, n)
     return _layer_cells(n, row, col), _layer_order(n, layer)
+
+
+_ORDERS: defaultdict[int, dict] = defaultdict(dict)  # mesh side -> anchor tile -> its _visiting_orders
 
 
 @functools.lru_cache(maxsize=None)
@@ -166,9 +173,9 @@ def lozenge_next_empty(
     is the number of empty tiles in each layer.  The two must agree: a layer
     whose count shows no empty tile is skipped without a look, and so is
     the anchor's own layer when the anchor is its only empty tile.  The
-    visiting orders are tables built once per mesh size and position and
-    found by one cached lookup per anchor, and the walk is a plain loop that
-    stops at the first empty tile.
+    visiting orders are tables built once per mesh size and position, found
+    by one read of a per-mesh-side dict keyed by tile, and the walk is a
+    plain loop that stops at the first empty tile.
 
     ``resume``, if given, maps an anchor to its position in the visiting
     order (layer index * n^2 + cell index) where the last search from it
@@ -185,10 +192,16 @@ def lozenge_next_empty(
         raise ValueError("occupancy size does not match mesh")
     if len(counts) != n:
         raise ValueError("free counts size does not match mesh")
-    cells, layers = _visiting_orders(n, anchor)
+    orders = _ORDERS[n]
+    entry = orders.get(anchor)
+    if entry is None:
+        entry = orders[anchor] = _visiting_orders(n, anchor)
+    cells, layers = entry
     resume = {} if resume is None else resume
     # Position 0 is the anchor itself, which is tried last.
-    i, k = divmod(resume.get(anchor, 1), nn)
+    k = resume.get(anchor, 1)
+    i = k // nn
+    k -= i * nn
     for i in range(i, n):
         layer = layers[i]
         # The anchor's own layer (i == 0) needs an empty tile besides the anchor.

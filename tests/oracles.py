@@ -37,9 +37,10 @@ path replaced: the residual ranking that rescans every arc per round
 (``residual_order``, ``dynamic_schedule_rescan``), the chain step with
 candidate lists (``cluster_tasks_candidates``), the two-dict aggregation
 (``cluster_graph_pairs``), the per-arc relabelling of ``induced_subgraph``
-(``induced_subgraph_arcs``), and the lozenge search that looks up its visiting
-orders per call (``lozenge_lookup``), reached through ``ddmap``'s ``place``
-helper (``ddmap_place``).  The library's array and inlined forms must
+(``induced_subgraph_arcs``), the lozenge search that looks up its visiting
+orders per call (``lozenge_lookup``), and ``ddmap`` through a ``place`` helper
+that chooses each core's anchor by scanning its placed partners when it is
+placed, with the heap built by ``heapify`` (``ddmap_place``).  The library's array and inlined forms must
 reproduce them exactly, dict insertion order included.  The two graph
 builders make ``Arc`` values and go through the checking ``TaskGraph``
 constructor, where the library builds its derived graphs from arc columns.
@@ -470,7 +471,7 @@ def lozenge_lookup(anchor: int, free, counts: list[int], mesh: Mesh3D, resume: d
 
 
 def ddmap_place(g: TaskGraph, mesh: Mesh3D) -> dict[int, int]:
-    """Sparse greedy ddmap through a ``place`` helper and ``lozenge_lookup``."""
+    """Sparse greedy ddmap through a ``place`` helper and ``lozenge_lookup``; anchors from a partner scan."""
     n, n_cores = mesh.n, g.n_cores
     if n_cores > mesh.tile_count:
         raise ValueError(f"{n_cores} cores exceed {mesh.tile_count} tiles")

@@ -50,6 +50,7 @@ RUNTIME = re.compile(r" runtime_ms=\S+")
 CI_GRAPHS = {
     "big.ctg": ["--cores", "3000", "--arcs", "4500", "--seed", "1"],
     "g1000.ctg": ["--cores", "1000", "--arcs", "1500", "--seed", "1"],
+    "g512.ctg": ["--cores", "512", "--arcs", "768", "--seed", "1"],
     "g100.ctg": ["--cores", "100", "--arcs", "180", "--seed", "1"],
     "g5.ctg": ["--cores", "5", "--arcs", "8", "--seed", "1"],
 }
@@ -80,6 +81,7 @@ def corpus() -> dict[str, list[str]]:
     runs["ci/big/schedule/dynamic"] = ["schedule", "--graph", "big.ctg", "--mesh", "10", "--mode", "dynamic"]
     runs["ci/big/schedule/cluster"] = ["schedule", "--graph", "big.ctg", "--mesh", "10", "--mode", "cluster"]
     runs["ci/g1000/map/ddmap"] = ["map", "--graph", "g1000.ctg", "--mesh", "10"]
+    runs["ci/g512/map/ddmap"] = ["map", "--graph", "g512.ctg", "--mesh", "8"]
     for objective in OBJECTIVES:
         runs[f"ci/g100/optimize/{objective}"] = [
             "optimize", "--graph", "g100.ctg", "--mesh", "5", "--objective", objective,

@@ -1,10 +1,14 @@
+import re
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nocmap import Mesh3D, ddmap, generate_random_graph
+from nocmap import Mesh3D, ddmap, generate_random_graph, mappers
 from nocmap.mappers import MAPPERS, crinkle_order, map_with, sequence_map, spiral_order
 from nocmap.taskgraph import graph_from_arcs, priority_order
+from nocmap.topology import lozenge_next_empty
 
 import oracles
 
@@ -22,12 +26,14 @@ def sparse_graphs(draw, max_cores):
 
 @st.composite
 def tied_graphs(draw, max_cores):
-    """Up to four arcs per core with volumes 0, 1 or 2: a core's placed
-    partners often tie on volume, so anchors fall to the placement order."""
+    """Up to four arcs per core, each volume drawn from {0, 1, 1, 2, 5}: a
+    core's placed partners often tie on volume, so anchors fall to the
+    placement order, and zero-volume arcs, which never make an anchor, are
+    common."""
     n_cores = draw(st.integers(1, max_cores))
     every = [(s, d) for s in range(n_cores) for d in range(n_cores) if s != d]
     pairs = draw(st.lists(st.sampled_from(every), max_size=4 * n_cores, unique=True)) if every else []
-    return graph_from_arcs(n_cores, [(s, d, draw(st.sampled_from([0, 1, 1, 2])), 1) for s, d in pairs])
+    return graph_from_arcs(n_cores, [(s, d, draw(st.sampled_from([0, 1, 1, 2, 5])), 1) for s, d in pairs])
 
 
 def assert_injective_total(mapping, g, mesh):
@@ -91,11 +97,43 @@ class TestDdmap:
     @given(st.data(), st.integers(2, 4))
     @settings(max_examples=80, deadline=None)
     def test_matches_place_helper_form(self, data, n):
-        # the inlined loop against the form with a place helper and per-call
-        # lozenge lookups: same tiles, same insertion order
+        # anchors kept as placements happen, against the form that scans a
+        # core's placed partners when it places it, through a place helper
+        # and per-call lozenge lookups: same tiles, same insertion order
         mesh = Mesh3D(n)
         g = data.draw(st.one_of(sparse_graphs(mesh.tile_count), tied_graphs(mesh.tile_count)))
         assert list(ddmap(g, mesh).items()) == list(oracles.ddmap_place(g, mesh).items())
+
+    @given(st.data(), st.integers(2, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_each_lozenge_step_matches_the_lookup_form(self, data, n):
+        # every search ddmap makes, replayed on a copy of its state through
+        # the form that finds its visiting orders per call: same tile, same
+        # cursors afterwards
+        mesh = Mesh3D(n)
+        g = data.draw(tied_graphs(mesh.tile_count))
+        steps = []
+
+        def checked(anchor, free, counts, mesh, resume):
+            cursors = dict(resume)
+            want = oracles.lozenge_lookup(anchor, bytearray(free), list(counts), mesh, cursors)
+            got = lozenge_next_empty(anchor, free, counts, mesh, resume)
+            assert (got, resume) == (want, cursors)
+            steps.append(got)
+            return got
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mappers, "lozenge_next_empty", checked)
+            mapping = ddmap(g, mesh)
+        assert steps == list(mapping.values())[len(mapping) - len(steps):]
+
+    def test_keys_past_int64_are_exact(self, mesh3):
+        # core 0 seeds the mesh with a 2^61 volume to each of 3 partners, so
+        # their first heap keys, rank - 2^61 * 8, lie below -2^63 and must
+        # still order them exactly
+        g = graph_from_arcs(8, [(0, d, 2 ** 61, 1) for d in (1, 2, 3)] + [(4, 5, 1, 1), (6, 5, 2, 1), (7, 4, 1, 1)])
+        assert list(ddmap(g, mesh3).items()) == list(oracles.ddmap_place(g, mesh3).items())
+        assert list(ddmap(g, mesh3).items()) == list(oracles.ddmap(g, mesh3).items())
 
     def test_matches_oracle_at_benchmark_scale(self):
         # 1000 cores fill a 10x10x10 mesh: only this deep do searches from
@@ -149,6 +187,30 @@ class TestSequenceMap:
         g = graph_from_arcs(9, [])
         with pytest.raises(ValueError):
             sequence_map(g, mesh2, crinkle_order(mesh2))
+
+    @pytest.mark.parametrize(
+        "order, message",
+        [
+            ([0, 0, 1], "tile sequence repeats a tile"),
+            ([2, 1, 2, 3], "tile sequence repeats a tile"),
+            ([0, 9, -1], "tile 9 in the tile sequence is not a tile of the mesh (0..7)"),
+            ([0, 1, -1], "tile -1 in the tile sequence is not a tile of the mesh (0..7)"),
+            ([0, 1.5, 2], "tile 1.5 in the tile sequence is not a tile of the mesh (0..7)"),
+            ([0, True, 2], "tile True in the tile sequence is not a tile of the mesh (0..7)"),
+        ],
+    )
+    def test_bad_prefix_refused(self, mesh2, order, message):
+        g = graph_from_arcs(3, [(0, 1, 5, 1), (1, 2, 3, 1)])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sequence_map(g, mesh2, order)
+
+    def test_only_the_prefix_is_read(self, mesh2):
+        # a repeat or a bad tile after the first N entries is never used
+        g = graph_from_arcs(3, [(0, 1, 5, 1), (1, 2, 3, 1)])
+        want = {1: 5, 0: 4, 2: 3}
+        assert sequence_map(g, mesh2, [5, 4, 3, 3, 99]) == want
+        assert sequence_map(g, mesh2, np.array([5, 4, 3])) == want
+        assert list(sequence_map(g, mesh2, (5, 4, 3)).items()) == list(want.items())
 
 
 class TestAllMappers:

@@ -1,3 +1,6 @@
+import re
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -175,6 +178,29 @@ class TestClusterTasks:
         assert cluster_tasks(g, 3).clusters == ((0, 1), (2, 3), (4,))
         assert cluster_tasks(g, 2).clusters == ((0, 1, 4), (2, 3))
         assert cluster_tasks(g, 2) == oracles.cluster_tasks(g, 2)
+
+    @given(tied_graphs(0, 40), st.integers(1, 12))
+    @settings(max_examples=80, deadline=None)
+    def test_unchecked_set_equals_the_checked_one(self, g, cap):
+        # cluster_tasks skips the partition check; its set must still be a
+        # partition, and compare, hash and print as the checked constructor's
+        cs = cluster_tasks(g, cap)
+        checked = ClusterSet(cs.clusters)
+        assert type(cs) is ClusterSet
+        assert cs == checked and checked == cs
+        assert hash(cs) == hash(checked) and repr(cs) == repr(checked)
+        assert all(type(c) is tuple for c in cs.clusters)
+
+    @pytest.mark.parametrize("limit", [2.5, True, False, np.float64(2.0), "2", None])
+    def test_limit_must_be_an_integer(self, limit):
+        # five arc-free tasks make five chains, more than any limit here
+        g = graph_from_arcs(5, [])
+        with pytest.raises(ValueError, match=f"^cluster limit must be an integer, got {re.escape(repr(limit))}$"):
+            cluster_tasks(g, limit)
+
+    def test_numpy_integer_limit_accepted(self):
+        g = graph_from_arcs(5, [(0, 1, 5, 1), (2, 3, 7, 1)])
+        assert cluster_tasks(g, np.int64(2)) == cluster_tasks(g, 2)
 
     def test_invalid_partition_rejected(self):
         with pytest.raises(ValueError):

@@ -245,6 +245,31 @@ class TestTaskGraph:
         with pytest.raises(ValueError, match=exact):
             graph_from_arcs(2, arcs)
 
+    @pytest.mark.parametrize(
+        "arcs, message",
+        [
+            ([(0, 1, 1.5, 2.7)], "non-integer field 1.5 in arc 0->1"),
+            ([(0, 1, 3, 2.0)], "non-integer field 2.0 in arc 0->1"),
+            ([(0, 1, True, 2)], "non-integer field True in arc 0->1"),
+            ([(0.0, 1, 3, 2)], "non-integer field 0.0 in arc 0.0->1"),
+            ([(0, False, 3, 2)], "non-integer field False in arc 0->False"),
+            ([(0, 1, 3, 2), (1, np.float64(0), 3, 2)], "non-integer field np.float64(0.0) in arc 1->0.0"),
+            ([(0, 1, None, 2)], "non-integer field None in arc 0->1"),
+        ],
+    )
+    def test_non_integer_fields_refused(self, arcs, message):
+        # a float weight used to be scored truncated, and a bool or float id taken as an id
+        exact = f"^{re.escape(message)}$"
+        with pytest.raises(ValueError, match=exact):
+            TaskGraph(2, tuple(Arc(*quad) for quad in arcs))
+        with pytest.raises(ValueError, match=exact):
+            graph_from_arcs(2, arcs)
+
+    def test_numpy_integer_fields_accepted(self):
+        g = graph_from_arcs(2, [(np.int64(0), np.int32(1), np.uint8(3), np.int16(2))])
+        assert g == graph_from_arcs(2, [(0, 1, 3, 2)])
+        assert g.arc_columns.tolist() == [[0], [1], [3], [2]]
+
 
 @st.composite
 def any_graph(draw):
