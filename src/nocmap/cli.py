@@ -5,10 +5,12 @@ one human-readable result line; artifacts and CSV rows are written only when
 --out / --csv are given, and are byte-stable for a fixed config and seed.
 
 Each subcommand is one entry of ``_COMMANDS``: its help, the function that
-adds its flags, and its handler.  ``main`` builds the parser of the command it
-was given and of no other, since building all six is most of a small run's
-cost; a missing or unknown command, or a top-level ``-h``, gets the full parser,
-so that help and those errors still list every command.
+adds its flags, and its handler.  ``main`` parses with the parser of the
+command it was given and of no other, since building all six is most of a
+small run's cost; a missing or unknown command, or a top-level ``-h``, gets the
+full parser, so that help and those errors still list every command.  Each of
+those seven parsers is built on first use and reused by every later ``main``
+call in the same process, so a batch of in-process runs builds each once.
 """
 
 from __future__ import annotations
@@ -210,6 +212,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     A one-command parser parses that command's argv to the same namespace, help
     and errors as the full parser; building it costs a fraction of the full one.
+    Each call builds a new parser; ``main`` builds each one once per process.
     """
     parser = argparse.ArgumentParser(
         prog="nocmap",
@@ -229,10 +232,25 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+# command -> its parser, under the key None for the full parser: built on
+# first use and reused, since parsing leaves a parser as it was and help reads
+# COLUMNS when it is printed
+_PARSERS: dict[str | None, argparse.ArgumentParser] = {}
+
+
+def _parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser ``main`` parses ``argv`` with: one per command, and one full parser
+    for every argv that names none, so a process holds at most seven."""
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    if command not in _PARSERS:
+        _PARSERS[command] = build_parser(command)
+    return _PARSERS[command]
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

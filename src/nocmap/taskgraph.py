@@ -61,6 +61,8 @@ class TaskGraph:
     arcs: tuple[Arc, ...]
 
     def __post_init__(self):
+        if isinstance(self.n_cores, bool) or not isinstance(self.n_cores, numbers.Integral):
+            raise ValueError(f"core count must be an integer, got {self.n_cores!r}")
         if self.n_cores < 0:
             raise ValueError("core count must be non-negative")
         seen: set[tuple[int, int]] = set()

@@ -1,8 +1,10 @@
 import argparse
+import itertools
 import re
 
 import pytest
 
+from nocmap import cli
 from nocmap.cli import build_parser, main
 
 
@@ -465,5 +467,63 @@ def test_main_registers_only_the_command_it_runs(demo_graph, monkeypatch, capsys
         return add_parser(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    monkeypatch.setattr(cli, "_PARSERS", {})  # no parser built yet, as in a new process
     assert main(["map", "--graph", str(demo_graph), "--mesh", "2"]) == 0
     assert registered == ["map"]
+    assert main(["map", "--graph", str(demo_graph), "--mesh", "3"]) == 0
+    assert registered == ["map"]  # the second run reuses the first run's parser
+
+
+def _reuse_sequence():
+    """Every ``_ARGV`` parse of each command with an error exit after each, the
+    commands taking turns: ``bench --compare`` is followed by a bench without it."""
+    per_command = []
+    for command, (required, every, bad_choice, non_int) in _ARGV.items():
+        argvs = [[command, *required], [command, *required, "--bogus"]]
+        for flags in every:
+            argvs += [[command, *flags], [command, *required, *non_int]]
+        if bad_choice is not None:
+            argvs.append([command, *required, *bad_choice])
+        per_command.append(argvs)
+    return [argv for turn in itertools.zip_longest(*per_command) for argv in turn if argv]
+
+
+def test_reused_parsers_parse_as_fresh_ones(monkeypatch, capsys):
+    built = []
+    fresh = cli.build_parser
+
+    def counting(command=None):
+        built.append(command)
+        return fresh(command)
+
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    monkeypatch.setattr(cli, "build_parser", counting)
+    for argv in _reuse_sequence() * 2:
+        assert _outcome(cli._parser(argv), argv, capsys) == _outcome(fresh(argv[0]), argv, capsys)
+    assert built == list(_ARGV)  # each command's parser is built on its first run only
+
+
+def test_unknown_commands_share_the_full_parser(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    for i in range(50):
+        with pytest.raises(SystemExit) as exc:
+            main([f"nope{i}"])
+        assert exc.value.code == 2 and f"invalid choice: 'nope{i}'" in capsys.readouterr().err
+    for argv in [[], ["-h"], *([command, "-h"] for command in _ARGV)]:
+        with pytest.raises(SystemExit):
+            main(argv)
+    assert set(cli._PARSERS) == {None, *_ARGV}  # seven parsers, however many bad commands
+
+
+def test_reused_parser_help_follows_columns(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    helps = {}
+    for columns in ("60", "120", "60", "120"):  # all but the first reuse one parser
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as exc:
+            main(["map", "-h"])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out, captured.err) == _outcome(build_parser("map"), ["map", "-h"], capsys)
+        assert helps.setdefault(columns, captured.out) == captured.out
+    widths = {columns: max(map(len, text.splitlines())) for columns, text in helps.items()}
+    assert widths["60"] <= 60 < widths["120"] <= 120

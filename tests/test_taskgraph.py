@@ -193,6 +193,25 @@ class TestTaskGraph:
         with pytest.raises(ValueError, match="non-negative"):
             TaskGraph(-1, ())
 
+    @pytest.mark.parametrize(
+        "build, shown",
+        [
+            (lambda: TaskGraph(2.5, ()), "2.5"),
+            (lambda: TaskGraph(3.0, ()), "3.0"),
+            (lambda: TaskGraph(True, ()), "True"),
+            (lambda: graph_from_arcs(2.5, []), "2.5"),
+        ],
+    )
+    def test_non_integer_core_count_refused(self, build, shown):
+        # a float count used to fail later, inside numpy, and True was taken as one core
+        with pytest.raises(ValueError, match=f"^core count must be an integer, got {re.escape(shown)}$"):
+            build()
+
+    def test_numpy_integer_core_count_accepted(self):
+        g = graph_from_arcs(np.int64(2), [(0, 1, 3, 2)])
+        assert g == graph_from_arcs(2, [(0, 1, 3, 2)])
+        assert ddmap(g, Mesh3D(2)) == ddmap(graph_from_arcs(2, [(0, 1, 3, 2)]), Mesh3D(2))
+
     def test_fields_are_count_and_arcs(self, g1):
         assert [f.name for f in dataclasses.fields(TaskGraph)] == ["n_cores", "arcs"]
         assert g1 == TaskGraph(4, g1.arcs)
