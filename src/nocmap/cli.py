@@ -5,17 +5,15 @@ one human-readable result line; artifacts and CSV rows are written only when
 --out / --csv are given, and are byte-stable for a fixed config and seed.
 
 Each subcommand is one entry of ``_COMMANDS``: its help, the function that
-adds its flags, and its handler.  ``main`` parses with the parser of the
-command it was given and of no other, since building all six is most of a
-small run's cost; a missing or unknown command, or a top-level ``-h``, gets the
-full parser, so that help and those errors still list every command.  Each of
-those seven parsers is built on first use and reused by every later ``main``
-call in the same process, so a batch of in-process runs builds each once.
+adds its flags, and its handler.  A process builds one parser, with every
+subcommand, on its first ``main`` call and parses every later argv with it, so
+a batch of in-process runs builds it once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import glob as globlib
 import sys
 from pathlib import Path
@@ -207,50 +205,32 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser: every subcommand, or only ``command`` when it names one.
-
-    A one-command parser parses that command's argv to the same namespace, help
-    and errors as the full parser; building it costs a fraction of the full one.
-    Each call builds a new parser; ``main`` builds each one once per process.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, with every subcommand.  Each call builds a new one."""
     parser = argparse.ArgumentParser(
         prog="nocmap",
         description="Map task graphs onto a 3D mesh network-on-chip and report "
         "communication energy, cost, and latency.",
     )
-    names = [command] if command in _COMMANDS else list(_COMMANDS)
-    # a one-command parser's usage, which an unrecognized argument prints,
-    # still lists every command
-    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        help_text, add_flags, handler = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_flags, handler) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         add_flags(p)
         p.set_defaults(func=handler)
     return parser
 
 
-# command -> its parser, under the key None for the full parser: built on
-# first use and reused, since parsing leaves a parser as it was and help reads
-# COLUMNS when it is printed
-_PARSERS: dict[str | None, argparse.ArgumentParser] = {}
-
-
-def _parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser ``main`` parses ``argv`` with: one per command, and one full parser
-    for every argv that names none, so a process holds at most seven."""
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    if command not in _PARSERS:
-        _PARSERS[command] = build_parser(command)
-    return _PARSERS[command]
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` parses with, built on first use and reused: parsing
+    leaves a parser as it was, and help reads COLUMNS when it is printed."""
+    return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _parser(argv).parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -11,11 +11,11 @@ from and derives the other once, on first read.  The constructor takes
 ``Arc`` values and checks every arc; the graphs the library derives from a
 checked graph (``induced_subgraph`` and ``scheduler.cluster_graph``) are
 built from columns, with numpy and without a second check.  Every library
-path reads the columns: ``neighbours``, ``out_degrees``, ``rankings`` and
-``priority_order``, and through them the mappers, the schedulers, the
-swarm and the ``metrics`` kernel, so none of them makes an ``Arc`` for a
-derived graph.  Only ``==``, ``hash``, ``repr`` and ``serialize_graph`` read
-``arcs``, and give the same answer for either form.
+path reads the columns: ``neighbours`` and ``priority_order``, and through
+them the mappers, the schedulers, the swarm and the ``metrics`` kernel, so
+none of them makes an ``Arc`` for a derived graph.  Only ``==``, ``hash``,
+``repr`` and ``serialize_graph`` read ``arcs``, and give the same answer for
+either form.
 
 Graph file format (UTF-8 text, ``#`` starts a comment, blank lines ignored)::
 
@@ -117,16 +117,6 @@ class TaskGraph:
         columns = np.array([[a.src for a in arcs], [a.dst for a in arcs], volume, bandwidth], dtype=np.int64)
         columns.flags.writeable = False
         return columns
-
-    @cached_property
-    def out_degrees(self) -> tuple[int, ...]:
-        """Per core: number of arcs leaving it."""
-        return tuple(np.bincount(self.arc_columns[0], minlength=self.n_cores).tolist())
-
-    @cached_property
-    def rankings(self) -> tuple[int, ...]:
-        """Per core: total traffic touching it, volumes of all arcs in and out, in bits."""
-        return tuple(_traffic(self.n_cores, self.arc_columns[:2], self.arc_columns[2])[1].tolist())
 
 
 def _arcs_from_columns(g: TaskGraph) -> tuple[Arc, ...]:

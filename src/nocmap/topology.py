@@ -32,7 +32,8 @@ MAX_SIDE = next(n for n in itertools.count(2) if _hop_table_bytes(n + 1) > MAX_T
 class Mesh3D:
     """An n x n x n tile grid, n an integer with 2 <= n <= MAX_SIDE.
 
-    A larger mesh is refused here, before any per-mesh table is built.
+    A larger mesh is refused here, before any per-mesh table is built.  A
+    numpy integer side is kept as an int, so the per-mesh tables hold ints.
     """
 
     n: int
@@ -47,6 +48,7 @@ class Mesh3D:
                 f"mesh side length {self.n} is above the limit of {MAX_SIDE}: its hop table "
                 f"would take {_hop_table_bytes(self.n)} bytes, more than {MAX_TABLE_BYTES}"
             )
+        object.__setattr__(self, "n", int(self.n))
 
     @property
     def tile_count(self) -> int:
@@ -54,12 +56,20 @@ class Mesh3D:
 
 
 def tile_coords(tile: int, n: int) -> tuple[int, int, int]:
-    """tile id -> (layer, row, col)."""
+    """tile id -> (layer, row, col); the id must be an integer (numpy's are, ``bool`` is not)."""
+    tile = _tile_id(tile)
     if not (0 <= tile < n ** 3):
         raise ValueError(f"tile id {tile} out of range 0..{n ** 3 - 1}")
     layer, rest = divmod(tile, n * n)
     row, col = divmod(rest, n)
     return layer, row, col
+
+
+def _tile_id(tile) -> int:
+    """``tile`` as an int: refused unless it is an integer (numpy's are, ``bool`` is not)."""
+    if isinstance(tile, bool) or not isinstance(tile, numbers.Integral):
+        raise ValueError(f"tile id must be an integer, got {tile!r}")
+    return int(tile)
 
 
 def diagonal_tiles(n: int) -> list[int]:
@@ -183,8 +193,9 @@ def lozenge_next_empty(
     Keep one per mask that only loses free tiles: the tiles visited before
     that position are still full.
 
-    Raises ValueError when no tile is free (a caller bug: callers must track
-    capacity).
+    Raises ValueError when the anchor is not an integer tile id of the mesh
+    (numpy integers are, ``bool`` is not), or when no tile is free (a caller
+    bug: callers must track capacity).
     """
     n = mesh.n
     nn = n * n
@@ -192,6 +203,8 @@ def lozenge_next_empty(
         raise ValueError("occupancy size does not match mesh")
     if len(counts) != n:
         raise ValueError("free counts size does not match mesh")
+    if type(anchor) is not int:  # before the lookup, where 13.0 and True would find 13 and 1
+        anchor = _tile_id(anchor)
     orders = _ORDERS[n]
     entry = orders.get(anchor)
     if entry is None:

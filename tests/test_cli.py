@@ -1,4 +1,4 @@
-import argparse
+import functools
 import itertools
 import re
 
@@ -421,33 +421,6 @@ def _outcome(parser, argv, capsys):
         return exc.code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("command", list(_ARGV))
-def test_one_command_parser_matches_full_parser(command, capsys):
-    required, every, bad_choice, non_int = _ARGV[command]
-    lazy, full = build_parser(command), build_parser()
-
-    defaults = _outcome(lazy, [command, *required], capsys)
-    assert defaults == _outcome(full, [command, *required], capsys)
-    moved = set()
-    for flags in every:
-        parsed = _outcome(lazy, [command, *flags], capsys)
-        assert parsed == _outcome(full, [command, *flags], capsys)
-        moved |= {key for key in parsed if parsed[key] != defaults[key]}
-    assert moved == set(defaults) - {"command", "func"}
-
-    code, out, err = _outcome(lazy, [command, "-h"], capsys)
-    assert code == 0 and out.startswith(f"usage: nocmap {command} ") and err == ""
-    assert (code, out, err) == _outcome(full, [command, "-h"], capsys)
-
-    errors = [[], [*required, "--bogus"], [*required, *non_int]]
-    if bad_choice is not None:
-        errors.append([*required, *bad_choice])
-    for argv in errors:
-        code, out, err = _outcome(lazy, [command, *argv], capsys)
-        assert code == 2 and out == "" and err.startswith("usage: nocmap")
-        assert (code, out, err) == _outcome(full, [command, *argv], capsys)
-
-
 @pytest.mark.parametrize("argv", [[], ["-h"], ["nope"]])
 def test_no_known_command_gets_the_full_parser(argv, capsys):
     expected = _outcome(build_parser(), argv, capsys)
@@ -458,20 +431,40 @@ def test_no_known_command_gets_the_full_parser(argv, capsys):
     assert (exc.value.code, captured.out, captured.err) == expected
 
 
-def test_main_registers_only_the_command_it_runs(demo_graph, monkeypatch, capsys):
-    registered = []
-    add_parser = argparse._SubParsersAction.add_parser
+@pytest.fixture
+def builds(monkeypatch):
+    """The parsers ``build_parser`` builds from an empty parser cache, as in a new process."""
+    built = []
+    fresh = cli.build_parser
 
-    def counting(self, name, **kwargs):
-        registered.append(name)
-        return add_parser(self, name, **kwargs)
+    def counting():
+        built.append(fresh())
+        return built[-1]
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
-    monkeypatch.setattr(cli, "_PARSERS", {})  # no parser built yet, as in a new process
+    monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser.__wrapped__))
+    monkeypatch.setattr(cli, "build_parser", counting)
+    return built
+
+
+def test_a_process_builds_one_parser(demo_graph, builds, capsys):
     assert main(["map", "--graph", str(demo_graph), "--mesh", "2"]) == 0
-    assert registered == ["map"]
     assert main(["map", "--graph", str(demo_graph), "--mesh", "3"]) == 0
-    assert registered == ["map"]  # the second run reuses the first run's parser
+    assert main(["schedule", "--graph", str(demo_graph), "--mesh", "2"]) == 0
+    assert len(builds) == 1 and cli._parser() is builds[0]  # one parser, whatever the commands
+
+
+def test_unknown_commands_share_the_full_parser(demo_graph, builds, capsys):
+    assert main(["map", "--graph", str(demo_graph), "--mesh", "2"]) == 0
+    for i in range(50):
+        with pytest.raises(SystemExit) as exc:
+            main([f"nope{i}"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and f"invalid choice: 'nope{i}'" in err
+        assert "{map,schedule,optimize,gen,oracle,bench}" in err
+    for argv in [[], ["-h"], *([command, "-h"] for command in _ARGV)]:
+        with pytest.raises(SystemExit):
+            main(argv)
+    assert len(builds) == 1  # the map run's parser, however many bad commands
 
 
 def _reuse_sequence():
@@ -488,42 +481,52 @@ def _reuse_sequence():
     return [argv for turn in itertools.zip_longest(*per_command) for argv in turn if argv]
 
 
-def test_reused_parsers_parse_as_fresh_ones(monkeypatch, capsys):
-    built = []
-    fresh = cli.build_parser
+@pytest.mark.parametrize("command", list(_ARGV))
+def test_reused_parser_matches_fresh_parser(command, capsys):
+    required, every, bad_choice, non_int = _ARGV[command]
+    reused, fresh = cli._parser(), build_parser()
 
-    def counting(command=None):
-        built.append(command)
-        return fresh(command)
+    defaults = _outcome(reused, [command, *required], capsys)
+    assert defaults == _outcome(fresh, [command, *required], capsys)
+    moved = set()
+    for flags in every:
+        parsed = _outcome(reused, [command, *flags], capsys)
+        assert parsed == _outcome(fresh, [command, *flags], capsys)
+        moved |= {key for key in parsed if parsed[key] != defaults[key]}
+    assert moved == set(defaults) - {"command", "func"}
 
-    monkeypatch.setattr(cli, "_PARSERS", {})
-    monkeypatch.setattr(cli, "build_parser", counting)
+    code, out, err = _outcome(reused, [command, "-h"], capsys)
+    assert code == 0 and out.startswith(f"usage: nocmap {command} ") and err == ""
+    assert (code, out, err) == _outcome(fresh, [command, "-h"], capsys)
+
+    errors = [[], [*required, "--bogus"], [*required, *non_int]]
+    if bad_choice is not None:
+        errors.append([*required, *bad_choice])
+    for argv in errors:
+        code, out, err = _outcome(reused, [command, *argv], capsys)
+        assert code == 2 and out == "" and err.startswith("usage: nocmap")
+        assert (code, out, err) == _outcome(fresh, [command, *argv], capsys)
+    assert cli._parser() is reused
+
+
+def test_reused_parsers_parse_as_fresh_ones(builds, capsys):
     for argv in _reuse_sequence() * 2:
-        assert _outcome(cli._parser(argv), argv, capsys) == _outcome(fresh(argv[0]), argv, capsys)
-    assert built == list(_ARGV)  # each command's parser is built on its first run only
+        parsed = _outcome(cli._parser(), argv, capsys)
+        assert parsed == _outcome(build_parser(), argv, capsys)
+        if not isinstance(parsed, dict):
+            assert parsed[0] == 2 and parsed[1] == "" and parsed[2].startswith("usage: nocmap")
+    assert len(builds) == 1
 
 
-def test_unknown_commands_share_the_full_parser(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_PARSERS", {})
-    for i in range(50):
-        with pytest.raises(SystemExit) as exc:
-            main([f"nope{i}"])
-        assert exc.value.code == 2 and f"invalid choice: 'nope{i}'" in capsys.readouterr().err
-    for argv in [[], ["-h"], *([command, "-h"] for command in _ARGV)]:
-        with pytest.raises(SystemExit):
-            main(argv)
-    assert set(cli._PARSERS) == {None, *_ARGV}  # seven parsers, however many bad commands
-
-
-def test_reused_parser_help_follows_columns(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_PARSERS", {})
+def test_reused_parser_help_follows_columns(builds, monkeypatch, capsys):
     helps = {}
     for columns in ("60", "120", "60", "120"):  # all but the first reuse one parser
         monkeypatch.setenv("COLUMNS", columns)
         with pytest.raises(SystemExit) as exc:
             main(["map", "-h"])
         captured = capsys.readouterr()
-        assert (exc.value.code, captured.out, captured.err) == _outcome(build_parser("map"), ["map", "-h"], capsys)
+        assert (exc.value.code, captured.out, captured.err) == _outcome(build_parser(), ["map", "-h"], capsys)
         assert helps.setdefault(columns, captured.out) == captured.out
+    assert len(builds) == 1
     widths = {columns: max(map(len, text.splitlines())) for columns, text in helps.items()}
     assert widths["60"] <= 60 < widths["120"] <= 120

@@ -97,28 +97,42 @@ class TestParse:
         )
 
 
+def priority_keys(g):
+    """Per core: the out-degree and the volume in and out that ``priority_order`` sorts by."""
+    degs, ranks = taskgraph._traffic(g.n_cores, g.arc_columns[:2], g.arc_columns[2])
+    return degs.tolist(), ranks.tolist()
+
+
+def oracle_keys(g):
+    """``priority_keys`` from the arc list and ``volume_matrix``."""
+    vol = volume_matrix(g)
+    degs = [0] * g.n_cores
+    for a in g.arcs:
+        degs[a.src] += 1
+    return degs, [sum(vol[c][j] + vol[j][c] for j in range(g.n_cores) if j != c) for c in range(g.n_cores)]
+
+
 class TestOrderingMetrics:
     def test_out_degree_g1(self, g1):
-        assert g1.out_degrees[0] == 2
-        assert g1.out_degrees[1] == 1
-        assert g1.out_degrees[3] == 0
+        degs, _ = priority_keys(g1)
+        assert degs[0] == 2
+        assert degs[1] == 1
+        assert degs[3] == 0
 
     def test_ranking_g1(self, g1):
-        assert g1.rankings[0] == 170
-        assert g1.rankings[3] == 70
+        _, ranks = priority_keys(g1)
+        assert ranks[0] == 170
+        assert ranks[3] == 70
 
     def test_ranking_isolated(self):
         g = graph_from_arcs(3, [(0, 1, 5, 1)])
-        assert g.rankings[2] == 0
+        assert priority_keys(g) == ([1, 0, 0], [5, 5, 0])
 
     @given(graph_params)
     @settings(max_examples=60)
     def test_ranking_matches_matrix_sum(self, params):
         g = draw_graph(params)
-        vol = volume_matrix(g)
-        for c in range(g.n_cores):
-            expected = sum(vol[c][j] + vol[j][c] for j in range(g.n_cores) if j != c)
-            assert g.rankings[c] == expected
+        assert priority_keys(g) == oracle_keys(g)
 
     def test_priority_g1(self, g1):
         assert priority_order(g1) == [0, 1, 2, 3]
@@ -139,8 +153,10 @@ class TestOrderingMetrics:
         g = draw_graph(params)
         order = priority_order(g)
         assert sorted(order) == list(range(g.n_cores))
-        keys = [(g.out_degrees[c], g.rankings[c], -c) for c in order]
+        degs, ranks = oracle_keys(g)
+        keys = [(degs[c], ranks[c], -c) for c in order]
         assert all(keys[i] >= keys[i + 1] for i in range(len(keys) - 1))
+        assert order == oracles.residual_order(g, [True] * g.n_cores)
 
 
 class TestGenerate:
@@ -360,8 +376,7 @@ def assert_same_graph(derived, constructed):
     assert derived.arc_columns.tolist() == constructed.arc_columns.tolist()
     assert derived.neighbours == constructed.neighbours
     assert [list(keys) for keys in derived.neighbours] == [list(keys) for keys in constructed.neighbours]
-    assert derived.out_degrees == constructed.out_degrees
-    assert derived.rankings == constructed.rankings
+    assert priority_keys(derived) == oracle_keys(constructed)
     if constructed.n_cores:
         per_arc = oracles.residual_order(constructed, [True] * constructed.n_cores)
         assert priority_order(derived) == priority_order(constructed) == per_arc

@@ -60,6 +60,7 @@ class TestMeshSize:
         g = graph_from_arcs(3, [(0, 1, 5, 1), (1, 2, 5, 1)])
         mesh = Mesh3D(np.int64(3))
         assert mesh.tile_count == 27
+        assert mesh == Mesh3D(3) and type(mesh.n) is int  # so no per-mesh table holds numpy ints
         assert ddmap(g, mesh) == ddmap(g, Mesh3D(3))
 
 
@@ -88,6 +89,17 @@ class TestIndexing:
             tile_coords(27, 3)
         with pytest.raises(ValueError):
             tile_coords(-1, 3)
+
+    @pytest.mark.parametrize("tile", [12.5, 13.0, True, np.float64(13), np.True_], ids=repr)
+    def test_non_integer_tile_is_refused(self, tile):
+        # 12.5 used to give (1.0, 1.0, 0.5)
+        with pytest.raises(ValueError, match=f"^tile id must be an integer, got {re.escape(repr(tile))}$"):
+            tile_coords(tile, 3)
+
+    def test_numpy_integer_tile_is_accepted(self):
+        for kind in (np.int64, np.int32, np.uint8):
+            coords = tile_coords(kind(13), 3)
+            assert coords == (1, 1, 1) and set(map(type, coords)) == {int}
 
 
 class TestDiagonal:
@@ -410,3 +422,25 @@ class TestLozengeAgainstRingWalk:
         for anchor in (-1, 27, 1000):
             with pytest.raises(ValueError, match=f"^tile id {anchor} out of range 0..26$"):
                 lozenge_next_empty(anchor, free, counts, mesh3)
+
+    @pytest.mark.parametrize("anchor", [True, 13.0, 12.5, np.float64(1), np.True_], ids=repr)
+    def test_non_integer_anchor_is_refused(self, mesh3, anchor):
+        # True used to find tile 1's visiting orders and 13.0 tile 13's; 12.5
+        # failed with a bare TypeError from the walk
+        free = bytearray(b"\x01") * 27
+        for tile in (1, 13):  # both visiting orders kept, as after earlier searches
+            lozenge_next_empty(tile, free, [9, 9, 9], mesh3)
+        resume = {}
+        with pytest.raises(ValueError, match=f"^tile id must be an integer, got {re.escape(repr(anchor))}$"):
+            lozenge_next_empty(anchor, free, [9, 9, 9], mesh3, resume)
+        assert resume == {}
+
+    def test_numpy_integer_anchor_is_accepted(self, mesh3):
+        free = bytearray(b"\x01") * 27
+        free[10] = 0
+        counts = layer_counts(free, mesh3)
+        for anchor in (np.int64(13), np.int32(13), np.uint16(13)):
+            resume = {}
+            tile = lozenge_next_empty(anchor, free, counts, mesh3, resume)
+            assert (tile, type(tile), resume) == (14, int, {13: 2})
+            assert type(next(iter(resume))) is int
