@@ -95,7 +95,7 @@ def _cmd_optimize(args) -> int:
 def _cmd_gen(args) -> int:
     g = generate_random_graph(args.cores, args.arcs, seed=args.seed)
     Path(args.out).write_text(serialize_graph(g), encoding="utf-8")
-    print(f"wrote {args.out}: {g.n_cores} cores, {len(g.arcs)} arcs, seed {args.seed}")
+    print(f"wrote {args.out}: {g.n_cores} cores, {g.arc_columns.shape[1]} arcs, seed {args.seed}")
     return 0
 
 

@@ -14,9 +14,9 @@ Energy is ``e_switch_bit*switch_bits + e_link_bit*link_bits`` and latency
 and a schedule evaluated task by task equals its aggregated cluster graph
 bit for bit.  The swarm and the exhaustive oracle score through the same
 kernel's ``objective_values``, which takes only the sums its objective needs.
-The kernel reads its arc arrays from the graph's cached, read-only
-``arc_columns``, so a graph's arcs become arrays once however often it is
-scored; it owns only its work arrays and states their size (``batch_bytes``).
+The kernel reads its arc arrays from the graph's read-only ``arc_columns``,
+the one form a graph stores its arcs in, however often it is scored; it owns
+only its work arrays and states their size (``batch_bytes``).
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ class HopKernel:
     def __init__(self, g: TaskGraph, mesh: Mesh3D):
         max_hops = 3 * (mesh.n - 1)
         columns = g.arc_columns
-        # Exact: the columns refuse a graph whose totals do not fit int64.
+        # Exact: a graph whose totals do not fit int64 is refused when it is built.
         self.total_volume, total_bandwidth = columns[2:].sum(axis=1).tolist()
         if max(self.total_volume * (max_hops + 1), total_bandwidth * max_hops) > INT64_MAX:
             raise ValueError(f"arc weights too large: hop sums on mesh {mesh.n} overflow int64")

@@ -5,17 +5,11 @@ are the ids 0..N-1.  Each arc carries the payload it moves (``volume``,
 bits) and its sustained rate requirement (``bandwidth``, bits/s).  Graphs
 are immutable values and safe to share between threads.
 
-A graph holds its arcs in two forms: ``arcs``, a tuple of ``Arc`` values, and
-``arc_columns``, one read-only int64 array.  It keeps the form it was built
-from and derives the other once, on first read.  The constructor takes
-``Arc`` values and checks every arc; the graphs the library derives from a
-checked graph (``induced_subgraph`` and ``scheduler.cluster_graph``) are
-built from columns, with numpy and without a second check.  Every library
-path reads the columns: ``neighbours`` and ``priority_order``, and through
-them the mappers, the schedulers, the swarm and the ``metrics`` kernel, so
-none of them makes an ``Arc`` for a derived graph.  Only ``==``, ``hash``,
-``repr`` and ``serialize_graph`` read ``arcs``, and give the same answer for
-either form.
+A graph stores its arcs in one form, ``arc_columns``.  The constructor,
+``parse_graph`` and ``generate_random_graph`` check every arc once, with
+whole-array tests; the graphs derived from a checked graph
+(``induced_subgraph``, ``scheduler.cluster_graph``) are not checked again.
+No library path makes an ``Arc``: ``arcs`` is made on first read.
 
 Graph file format (UTF-8 text, ``#`` starts a comment, blank lines ignored)::
 
@@ -55,34 +49,54 @@ class Arc:
     bandwidth: int
 
 
-@dataclass(frozen=True)
-class TaskGraph:
-    n_cores: int
-    arcs: tuple[Arc, ...]
+def _integer(value, what: str) -> int:
+    """``value`` as an int: refused unless it is an integer (numpy's are, ``bool`` is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
-    def __post_init__(self):
-        if isinstance(self.n_cores, bool) or not isinstance(self.n_cores, numbers.Integral):
-            raise ValueError(f"core count must be an integer, got {self.n_cores!r}")
-        if self.n_cores < 0:
+
+@dataclass(frozen=True, init=False, eq=False, repr=False)
+class TaskGraph:
+    """A core count and its checked arcs; equal to a graph with the same count and arcs in the same order."""
+
+    n_cores: int
+    arc_columns: np.ndarray
+    """Every arc's src, dst, volume and bandwidth, in arc order: a read-only, shared int64 array
+    of shape (4, arcs).  No column's sum wraps: a graph whose totals do not fit int64 is refused."""
+
+    def __init__(self, n_cores: int, arcs: Iterable[Arc]):
+        n_cores = _integer(n_cores, "core count")
+        if n_cores < 0:
             raise ValueError("core count must be non-negative")
-        seen: set[tuple[int, int]] = set()
-        for a in self.arcs:
-            _check_arc(a, self.n_cores, seen)
+        values = [v for a in arcs for v in (a.src, a.dst, a.volume, a.bandwidth)]
+        late = None
+        if set(map(type, values)) != {int}:  # numpy integers become ints; the arcs end before any other
+            for i, v in enumerate(values):
+                if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                    arc = i - i % 4
+                    late = f"non-integer field {v!r} in arc {values[arc]}->{values[arc + 1]}"
+                    values = values[:arc]
+                    break
+            values = list(map(int, values))
+        self.__dict__.update(n_cores=n_cores, arc_columns=_checked_columns(n_cores, values, late=late))
 
     @classmethod
     def _from_columns(cls, n_cores: int, columns: np.ndarray) -> TaskGraph:
         """A graph derived from a checked graph, held as its ``arc_columns``; no arc is checked.
 
-        ``columns`` is a new C-ordered int64 array of shape (4, arcs), made
-        read-only here.  The caller vouches for the checks the constructor
-        would make: ids in range, no loop, one arc per ordered pair, no
-        negative weight, and totals that fit int64, which holds for every
-        sum of a parent's weights.  ``arcs`` is made from it on first read.
+        ``columns``, a new C-ordered int64 array of shape (4, arcs), is made read-only here.  The
+        caller vouches for the constructor's checks, as every relabelling or sum of checked arcs passes.
         """
         columns.flags.writeable = False
         g = object.__new__(cls)
         g.__dict__.update(n_cores=n_cores, arc_columns=columns)
         return g
+
+    @cached_property
+    def arcs(self) -> tuple[Arc, ...]:
+        """The arcs as ``Arc`` values, in arc order: made from ``arc_columns`` on first read."""
+        return tuple(map(Arc, *self.arc_columns.tolist()))
 
     @cached_property
     def neighbours(self) -> tuple[dict[int, int], ...]:
@@ -98,37 +112,49 @@ class TaskGraph:
             nbrs[s][d] = nbrs[d][s] = total
         return nbrs
 
-    @cached_property
-    def arc_columns(self) -> np.ndarray:
-        """Every arc's src, dst, volume and bandwidth: a read-only int64 array of shape (4, arcs).
+    def _key(self) -> tuple[int, bytes]:
+        return self.n_cores, self.arc_columns.tobytes()
 
-        Row r holds field r of every arc, in arc order, so
-        ``src, dst, volume, bandwidth = g.arc_columns`` unpacks it.  A graph
-        built from ``Arc`` values makes it once, on first use, and a derived
-        graph is built from it; either way every caller shares it, so it
-        cannot be written.  A graph whose total volume or total bandwidth
-        does not fit int64 is refused here, so no sum over a column wraps.
-        """
-        arcs = self.arcs
-        volume, bandwidth = [a.volume for a in arcs], [a.bandwidth for a in arcs]
-        for name, column in (("volume", volume), ("bandwidth", bandwidth)):
-            if sum(column) > INT64_MAX:
-                raise ValueError(f"total arc {name} {sum(column)} does not fit int64")
-        columns = np.array([[a.src for a in arcs], [a.dst for a in arcs], volume, bandwidth], dtype=np.int64)
-        columns.flags.writeable = False
-        return columns
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, TaskGraph) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"TaskGraph(n_cores={self.n_cores!r}, arcs={self.arcs!r})"
 
 
-def _arcs_from_columns(g: TaskGraph) -> tuple[Arc, ...]:
-    """A derived graph's ``Arc`` values, made from its columns on first read."""
-    return tuple(map(Arc, *g.arc_columns.tolist()))
+def _checked_columns(n_cores: int, values: list, lines: list | None = None, late: str | None = None):
+    """Integer arc fields, four per arc in arc order, as checked, read-only ``arc_columns``.
 
-
-# A constructed graph's own ``arcs`` sit in its instance dict, which this
-# non-data descriptor never overrides; only a derived graph reaches it.  It is
-# set after the dataclass is made, so ``arcs`` stays a plain field.
-TaskGraph.arcs = cached_property(_arcs_from_columns)
-TaskGraph.arcs.__set_name__(TaskGraph, "arcs")
+    Each test runs on the whole array.  The first bad arc is refused for the first it fails: an end
+    off 0..n_cores-1 or past int64, a loop, an earlier arc's pair, a negative weight (a GraphFormatError
+    at ``lines[arc]`` if ``lines`` is given).  Then ``late``, a fault after ``values``, and a total past int64.
+    """
+    try:
+        columns = np.array(values, dtype=np.int64).reshape(-1, 4).T.copy()  # C order
+    except OverflowError:  # a field past int64: the same tests, on Python ints
+        columns = np.array(values, dtype=object).reshape(-1, 4).T
+    src, dst, volume, bandwidth = columns
+    by_pair = np.lexsort((dst, src))  # stable: an arc sorts after the earlier arcs with its pair
+    repeat = np.zeros(src.shape, dtype=bool)
+    repeat[by_pair[1:]] = (columns[:2, by_pair[1:]] == columns[:2, by_pair[:-1]]).all(axis=0)
+    off = ((columns[:2] < 0) | (columns[:2] >= min(n_cores, INT64_MAX + 1))).any(axis=0)
+    tests = np.array([off, src == dst, repeat, (volume < 0) | (bandwidth < 0)])
+    if tests.any():
+        arc = int(tests.any(axis=0).argmax())
+        s, d = columns[:2, arc].tolist()
+        message = (f"core id out of range in arc {s}->{d}", f"self-loop on core {s}",
+                   f"duplicate arc {s}->{d}", f"negative weight on arc {s}->{d}")[tests[:, arc].argmax()]
+        raise ValueError(message) if lines is None else GraphFormatError(lines[arc], message)
+    if late is not None:
+        raise ValueError(late)
+    for name, total in zip(("volume", "bandwidth"), map(sum, columns[2:].tolist())):  # exact
+        if total > INT64_MAX:
+            raise ValueError(f"total arc {name} {total} does not fit int64")
+    columns.flags.writeable = False
+    return columns
 
 
 def _traffic(n_cores: int, ends: np.ndarray, volume: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -136,33 +162,13 @@ def _traffic(n_cores: int, ends: np.ndarray, volume: np.ndarray) -> tuple[np.nda
 
     ``ends`` holds the arcs' sources and destinations as two rows, as
     ``arc_columns[:2]`` does.  The volumes are summed exactly in int64: no
-    core's sum exceeds the graph's total volume, which ``arc_columns`` bounds.
+    core's sum exceeds the graph's total volume, which fits int64.
     """
     ranks = np.zeros(n_cores, dtype=np.int64)
     # One row at a time: numpy 2.4.6 sums a (2, k) index with (k,) values wrongly.
     np.add.at(ranks, ends[0], volume)
     np.add.at(ranks, ends[1], volume)
     return np.bincount(ends[0], minlength=n_cores), ranks
-
-
-def _check_arc(a: Arc, n_cores: int, seen: set[tuple[int, int]]) -> None:
-    """Refuse an arc with a field that is not an integer (numpy's are, ``bool`` is not), an
-    end off 0..n_cores-1, a loop, a pair already in ``seen`` or a negative weight."""
-    src, dst, volume, bandwidth = a.src, a.dst, a.volume, a.bandwidth
-    if not (type(src) is int and type(dst) is int and type(volume) is int and type(bandwidth) is int):
-        for value in (src, dst, volume, bandwidth):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"non-integer field {value!r} in arc {src}->{dst}")
-    if not (0 <= src < n_cores and 0 <= dst < n_cores):
-        raise ValueError(f"core id out of range in arc {src}->{dst}")
-    if src == dst:
-        raise ValueError(f"self-loop on core {src}")
-    pair = (src, dst)
-    if pair in seen:
-        raise ValueError(f"duplicate arc {src}->{dst}")
-    if volume < 0 or bandwidth < 0:
-        raise ValueError(f"negative weight on arc {src}->{dst}")
-    seen.add(pair)
 
 
 def graph_from_arcs(n_cores: int, arcs: Iterable[tuple[int, int, int, int]]) -> TaskGraph:
@@ -173,7 +179,7 @@ def graph_from_arcs(n_cores: int, arcs: Iterable[tuple[int, int, int, int]]) -> 
 def parse_graph(text: str) -> TaskGraph:
     """Parse the line-based graph format; raise GraphFormatError with line numbers."""
     n_cores: int | None = None
-    arcs: list[Arc] = []
+    values: list[int] = []
     arc_lines: list[int] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -195,30 +201,20 @@ def parse_graph(text: str) -> TaskGraph:
         if len(fields) != 5:
             raise GraphFormatError(line_no, "expected 'edge <src> <dst> <volume> <bandwidth>'")
         try:
-            arc = Arc(*map(int, fields[1:]))
+            values.extend(map(int, fields[1:]))
         except ValueError:
             raise GraphFormatError(line_no, "edge fields must be integers") from None
-        arcs.append(arc)
         arc_lines.append(line_no)
     if n_cores is None:
         raise GraphFormatError(1, "missing 'cores <N>' header")
-    try:
-        return TaskGraph(n_cores, tuple(arcs))  # the one arc check, after every line's syntax
-    except ValueError:
-        seen: set[tuple[int, int]] = set()  # error path only: find the bad arc's line
-        for arc, line_no in zip(arcs, arc_lines):
-            try:
-                _check_arc(arc, n_cores, seen)
-            except ValueError as exc:
-                raise GraphFormatError(line_no, str(exc)) from None
-        raise
+    return TaskGraph._from_columns(n_cores, _checked_columns(n_cores, values, arc_lines))  # after every line
 
 
 def serialize_graph(g: TaskGraph) -> str:
     """Emit the graph file format, arcs sorted by (src, dst)."""
     lines = [f"cores {g.n_cores}"]
-    for a in sorted(g.arcs, key=lambda a: (a.src, a.dst)):
-        lines.append(f"edge {a.src} {a.dst} {a.volume} {a.bandwidth}")
+    for src, dst, volume, bandwidth in sorted(zip(*g.arc_columns.tolist())):  # no two share (src, dst)
+        lines.append(f"edge {src} {dst} {volume} {bandwidth}")
     return "\n".join(lines) + "\n"
 
 
@@ -245,8 +241,12 @@ def generate_random_graph(
     """Seeded random graph: exactly n_arcs distinct ordered pairs, no self-loops.
 
     Weights are drawn uniformly (inclusive) from the given ranges.  The same
-    arguments always produce the same graph.
+    arguments always produce the same graph.  Each count and range bound must
+    be an integer (numpy's are, ``bool`` is not).
     """
+    n_cores, n_arcs = _integer(n_cores, "core count"), _integer(n_arcs, "arc count")
+    for bound in (*volume_range, *bandwidth_range):
+        _integer(bound, "weight range bound")
     if n_cores < 1:
         raise ValueError("need at least one core")
     if n_arcs < 0 or n_arcs > n_cores * (n_cores - 1):
@@ -258,14 +258,13 @@ def generate_random_graph(
         if lo > hi or lo < 0:
             raise ValueError(f"empty or negative weight range ({lo}, {hi})")
     rng = random.Random(seed)
-    arcs = []
+    values: list[int] = []
     # Index k names the k-th ordered pair (i, j != i) in row-major order,
     # so no list of all n(n-1) pairs is built.
     for idx in rng.sample(range(n_cores * (n_cores - 1)), n_arcs):
         src, dst = divmod(idx, n_cores - 1)
-        dst += dst >= src
-        arcs.append(Arc(src, dst, rng.randint(*volume_range), rng.randint(*bandwidth_range)))
-    return TaskGraph(n_cores, tuple(arcs))
+        values += (src, dst + (dst >= src), rng.randint(*volume_range), rng.randint(*bandwidth_range))
+    return TaskGraph._from_columns(n_cores, _checked_columns(n_cores, values))
 
 
 def induced_subgraph(g: TaskGraph, core_ids: Sequence[int]) -> TaskGraph:

@@ -44,11 +44,17 @@ placed, with the heap built by ``heapify`` (``ddmap_place``).  The library's arr
 reproduce them exactly, dict insertion order included.  The two graph
 builders make ``Arc`` values and go through the checking ``TaskGraph``
 constructor, where the library builds its derived graphs from arc columns.
+
+Last, ``check_arc`` is the one-arc-at-a-time check that the library's
+whole-array arc check replaced, and ``arc_fault`` runs it over a graph's
+arcs, then sums each weight column exactly, to name the refusal the
+library must make.
 """
 
 from __future__ import annotations
 
 import heapq
+import numbers
 import random
 from typing import Iterator
 
@@ -56,7 +62,7 @@ import numpy as np
 
 from nocmap.metrics import EnergyModel, evaluate
 from nocmap.scheduler import ClusterSet, Schedule
-from nocmap.taskgraph import Arc, TaskGraph, priority_order
+from nocmap.taskgraph import INT64_MAX, Arc, TaskGraph, priority_order
 from nocmap.topology import Mesh3D, _layer_cells, _layer_order, diagonal_tiles, tile_coords
 
 
@@ -633,3 +639,38 @@ def cluster_schedule_pairs(g: TaskGraph, mesh: Mesh3D) -> Schedule:
         for task in cluster:
             placement[task] = cluster_map[idx]
     return Schedule(placement)
+
+
+def check_arc(a: Arc, n_cores: int, seen: set[tuple[int, int]]) -> None:
+    """Refuse an arc with a field that is not an integer (numpy's are, ``bool`` is not), an
+    end off 0..n_cores-1, a loop, a pair already in ``seen`` or a negative weight."""
+    src, dst, volume, bandwidth = a.src, a.dst, a.volume, a.bandwidth
+    for value in (src, dst, volume, bandwidth):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"non-integer field {value!r} in arc {src}->{dst}")
+    if not (0 <= src < n_cores and 0 <= dst < n_cores):
+        raise ValueError(f"core id out of range in arc {src}->{dst}")
+    if src == dst:
+        raise ValueError(f"self-loop on core {src}")
+    pair = (src, dst)
+    if pair in seen:
+        raise ValueError(f"duplicate arc {src}->{dst}")
+    if volume < 0 or bandwidth < 0:
+        raise ValueError(f"negative weight on arc {src}->{dst}")
+    seen.add(pair)
+
+
+def arc_fault(n_cores: int, quads) -> tuple[int | None, str] | None:
+    """The refusal of a graph of (src, dst, volume, bandwidth) arcs: the first arc ``check_arc``
+    refuses, as (its index, message), else a total weight past int64, as (None, message), else None."""
+    seen: set[tuple[int, int]] = set()
+    for index, quad in enumerate(quads):
+        try:
+            check_arc(Arc(*quad), n_cores, seen)
+        except ValueError as exc:
+            return index, str(exc)
+    for name, field in (("volume", 2), ("bandwidth", 3)):
+        total = sum(int(quad[field]) for quad in quads)
+        if total > INT64_MAX:
+            return None, f"total arc {name} {total} does not fit int64"
+    return None

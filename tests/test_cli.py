@@ -223,6 +223,16 @@ def test_error_reporting(tmp_path, capsys):
     assert "self-loop" in capsys.readouterr().err
 
 
+def test_map_refuses_totals_past_int64(tmp_path, capsys):
+    big = tmp_path / "big.ctg"
+    big.write_text(f"cores 2\nedge 0 1 {2 ** 63 - 1} 1\nedge 1 0 1 1\n")
+    out_dir, csv_path = tmp_path / "runs", tmp_path / "rows.csv"
+    rc = main(["map", "--graph", str(big), "--out", str(out_dir), "--csv", str(csv_path)])
+    assert rc == 1
+    assert capsys.readouterr() == ("", f"error: total arc volume {2 ** 63} does not fit int64\n")
+    assert not csv_path.exists() and not out_dir.exists()
+
+
 def test_non_finite_energy_constant_rejected(demo_graph, tmp_path, capsys):
     csv_path = tmp_path / "rows.csv"
     rc = main(["map", "--graph", str(demo_graph), "--e-link", "nan", "--csv", str(csv_path)])
@@ -248,6 +258,7 @@ def test_bench_checks_every_run_before_running_any(demo_graph, tmp_path, capsys)
 @pytest.mark.parametrize("text, fault", [
     ("cores 2\nedge 0 0 5 1\n", "line 2: self-loop on core 0"),
     ("cores 9\n", "9 cores exceed 8 tiles"),
+    (f"cores 2\nedge 0 1 {2 ** 63 - 1} 1\nedge 1 0 1 1\n", f"total arc volume {2 ** 63} does not fit int64"),
 ])
 def test_bench_checks_every_graph_before_running_any(tmp_path, capsys, text, fault):
     # a.ctg runs on its own; b.ctg cannot run, so neither may

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nocmap import Mesh3D, ddmap, generate_random_graph, mappers
+from nocmap.harness import RunConfig, run_benchmark
 from nocmap.mappers import MAPPERS, crinkle_order, map_with, sequence_map, spiral_order
 from nocmap.taskgraph import graph_from_arcs, priority_order
 from nocmap.topology import lozenge_next_empty
@@ -236,8 +237,12 @@ class TestAllMappers:
 class TestOverflowingWeights:
     @pytest.mark.parametrize("kind", MAPPERS)
     @pytest.mark.parametrize("arcs, name", [([(0, 1, 2 ** 63, 1)], "volume"), ([(0, 1, 1, 2 ** 63)], "bandwidth")])
-    def test_refused_by_name(self, kind, arcs, name, mesh3):
-        # every mapper reads the arc columns, which refuse a total past int64
-        g = graph_from_arcs(3, arcs)
-        with pytest.raises(ValueError, match=f"^total arc {name} {2 ** 63} does not fit int64$"):
-            map_with(kind, g, mesh3)
+    def test_refused_by_name(self, kind, arcs, name, tmp_path):
+        # such a graph is refused when it is built or read, so no mapper is handed one
+        message = f"^total arc {name} {2 ** 63} does not fit int64$"
+        with pytest.raises(ValueError, match=message):
+            graph_from_arcs(3, arcs)
+        path = tmp_path / "big.ctg"
+        path.write_text("cores 3\n" + "".join(f"edge {s} {d} {v} {b}\n" for s, d, v, b in arcs))
+        with pytest.raises(ValueError, match=message):
+            run_benchmark(RunConfig(graph=path, mode="map", algo=kind))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nocmap import Mesh3D, cluster_schedule, ddmap, evaluate, generate_random_graph
+from nocmap.harness import RunConfig, run_benchmark
 from nocmap.scheduler import ClusterSet, cluster_graph, cluster_tasks, dynamic_schedule
 from nocmap.taskgraph import graph_from_arcs
 
@@ -305,11 +306,17 @@ class TestOverflowingWeights:
             ([(0, 1, 1, 2 ** 62), (2, 1, 1, 2 ** 62)], "bandwidth"),
         ],
     )
-    def test_refused_by_name(self, schedule, arcs, name, mesh3):
-        # these used to schedule; a sum that does not fit int64 must not wrap
-        g = graph_from_arcs(3, arcs)
-        with pytest.raises(ValueError, match=f"^total arc {name} {2 ** 63} does not fit int64$"):
-            schedule(g, mesh3)
+    def test_refused_by_name(self, schedule, arcs, name, tmp_path):
+        # these used to schedule; a sum that does not fit int64 must not wrap, so such a
+        # graph is refused when it is built or read and no scheduler is handed one
+        message = f"^total arc {name} {2 ** 63} does not fit int64$"
+        with pytest.raises(ValueError, match=message):
+            graph_from_arcs(3, arcs)
+        path = tmp_path / "big.ctg"
+        path.write_text("cores 3\n" + "".join(f"edge {s} {d} {v} {b}\n" for s, d, v, b in arcs))
+        mode = {dynamic_schedule: "dynamic", cluster_schedule: "cluster"}[schedule]
+        with pytest.raises(ValueError, match=message):
+            run_benchmark(RunConfig(graph=path, mode=mode))
 
     @pytest.mark.parametrize("schedule", [dynamic_schedule, cluster_schedule])
     def test_largest_totals_schedule(self, schedule, mesh3):

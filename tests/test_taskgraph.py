@@ -1,4 +1,5 @@
 import dataclasses
+import numbers
 import re
 import tracemalloc
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nocmap import Mesh3D, PsoParams, evaluate, generate_random_graph, pso_optimize, taskgraph
+from nocmap import Mesh3D, PsoParams, cli, evaluate, generate_random_graph, pso_optimize, taskgraph
 from nocmap.mappers import MAPPERS, ddmap
 from nocmap.scheduler import ClusterSet, cluster_graph, cluster_schedule, cluster_tasks, dynamic_schedule
 from nocmap.taskgraph import (
@@ -22,6 +23,7 @@ from nocmap.taskgraph import (
 )
 
 import oracles
+from conftest import G1_ARCS
 from oracles import volume_matrix
 
 
@@ -31,6 +33,35 @@ graph_params = st.tuples(st.integers(2, 12), st.integers(0, 20), st.integers(0, 
 def draw_graph(params):
     n_cores, n_arcs, seed = params
     return generate_random_graph(n_cores, min(n_arcs, n_cores * (n_cores - 1)), seed=seed)
+
+
+# Each stands in for one arc field: ends off the graph or past int64, negative weights
+# or weights past int64, numpy integers (accepted) and non-integers (refused).
+ODD_FIELDS = [-1, 5, 2 ** 63, -(2 ** 64), 2 ** 62, 2 ** 63 - 1, 2 ** 64, -(2 ** 63) - 1,
+              np.int64(1), np.int32(0), np.uint8(2), np.int64(-1), np.uint64(2 ** 63 - 1), np.uint64(2 ** 64 - 1),
+              1.5, 2.0, np.float64(0), True, False, None]
+
+
+@st.composite
+def faulty_graphs(draw):
+    """A core count, arcs as (src, dst, volume, bandwidth) tuples, and per arc 0-2 lines of
+    comment or blank before it in a file.  The arcs start valid, with weights up to
+    int64's, and then up to three faults are injected: a field swapped for one of
+    ``ODD_FIELDS``, a loop, or the pair of another arc."""
+    n_cores = draw(st.integers(0, 5))
+    every = [(s, d) for s in range(n_cores) for d in range(n_cores) if s != d]
+    pairs = draw(st.lists(st.sampled_from(every), unique=True, max_size=6)) if every else []
+    weight = st.sampled_from([0, 1, 2, 3, 2 ** 62, 2 ** 63 - 1])
+    quads = [[s, d, draw(weight), draw(weight)] for s, d in pairs]
+    for _ in range(draw(st.integers(0, 3)) if quads else 0):
+        quad, other = draw(st.sampled_from(quads)), draw(st.sampled_from(quads))
+        fault = draw(st.sampled_from(["field", "field", "loop", "repeat"]))
+        if fault == "field":
+            quad[draw(st.integers(0, 3))] = draw(st.sampled_from(ODD_FIELDS))
+        else:
+            quad[:2] = [quad[0], quad[0]] if fault == "loop" else other[:2]
+    gaps = draw(st.lists(st.integers(0, 2), min_size=len(quads), max_size=len(quads)))
+    return n_cores, [tuple(quad) for quad in quads], gaps
 
 
 class TestParse:
@@ -80,11 +111,18 @@ class TestParse:
             parse_graph("cores 2\nedge 0 0 5 1\nnode 3")
 
     def test_each_arc_checked_once(self, monkeypatch):
+        # one whole-array check per graph built, a refused file's included: no second pass finds the line
         calls = []
-        check = taskgraph._check_arc
-        monkeypatch.setattr(taskgraph, "_check_arc", lambda *args: calls.append(1) or check(*args))
+        check = taskgraph._checked_columns
+        monkeypatch.setattr(taskgraph, "_checked_columns", lambda *args, **kw: calls.append(1) or check(*args, **kw))
         g = parse_graph("cores 3\nedge 0 1 5 1\nedge 1 2 6 1\nedge 2 0 7 1\n")
-        assert len(g.arcs) == 3 and len(calls) == 3
+        assert len(g.arcs) == 3 and len(calls) == 1
+        with pytest.raises(GraphFormatError, match="^line 3: duplicate arc 0->1$"):
+            parse_graph("cores 3\nedge 0 1 5 1\nedge 0 1 6 1\n")
+        assert len(calls) == 2
+        graph_from_arcs(3, [(0, 1, 5, 1)])
+        generate_random_graph(3, 4, seed=1)
+        assert len(calls) == 4
 
     @given(graph_params)
     @settings(max_examples=60)
@@ -203,6 +241,29 @@ class TestGenerate:
         assert all(a.src != a.dst for a in g.arcs)
         assert all(10 <= a.volume <= 1000 and 1 <= a.bandwidth <= 100 for a in g.arcs)
 
+    @pytest.mark.parametrize(
+        "args, kwargs, message",
+        [
+            ((4, True), {}, "arc count must be an integer, got True"),
+            ((4, 1.5), {}, "arc count must be an integer, got 1.5"),
+            ((2.5, 1), {}, "core count must be an integer, got 2.5"),
+            ((True, 0), {}, "core count must be an integer, got True"),
+            ((np.float64(3), 1), {}, "core count must be an integer, got np.float64(3.0)"),
+            ((4, 1), {"volume_range": (1.5, 3)}, "weight range bound must be an integer, got 1.5"),
+            ((4, 1), {"bandwidth_range": (1, False)}, "weight range bound must be an integer, got False"),
+        ],
+    )
+    def test_non_integer_arguments_refused(self, args, kwargs, message):
+        # (4, True) used to make one arc, and a float count or bound failed inside random
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generate_random_graph(*args, **kwargs)
+
+    def test_numpy_integer_arguments_accepted(self):
+        g = generate_random_graph(np.int64(8), np.int32(12), (np.int64(10), np.int16(1000)), (np.uint8(1), 100),
+                                  seed=3)
+        assert g == generate_random_graph(8, 12, seed=3)
+        assert type(g.n_cores) is int and all(type(v) is int for a in g.arcs for v in dataclasses.astuple(a))
+
 
 class TestTaskGraph:
     def test_negative_core_count_rejected(self):
@@ -228,9 +289,28 @@ class TestTaskGraph:
         assert g == graph_from_arcs(2, [(0, 1, 3, 2)])
         assert ddmap(g, Mesh3D(2)) == ddmap(graph_from_arcs(2, [(0, 1, 3, 2)]), Mesh3D(2))
 
-    def test_fields_are_count_and_arcs(self, g1):
-        assert [f.name for f in dataclasses.fields(TaskGraph)] == ["n_cores", "arcs"]
-        assert g1 == TaskGraph(4, g1.arcs)
+    def test_fields_are_count_and_arc_columns(self, g1):
+        assert [f.name for f in dataclasses.fields(TaskGraph)] == ["n_cores", "arc_columns"]
+        assert set(vars(graph_from_arcs(4, G1_ARCS))) == {"n_cores", "arc_columns"}
+        same = TaskGraph(4, g1.arcs)
+        assert g1 == same and hash(g1) == hash(same) and not g1 != same
+        others = [graph_from_arcs(5, G1_ARCS), graph_from_arcs(4, G1_ARCS[::-1]), graph_from_arcs(4, G1_ARCS[:3]),
+                  graph_from_arcs(4, [(0, 1, 100, 11)] + G1_ARCS[1:]), induced_subgraph(g1, [0, 1, 2])]
+        assert all(g1 != other and other != g1 for other in others)
+        assert g1 != G1_ARCS and g1 != 4
+        assert len({g1, same, *others}) == 1 + len(others)
+        assert repr(g1) == (
+            "TaskGraph(n_cores=4, arcs=(Arc(src=0, dst=1, volume=100, bandwidth=10), "
+            "Arc(src=0, dst=2, volume=70, bandwidth=7), Arc(src=1, dst=3, volume=50, bandwidth=5), "
+            "Arc(src=2, dst=3, volume=20, bandwidth=2)))"
+        )
+        assert repr(graph_from_arcs(0, [])) == "TaskGraph(n_cores=0, arcs=())"
+        for name, value in (("n_cores", 5), ("arc_columns", g1.arc_columns), ("arcs", ()), ("other", 1)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(g1, name, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del g1.n_cores
+        assert g1 == same and type(g1.n_cores) is int
 
     def test_arc_columns_are_the_arcs_read_only(self, g1):
         columns = g1.arc_columns
@@ -251,12 +331,19 @@ class TestTaskGraph:
             ([(0, 1, 2 ** 63, 0)], f"total arc volume {2 ** 63} does not fit int64"),
             ([(0, 1, 2 ** 62, 0), (1, 0, 2 ** 62, 0)], f"total arc volume {2 ** 63} does not fit int64"),
             ([(0, 1, 0, 2 ** 64)], f"total arc bandwidth {2 ** 64} does not fit int64"),
+            ([(0, 1, np.uint64(2 ** 64 - 1), 0), (1, 0, np.uint64(2 ** 64 - 1), 0)],
+             f"total arc volume {2 ** 65 - 2} does not fit int64"),  # summed exactly, not in uint64
         ],
     )
     def test_arc_columns_refuse_totals_past_int64(self, arcs, message):
-        g = graph_from_arcs(2, arcs)  # the graph itself is valid
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            g.arc_columns
+        # refused when the graph is built, so no graph whose sums could wrap is ever handed on
+        exact = f"^{re.escape(message)}$"
+        text = "cores 2\n" + "".join(f"edge {s} {d} {v} {b}\n" for s, d, v, b in arcs)
+        for build in (lambda: graph_from_arcs(2, arcs), lambda: TaskGraph(2, [Arc(*quad) for quad in arcs]),
+                      lambda: parse_graph(text)):
+            with pytest.raises(ValueError, match=exact) as err:
+                build()
+            assert type(err.value) is ValueError  # no one line of a file holds a total
 
     def test_arc_columns_take_totals_of_exactly_int64_max(self):
         top = graph_from_arcs(2, [(0, 1, 2 ** 62, 2 ** 63 - 1), (1, 0, 2 ** 62 - 1, 0)])
@@ -304,6 +391,44 @@ class TestTaskGraph:
         g = graph_from_arcs(2, [(np.int64(0), np.int32(1), np.uint8(3), np.int16(2))])
         assert g == graph_from_arcs(2, [(0, 1, 3, 2)])
         assert g.arc_columns.tolist() == [[0], [1], [3], [2]]
+        assert repr(g) == "TaskGraph(n_cores=2, arcs=(Arc(src=0, dst=1, volume=3, bandwidth=2),))"
+
+    def test_id_past_int64_refused_whatever_the_core_count(self):
+        # int64 columns cannot hold the id, so it is out of range even of 2 ** 64 cores
+        with pytest.raises(ValueError, match=f"^core id out of range in arc 0->{2 ** 63}$"):
+            graph_from_arcs(2 ** 64, [(0, 2 ** 63, 1, 1)])
+        assert graph_from_arcs(2 ** 64, [(0, 2 ** 63 - 1, 1, 1)]).arc_columns.dtype == np.int64
+
+    @given(faulty_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_check_matches_per_arc_reference(self, case):
+        n_cores, quads, gaps = case
+        want = oracles.arc_fault(n_cores, quads)
+        if want is None:
+            g = graph_from_arcs(n_cores, quads)
+            assert g.arc_columns.tolist() == [[int(quad[f]) for quad in quads] for f in range(4)]
+        else:
+            with pytest.raises(ValueError) as err:
+                graph_from_arcs(n_cores, quads)
+            assert type(err.value) is ValueError and str(err.value) == want[1]
+        if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for quad in quads for v in quad):
+            return  # a graph file holds integers only
+        lines, arc_lines = [f"cores {n_cores}"], []
+        for (s, d, v, b), gap in zip(quads, gaps):
+            lines += ["# a comment", ""][:gap] + [f"edge {s} {d} {v} {b}"]
+            arc_lines.append(len(lines))
+        text = "\n".join(lines)
+        if want is None:
+            assert parse_graph(text) == g
+        elif want[0] is None:
+            with pytest.raises(ValueError) as err:
+                parse_graph(text)
+            assert type(err.value) is ValueError and str(err.value) == want[1]
+        else:
+            with pytest.raises(GraphFormatError) as err:
+                parse_graph(text)
+            assert err.value.line_no == arc_lines[want[0]]
+            assert str(err.value) == f"line {arc_lines[want[0]]}: {want[1]}"
 
 
 @st.composite
@@ -388,11 +513,14 @@ def assert_same_graph(derived, constructed):
 
 
 class _NoArcs:
-    """Stands in for ``TaskGraph.arcs``: a constructed graph's own arcs shadow
-    it, so only reading a derived graph's arcs reaches it."""
+    """Stands in for ``TaskGraph.arcs``: every read of a graph's arcs not already made reaches it."""
 
     def __get__(self, g, owner=None):
-        raise AssertionError("the arcs of a derived graph were made")
+        raise AssertionError("the arcs of a graph were made")
+
+
+def _no_arc(*fields):
+    raise AssertionError("an Arc was made")
 
 
 class TestDerivedGraphs:
@@ -417,9 +545,17 @@ class TestDerivedGraphs:
         sub = induced_subgraph(induced_subgraph(g1, [3, 2, 0]), [2, 0])
         assert_same_graph(sub, oracles.induced_subgraph_arcs(g1, [0, 3]))
 
-    def test_pipelines_never_make_derived_arcs(self, monkeypatch):
-        g, mesh = generate_random_graph(60, 90, seed=3), Mesh3D(3)  # three dynamic rounds
+    def test_pipelines_never_make_derived_arcs(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(TaskGraph, "arcs", _NoArcs())
+        monkeypatch.setattr(taskgraph, "Arc", _no_arc)
+        g, mesh = generate_random_graph(60, 90, seed=3), Mesh3D(3)  # three dynamic rounds
+        text = serialize_graph(g)
+        assert serialize_graph(parse_graph(text)) == text
+        path = tmp_path / "g.ctg"
+        assert cli.main(["gen", "--cores", "20", "--arcs", "30", "--out", str(path)]) == 0
+        for argv in (["map"], ["schedule"], ["schedule", "--mode", "cluster"]):
+            assert cli.main(argv + ["--graph", str(path), "--out", str(tmp_path / "runs")]) == 0
+        assert capsys.readouterr().err == ""
         dynamic_schedule(g, mesh)
         for mapper in MAPPERS:
             cluster_schedule(g, mesh, mapper)
