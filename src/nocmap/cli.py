@@ -23,7 +23,7 @@ from .mappers import MAPPERS
 from .metrics import OBJECTIVES, EnergyModel
 from .pso import PsoParams
 from .taskgraph import generate_random_graph, parse_graph, serialize_graph
-from .topology import Mesh3D
+from .topology import Mesh3D, _check_capacity
 
 
 def _energy_flags(parser: argparse.ArgumentParser) -> None:
@@ -130,14 +130,14 @@ def _cmd_bench(args) -> int:
                 f"--compare takes two different algos of this bench ({', '.join(algos)}): "
                 f"expected one row each for {a!r} and {b!r}"
             )
-    tiles = Mesh3D(args.mesh).tile_count
+    mesh = Mesh3D(args.mesh)
     for path in paths:
         try:
             g = parse_graph(Path(path).read_text(encoding="utf-8"))
+            if args.mode == "map":
+                _check_capacity(g.n_cores, mesh)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        if args.mode == "map" and g.n_cores > tiles:
-            raise ValueError(f"{path}: {g.n_cores} cores exceed {tiles} tiles")
     rows = [_run(cfg) for cfg in configs]
     if args.compare:
         print(format_comparison(rows, *args.compare))

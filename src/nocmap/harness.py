@@ -27,7 +27,7 @@ from .metrics import OBJECTIVES, EnergyModel, HopKernel, Mapping, evaluate
 from .pso import PsoParams, pso_optimize
 from .scheduler import cluster_schedule, dynamic_schedule
 from .taskgraph import TaskGraph, parse_graph
-from .topology import Mesh3D
+from .topology import Mesh3D, _check_capacity
 
 MODES = ("map", "dynamic", "cluster", "pso")
 ORACLE_MAX_ASSIGNMENTS = 10_000_000
@@ -325,8 +325,7 @@ def exhaustive_oracle(
     """
     tiles = mesh.tile_count
     k = g.n_cores
-    if k > tiles:
-        raise ValueError(f"{k} cores exceed {tiles} tiles")
+    _check_capacity(k, mesh)
     count = math.perm(tiles, k)
     if count > ORACLE_MAX_ASSIGNMENTS:
         raise ValueError(

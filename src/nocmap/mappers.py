@@ -20,12 +20,11 @@ the sequence (``sequence_map``).
 from __future__ import annotations
 
 import heapq
-import numbers
 from typing import Sequence
 
 from .metrics import Mapping
-from .taskgraph import TaskGraph, priority_order
-from .topology import Mesh3D, _layer_order, diagonal_tiles, lozenge_next_empty
+from .taskgraph import TaskGraph, _is_integer, priority_order
+from .topology import Mesh3D, _check_capacity, _layer_order, diagonal_tiles, lozenge_next_empty
 
 
 def ddmap(g: TaskGraph, mesh: Mesh3D) -> Mapping:
@@ -51,8 +50,7 @@ def ddmap(g: TaskGraph, mesh: Mesh3D) -> Mapping:
     tiles are only ever filled, which keeps that cursor valid.
     """
     n, n_cores = mesh.n, g.n_cores
-    if n_cores > mesh.tile_count:
-        raise ValueError(f"{n_cores} cores exceed {mesh.tile_count} tiles")
+    _check_capacity(n_cores, mesh)
     order = priority_order(g)
     rank = [0] * n_cores  # per core: its index in order
     for i, core in enumerate(order):
@@ -153,17 +151,16 @@ def sequence_map(g: TaskGraph, mesh: Mesh3D, order: Sequence[int]) -> Mapping:
     """Priority-ordered cores onto a tile sequence prefix; injective.
 
     The prefix's N tiles, N the core count, must be distinct integer tile
-    ids of the mesh.
+    ids of the mesh (``taskgraph._is_integer``).
     """
-    if g.n_cores > mesh.tile_count:
-        raise ValueError(f"{g.n_cores} cores exceed {mesh.tile_count} tiles")
+    _check_capacity(g.n_cores, mesh)
     if len(order) < g.n_cores:
         raise ValueError("tile sequence shorter than the core list")
     tiles, count = order[:g.n_cores], mesh.tile_count
     # Checks over the whole prefix first; the per-tile search runs only when one fails.
     if not (set(map(type, tiles)) <= {int} and (len(tiles) == 0 or (0 <= min(tiles) and max(tiles) < count))):
         for tile in tiles:
-            if isinstance(tile, bool) or not isinstance(tile, numbers.Integral) or not 0 <= tile < count:
+            if not _is_integer(tile) or not 0 <= tile < count:
                 raise ValueError(f"tile {tile!r} in the tile sequence is not a tile of the mesh (0..{count - 1})")
     if len(set(tiles)) < len(tiles):
         raise ValueError("tile sequence repeats a tile")

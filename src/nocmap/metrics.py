@@ -26,10 +26,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .taskgraph import INT64_MAX, TaskGraph
+from .taskgraph import INT64_MAX, TaskGraph, _integer
 from .topology import Mesh3D, hop_table
 
 Mapping = dict[int, int]
+
+
+def _finite_non_negative(value, name: str) -> bool:
+    """Whether ``value`` is finite and non-negative; one that is not a real number is refused by ``name``."""
+    try:
+        return math.isfinite(value) and value >= 0
+    except TypeError:
+        raise ValueError(f"{name} must be a real number, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -41,8 +49,8 @@ class EnergyModel:
     rho: float = 1.0
 
     def __post_init__(self):
-        for value in (self.e_switch_bit, self.e_link_bit, self.rho):
-            if not (math.isfinite(value) and value >= 0):
+        for name in ("e_switch_bit", "e_link_bit", "rho"):
+            if not _finite_non_negative(getattr(self, name), name):
                 raise ValueError("energy model constants must be finite and non-negative")
 
     def energy(self, switch_bits, link_bits):
@@ -88,17 +96,29 @@ class HopKernel:
         self._work = None  # hops' work arrays, for the last batch shape it saw
 
     def placement(self, mapping: Mapping) -> np.ndarray:
-        """The tile-per-core array of a mapping that places exactly cores 0..N-1."""
-        for core in range(self.n_cores):
-            tile = mapping.get(core)
-            if tile is None:
-                raise ValueError(f"core {core} is unmapped")
-            if not (0 <= tile < self.tile_count):
-                raise ValueError(f"core {core} mapped to invalid tile {tile}")
-        if len(mapping) != self.n_cores:
-            extra = min(c for c in mapping if not (0 <= c < self.n_cores))
-            raise ValueError(f"mapping names unknown core {extra}")
-        return np.array([mapping[c] for c in range(self.n_cores)], dtype=np.intp)
+        """The tile-per-core array of a mapping that places exactly cores 0..N-1.
+
+        Every core key and tile must be an integer (``taskgraph._integer``): a
+        float or ``bool`` key would find its integer's entry, and a float tile
+        would be truncated.  A mapping of plain ints that passes the checks over
+        the whole mapping takes no per-core step; the per-core search, which
+        names the first fault, runs only when one fails.
+        """
+        tiles = list(map(mapping.get, range(self.n_cores)))  # None for an unmapped core
+        if not (len(mapping) == self.n_cores and set(map(type, mapping)) | set(map(type, tiles)) <= {int}
+                and (not tiles or (0 <= min(tiles) and max(tiles) < self.tile_count))):
+            for core, tile in mapping.items():
+                _integer(core, "core id")
+                _integer(tile, f"tile of core {core}")
+            for core, tile in enumerate(tiles):
+                if tile is None:
+                    raise ValueError(f"core {core} is unmapped")
+                if not (0 <= tile < self.tile_count):
+                    raise ValueError(f"core {core} mapped to invalid tile {tile}")
+            if len(mapping) != self.n_cores:
+                extra = min(c for c in mapping if not (0 <= c < self.n_cores))
+                raise ValueError(f"mapping names unknown core {extra}")
+        return np.array(tiles, dtype=np.intp)
 
     @staticmethod
     def batch_bytes(rows: int, columns: int, arcs: int) -> int:
@@ -166,7 +186,11 @@ def evaluate(
     mesh: Mesh3D,
     model: EnergyModel = EnergyModel(),
 ) -> EvalReport:
-    """All metrics at once; latency is None when the graph moves no data."""
+    """All metrics at once; latency is None when the graph moves no data.
+
+    The mapping must place exactly the cores 0..N-1 on tiles of the mesh, each
+    core and tile an integer: ``HopKernel.placement`` refuses any other.
+    """
     kernel = HopKernel(g, mesh)
     link_bits, switch_bits, cost = (int(v) for v in kernel(kernel.placement(mapping)))
     eta = int(np.count_nonzero(kernel.volume))  # transfers: arcs that move data

@@ -25,19 +25,17 @@ particles in index order.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import EnergyModel, HopKernel, Mapping
-from .taskgraph import TaskGraph, induced_subgraph, priority_order
-from .topology import MAX_TABLE_BYTES, Mesh3D
+from .metrics import EnergyModel, HopKernel, Mapping, _finite_non_negative
+from .taskgraph import TaskGraph, _integer, induced_subgraph, priority_order
+from .topology import MAX_TABLE_BYTES, Mesh3D, _check_capacity
 
 @dataclass(frozen=True)
 class PsoParams:
-    """Swarm constants; c1, c2 and w must be finite and non-negative, the counts and seed integers."""
+    """Swarm constants; c1, c2 and w must be finite, non-negative reals, the counts and seed integers."""
 
     c1: float = 1.2
     c2: float = 1.3
@@ -49,12 +47,10 @@ class PsoParams:
     def __post_init__(self):
         for name in ("c1", "c2", "w"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
+            if not _finite_non_negative(value, name):
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
         for name in ("swarm_size", "max_evals_per_simulation", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _integer(getattr(self, name), name)
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.swarm_size < 1:
@@ -198,7 +194,8 @@ def pso_optimize(
     """Swarm-search tile assignments; returns the best mapping and its trace.
 
     When ``seed_mapping`` is given it replaces one particle of the initial
-    swarm, so the result can never be worse than the seed.  A swarm whose
+    swarm, so the result can never be worse than the seed.  It is checked as
+    ``evaluate`` checks a mapping, and must also be injective.  A swarm whose
     arrays together (``_swarm_bytes``) would exceed ``MAX_TABLE_BYTES`` is
     refused.
 
@@ -209,8 +206,7 @@ def pso_optimize(
     reads, and a cast back gives the next float positions.
     """
     d = mesh.tile_count
-    if g.n_cores > d:
-        raise ValueError(f"{g.n_cores} cores exceed {d} tiles")
+    _check_capacity(g.n_cores, mesh)
     s = params.swarm_size
     need = _swarm_bytes(s, d, g.arc_columns.shape[1])
     if need > MAX_TABLE_BYTES:  # checked before the hop table or any swarm array is built

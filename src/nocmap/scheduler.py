@@ -14,20 +14,19 @@ is where the energy savings come from.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .mappers import ddmap, map_with
 from .metrics import Mapping
-from .taskgraph import TaskGraph, _traffic, induced_subgraph
+from .taskgraph import TaskGraph, _integer, _traffic, induced_subgraph
 from .topology import Mesh3D
 
 
 @dataclass(frozen=True)
 class ClusterSet:
-    """A partition of task ids into ordered clusters."""
+    """A partition of task ids 0..N-1 into ordered clusters; each id an integer (``taskgraph._integer``)."""
 
     clusters: tuple[tuple[int, ...], ...]
 
@@ -37,7 +36,7 @@ class ClusterSet:
             if not cluster:
                 raise ValueError("empty cluster")
             for t in cluster:
-                if t in seen:
+                if _integer(t, "task id") in seen:
                     raise ValueError(f"task {t} appears in two clusters")
                 seen.add(t)
         if seen != set(range(len(seen))):
@@ -107,13 +106,11 @@ def cluster_tasks(g: TaskGraph, max_clusters: int) -> ClusterSet:
     are merged, in creation order, into the retained cluster they exchange
     the most volume with (ties to the lowest cluster index).
 
-    ``max_clusters`` must be an integer (numpy's included, ``bool`` not).
+    ``max_clusters`` must be an integer (``taskgraph._integer``).
     Every task joins one chain once, so the result is a partition by
     construction and is built without ``ClusterSet``'s check.
     """
-    if isinstance(max_clusters, bool) or not isinstance(max_clusters, numbers.Integral):
-        raise ValueError(f"cluster limit must be an integer, got {max_clusters!r}")
-    if max_clusters < 1:
+    if _integer(max_clusters, "cluster limit") < 1:
         raise ValueError("need at least one cluster")
     neighbours = g.neighbours
     scheduled = [False] * g.n_cores

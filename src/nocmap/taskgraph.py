@@ -49,9 +49,14 @@ class Arc:
     bandwidth: int
 
 
+def _is_integer(value) -> bool:
+    """The one rule for an integer input: a ``numbers.Integral`` that is not a ``bool`` (numpy's integers are)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _integer(value, what: str) -> int:
-    """``value`` as an int: refused unless it is an integer (numpy's are, ``bool`` is not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    """``value`` as an int: refused, as "<what> must be an integer, got <repr>", unless ``_is_integer``."""
+    if not _is_integer(value):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
 
@@ -73,7 +78,7 @@ class TaskGraph:
         late = None
         if set(map(type, values)) != {int}:  # numpy integers become ints; the arcs end before any other
             for i, v in enumerate(values):
-                if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                if not _is_integer(v):
                     arc = i - i % 4
                     late = f"non-integer field {v!r} in arc {values[arc]}->{values[arc + 1]}"
                     values = values[:arc]
@@ -92,6 +97,10 @@ class TaskGraph:
         g = object.__new__(cls)
         g.__dict__.update(n_cores=n_cores, arc_columns=columns)
         return g
+
+    def __reduce__(self):
+        """Pickles and copies rebuild through ``_from_columns``, so their columns are read-only too."""
+        return TaskGraph._from_columns, (self.n_cores, self.arc_columns)
 
     @cached_property
     def arcs(self) -> tuple[Arc, ...]:
@@ -276,10 +285,10 @@ def induced_subgraph(g: TaskGraph, core_ids: Sequence[int]) -> TaskGraph:
     subgraph is built from ``g.arc_columns`` by one relabelling array, with
     no ``Arc`` made and no arc checked again.
     """
-    for kind in set(map(type, core_ids)) - {int}:
-        if kind is bool or not issubclass(kind, numbers.Integral):
-            bad = next(core for core in core_ids if type(core) is kind)
-            raise ValueError(f"core id {bad!r} is not an integer")
+    if not set(map(type, core_ids)) <= {int}:  # the per-id search only when the type scan fails
+        for core in core_ids:
+            if not _is_integer(core):
+                raise ValueError(f"core id {core!r} is not an integer")
     try:
         ids = np.array(core_ids, dtype=np.int64)  # exact: every id is an integer
     except OverflowError:

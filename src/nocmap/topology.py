@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-import numbers
 from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
+
+from .taskgraph import _integer
 
 
 def _hop_table_bytes(n: int) -> int:
@@ -39,8 +40,7 @@ class Mesh3D:
     n: int
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
-            raise ValueError(f"mesh side length must be an integer, got {self.n!r}")
+        object.__setattr__(self, "n", _integer(self.n, "mesh side length"))
         if self.n < 2:
             raise ValueError("mesh side length must be at least 2")
         if self.n > MAX_SIDE:
@@ -48,16 +48,21 @@ class Mesh3D:
                 f"mesh side length {self.n} is above the limit of {MAX_SIDE}: its hop table "
                 f"would take {_hop_table_bytes(self.n)} bytes, more than {MAX_TABLE_BYTES}"
             )
-        object.__setattr__(self, "n", int(self.n))
 
     @property
     def tile_count(self) -> int:
         return self.n ** 3
 
 
+def _check_capacity(n_cores: int, mesh: Mesh3D) -> None:
+    """The one refusal of more cores than the mesh has tiles, for every one-core-per-tile path."""
+    if n_cores > mesh.tile_count:
+        raise ValueError(f"{n_cores} cores exceed {mesh.tile_count} tiles")
+
+
 def tile_coords(tile: int, n: int) -> tuple[int, int, int]:
-    """tile id -> (layer, row, col); the id must be an integer (numpy's are, ``bool`` is not)."""
-    tile = _tile_id(tile)
+    """tile id -> (layer, row, col); the id and the side n must be integers (``taskgraph._integer``)."""
+    tile, n = _integer(tile, "tile id"), _integer(n, "mesh side length")
     if not (0 <= tile < n ** 3):
         raise ValueError(f"tile id {tile} out of range 0..{n ** 3 - 1}")
     layer, rest = divmod(tile, n * n)
@@ -65,19 +70,13 @@ def tile_coords(tile: int, n: int) -> tuple[int, int, int]:
     return layer, row, col
 
 
-def _tile_id(tile) -> int:
-    """``tile`` as an int: refused unless it is an integer (numpy's are, ``bool`` is not)."""
-    if isinstance(tile, bool) or not isinstance(tile, numbers.Integral):
-        raise ValueError(f"tile id must be an integer, got {tile!r}")
-    return int(tile)
-
-
 def diagonal_tiles(n: int) -> list[int]:
     """Interior tiles of the cube's main diagonal, ends excluded.
 
     One tile per interior layer; empty for n = 2 where the diagonal has no
-    interior.
+    interior.  The side n must be an integer (``taskgraph._integer``).
     """
+    n = _integer(n, "mesh side length")
     if n < 2:
         raise ValueError("mesh side length must be at least 2")
     step = n * n + n + 1
@@ -204,7 +203,7 @@ def lozenge_next_empty(
     if len(counts) != n:
         raise ValueError("free counts size does not match mesh")
     if type(anchor) is not int:  # before the lookup, where 13.0 and True would find 13 and 1
-        anchor = _tile_id(anchor)
+        anchor = _integer(anchor, "tile id")
     orders = _ORDERS[n]
     entry = orders.get(anchor)
     if entry is None:

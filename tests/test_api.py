@@ -47,3 +47,36 @@ def test_library_modules_use_every_name_they_import():
             used |= set(nocmap.__all__)
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def _sites(matches) -> set[str]:
+    """``module:qualified.name`` of each function (or class, or module body) whose own code has a node that matches.
+
+    Docstrings are not code, so a docstring that names a rule is no site of it.
+    """
+    sites = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Expr) and isinstance(child.value, ast.Constant):
+                continue
+            if matches(child):
+                sites.add(owner)
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{owner}{'.' if ':' in owner else ':'}{child.name}" if named else owner)
+
+    for path in sorted(Path(nocmap.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.name)
+    return sites
+
+
+def test_each_input_rule_is_decided_in_one_function():
+    # What counts as an integer input, and the refusal of more cores than
+    # tiles, each have one home that every other check calls; a second copy
+    # would let the two drift apart.
+    integral = _sites(lambda node: isinstance(node, ast.Attribute) and node.attr == "Integral"
+                      or isinstance(node, ast.Name) and node.id == "Integral")
+    assert integral == {"taskgraph.py:_is_integer"}
+    capacity = _sites(lambda node: isinstance(node, ast.Constant) and isinstance(node.value, str)
+                      and "cores exceed" in node.value)
+    assert capacity == {"topology.py:_check_capacity"}

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -75,10 +76,41 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"unknown core {next(iter(extra))}"):
             evaluate(g1, mapping, mesh3)
 
+    @pytest.mark.parametrize(
+        "mapping, message",
+        [
+            ({0: 13, 1: 10.0, 2: 4, 3: 12}, "tile of core 1 must be an integer, got 10.0"),
+            ({0: 13, 1: 10.9, 2: 4, 3: 12}, "tile of core 1 must be an integer, got 10.9"),
+            ({0: 13, 1: True, 2: 4, 3: 12}, "tile of core 1 must be an integer, got True"),
+            ({0: 13, 1: "10", 2: 4, 3: 12}, "tile of core 1 must be an integer, got '10'"),
+            ({0: 13, 1: 10, 2: 4, 3: np.float64(12)}, "tile of core 3 must be an integer, got np.float64(12.0)"),
+            ({0.0: 13, 1: 10, 2: 4, 3: 12}, "core id must be an integer, got 0.0"),
+            ({0: 13, True: 10, 2: 4, 3: 12}, "core id must be an integer, got True"),
+            ({0: 13, 1: 10, 2: 4, 3: 12, "4": 5}, "core id must be an integer, got '4'"),
+        ],
+        ids=["float-tile", "fractional-tile", "bool-tile", "str-tile", "numpy-float-tile",
+             "float-core", "bool-core", "str-core"],
+    )
+    def test_non_integer_core_or_tile_refused(self, mesh3, g1, mapping, message):
+        # 10.9 used to be placed on tile 10, and a True key to stand for core 1
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evaluate(g1, mapping, mesh3)
+
+    def test_numpy_integer_cores_and_tiles_accepted(self, mesh3, g1):
+        plain = {0: 13, 1: 10, 2: 4, 3: 12}
+        numpy = {np.int64(0): np.int32(13), np.uint8(1): np.int64(10), 2: np.uint16(4), np.int16(3): 12}
+        assert evaluate(g1, numpy, mesh3) == evaluate(g1, plain, mesh3)
+
     @pytest.mark.parametrize("field", ["e_switch_bit", "e_link_bit", "rho"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
     def test_energy_model_rejects_non_finite_and_negative(self, field, value):
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="^energy model constants must be finite and non-negative$"):
+            EnergyModel(**{field: value})
+
+    @pytest.mark.parametrize("field", ["e_switch_bit", "e_link_bit", "rho"])
+    @pytest.mark.parametrize("value", [None, "1", 1j])
+    def test_energy_model_names_a_non_numeric_constant(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a real number, got {re.escape(repr(value))}$"):
             EnergyModel(**{field: value})
 
     def test_largest_volume_is_exact(self, mesh3):

@@ -202,6 +202,12 @@ class TestParams:
         with pytest.raises(ValueError, match=f"{field} must be finite and non-negative"):
             PsoParams(**{field: value})
 
+    @pytest.mark.parametrize("field", ["c1", "c2", "w"])
+    @pytest.mark.parametrize("value", [None, "1", 1j])
+    def test_non_numeric_constant_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a real number, got {re.escape(repr(value))}$"):
+            PsoParams(**{field: value})
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
             PsoParams(seed=-1)
@@ -438,8 +444,15 @@ class TestOptimize:
             ({0: 0, 1: 1, 2: 2, 3: 8}, "core 3 mapped to invalid tile 8"),
             ({0: -1, 1: 1, 2: 2, 3: 3}, "core 0 mapped to invalid tile -1"),
             ({0: 0, 1: 1, 2: 2, 3: 3, 4: 4}, "unknown core 4"),
+            ({0: 0, 1: 1.0, 2: 2, 3: 3}, "tile of core 1 must be an integer, got 1.0"),
+            ({0: 0, 1: 1, 2: 2, 3: True}, "tile of core 3 must be an integer, got True"),
+            ({0: 0, 1: 1, 2: 2, 3: "3"}, "tile of core 3 must be an integer, got '3'"),
+            ({0: 0, 1.0: 1, 2: 2, 3: 3}, "core id must be an integer, got 1.0"),
+            ({0: 0, True: 1, 2: 2, 3: 3}, "core id must be an integer, got True"),
+            ({0: 0, 1: 1, 2: 2, "3": 3}, "core id must be an integer, got '3'"),
         ],
-        ids=["missing-core", "duplicate-tile", "tile-past-mesh", "negative-tile", "unknown-core"],
+        ids=["missing-core", "duplicate-tile", "tile-past-mesh", "negative-tile", "unknown-core",
+             "float-tile", "bool-tile", "str-tile", "float-core", "bool-core", "str-core"],
     )
     def test_each_seed_fault_names_the_seed_mapping(self, g1, mesh2, seed_map, what):
         params = PsoParams(max_evals_per_simulation=400)
@@ -478,6 +491,12 @@ class TestOptimize:
         monkeypatch.setattr(pso, "velocity_update", interleaving_step)
         outer = pso_optimize(*first)
         assert (outer, *inner["results"]) == alone
+
+    def test_numpy_integer_seed_mapping_accepted(self, g1, mesh2):
+        params = PsoParams(max_evals_per_simulation=400)
+        plain = pso_optimize(g1, mesh2, params, seed_mapping={0: 3, 1: 0, 2: 6, 3: 5})
+        numpy = {np.int64(0): np.int32(3), 1: np.uint8(0), np.int16(2): 6, 3: np.int64(5)}
+        assert pso_optimize(g1, mesh2, params, seed_mapping=numpy) == plain
 
     def test_seed_mapping_with_extra_core(self, g1, mesh2):
         seed_map = {0: 0, 1: 1, 2: 2, 3: 3, 7: 5}

@@ -209,6 +209,21 @@ class TestClusterTasks:
         with pytest.raises(ValueError):
             ClusterSet(((0,), (2,)))
 
+    @pytest.mark.parametrize("clusters, member", [
+        (((True, 0), (2,)), True),  # was accepted, and cluster_graph read True as task 1
+        (((0.0, 1), (2,)), 0.0),  # was accepted, and cluster_graph failed with a bare TypeError
+        (((0, 1), (np.float64(2.0),)), np.float64(2.0)),
+        (((0, "1"), (2,)), "1"),
+    ], ids=repr)
+    def test_non_integer_task_refused(self, clusters, member):
+        with pytest.raises(ValueError, match=f"^task id must be an integer, got {re.escape(repr(member))}$"):
+            ClusterSet(clusters)
+
+    def test_numpy_integer_tasks_accepted(self, g1):
+        cs = ClusterSet(((np.int64(0), np.int32(1)), (np.uint8(2), 3)))
+        assert cs == ClusterSet(((0, 1), (2, 3)))
+        assert cluster_graph(g1, cs) == cluster_graph(g1, ClusterSet(((0, 1), (2, 3))))
+
 
 class TestClusterGraph:
     def test_g1_two_clusters(self, g1):

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import numbers
+import pickle
 import re
 import tracemalloc
 
@@ -324,6 +326,18 @@ class TestTaskGraph:
                 write()
         assert columns.tolist()[2] == [100, 70, 50, 20]
         assert graph_from_arcs(3, []).arc_columns.shape == (4, 0)
+
+    @pytest.mark.parametrize("clone", [lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy, copy.copy],
+                             ids=["pickle", "deepcopy", "copy"])
+    def test_copies_are_equal_and_read_only(self, g1, clone):
+        # a copy with writeable columns could take a negative volume after the arcs were checked
+        g1.arcs, g1.neighbours  # cached values are not carried over
+        h = clone(g1)
+        assert set(vars(h)) == {"n_cores", "arc_columns"} and h.arc_columns.dtype == np.int64
+        assert type(h) is TaskGraph and h == g1 and h.arcs == g1.arcs and type(h.n_cores) is int
+        with pytest.raises(ValueError, match="read-only"):
+            h.arc_columns[2, 0] = -7
+        assert h.arc_columns.tolist()[2] == [100, 70, 50, 20]
 
     @pytest.mark.parametrize(
         "arcs, message",

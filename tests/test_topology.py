@@ -51,10 +51,12 @@ class TestMeshSize:
     @pytest.mark.parametrize("n", [3.0, 2.5, True, np.float64(3.0)],
                              ids=["float", "fractional", "bool", "numpy-float"])
     def test_non_integer_side_is_refused(self, n):
-        # a float side made tile_count a float, which ddmap then failed on
+        # a float side made tile_count a float, which ddmap then failed on;
+        # diagonal_tiles(2.5) gave [8.75], a float tile
         shown = re.escape(repr(n))
-        with pytest.raises(ValueError, match=f"^mesh side length must be an integer, got {shown}$"):
-            Mesh3D(n)
+        for call in (Mesh3D, diagonal_tiles, lambda n: tile_coords(0, n)):
+            with pytest.raises(ValueError, match=f"^mesh side length must be an integer, got {shown}$"):
+                call(n)
 
     def test_numpy_integer_side_accepted(self):
         g = graph_from_arcs(3, [(0, 1, 5, 1), (1, 2, 5, 1)])
@@ -62,6 +64,7 @@ class TestMeshSize:
         assert mesh.tile_count == 27
         assert mesh == Mesh3D(3) and type(mesh.n) is int  # so no per-mesh table holds numpy ints
         assert ddmap(g, mesh) == ddmap(g, Mesh3D(3))
+        assert diagonal_tiles(np.int64(4)) == [21, 42] and tile_coords(42, np.int32(4)) == (2, 2, 2)
 
 
 class TestIndexing:
