@@ -18,7 +18,7 @@ import glob as globlib
 import sys
 from pathlib import Path
 
-from .harness import ReportRow, RunConfig, exhaustive_oracle, format_comparison, run_benchmark
+from .harness import ReportRow, RunConfig, _read_file, exhaustive_oracle, format_comparison, run_benchmark
 from .mappers import MAPPERS
 from .metrics import OBJECTIVES, EnergyModel
 from .pso import PsoParams
@@ -100,7 +100,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    g = parse_graph(Path(args.graph).read_text(encoding="utf-8"))
+    g = _read_file(args.graph, parse_graph)
     value, mapping = exhaustive_oracle(g, Mesh3D(args.mesh), args.objective, _energy_model(args))
     print(f"optimum {args.objective} = {value:.6g}" if args.objective == "energy"
           else f"optimum {args.objective} = {value}")
@@ -131,13 +131,14 @@ def _cmd_bench(args) -> int:
                 f"expected one row each for {a!r} and {b!r}"
             )
     mesh = Mesh3D(args.mesh)
+
+    def check(text: str) -> None:  # in map mode a graph must also fit the mesh
+        g = parse_graph(text)
+        if args.mode == "map":
+            _check_capacity(g.n_cores, mesh)
+
     for path in paths:
-        try:
-            g = parse_graph(Path(path).read_text(encoding="utf-8"))
-            if args.mode == "map":
-                _check_capacity(g.n_cores, mesh)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        _read_file(path, check)
     rows = [_run(cfg) for cfg in configs]
     if args.compare:
         print(format_comparison(rows, *args.compare))

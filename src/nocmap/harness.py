@@ -136,16 +136,25 @@ def _header_value(path: str | Path, header: dict[str, str], key: str, kind=str):
         ) from None
 
 
+def _read_file(path: str | Path, parse):
+    """``parse`` of a file's text: the one reader of graph and artifact files.
+
+    A file that ``parse`` refuses, as a graph parser refuses a malformed graph or
+    one whose totals overflow int64, is refused as "<path>: <message>".
+    """
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _load_artifact(path: str | Path, run_mesh_n: int | None = None) -> tuple[Mapping, dict, int]:
     """Placement, header and mesh side of an artifact.
 
     For a seed of a run on mesh ``run_mesh_n``, a header naming no mesh means
     that mesh, and one naming another mesh is refused.
     """
-    try:
-        placement, header = parse_mapping_artifact(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    placement, header = _read_file(path, parse_mapping_artifact)
     if run_mesh_n is not None and "mesh" not in header:
         return placement, header, run_mesh_n
     mesh_n = _header_value(path, header, "mesh", int)
@@ -197,7 +206,7 @@ def run_benchmark(cfg: RunConfig) -> tuple[ReportRow, Mapping]:
     """Execute one configured pipeline; optionally write artifact and CSV row (to a report CSV)."""
     if cfg.csv_path is not None:
         _check_report_csv(cfg.csv_path)
-    g = parse_graph(Path(cfg.graph).read_text(encoding="utf-8"))
+    g = _read_file(cfg.graph, parse_graph)
     mesh = Mesh3D(cfg.mesh_n)
     benchmark = Path(cfg.graph).stem
 
@@ -269,7 +278,7 @@ def audit_artifact(path: str | Path) -> ReportRow:
 
     graph = value("graph")
     try:
-        g = parse_graph(Path(graph).read_text(encoding="utf-8"))
+        g = _read_file(graph, parse_graph)
     except OSError as exc:  # a relative graph path is read from the current directory
         raise ValueError(
             f"artifact {path}: header 'graph' = {graph!r} cannot be read: {exc.strerror}"

@@ -67,7 +67,7 @@ def ddmap(g: TaskGraph, mesh: Mesh3D) -> Mapping:
     resume: dict[int, int] = {}  # per anchor: where its last search ended; free only shrinks
 
     # Interior-diagonal seeds; a 2x2x2 mesh has no interior, fall back to the origin.
-    for core, tile in zip(order, diagonal_tiles(n) or [0]):
+    for core, tile in zip(order, diagonal_tiles(mesh) or [0]):
         mapping[core] = tile
         free[tile] = 0
         counts[tile // nn] -= 1

@@ -32,17 +32,29 @@ from .topology import Mesh3D, hop_table
 Mapping = dict[int, int]
 
 
-def _finite_non_negative(value, name: str) -> bool:
-    """Whether ``value`` is finite and non-negative; one that is not a real number is refused by ``name``."""
+def _non_negative_float(value, name: str) -> float:
+    """``value`` as a Python float: the one rule for a real-valued constant.
+
+    A real number is what ``math.isfinite`` accepts, except a ``bool`` (numpy's
+    too); any other value is refused as "<name> must be a real number, got
+    <repr>", and one that is not finite and non-negative as "<name> must be
+    finite and non-negative, got <repr>".  numpy floats are real numbers, and
+    come back as floats.
+    """
     try:
-        return math.isfinite(value) and value >= 0
-    except TypeError:
-        raise ValueError(f"{name} must be a real number, got {value!r}") from None
+        finite = math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int past float's range
+        finite = None
+    if finite is None or isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not (finite and value >= 0):
+        raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
 class EnergyModel:
-    """Per-bit energy charges (pJ) and the latency scale constant."""
+    """Per-bit energy charges (pJ) and the latency scale constant, each kept as a finite, non-negative float."""
 
     e_switch_bit: float = 0.284
     e_link_bit: float = 0.449
@@ -50,8 +62,7 @@ class EnergyModel:
 
     def __post_init__(self):
         for name in ("e_switch_bit", "e_link_bit", "rho"):
-            if not _finite_non_negative(getattr(self, name), name):
-                raise ValueError("energy model constants must be finite and non-negative")
+            object.__setattr__(self, name, _non_negative_float(getattr(self, name), name))
 
     def energy(self, switch_bits, link_bits):
         """Energy (pJ) of the given router and link bit counts; works elementwise."""
@@ -92,7 +103,7 @@ class HopKernel:
         # Every arc's source core, then every arc's destination core: a view.
         self.ends = columns[:2].ravel()
         self.volume, self.bandwidth = columns[2], columns[3]
-        self.code, self.table = hop_table(mesh.n)
+        self.code, self.table = hop_table(mesh)
         self._work = None  # hops' work arrays, for the last batch shape it saw
 
     def placement(self, mapping: Mapping) -> np.ndarray:

@@ -29,13 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import EnergyModel, HopKernel, Mapping, _finite_non_negative
+from .metrics import EnergyModel, HopKernel, Mapping, _non_negative_float
 from .taskgraph import TaskGraph, _integer, induced_subgraph, priority_order
 from .topology import MAX_TABLE_BYTES, Mesh3D, _check_capacity
 
 @dataclass(frozen=True)
 class PsoParams:
-    """Swarm constants; c1, c2 and w must be finite, non-negative reals, the counts and seed integers."""
+    """Swarm constants; c1, c2 and w are kept as finite, non-negative floats, the counts and seed as integers."""
 
     c1: float = 1.2
     c2: float = 1.3
@@ -46,9 +46,7 @@ class PsoParams:
 
     def __post_init__(self):
         for name in ("c1", "c2", "w"):
-            value = getattr(self, name)
-            if not _finite_non_negative(value, name):
-                raise ValueError(f"{name} must be finite and non-negative, got {value}")
+            object.__setattr__(self, name, _non_negative_float(getattr(self, name), name))
         for name in ("swarm_size", "max_evals_per_simulation", "seed"):
             _integer(getattr(self, name), name)
         if self.seed < 0:

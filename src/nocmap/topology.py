@@ -20,7 +20,7 @@ from .taskgraph import _integer
 
 
 def _hop_table_bytes(n: int) -> int:
-    """Size of ``hop_table(n)``'s table, (2n-1)^3 int64 entries: the largest per-mesh table."""
+    """Size of ``hop_table``'s table for side n, (2n-1)^3 int64 entries: the largest per-mesh table."""
     return 8 * (2 * n - 1) ** 3
 
 
@@ -60,9 +60,9 @@ def _check_capacity(n_cores: int, mesh: Mesh3D) -> None:
         raise ValueError(f"{n_cores} cores exceed {mesh.tile_count} tiles")
 
 
-def tile_coords(tile: int, n: int) -> tuple[int, int, int]:
-    """tile id -> (layer, row, col); the id and the side n must be integers (``taskgraph._integer``)."""
-    tile, n = _integer(tile, "tile id"), _integer(n, "mesh side length")
+def tile_coords(tile: int, mesh: Mesh3D) -> tuple[int, int, int]:
+    """tile id -> (layer, row, col); the id must be an integer (``taskgraph._integer``) tile of the mesh."""
+    tile, n = _integer(tile, "tile id"), mesh.n
     if not (0 <= tile < n ** 3):
         raise ValueError(f"tile id {tile} out of range 0..{n ** 3 - 1}")
     layer, rest = divmod(tile, n * n)
@@ -70,21 +70,19 @@ def tile_coords(tile: int, n: int) -> tuple[int, int, int]:
     return layer, row, col
 
 
-def diagonal_tiles(n: int) -> list[int]:
+def diagonal_tiles(mesh: Mesh3D) -> list[int]:
     """Interior tiles of the cube's main diagonal, ends excluded.
 
     One tile per interior layer; empty for n = 2 where the diagonal has no
-    interior.  The side n must be an integer (``taskgraph._integer``).
+    interior.
     """
-    n = _integer(n, "mesh side length")
-    if n < 2:
-        raise ValueError("mesh side length must be at least 2")
+    n = mesh.n
     step = n * n + n + 1
     return [step * (i + 1) for i in range(n - 2)]
 
 
 @functools.lru_cache(maxsize=None)
-def hop_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+def hop_table(mesh: Mesh3D) -> tuple[np.ndarray, np.ndarray]:
     """Per-tile codes and the hop table they index, built once per mesh size.
 
     Tile (layer, row, col) has the code ``(layer*b + row)*b + col`` with
@@ -97,6 +95,7 @@ def hop_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     Codes are intp, numpy's index type, so a lookup through them converts
     nothing.
     """
+    n = mesh.n
     b = 2 * n - 1
     layer, rest = np.divmod(np.arange(n ** 3, dtype=np.intp), n * n)
     row, col = np.divmod(rest, n)
@@ -133,21 +132,7 @@ def _layer_cells(n: int, row: int, col: int) -> tuple[int, ...]:
     return tuple(cells)
 
 
-def _visiting_orders(n: int, anchor: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``(_layer_cells, _layer_order)`` of an anchor tile, made once per tile.
-
-    ``lozenge_next_empty`` keeps the result in ``_ORDERS[n]``, one dict per
-    mesh side keyed by tile, and reads it back with one ``dict.get``; it
-    does not hash ``(n, anchor)`` as a cache of this function would.  Once
-    every tile has been an anchor a dict holds n^3 pairs of references to
-    the shared per-position and per-layer tuples.  An anchor off the mesh
-    raises from ``tile_coords`` and is never kept.
-    """
-    layer, row, col = tile_coords(anchor, n)
-    return _layer_cells(n, row, col), _layer_order(n, layer)
-
-
-_ORDERS: defaultdict[int, dict] = defaultdict(dict)  # mesh side -> anchor tile -> its _visiting_orders
+_ORDERS: defaultdict[int, dict] = defaultdict(dict)  # mesh side -> anchor tile -> (_layer_cells, _layer_order)
 
 
 @functools.lru_cache(maxsize=None)
@@ -182,9 +167,12 @@ def lozenge_next_empty(
     is the number of empty tiles in each layer.  The two must agree: a layer
     whose count shows no empty tile is skipped without a look, and so is
     the anchor's own layer when the anchor is its only empty tile.  The
-    visiting orders are tables built once per mesh size and position, found
-    by one read of a per-mesh-side dict keyed by tile, and the walk is a
-    plain loop that stops at the first empty tile.
+    visiting orders are tables built once per mesh size and position.  An
+    anchor's pair of them is kept in ``_ORDERS[n]``, one dict per mesh side
+    keyed by tile, and found by one ``dict.get``, with no ``(n, anchor)``
+    hashed as a cache would; once every tile has been an anchor a dict holds
+    n^3 pairs of references to the shared tuples.  The walk is a plain loop
+    that stops at the first empty tile.
 
     ``resume``, if given, maps an anchor to its position in the visiting
     order (layer index * n^2 + cell index) where the last search from it
@@ -206,8 +194,9 @@ def lozenge_next_empty(
         anchor = _integer(anchor, "tile id")
     orders = _ORDERS[n]
     entry = orders.get(anchor)
-    if entry is None:
-        entry = orders[anchor] = _visiting_orders(n, anchor)
+    if entry is None:  # an anchor off the mesh raises here and is never kept
+        layer, row, col = tile_coords(anchor, mesh)
+        entry = orders[anchor] = _layer_cells(n, row, col), _layer_order(n, layer)
     cells, layers = entry
     resume = {} if resume is None else resume
     # Position 0 is the anchor itself, which is tried last.

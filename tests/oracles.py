@@ -318,7 +318,7 @@ def lozenge_next_empty(anchor: int, free: np.ndarray, mesh: Mesh3D) -> int:
     n = mesh.n
     if len(free) != mesh.tile_count:
         raise ValueError("occupancy size does not match mesh")
-    a_layer, a_row, a_col = tile_coords(anchor, n)
+    a_layer, a_row, a_col = tile_coords(anchor, mesh)
     clockwise = (anchor % n) % 2 == 1
     max_d = 2 * (n - 1)
 
@@ -355,7 +355,7 @@ def ddmap(g: TaskGraph, mesh: Mesh3D) -> dict[int, int]:
     mapped_seq: list[int] = []
 
     # Interior-diagonal seeds; a 2x2x2 mesh has no interior, fall back to the origin.
-    seeds = diagonal_tiles(n) or [0]
+    seeds = diagonal_tiles(mesh) or [0]
     for core, tile in zip(order, seeds):
         mapping[core] = tile
         free[tile] = False
@@ -457,7 +457,7 @@ def lozenge_lookup(anchor: int, free, counts: list[int], mesh: Mesh3D, resume: d
         raise ValueError("occupancy size does not match mesh")
     if len(counts) != n:
         raise ValueError("free counts size does not match mesh")
-    a_layer, a_row, a_col = tile_coords(anchor, n)
+    a_layer, a_row, a_col = tile_coords(anchor, mesh)
     cells = _layer_cells(n, a_row, a_col)
     layers = _layer_order(n, a_layer)
     resume = {} if resume is None else resume
@@ -505,7 +505,7 @@ def ddmap_place(g: TaskGraph, mesh: Mesh3D) -> dict[int, int]:
                 traffic[p] += v
                 heapq.heappush(heap, rank[p] - traffic[p] * n_cores)
 
-    seeds = diagonal_tiles(n) or [0]
+    seeds = diagonal_tiles(mesh) or [0]
     for core, tile in zip(order, seeds):
         place(core, tile)
     first = order[0]

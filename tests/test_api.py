@@ -52,13 +52,15 @@ def test_library_modules_use_every_name_they_import():
 def _sites(matches) -> set[str]:
     """``module:qualified.name`` of each function (or class, or module body) whose own code has a node that matches.
 
-    Docstrings are not code, so a docstring that names a rule is no site of it.
+    Docstrings and ``help=`` texts are not code, so one that names a rule is no site of it.
     """
     sites = set()
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Expr) and isinstance(child.value, ast.Constant):
+                continue
+            if isinstance(child, ast.keyword) and child.arg == "help":
                 continue
             if matches(child):
                 sites.add(owner)
@@ -71,12 +73,19 @@ def _sites(matches) -> set[str]:
 
 
 def test_each_input_rule_is_decided_in_one_function():
-    # What counts as an integer input, and the refusal of more cores than
-    # tiles, each have one home that every other check calls; a second copy
-    # would let the two drift apart.
+    # What counts as an integer input, the refusal of more cores than tiles,
+    # what counts as a real-valued constant, and a mesh side's type and range
+    # each have one home that every other check calls; a second copy would
+    # let the two drift apart.
     integral = _sites(lambda node: isinstance(node, ast.Attribute) and node.attr == "Integral"
                       or isinstance(node, ast.Name) and node.id == "Integral")
     assert integral == {"taskgraph.py:_is_integer"}
     capacity = _sites(lambda node: isinstance(node, ast.Constant) and isinstance(node.value, str)
                       and "cores exceed" in node.value)
     assert capacity == {"topology.py:_check_capacity"}
+    isfinite = _sites(lambda node: isinstance(node, ast.Attribute) and node.attr == "isfinite"
+                      or isinstance(node, ast.Name) and node.id == "isfinite")
+    assert isfinite == {"metrics.py:_non_negative_float"}
+    side = _sites(lambda node: isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and "mesh side length" in node.value)
+    assert side == {"topology.py:Mesh3D.__post_init__"}

@@ -229,8 +229,17 @@ def test_map_refuses_totals_past_int64(tmp_path, capsys):
     out_dir, csv_path = tmp_path / "runs", tmp_path / "rows.csv"
     rc = main(["map", "--graph", str(big), "--out", str(out_dir), "--csv", str(csv_path)])
     assert rc == 1
-    assert capsys.readouterr() == ("", f"error: total arc volume {2 ** 63} does not fit int64\n")
+    assert capsys.readouterr() == ("", f"error: {big}: total arc volume {2 ** 63} does not fit int64\n")
     assert not csv_path.exists() and not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["map", "schedule", "optimize", "oracle"])
+def test_malformed_graph_is_named_by_its_file(tmp_path, capsys, command):
+    # map, schedule, optimize and oracle printed the line number alone
+    bad = tmp_path / "bad.ctg"
+    bad.write_text("cores 2\nfoo 0 1\n")
+    assert main([command, "--graph", str(bad)]) == 1
+    assert capsys.readouterr() == ("", f"error: {bad}: line 2: unknown directive 'foo'\n")
 
 
 def test_non_finite_energy_constant_rejected(demo_graph, tmp_path, capsys):

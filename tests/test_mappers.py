@@ -244,5 +244,5 @@ class TestOverflowingWeights:
             graph_from_arcs(3, arcs)
         path = tmp_path / "big.ctg"
         path.write_text("cores 3\n" + "".join(f"edge {s} {d} {v} {b}\n" for s, d, v, b in arcs))
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message[1:]}"):
             run_benchmark(RunConfig(graph=path, mode="map", algo=kind))

@@ -104,14 +104,26 @@ class TestValidation:
     @pytest.mark.parametrize("field", ["e_switch_bit", "e_link_bit", "rho"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
     def test_energy_model_rejects_non_finite_and_negative(self, field, value):
-        with pytest.raises(ValueError, match="^energy model constants must be finite and non-negative$"):
+        with pytest.raises(ValueError, match=f"^{field} must be finite and non-negative, got {re.escape(repr(value))}$"):
             EnergyModel(**{field: value})
 
     @pytest.mark.parametrize("field", ["e_switch_bit", "e_link_bit", "rho"])
-    @pytest.mark.parametrize("value", [None, "1", 1j])
+    @pytest.mark.parametrize("value", [None, "1", 1j, True, False, np.True_, pytest.param(10 ** 400, id="int-past-float")])
     def test_energy_model_names_a_non_numeric_constant(self, field, value):
+        # a bool used to pass as 1 or 0, and made total_energy an int
         with pytest.raises(ValueError, match=f"^{field} must be a real number, got {re.escape(repr(value))}$"):
             EnergyModel(**{field: value})
+
+    @pytest.mark.parametrize("kind", [np.float32, np.float64])
+    def test_numpy_constants_are_kept_as_floats(self, mesh3, g1, kind):
+        # np.float32 constants made total_energy np.float32(22816.168), not 22816.167
+        values = (kind(0.284), kind(0.449), kind(1.7))
+        model, plain = EnergyModel(*values), EnergyModel(*map(float, values))
+        assert model == plain and {type(v) for v in vars(model).values()} == {float}
+        mapping = {0: 13, 1: 10, 2: 4, 3: 12}
+        report = evaluate(g1, mapping, mesh3, model)
+        assert report == evaluate(g1, mapping, mesh3, plain)
+        assert type(report.total_energy) is float and type(report.avg_latency) is float
 
     def test_largest_volume_is_exact(self, mesh3):
         # 7 routers and 6 links per bit between opposite corners of a 3-cube
@@ -301,7 +313,7 @@ CUBE_SYMMETRIES = [
 
 
 def apply_symmetry(tile, n, perm, signs):
-    xyz = list(tile_coords(tile, n))
+    xyz = list(tile_coords(tile, Mesh3D(n)))
     out = []
     for axis in range(3):
         v = xyz[perm[axis]]

@@ -203,10 +203,18 @@ class TestParams:
             PsoParams(**{field: value})
 
     @pytest.mark.parametrize("field", ["c1", "c2", "w"])
-    @pytest.mark.parametrize("value", [None, "1", 1j])
+    @pytest.mark.parametrize("value", [None, "1", 1j, True, False, np.True_])
     def test_non_numeric_constant_named(self, field, value):
+        # a bool used to pass as 1 or 0
         with pytest.raises(ValueError, match=f"^{field} must be a real number, got {re.escape(repr(value))}$"):
             PsoParams(**{field: value})
+
+    @pytest.mark.parametrize("kind", [np.float32, np.float64])
+    def test_numpy_constants_are_kept_as_floats(self, kind):
+        values = dict(c1=kind(1.2), c2=kind(1.3), w=kind(0.721348))
+        params = PsoParams(**values)
+        assert params == PsoParams(**{k: float(v) for k, v in values.items()})
+        assert {type(v) for v in (params.c1, params.c2, params.w)} == {float}
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
@@ -427,7 +435,7 @@ class TestOptimize:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        table = sum(a.nbytes for a in hop_table(mesh.n))
+        table = sum(a.nbytes for a in hop_table(mesh))
         assert peak <= pso._swarm_bytes(200, mesh.tile_count, len(g.arcs)) + table
 
     def test_bad_seed_mapping(self, g1, mesh2):

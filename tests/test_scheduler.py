@@ -330,7 +330,7 @@ class TestOverflowingWeights:
         path = tmp_path / "big.ctg"
         path.write_text("cores 3\n" + "".join(f"edge {s} {d} {v} {b}\n" for s, d, v, b in arcs))
         mode = {dynamic_schedule: "dynamic", cluster_schedule: "cluster"}[schedule]
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message[1:]}"):
             run_benchmark(RunConfig(graph=path, mode=mode))
 
     @pytest.mark.parametrize("schedule", [dynamic_schedule, cluster_schedule])

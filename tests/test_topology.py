@@ -29,7 +29,7 @@ class TestMeshSize:
     def test_bound_is_the_largest_side_whose_hop_table_fits(self):
         assert _hop_table_bytes(MAX_SIDE) <= MAX_TABLE_BYTES < _hop_table_bytes(MAX_SIDE + 1)
         for n in (2, 3, 12):
-            assert _hop_table_bytes(n) == hop_table(n)[1].nbytes
+            assert _hop_table_bytes(n) == hop_table(Mesh3D(n))[1].nbytes
         assert MAX_SIDE >= 40  # the largest mesh the suite builds
 
     def test_largest_accepted_mesh_builds_nothing(self):
@@ -51,12 +51,17 @@ class TestMeshSize:
     @pytest.mark.parametrize("n", [3.0, 2.5, True, np.float64(3.0)],
                              ids=["float", "fractional", "bool", "numpy-float"])
     def test_non_integer_side_is_refused(self, n):
-        # a float side made tile_count a float, which ddmap then failed on;
-        # diagonal_tiles(2.5) gave [8.75], a float tile
-        shown = re.escape(repr(n))
-        for call in (Mesh3D, diagonal_tiles, lambda n: tile_coords(0, n)):
-            with pytest.raises(ValueError, match=f"^mesh side length must be an integer, got {shown}$"):
-                call(n)
+        # a float side made tile_count a float, which ddmap then failed on
+        with pytest.raises(ValueError, match=f"^mesh side length must be an integer, got {re.escape(repr(n))}$"):
+            Mesh3D(n)
+
+    @pytest.mark.parametrize("side", [1, 10 ** 6])
+    def test_mesh_functions_take_a_mesh_not_a_side(self, side):
+        # a bare side skipped Mesh3D's checks: diagonal_tiles(10**6) built
+        # 999,998 tiles and tile_coords(0, 1) answered for a refused mesh
+        for call in (diagonal_tiles, hop_table, lambda mesh: tile_coords(0, mesh)):
+            with pytest.raises(AttributeError):
+                call(side)
 
     def test_numpy_integer_side_accepted(self):
         g = graph_from_arcs(3, [(0, 1, 5, 1), (1, 2, 5, 1)])
@@ -64,64 +69,66 @@ class TestMeshSize:
         assert mesh.tile_count == 27
         assert mesh == Mesh3D(3) and type(mesh.n) is int  # so no per-mesh table holds numpy ints
         assert ddmap(g, mesh) == ddmap(g, Mesh3D(3))
-        assert diagonal_tiles(np.int64(4)) == [21, 42] and tile_coords(42, np.int32(4)) == (2, 2, 2)
+        assert diagonal_tiles(Mesh3D(np.int64(4))) == [21, 42] and tile_coords(42, Mesh3D(np.int32(4))) == (2, 2, 2)
 
 
 class TestIndexing:
     def test_center_of_3cube(self):
-        assert tile_coords(13, 3) == (1, 1, 1)
+        assert tile_coords(13, Mesh3D(3)) == (1, 1, 1)
 
     def test_origin(self):
         for n in (2, 3, 5):
-            assert tile_coords(0, n) == (0, 0, 0)
+            assert tile_coords(0, Mesh3D(n)) == (0, 0, 0)
 
     def test_far_corner(self):
-        assert tile_coords(26, 3) == (2, 2, 2)
+        assert tile_coords(26, Mesh3D(3)) == (2, 2, 2)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_bijection(self, n):
+        mesh = Mesh3D(n)
         seen = set()
         for layer, row, col in itertools.product(range(n), repeat=3):
             t = layer * n * n + row * n + col
-            assert tile_coords(t, n) == (layer, row, col)
+            assert tile_coords(t, mesh) == (layer, row, col)
             seen.add(t)
         assert seen == set(range(n ** 3))
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            tile_coords(27, 3)
+            tile_coords(27, Mesh3D(3))
         with pytest.raises(ValueError):
-            tile_coords(-1, 3)
+            tile_coords(-1, Mesh3D(3))
 
     @pytest.mark.parametrize("tile", [12.5, 13.0, True, np.float64(13), np.True_], ids=repr)
     def test_non_integer_tile_is_refused(self, tile):
         # 12.5 used to give (1.0, 1.0, 0.5)
         with pytest.raises(ValueError, match=f"^tile id must be an integer, got {re.escape(repr(tile))}$"):
-            tile_coords(tile, 3)
+            tile_coords(tile, Mesh3D(3))
 
     def test_numpy_integer_tile_is_accepted(self):
         for kind in (np.int64, np.int32, np.uint8):
-            coords = tile_coords(kind(13), 3)
+            coords = tile_coords(kind(13), Mesh3D(3))
             assert coords == (1, 1, 1) and set(map(type, coords)) == {int}
 
 
 class TestDiagonal:
     def test_known_values(self):
-        assert diagonal_tiles(2) == []
-        assert diagonal_tiles(3) == [13]
-        assert diagonal_tiles(4) == [21, 42]
-        assert diagonal_tiles(5) == [31, 62, 93]
+        assert diagonal_tiles(Mesh3D(2)) == []
+        assert diagonal_tiles(Mesh3D(3)) == [13]
+        assert diagonal_tiles(Mesh3D(4)) == [21, 42]
+        assert diagonal_tiles(Mesh3D(5)) == [31, 62, 93]
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_interior_of_main_diagonal(self, n):
         step = n * n + n + 1
         full = {i * step for i in range(n)}
-        got = diagonal_tiles(n)
+        mesh = Mesh3D(n)
+        got = diagonal_tiles(mesh)
         assert set(got) <= full
         assert 0 not in got and (n - 1) * step not in got
         assert len(got) == n - 2
         for t in got:
-            layer, row, col = tile_coords(t, n)
+            layer, row, col = tile_coords(t, mesh)
             assert layer == row == col
 
 
@@ -164,8 +171,9 @@ class TestHops:
     def test_kernel_hops_on_large_meshes(self, n):
         # every pair of the eight corners, where the hop table's extreme
         # entries sit, plus seeded random pairs
-        kernel = HopKernel(graph_from_arcs(2, [(0, 1, 1, 1)]), Mesh3D(n))
-        corners = [tile for tile in range(n ** 3) if set(tile_coords(tile, n)) <= {0, n - 1}]
+        mesh = Mesh3D(n)
+        kernel = HopKernel(graph_from_arcs(2, [(0, 1, 1, 1)]), mesh)
+        corners = [tile for tile in range(n ** 3) if set(tile_coords(tile, mesh)) <= {0, n - 1}]
         assert len(corners) == 8
         rng = np.random.default_rng(n)
         pairs = np.concatenate((
