@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .mappers import MAPPERS, map_with
-from .metrics import OBJECTIVES, EnergyModel, HopKernel, Mapping, evaluate
+from .metrics import EnergyModel, HopKernel, Mapping, _check_objective, evaluate
 from .pso import PsoParams, pso_optimize
 from .scheduler import cluster_schedule, dynamic_schedule
 from .taskgraph import TaskGraph, parse_graph
@@ -62,8 +62,7 @@ class RunConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.algo not in MAPPERS:
             raise ValueError(f"unknown algo {self.algo!r}")
-        if self.objective not in OBJECTIVES:
-            raise ValueError(f"unknown objective {self.objective!r}")
+        _check_objective(self.objective)
         if self.mode in ("dynamic", "pso") and self.algo != "ddmap":
             raise ValueError(f"{self.mode} mode takes no algo, got {self.algo!r}")
         if self.mode != "pso":
@@ -291,28 +290,109 @@ def audit_artifact(path: str | Path) -> ReportRow:
     )
 
 
-def _oracle_blocks(tiles: int, k: int):
-    """Every injective assignment of k cores to ``tiles`` tiles, in lexicographic order.
+def _cube_symmetries(n: int) -> list[tuple[int, int, int, int]]:
+    """The 48 symmetries of the n x n x n mesh, the identity first.
 
-    Yields blocks of assignment rows: one block per prefix (the tiles of the
-    first k - j cores), holding every way to place the last j cores on the
-    tiles the prefix leaves free.  j is the largest suffix length whose block
-    has at most ORACLE_CHUNK rows.  Each block is the same array, refilled, so
-    a caller that keeps a row must copy it.
+    Each permutes the three axes and reflects any of them (x -> n-1-x), and is
+    kept as the four ints ``(offset, m_layer, m_row, m_col)`` that send tile
+    (layer, row, col) to tile ``offset + m_layer*layer + m_row*row + m_col*col``.
+    Every coordinate difference keeps its magnitude, so every tile pair keeps
+    its XYZ hop count.
     """
+    weights = (n * n, n, 1)
+    maps = []
+    for axes in itertools.permutations(range(3)):
+        for flips in itertools.product((False, True), repeat=3):
+            offset, factors = 0, [0, 0, 0]
+            for weight, axis, flip in zip(weights, axes, flips):
+                factors[axis] = -weight if flip else weight
+                if flip:
+                    offset += weight * (n - 1)
+            maps.append((offset, *factors))
+    return maps
+
+
+def _canonical_prefixes(n: int, p: int):
+    """The prefixes of p distinct tiles the oracle scores, in lexicographic order.
+
+    A prefix tile is taken only when it is the least tile of its orbit under
+    the symmetries (``_cube_symmetries``) that fix the tiles before it.  For
+    the first tile that is a closed form: each coordinate x has x <= n-1-x,
+    and layer <= row <= col.  Once only the identity fixes a prefix, every
+    free tile is taken.
+    """
+    nn, tiles = n * n, n ** 3
+    half = (n - 1) // 2
+
+    def fixing_after(fixing, t):
+        """The symmetries of ``fixing`` that fix tile t, or None when one maps t to a smaller tile."""
+        layer, rest = divmod(t, nn)
+        row, col = divmod(rest, n)
+        images = [o + a * layer + b * row + c * col for o, a, b, c in fixing]
+        return None if min(images) < t else [s for s, image in zip(fixing, images) if image == t]
+
+    def extend(prefix, fixing):
+        if len(prefix) == p:
+            yield prefix
+        elif len(fixing) == 1:
+            free = [t for t in range(tiles) if t not in prefix]
+            for rest in itertools.permutations(free, p - len(prefix)):
+                yield prefix + rest
+        else:
+            for t in range(tiles):
+                kept = None if t in prefix else fixing_after(fixing, t)
+                if kept is not None:
+                    yield from extend(prefix + (t,), kept)
+
+    if p == 0:
+        yield ()
+        return
+    symmetries = _cube_symmetries(n)
+    for layer in range(half + 1):
+        for row in range(layer, half + 1):
+            for col in range(row, half + 1):
+                t = (layer * n + row) * n + col
+                if p == 1:  # no tile follows, so no stabilizer is needed
+                    yield (t,)
+                else:
+                    yield from extend((t,), fixing_after(symmetries, t))
+
+
+def _permutation_table(m: int, j: int) -> np.ndarray:
+    """The j-permutations of range(m) in lexicographic order, a (perm(m, j), j) intp array.
+
+    Built a column at a time: each row of the i-permutations is followed, in
+    turn, by each of the m - i values it leaves out, ascending.
+    """
+    table = np.empty((1, 0), dtype=np.intp)
+    for i in range(j):
+        used = np.zeros((len(table), m), dtype=bool)
+        used[np.arange(len(table))[:, None], table] = True
+        left = np.nonzero(~used)[1]  # row by row, each row's values ascending
+        table = np.column_stack((np.repeat(table, m - i, axis=0), left))
+    return table
+
+
+def _oracle_blocks(n: int, k: int):
+    """The assignments of k cores to an n x n x n mesh that the oracle scores, in lexicographic order.
+
+    Yields blocks of assignment rows: one block per canonical prefix (the tiles
+    of the first k - j cores, see ``_canonical_prefixes``), holding every way to
+    place the last j cores on the tiles the prefix leaves free.  j is the
+    largest suffix length whose block has at most ORACLE_CHUNK rows.  Each
+    block is the same array, refilled, so a caller that keeps a row must copy
+    it.
+    """
+    tiles = n ** 3
     j = 0
     while j < k and math.perm(tiles - k + j + 1, j + 1) <= ORACLE_CHUNK:
         j += 1
     free_count, p = tiles - k + j, k - j
-    # The j-permutations of range(free_count) in lexicographic order; indexing
-    # the ascending free tiles with it keeps that order.
-    count = math.perm(free_count, j)
-    perms = itertools.permutations(range(free_count), j)
-    table = np.fromiter(itertools.chain.from_iterable(perms), np.intp, count * j)
-    table = table.reshape(count, j)
-    rows = np.empty((count, k), dtype=np.intp)
+    # Indexing the ascending free tiles with the lexicographic table keeps that order.
+    table = _permutation_table(free_count, j)
+    rows = np.empty((len(table), k), dtype=np.intp)
     all_tiles = np.arange(tiles)
-    for prefix in itertools.permutations(range(tiles), p):
+    for prefix in _canonical_prefixes(n, p):
         rows[:, :p] = prefix
         rows[:, p:] = np.delete(all_tiles, prefix)[table]
         yield rows
@@ -324,18 +404,24 @@ def exhaustive_oracle(
     objective: str = "energy",
     model: EnergyModel = EnergyModel(),
 ) -> tuple[float, Mapping]:
-    """Enumerate every injective core->tile assignment; return the optimum.
+    """The optimum over every injective core->tile assignment, and its minimizer.
 
     The minimizer returned is the lexicographically smallest assignment
-    vector (tile of core 0, tile of core 1, ...).  Assignments come in
-    lexicographic blocks of at most ORACLE_CHUNK rows (see _oracle_blocks),
-    each scored by one call of the metric kernel.  Refuses instances with
-    more than ORACLE_MAX_ASSIGNMENTS candidate assignments.
+    vector (tile of core 0, tile of core 1, ...).  Each of the cube's 48
+    axis permutations and reflections keeps every hop count, so it maps an
+    assignment to one of the same value.  Were a prefix tile of that
+    minimizer not the least of its orbit under the symmetries fixing the
+    tiles before it, one of them would map the minimizer to a smaller one;
+    so only such canonical prefixes are walked (``_oracle_blocks``), and the
+    first minimum found is still that minimizer.  Every block of at most
+    ORACLE_CHUNK rows is scored by one call of the metric kernel.  Refuses
+    an unknown objective, and instances with more than
+    ORACLE_MAX_ASSIGNMENTS candidate assignments, before building anything.
     """
-    tiles = mesh.tile_count
+    _check_objective(objective)
     k = g.n_cores
     _check_capacity(k, mesh)
-    count = math.perm(tiles, k)
+    count = math.perm(mesh.tile_count, k)
     if count > ORACLE_MAX_ASSIGNMENTS:
         raise ValueError(
             f"{count} assignments exceed the oracle limit of {ORACLE_MAX_ASSIGNMENTS}"
@@ -344,7 +430,7 @@ def exhaustive_oracle(
     kernel = HopKernel(g, mesh)  # every block has one shape: its work arrays serve them all
     best_value = None
     best_assign = None
-    for rows in _oracle_blocks(tiles, k):
+    for rows in _oracle_blocks(mesh.n, k):
         values = kernel.objective_values(rows, objective, model)
         i = int(np.argmin(values))  # first minimum: blocks come in lexicographic order
         if best_value is None or values[i] < best_value:

@@ -80,6 +80,12 @@ class EvalReport:
 OBJECTIVES = ("energy", "cost")
 
 
+def _check_objective(objective) -> None:
+    """The one refusal of an objective not in OBJECTIVES: every search makes it on entry, before building anything."""
+    if objective not in OBJECTIVES:
+        raise ValueError(f"unknown objective {objective!r}")
+
+
 class HopKernel:
     """Exact integer hop sums of one graph's arcs on one mesh, for any batch of placements.
 
@@ -180,10 +186,10 @@ class HopKernel:
         """What a search minimizes, for every placement in the batch: ``cost``, or energy.
 
         It takes only the sums its objective needs, and the values are exactly
-        ``model.energy`` of ``__call__``'s sums, or its cost.
+        ``model.energy`` of ``__call__``'s sums, or its cost.  ``objective`` is
+        one of OBJECTIVES: each caller refuses any other once, on entry
+        (``_check_objective``), not on every batch.
         """
-        if objective not in OBJECTIVES:
-            raise ValueError(f"unknown objective {objective!r}")
         h = self.hops(tiles)
         if objective == "cost":
             return h @ self.bandwidth

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import EnergyModel, HopKernel, Mapping, _non_negative_float
+from .metrics import EnergyModel, HopKernel, Mapping, _check_objective, _non_negative_float
 from .taskgraph import TaskGraph, _integer, induced_subgraph, priority_order
 from .topology import MAX_TABLE_BYTES, Mesh3D, _check_capacity
 
@@ -193,9 +193,9 @@ def pso_optimize(
 
     When ``seed_mapping`` is given it replaces one particle of the initial
     swarm, so the result can never be worse than the seed.  It is checked as
-    ``evaluate`` checks a mapping, and must also be injective.  A swarm whose
-    arrays together (``_swarm_bytes``) would exceed ``MAX_TABLE_BYTES`` is
-    refused.
+    ``evaluate`` checks a mapping, and must also be injective.  An unknown
+    objective, and a swarm whose arrays together (``_swarm_bytes``) would
+    exceed ``MAX_TABLE_BYTES``, are refused before anything is built.
 
     Positions, pbest, gbest and velocities are float arrays: every value is
     a tile id below 2^53, so float differences of positions are exact.  The
@@ -203,6 +203,7 @@ def pso_optimize(
     cast once to int tiles, which the repair fixes in place and the fitness
     reads, and a cast back gives the next float positions.
     """
+    _check_objective(objective)
     d = mesh.tile_count
     _check_capacity(g.n_cores, mesh)
     s = params.swarm_size

@@ -287,8 +287,7 @@ def induced_subgraph(g: TaskGraph, core_ids: Sequence[int]) -> TaskGraph:
     """
     if not set(map(type, core_ids)) <= {int}:  # the per-id search only when the type scan fails
         for core in core_ids:
-            if not _is_integer(core):
-                raise ValueError(f"core id {core!r} is not an integer")
+            _integer(core, "core id")
     try:
         ids = np.array(core_ids, dtype=np.int64)  # exact: every id is an integer
     except OverflowError:

@@ -74,9 +74,9 @@ def _sites(matches) -> set[str]:
 
 def test_each_input_rule_is_decided_in_one_function():
     # What counts as an integer input, the refusal of more cores than tiles,
-    # what counts as a real-valued constant, and a mesh side's type and range
-    # each have one home that every other check calls; a second copy would
-    # let the two drift apart.
+    # what counts as a real-valued constant, a mesh side's type and range, and
+    # the refusal of an unknown objective each have one home that every other
+    # check calls; a second copy would let the two drift apart.
     integral = _sites(lambda node: isinstance(node, ast.Attribute) and node.attr == "Integral"
                       or isinstance(node, ast.Name) and node.id == "Integral")
     assert integral == {"taskgraph.py:_is_integer"}
@@ -89,3 +89,6 @@ def test_each_input_rule_is_decided_in_one_function():
     side = _sites(lambda node: isinstance(node, ast.Constant) and isinstance(node.value, str)
                   and "mesh side length" in node.value)
     assert side == {"topology.py:Mesh3D.__post_init__"}
+    objective = _sites(lambda node: isinstance(node, ast.Constant) and isinstance(node.value, str)
+                       and "unknown objective" in node.value)
+    assert objective == {"metrics.py:_check_objective"}

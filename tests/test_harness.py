@@ -1,10 +1,15 @@
 import csv
 import dataclasses
 import itertools
+import math
 import random
 import re
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nocmap import (
     Mesh3D,
@@ -28,9 +33,10 @@ from nocmap.harness import (
 from nocmap.mappers import map_with
 from nocmap.metrics import EnergyModel
 from nocmap.taskgraph import graph_from_arcs, serialize_graph
+from nocmap.topology import hop_table
 
 from conftest import G1_ARCS
-from oracles import brute_cost, brute_energy, manhattan3
+from oracles import brute_cost, brute_energy, coords, manhattan3
 
 
 @pytest.fixture
@@ -302,6 +308,18 @@ class TestOracle:
         with pytest.raises(ValueError, match="oracle limit"):
             exhaustive_oracle(g, mesh3)
 
+    def test_unknown_objective_refused_before_any_allocation(self):
+        # on a million tiles the enumeration's first block alone holds an 8 MB tile range
+        g = graph_from_arcs(1, [])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^unknown objective 'bogus'$"):
+                exhaustive_oracle(g, Mesh3D(100), "bogus")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 def plain_oracle(g, n, objective):
     """First minimum over every injective assignment, one brute-force evaluation each."""
@@ -337,14 +355,102 @@ class TestChunkedOracle:
 
     @pytest.mark.parametrize("chunk", [1, 2, 7, 1 << 15])
     def test_blocks_are_the_permutations_in_order(self, monkeypatch, chunk):
-        # chunk 1 leaves no room for a suffix (j = 0): every block is one row
+        # chunk 1 leaves no room for a suffix (j = 0): every block is one row,
+        # and every tile of a row is held to the orbit rule
         monkeypatch.setattr(harness, "ORACLE_CHUNK", chunk)
-        for tiles in range(7):
-            for k in range(tiles + 1):
-                blocks = [block.tolist() for block in harness._oracle_blocks(tiles, k)]
-                assert all(0 < len(block) <= chunk for block in blocks)
+        for n, most in ((2, 5), (3, 3)):
+            tiles, maps = n ** 3, cube_maps(n)
+            for k in range(most + 1):
+                p = next(p for p in range(k + 1) if math.perm(tiles - p, k - p) <= chunk)
+                blocks = [block.tolist() for block in harness._oracle_blocks(n, k)]
+                assert all(len(block) == math.perm(tiles - p, k - p) for block in blocks)
                 rows = [tuple(row) for block in blocks for row in block]
-                assert rows == list(itertools.permutations(range(tiles), k)), (tiles, k)
+                expected = [a for a in itertools.permutations(range(tiles), k) if canonical(a[:p], maps)]
+                assert rows == expected, (n, k)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_plain_loop_on_both_meshes(self, data):
+        # volumes and bandwidths of 0..2 make many ties; no arcs, or only
+        # zero-weight arcs, make every assignment tie
+        n = data.draw(st.sampled_from([2, 3]))
+        k = data.draw(st.integers(1, 5 if n == 2 else 3))
+        pairs = data.draw(st.lists(
+            st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)).filter(lambda e: e[0] != e[1]),
+            unique=True, max_size=k * (k - 1),
+        ))
+        weight = st.integers(0, 2)
+        g = graph_from_arcs(k, [(s, d, data.draw(weight), data.draw(weight)) for s, d in pairs])
+        objective = data.draw(st.sampled_from(["energy", "cost"]))
+        chunk = data.draw(st.sampled_from([1, 7, 1 << 14]))
+        original = harness.ORACLE_CHUNK
+        harness.ORACLE_CHUNK = chunk
+        try:
+            value, mapping = exhaustive_oracle(g, Mesh3D(n), objective)
+        finally:
+            harness.ORACLE_CHUNK = original
+        expected = plain_oracle(g, n, objective)
+        assert (value, mapping) == expected and type(value) is type(expected[0])
+
+
+def cube_maps(n):
+    """The cube's 48 axis permutations and reflections, each as the tile list it maps range(n^3) to."""
+    maps = []
+    for axes in itertools.permutations(range(3)):
+        for flips in itertools.product((False, True), repeat=3):
+            image = []
+            for tile in range(n ** 3):
+                x = coords(tile, n)
+                y = [n - 1 - x[axis] if flip else x[axis] for axis, flip in zip(axes, flips)]
+                image.append((y[0] * n + y[1]) * n + y[2])
+            maps.append(image)
+    return maps
+
+
+def canonical(prefix, maps):
+    """Each tile of the prefix is the least of its orbit under the maps fixing the tiles before it."""
+    for tile in prefix:
+        if min(m[tile] for m in maps) < tile:
+            return False
+        maps = [m for m in maps if m[tile] == tile]
+    return True
+
+
+class TestOracleSymmetry:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_maps_are_the_48_distinct_tile_permutations(self, n):
+        tiles = np.arange(n ** 3)
+        layer, row, col = tiles // (n * n), tiles // n % n, tiles % n
+        maps = [(o + a * layer + b * row + c * col).tolist() for o, a, b, c in harness._cube_symmetries(n)]
+        assert all(sorted(m) == tiles.tolist() for m in maps)
+        assert maps[0] == tiles.tolist()  # the identity first
+        assert len({tuple(m) for m in maps}) == 48
+        assert sorted(maps) == sorted(cube_maps(n))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_maps_keep_every_hop_count(self, n):
+        code, table = hop_table(Mesh3D(n))
+        hops = table[code[:, None] - code[None, :]]
+        tiles = np.arange(n ** 3)
+        layer, row, col = tiles // (n * n), tiles // n % n, tiles % n
+        for o, a, b, c in harness._cube_symmetries(n):
+            image = o + a * layer + b * row + c * col
+            assert np.array_equal(hops[np.ix_(image, image)], hops)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_closed_form_first_tiles_are_the_orbit_minima(self, n):
+        maps = cube_maps(n)
+        minima = [(t,) for t in range(n ** 3) if min(m[t] for m in maps) == t]
+        assert list(harness._canonical_prefixes(n, 1)) == minima
+        assert len(minima) == {2: 1, 3: 4, 4: 4, 5: 10, 6: 10, 7: 20}[n]
+
+    def test_permutation_table_is_itertools_order(self):
+        for free in range(9):
+            for j in range(free + 1):
+                table = harness._permutation_table(free, j)
+                expected = np.array(list(itertools.permutations(range(free), j)), dtype=np.intp)
+                assert table.dtype == np.intp and table.shape == (math.perm(free, j), j), (free, j)
+                assert table.tolist() == expected.reshape(table.shape).tolist(), (free, j)
 
 
 class TestCompare:

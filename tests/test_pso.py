@@ -421,6 +421,19 @@ class TestOptimize:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_unknown_objective_refused_before_any_allocation(self):
+        # 200 particles on 8000 tiles: the swarm's arrays would take about 113 MB
+        g = generate_random_graph(100, 180, seed=1)
+        params = PsoParams(max_evals_per_simulation=400)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^unknown objective 'bogus'$"):
+                pso_optimize(g, Mesh3D(20), params, "bogus")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("objective", ["energy", "cost"])
     def test_peak_memory_within_swarm_budget(self, objective):
         # 200 particles on 8000 tiles, 12.8 MB per (200, 8000) array; the table

@@ -489,7 +489,7 @@ class TestInducedSubgraph:
     )
     def test_non_integer_id_is_refused_by_name(self, g1, core_ids, shown):
         # 1.5 used to select no arc and True to stand for core 1
-        with pytest.raises(ValueError, match=f"^core id {re.escape(shown)} is not an integer$"):
+        with pytest.raises(ValueError, match=f"^core id must be an integer, got {re.escape(shown)}$"):
             induced_subgraph(g1, core_ids)
 
     def test_numpy_integer_ids_are_accepted(self, g1):
