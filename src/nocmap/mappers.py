@@ -42,6 +42,9 @@ def ddmap(g: TaskGraph, mesh: Mesh3D) -> Mapping:
     new core its anchor when that volume beats the anchor's (a later core
     never wins a tie).  So the cost follows the arcs, not all pairs, and
     placing a core reads its anchor without a second look at its partners.
+    Only cores with traffic are ever heaped, since their keys are below 0
+    and every other key is its rank; when the heap holds no live key, the
+    next core is the first unmapped one in priority order.
 
     The empty tiles are one ``bytearray`` mask plus a count per layer, kept
     in step as each core is placed.  Every tile after the seeds comes from
@@ -81,16 +84,27 @@ def ddmap(g: TaskGraph, mesh: Mesh3D) -> Mapping:
                     best[p], anchor[p] = v, tile
     # Keys order cores by (-traffic, rank), and each core's key falls as its
     # traffic grows; a popped key that is no longer its core's is stale and
-    # skipped.  Every key is pushed once, so a mapped core's own key is gone
-    # from the heap.
-    heap = [keys[core] for core in range(n_cores) if waiting[core]]
+    # skipped.  Only keys below 0 enter the heap: a core with traffic has
+    # key <= rank - N < 0, and one without keeps key = rank >= 0 (seeds
+    # included), so any live heap key beats every core off the heap.  Each
+    # key enters the heap once, by the heapify or by one push, so a mapped
+    # core's own key is gone from it.  When no live key is left, no waiting
+    # core has traffic, and the next one is the first waiting core in rank
+    # order: a cursor over `order` that skips mapped cores, which stay mapped.
+    heap = [key for key in keys if key < 0]
     heapq.heapify(heap)
     heappush, heappop = heapq.heappush, heapq.heappop
-    while heap:
-        key = heappop(heap)
-        core = order[key % n_cores]
-        if key != keys[core]:
-            continue
+    idle = filter(waiting.__getitem__, order)
+    while True:
+        if heap:
+            key = heappop(heap)
+            core = order[key % n_cores]
+            if key != keys[core]:
+                continue
+        else:
+            core = next(idle, None)
+            if core is None:
+                break
         tile = lozenge_next_empty(anchor[core], free, counts, mesh, resume)
         mapping[core] = tile
         free[tile] = 0

@@ -1,8 +1,9 @@
+import heapq
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nocmap import Mesh3D, ddmap, generate_random_graph, mappers
@@ -37,11 +38,74 @@ def tied_graphs(draw, max_cores):
     return graph_from_arcs(n_cores, [(s, d, draw(st.sampled_from([0, 1, 1, 2, 5])), 1) for s, d in pairs])
 
 
+@st.composite
+def meshes_with_graphs(draw, sides, graphs):
+    """A mesh with a side drawn from ``sides`` and a graph from ``graphs(tiles)``."""
+    mesh = Mesh3D(draw(sides))
+    return mesh, draw(graphs(mesh.tile_count))
+
+
+# Three components, priority order [1, 4, 3, 0, 7, 6, 2, 8, 5].
+_THREE_COMPONENTS = graph_from_arcs(9, [(0, 1, 5, 1), (1, 2, 3, 1), (3, 4, 7, 1), (4, 5, 1, 1),
+                                        (6, 7, 2, 1), (7, 8, 2, 1)])
+
+# Graphs whose traffic runs out before every core is placed, so ddmap takes
+# cores without traffic off its rank cursor; the order of each is given.
+CURSOR_CASES = (
+    # the seed's component drains, then the cursor takes 4, and after 4's
+    # component drains it skips the placed 3 and 0 to take 7
+    (Mesh3D(3), _THREE_COMPONENTS),
+    # mesh 4's two seeds, 1 and 4, lie in different components
+    (Mesh3D(4), _THREE_COMPONENTS),
+    # cores 2, 3 and 4 linked only by zero-volume arcs, order [1, 0, 2, 3, 4, 5]:
+    # 5 has traffic, so it goes before them although they rank first
+    (Mesh3D(3), graph_from_arcs(6, [(0, 1, 4, 1), (2, 3, 0, 1), (3, 4, 0, 1), (4, 2, 0, 1),
+                                    (1, 5, 2, 1)])),
+    # order [0, 3, 5, 2, 4, 1, 6, 7, 8, 9]: cores 2 and 4 have no traffic and
+    # rank between cores that have it, and 7 is isolated; the cursor skips
+    # the placed 3 and 5 to take 2, then 1 and 6 to take 7
+    (Mesh3D(3), graph_from_arcs(10, [(0, 1, 6, 1), (2, 9, 0, 1), (3, 1, 2, 1), (4, 8, 0, 1),
+                                     (5, 3, 1, 1), (0, 6, 1, 1)])),
+    # order [2, 5, 7, 0, 1, 3, 4, 6] on the seedless mesh 2, filled to the
+    # last tile: the cursor skips every placed core to take the five isolated ones
+    (Mesh3D(2), graph_from_arcs(8, [(5, 2, 3, 1), (2, 7, 1, 1)])),
+    # order [0, 1, 2, 3, 4]: after 2 is placed, its first key pops stale
+    # while 3 still has a live one, so the isolated 4 must wait for 3
+    (Mesh3D(3), graph_from_arcs(5, [(0, 1, 9, 1), (0, 2, 5, 1), (0, 3, 1, 1), (1, 2, 2, 1)])),
+)
+
+
+def with_cursor_cases(test):
+    """Run ``test`` on every ``CURSOR_CASES`` entry as well as on its draws."""
+    for case in reversed(CURSOR_CASES):
+        test = example(case=case)(test)
+    return test
+
+
 def assert_injective_total(mapping, g, mesh):
     assert set(mapping) == set(range(g.n_cores))
     tiles = list(mapping.values())
     assert len(set(tiles)) == len(tiles)
     assert all(0 <= t < mesh.tile_count for t in tiles)
+
+
+class HeapSpy:
+    """Stands in for ``heapq`` in ``mappers``: records every key that enters a heap."""
+
+    def __init__(self):
+        self.entered = []
+        self.heapified = False
+
+    def heapify(self, heap):
+        self.heapified = True
+        self.entered.extend(heap)
+        heapq.heapify(heap)
+
+    def heappush(self, heap, key):
+        self.entered.append(key)
+        heapq.heappush(heap, key)
+
+    heappop = staticmethod(heapq.heappop)
 
 
 class TestDdmap:
@@ -86,23 +150,24 @@ class TestDdmap:
         g = generate_random_graph(16, 24, seed=5)
         assert ddmap(g, mesh3) == ddmap(g, mesh3)
 
-    @given(st.data(), st.integers(2, 5))
+    @given(case=meshes_with_graphs(st.integers(2, 5), sparse_graphs))
+    @with_cursor_cases
     @settings(max_examples=120, deadline=None)
-    def test_matches_all_pairs_oracle(self, data, n):
+    def test_matches_all_pairs_oracle(self, case):
         # same tiles in the same placement order as the dense greedy loop,
         # meshes filled to the last tile included
-        mesh = Mesh3D(n)
-        g = data.draw(sparse_graphs(mesh.tile_count))
+        mesh, g = case
         assert list(ddmap(g, mesh).items()) == list(oracles.ddmap(g, mesh).items())
 
-    @given(st.data(), st.integers(2, 4))
+    @given(case=meshes_with_graphs(st.integers(2, 4), lambda tiles: st.one_of(sparse_graphs(tiles),
+                                                                              tied_graphs(tiles))))
+    @with_cursor_cases
     @settings(max_examples=80, deadline=None)
-    def test_matches_place_helper_form(self, data, n):
+    def test_matches_place_helper_form(self, case):
         # anchors kept as placements happen, against the form that scans a
         # core's placed partners when it places it, through a place helper
         # and per-call lozenge lookups: same tiles, same insertion order
-        mesh = Mesh3D(n)
-        g = data.draw(st.one_of(sparse_graphs(mesh.tile_count), tied_graphs(mesh.tile_count)))
+        mesh, g = case
         assert list(ddmap(g, mesh).items()) == list(oracles.ddmap_place(g, mesh).items())
 
     @given(st.data(), st.integers(2, 4))
@@ -127,6 +192,20 @@ class TestDdmap:
             patch.setattr(mappers, "lozenge_next_empty", checked)
             mapping = ddmap(g, mesh)
         assert steps == list(mapping.values())[len(mapping) - len(steps):]
+
+    @given(case=meshes_with_graphs(st.integers(2, 4), tied_graphs))
+    @example(case=(Mesh3D(10), generate_random_graph(1000, 1500, seed=1)))
+    @settings(max_examples=60, deadline=None)
+    def test_only_cores_with_traffic_are_heaped(self, case):
+        # every key that enters the heap, by heapify or by push, is below 0:
+        # a core without traffic waits for the rank cursor instead
+        mesh, g = case
+        spy = HeapSpy()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mappers, "heapq", spy)
+            ddmap(g, mesh)
+        assert spy.heapified
+        assert all(key < 0 for key in spy.entered)
 
     def test_keys_past_int64_are_exact(self, mesh3):
         # core 0 seeds the mesh with a 2^61 volume to each of 3 partners, so
