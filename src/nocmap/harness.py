@@ -1,5 +1,6 @@
 """Experiment orchestration: benchmark runs, artifacts, CSV reports, the
-exhaustive assignment oracle, and the table of percentage reductions that
+exhaustive assignment oracle (one branch-and-bound walk over every
+assignment), and the table of percentage reductions that
 ``nocmap bench --compare`` prints.
 
 A run reads a graph file, executes the selected pipeline, re-evaluates the
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 import re
 import time
@@ -31,7 +31,6 @@ from .topology import Mesh3D, _check_capacity
 
 MODES = ("map", "dynamic", "cluster", "pso")
 ORACLE_MAX_ASSIGNMENTS = 10_000_000
-ORACLE_CHUNK = 1 << 14  # most rows the oracle scores per kernel call; bounds its memory
 
 
 @dataclass(frozen=True)
@@ -290,112 +289,14 @@ def audit_artifact(path: str | Path) -> ReportRow:
     )
 
 
-def _cube_symmetries(n: int) -> list[tuple[int, int, int, int]]:
-    """The 48 symmetries of the n x n x n mesh, the identity first.
+def _first_tiles(n: int) -> list[int]:
+    """The least tile of each orbit under the cube's 48 axis permutations and reflections, ascending.
 
-    Each permutes the three axes and reflects any of them (x -> n-1-x), and is
-    kept as the four ints ``(offset, m_layer, m_row, m_col)`` that send tile
-    (layer, row, col) to tile ``offset + m_layer*layer + m_row*row + m_col*col``.
-    Every coordinate difference keeps its magnitude, so every tile pair keeps
-    its XYZ hop count.
+    In closed form: each coordinate x has x <= n-1-x, and layer <= row <= col.
     """
-    weights = (n * n, n, 1)
-    maps = []
-    for axes in itertools.permutations(range(3)):
-        for flips in itertools.product((False, True), repeat=3):
-            offset, factors = 0, [0, 0, 0]
-            for weight, axis, flip in zip(weights, axes, flips):
-                factors[axis] = -weight if flip else weight
-                if flip:
-                    offset += weight * (n - 1)
-            maps.append((offset, *factors))
-    return maps
-
-
-def _canonical_prefixes(n: int, p: int):
-    """The prefixes of p distinct tiles the oracle scores, in lexicographic order.
-
-    A prefix tile is taken only when it is the least tile of its orbit under
-    the symmetries (``_cube_symmetries``) that fix the tiles before it.  For
-    the first tile that is a closed form: each coordinate x has x <= n-1-x,
-    and layer <= row <= col.  Once only the identity fixes a prefix, every
-    free tile is taken.
-    """
-    nn, tiles = n * n, n ** 3
     half = (n - 1) // 2
-
-    def fixing_after(fixing, t):
-        """The symmetries of ``fixing`` that fix tile t, or None when one maps t to a smaller tile."""
-        layer, rest = divmod(t, nn)
-        row, col = divmod(rest, n)
-        images = [o + a * layer + b * row + c * col for o, a, b, c in fixing]
-        return None if min(images) < t else [s for s, image in zip(fixing, images) if image == t]
-
-    def extend(prefix, fixing):
-        if len(prefix) == p:
-            yield prefix
-        elif len(fixing) == 1:
-            free = [t for t in range(tiles) if t not in prefix]
-            for rest in itertools.permutations(free, p - len(prefix)):
-                yield prefix + rest
-        else:
-            for t in range(tiles):
-                kept = None if t in prefix else fixing_after(fixing, t)
-                if kept is not None:
-                    yield from extend(prefix + (t,), kept)
-
-    if p == 0:
-        yield ()
-        return
-    symmetries = _cube_symmetries(n)
-    for layer in range(half + 1):
-        for row in range(layer, half + 1):
-            for col in range(row, half + 1):
-                t = (layer * n + row) * n + col
-                if p == 1:  # no tile follows, so no stabilizer is needed
-                    yield (t,)
-                else:
-                    yield from extend((t,), fixing_after(symmetries, t))
-
-
-def _permutation_table(m: int, j: int) -> np.ndarray:
-    """The j-permutations of range(m) in lexicographic order, a (perm(m, j), j) intp array.
-
-    Built a column at a time: each row of the i-permutations is followed, in
-    turn, by each of the m - i values it leaves out, ascending.
-    """
-    table = np.empty((1, 0), dtype=np.intp)
-    for i in range(j):
-        used = np.zeros((len(table), m), dtype=bool)
-        used[np.arange(len(table))[:, None], table] = True
-        left = np.nonzero(~used)[1]  # row by row, each row's values ascending
-        table = np.column_stack((np.repeat(table, m - i, axis=0), left))
-    return table
-
-
-def _oracle_blocks(n: int, k: int):
-    """The assignments of k cores to an n x n x n mesh that the oracle scores, in lexicographic order.
-
-    Yields blocks of assignment rows: one block per canonical prefix (the tiles
-    of the first k - j cores, see ``_canonical_prefixes``), holding every way to
-    place the last j cores on the tiles the prefix leaves free.  j is the
-    largest suffix length whose block has at most ORACLE_CHUNK rows.  Each
-    block is the same array, refilled, so a caller that keeps a row must copy
-    it.
-    """
-    tiles = n ** 3
-    j = 0
-    while j < k and math.perm(tiles - k + j + 1, j + 1) <= ORACLE_CHUNK:
-        j += 1
-    free_count, p = tiles - k + j, k - j
-    # Indexing the ascending free tiles with the lexicographic table keeps that order.
-    table = _permutation_table(free_count, j)
-    rows = np.empty((len(table), k), dtype=np.intp)
-    all_tiles = np.arange(tiles)
-    for prefix in _canonical_prefixes(n, p):
-        rows[:, :p] = prefix
-        rows[:, p:] = np.delete(all_tiles, prefix)[table]
-        yield rows
+    return [(layer * n + row) * n + col for layer in range(half + 1)
+            for row in range(layer, half + 1) for col in range(row, half + 1)]
 
 
 def exhaustive_oracle(
@@ -407,16 +308,23 @@ def exhaustive_oracle(
     """The optimum over every injective core->tile assignment, and its minimizer.
 
     The minimizer returned is the lexicographically smallest assignment
-    vector (tile of core 0, tile of core 1, ...).  Each of the cube's 48
-    axis permutations and reflections keeps every hop count, so it maps an
-    assignment to one of the same value.  Were a prefix tile of that
-    minimizer not the least of its orbit under the symmetries fixing the
-    tiles before it, one of them would map the minimizer to a smaller one;
-    so only such canonical prefixes are walked (``_oracle_blocks``), and the
-    first minimum found is still that minimizer.  Every block of at most
-    ORACLE_CHUNK rows is scored by one call of the metric kernel.  Refuses
-    an unknown objective, and instances with more than
-    ORACLE_MAX_ASSIGNMENTS candidate assignments, before building anything.
+    vector (tile of core 0, tile of core 1, ...).  One depth-first branch
+    and bound places the cores in id order, each on the free tiles in
+    ascending order, so it meets the assignments in lexicographic order.
+    Core 0 goes only on ``_first_tiles``: each of the cube's 48 axis
+    permutations and reflections keeps every hop count, so were the
+    minimizer's first tile not the least of its orbit, one of them would map
+    the minimizer to a smaller one.  The bound of a partial assignment is
+    the objective's integer sum (link bits, or bandwidth hops for cost) with
+    every arc to an unplaced core counted at one hop, the fewest an
+    injective assignment gives it.  The score of a sum s, ``s`` or
+    ``model.energy(s + total_volume, s)``, never falls as s grows, so a
+    child is pruned once its bound's score reaches the best leaf's: no leaf
+    below it is smaller, and the first leaf at the optimum is the smallest
+    minimizer even when different sums round to one energy.  The value
+    returned is the metric kernel's on that leaf.  Refuses an unknown
+    objective, and instances with more than ORACLE_MAX_ASSIGNMENTS candidate
+    assignments, before building anything.
     """
     _check_objective(objective)
     k = g.n_cores
@@ -427,16 +335,48 @@ def exhaustive_oracle(
             f"{count} assignments exceed the oracle limit of {ORACLE_MAX_ASSIGNMENTS}"
         )
 
-    kernel = HopKernel(g, mesh)  # every block has one shape: its work arrays serve them all
-    best_value = None
-    best_assign = None
-    for rows in _oracle_blocks(mesh.n, k):
-        values = kernel.objective_values(rows, objective, model)
-        i = int(np.argmin(values))  # first minimum: blocks come in lexicographic order
-        if best_value is None or values[i] < best_value:
-            best_value, best_assign = values[i].item(), rows[i].tolist()
-    assert best_assign is not None
-    return best_value, {core: tile for core, tile in enumerate(best_assign)}
+    kernel = HopKernel(g, mesh)
+    weights = kernel.volume if objective == "energy" else kernel.bandwidth
+    partners: list[dict[int, int]] = [{} for _ in range(k)]  # earlier partner -> both directions' weight
+    for src, dst, w in zip(*g.arc_columns[:2].tolist(), weights.tolist()):
+        if w:
+            early, late = sorted((src, dst))
+            partners[late][early] = partners[late].get(early, 0) + w
+
+    def score(s: int):
+        return s if objective == "cost" else model.energy(s + kernel.total_volume, s)
+
+    code, table = kernel.code, kernel.table  # hop_table's, read as the kernel reads them
+    if any(partners):  # read one hop at a time, as Python lists; with no weighted pair none is read
+        code, table = code.tolist(), table.tolist()
+    tiles = [0] * k
+    cut, best = math.inf, None  # cut: the least sum whose score reaches the best leaf's, found by bisection
+
+    def walk(c: int, s: int) -> None:
+        nonlocal cut, best
+        if c == k:
+            lo, hi, top = 0, s, score(s)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if score(mid) >= top else (mid + 1, hi)
+            cut, best = lo, tiles[:]
+            return
+        placed = tiles[:c]
+        ends = [(code[tiles[p]], w) for p, w in partners[c].items()]
+        base = s - sum(w for _, w in ends)  # each of these arcs was counted at one hop
+        for t in _first_tiles(mesh.n) if c == 0 else range(mesh.tile_count):
+            if t in placed:
+                continue
+            bound = base
+            for end, w in ends:
+                bound += w * table[end - code[t]]
+            if bound < cut:
+                tiles[c] = t
+                walk(c + 1, bound)
+
+    walk(0, int(weights.sum()))
+    row = np.array([best], dtype=np.intp)
+    return kernel.objective_values(row, objective, model)[0].item(), dict(enumerate(best))
 
 
 def _reduction(a_value, b_value) -> float | None:

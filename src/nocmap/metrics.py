@@ -93,8 +93,8 @@ class HopKernel:
     where column c holds the tile of core c, and columns past the last core
     are ignored.  Tiles must be valid tile ids: the gathers clip rather than
     check, and every caller has checked them already (``placement``, the
-    swarm's clamp and repair, the oracle's own enumeration).  Construction
-    refuses graphs whose sums could overflow int64.
+    swarm's clamp and repair, the oracle's walk over distinct tiles).
+    Construction refuses graphs whose sums could overflow int64.
     """
 
     def __init__(self, g: TaskGraph, mesh: Mesh3D):

@@ -12,6 +12,9 @@ order-independent and comparable bit-for-bit with the library.
 must reproduce exactly.  It takes only the kernel's hops and sums them itself,
 switch bits as ``link_bits + (h > 0) @ volume``, not as the kernel's
 ``sum(vol)`` less the co-located arcs, so the two forms check each other.
+``kernel_oracle`` scores every injective assignment through the kernel, in
+lexicographic order, and takes the first minimum: the value and minimizer
+that the library's branch-and-bound oracle must return.
 
 ``repair_permutation`` is the one-vector loop that ``nocmap.pso``'s
 ``repair_permutation``, an in-place slot-space repair of the whole swarm,
@@ -54,13 +57,14 @@ library must make.
 from __future__ import annotations
 
 import heapq
+import itertools
 import numbers
 import random
 from typing import Iterator
 
 import numpy as np
 
-from nocmap.metrics import EnergyModel, evaluate
+from nocmap.metrics import EnergyModel, HopKernel, evaluate
 from nocmap.scheduler import ClusterSet, Schedule
 from nocmap.taskgraph import INT64_MAX, Arc, TaskGraph, priority_order
 from nocmap.topology import Mesh3D, _layer_cells, _layer_order, diagonal_tiles, tile_coords
@@ -175,6 +179,25 @@ def objective_values(kernel, tiles, objective: str, model):
     if objective == "energy":
         return model.energy(switch_bits, link_bits)
     raise ValueError(f"unknown objective {objective!r}")
+
+
+def kernel_oracle(g, mesh: Mesh3D, objective: str = "energy", model=EnergyModel()):
+    """First minimum over ``itertools.permutations(range(tiles), k)``, every assignment scored.
+
+    The enumeration that ``exhaustive_oracle``'s walk replaced, without its
+    symmetry rule or its bound: lexicographic chunks of assignment rows, each
+    scored by one ``HopKernel.objective_values`` call.
+    """
+    kernel = HopKernel(g, mesh)
+    assignments = itertools.permutations(range(mesh.tile_count), g.n_cores)
+    best = None
+    while chunk := list(itertools.islice(assignments, 1 << 14)):
+        rows = np.array(chunk, dtype=np.intp).reshape(len(chunk), g.n_cores)
+        values = kernel.objective_values(rows, objective, model)
+        i = int(np.argmin(values))  # the first minimum: chunks come in lexicographic order
+        if best is None or values[i] < best[0]:
+            best = values[i].item(), dict(enumerate(rows[i].tolist()))
+    return best
 
 
 def repair_permutation(raw, dimension: int) -> list[int]:

@@ -1,14 +1,13 @@
 import csv
 import dataclasses
 import itertools
-import math
 import random
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nocmap import (
@@ -36,7 +35,7 @@ from nocmap.taskgraph import graph_from_arcs, serialize_graph
 from nocmap.topology import hop_table
 
 from conftest import G1_ARCS
-from oracles import brute_cost, brute_energy, coords, manhattan3
+from oracles import brute_cost, brute_energy, coords, kernel_oracle, manhattan3
 
 
 @pytest.fixture
@@ -309,7 +308,7 @@ class TestOracle:
             exhaustive_oracle(g, mesh3)
 
     def test_unknown_objective_refused_before_any_allocation(self):
-        # on a million tiles the enumeration's first block alone holds an 8 MB tile range
+        # on a million tiles the hop table the walk reads takes 63 MB by itself
         g = graph_from_arcs(1, [])
         tracemalloc.start()
         try:
@@ -320,77 +319,109 @@ class TestOracle:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_single_core_on_a_large_mesh(self):
+        # 1540 first tiles and no weighted pair: no hop is read, so no Python
+        # list of the 493,039-entry hop table or of the 64,000 tile codes is built
+        mesh = Mesh3D(40)
+        g = graph_from_arcs(1, [])
+        hop_table(mesh)  # the kernel's cached table, built before tracing
+        tracemalloc.start()
+        try:
+            energy = exhaustive_oracle(g, mesh)
+            cost = exhaustive_oracle(g, mesh, "cost")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert energy == (0.0, {0: 0}) and type(energy[0]) is float
+        assert cost == (0, {0: 0}) and type(cost[0]) is int
+        assert peak < 1 << 18
 
-def plain_oracle(g, n, objective):
+
+def plain_oracle(g, n, objective, model=EnergyModel()):
     """First minimum over every injective assignment, one brute-force evaluation each."""
-    brute = brute_energy if objective == "energy" else brute_cost
     best = None
     for assign in itertools.permutations(range(n ** 3), g.n_cores):
-        value = brute(g, dict(enumerate(assign)), n)
+        placement = dict(enumerate(assign))
+        if objective == "cost":
+            value = brute_cost(g, placement, n)
+        else:
+            value = brute_energy(g, placement, n, model.e_switch_bit, model.e_link_bit)
         if best is None or value < best[0]:
-            best = (value, dict(enumerate(assign)))
+            best = (value, placement)
     return best
 
 
+@st.composite
+def oracle_cases(draw):
+    """(mesh side, graph, objective, model): weights of 0..2 make many ties,
+    and no arcs, only zero-weight arcs, or a model that charges nothing make
+    every assignment tie."""
+    n = draw(st.sampled_from([2, 3]))
+    k = draw(st.integers(1, 5 if n == 2 else 3))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)).filter(lambda e: e[0] != e[1]),
+        unique=True, max_size=k * (k - 1),
+    ))
+    weight = st.integers(0, 2)
+    g = graph_from_arcs(k, [(s, d, draw(weight), draw(weight)) for s, d in pairs])
+    objective = draw(st.sampled_from(["energy", "cost"]))
+    model = draw(st.sampled_from([EnergyModel(), EnergyModel(0, 0, 1)]))
+    return n, g, objective, model
+
+
+BIG = 2 ** 55  # link-bit sums that differ by 1 or 2 round to one energy
+
+
 class TestChunkedOracle:
-    @pytest.mark.parametrize("chunk", [1, 7, 64, 1 << 15])
+    @pytest.mark.parametrize("seed", [1, 7, 64, 1 << 15])
     @pytest.mark.parametrize("objective", ["energy", "cost"])
-    def test_matches_plain_loop(self, monkeypatch, mesh2, chunk, objective):
-        # 1680 assignments per graph: small chunks put ties on chunk boundaries
-        monkeypatch.setattr(harness, "ORACLE_CHUNK", chunk)
-        for seed in range(4):
-            rng = random.Random(seed)
-            g = generate_random_graph(4, rng.randint(1, 12), seed=seed)
+    def test_matches_plain_loop(self, mesh2, objective, seed):
+        # four graphs drawn from each seed, 1680 assignments apiece
+        rng = random.Random(seed)
+        for _ in range(4):
+            g = generate_random_graph(4, rng.randint(1, 12), seed=rng.randrange(1 << 30))
             assert exhaustive_oracle(g, mesh2, objective) == plain_oracle(g, 2, objective)
 
-    @pytest.mark.parametrize("chunk", [1, 3, 1 << 15])
+    @pytest.mark.parametrize("charge", [1, 3, 1 << 15])
     @pytest.mark.parametrize("n_cores", [1, 3])
-    def test_zero_arcs(self, monkeypatch, mesh2, chunk, n_cores):
-        monkeypatch.setattr(harness, "ORACLE_CHUNK", chunk)
+    def test_zero_arcs(self, mesh2, n_cores, charge):
+        # with no arcs every assignment ties at 0.0, whatever each bit is charged
         g = graph_from_arcs(n_cores, [])
-        expected = plain_oracle(g, 2, "energy")
-        assert exhaustive_oracle(g, mesh2) == expected == (0.0, {c: c for c in range(n_cores)})
+        model = EnergyModel(charge, charge)
+        expected = plain_oracle(g, 2, "energy", model)
+        assert exhaustive_oracle(g, mesh2, "energy", model) == expected
+        assert expected == (0.0, {c: c for c in range(n_cores)})
         cost = exhaustive_oracle(g, mesh2, "cost")
         assert cost == (0, expected[1]) and isinstance(cost[0], int)
 
-    @pytest.mark.parametrize("chunk", [1, 2, 7, 1 << 15])
-    def test_blocks_are_the_permutations_in_order(self, monkeypatch, chunk):
-        # chunk 1 leaves no room for a suffix (j = 0): every block is one row,
-        # and every tile of a row is held to the orbit rule
-        monkeypatch.setattr(harness, "ORACLE_CHUNK", chunk)
-        for n, most in ((2, 5), (3, 3)):
-            tiles, maps = n ** 3, cube_maps(n)
-            for k in range(most + 1):
-                p = next(p for p in range(k + 1) if math.perm(tiles - p, k - p) <= chunk)
-                blocks = [block.tolist() for block in harness._oracle_blocks(n, k)]
-                assert all(len(block) == math.perm(tiles - p, k - p) for block in blocks)
-                rows = [tuple(row) for block in blocks for row in block]
-                expected = [a for a in itertools.permutations(range(tiles), k) if canonical(a[:p], maps)]
-                assert rows == expected, (n, k)
-
-    @given(st.data())
+    @given(oracle_cases())
+    @example((2, graph_from_arcs(5, [(s, d, 1, 1) for s in range(5) for d in range(5) if s != d]),
+              "energy", EnergyModel()))
+    @example((3, graph_from_arcs(3, [(0, 2, 2, 1), (2, 1, 1, 2), (1, 2, 1, 1)]), "cost", EnergyModel()))
+    @example((2, graph_from_arcs(4, [(0, 3, 2, 1), (3, 1, 1, 2), (2, 3, 1, 1)]), "energy", EnergyModel()))
+    @example((3, graph_from_arcs(3, [(0, 1, 0, 0), (2, 0, 0, 0)]), "energy", EnergyModel()))
+    @example((2, graph_from_arcs(4, [(0, 1, 2, 1), (1, 3, 1, 2), (3, 2, 2, 2)]), "energy",
+              EnergyModel(0, 0, 1)))
+    @example((2, graph_from_arcs(3, [(0, 1, BIG, 1), (0, 2, BIG + 1, 1), (1, 2, BIG + 2, 1)]),
+              "energy", EnergyModel()))
+    @example((2, graph_from_arcs(0, []), "energy", EnergyModel()))
+    @example((3, graph_from_arcs(0, []), "cost", EnergyModel()))
     @settings(max_examples=80, deadline=None)
-    def test_matches_plain_loop_on_both_meshes(self, data):
-        # volumes and bandwidths of 0..2 make many ties; no arcs, or only
-        # zero-weight arcs, make every assignment tie
-        n = data.draw(st.sampled_from([2, 3]))
-        k = data.draw(st.integers(1, 5 if n == 2 else 3))
-        pairs = data.draw(st.lists(
-            st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)).filter(lambda e: e[0] != e[1]),
-            unique=True, max_size=k * (k - 1),
-        ))
-        weight = st.integers(0, 2)
-        g = graph_from_arcs(k, [(s, d, data.draw(weight), data.draw(weight)) for s, d in pairs])
-        objective = data.draw(st.sampled_from(["energy", "cost"]))
-        chunk = data.draw(st.sampled_from([1, 7, 1 << 14]))
-        original = harness.ORACLE_CHUNK
-        harness.ORACLE_CHUNK = chunk
-        try:
-            value, mapping = exhaustive_oracle(g, Mesh3D(n), objective)
-        finally:
-            harness.ORACLE_CHUNK = original
-        expected = plain_oracle(g, n, objective)
+    def test_matches_plain_loop_on_both_meshes(self, case):
+        n, g, objective, model = case
+        value, mapping = exhaustive_oracle(g, Mesh3D(n), objective, model)
+        expected = plain_oracle(g, n, objective, model)
         assert (value, mapping) == expected and type(value) is type(expected[0])
+
+    @pytest.mark.parametrize("objective", ["energy", "cost"])
+    def test_matches_kernel_enumeration_at_benchmark_shape(self, mesh3, objective):
+        # 4 cores on mesh 3, the benchmark's oracle shape: 421,200 assignments,
+        # every one scored by the metric kernel
+        for g in (generate_random_graph(4, 6, seed=1), generate_random_graph(4, 10, seed=2),
+                  graph_from_arcs(4, [(0, 1, 1, 2), (1, 2, 2, 1), (2, 3, 1, 1), (3, 0, 2, 2), (1, 3, 1, 1)])):
+            value, mapping = exhaustive_oracle(g, mesh3, objective)
+            expected = kernel_oracle(g, mesh3, objective)
+            assert (value, mapping) == expected and type(value) is type(expected[0])
 
 
 def cube_maps(n):
@@ -407,50 +438,22 @@ def cube_maps(n):
     return maps
 
 
-def canonical(prefix, maps):
-    """Each tile of the prefix is the least of its orbit under the maps fixing the tiles before it."""
-    for tile in prefix:
-        if min(m[tile] for m in maps) < tile:
-            return False
-        maps = [m for m in maps if m[tile] == tile]
-    return True
-
-
 class TestOracleSymmetry:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_maps_are_the_48_distinct_tile_permutations(self, n):
-        tiles = np.arange(n ** 3)
-        layer, row, col = tiles // (n * n), tiles // n % n, tiles % n
-        maps = [(o + a * layer + b * row + c * col).tolist() for o, a, b, c in harness._cube_symmetries(n)]
-        assert all(sorted(m) == tiles.tolist() for m in maps)
-        assert maps[0] == tiles.tolist()  # the identity first
-        assert len({tuple(m) for m in maps}) == 48
-        assert sorted(maps) == sorted(cube_maps(n))
-
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_maps_keep_every_hop_count(self, n):
         code, table = hop_table(Mesh3D(n))
         hops = table[code[:, None] - code[None, :]]
-        tiles = np.arange(n ** 3)
-        layer, row, col = tiles // (n * n), tiles // n % n, tiles % n
-        for o, a, b, c in harness._cube_symmetries(n):
-            image = o + a * layer + b * row + c * col
+        maps = cube_maps(n)
+        assert len({tuple(m) for m in maps}) == 48
+        for image in maps:
             assert np.array_equal(hops[np.ix_(image, image)], hops)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_closed_form_first_tiles_are_the_orbit_minima(self, n):
         maps = cube_maps(n)
-        minima = [(t,) for t in range(n ** 3) if min(m[t] for m in maps) == t]
-        assert list(harness._canonical_prefixes(n, 1)) == minima
+        minima = [t for t in range(n ** 3) if min(m[t] for m in maps) == t]
+        assert harness._first_tiles(n) == minima
         assert len(minima) == {2: 1, 3: 4, 4: 4, 5: 10, 6: 10, 7: 20}[n]
-
-    def test_permutation_table_is_itertools_order(self):
-        for free in range(9):
-            for j in range(free + 1):
-                table = harness._permutation_table(free, j)
-                expected = np.array(list(itertools.permutations(range(free), j)), dtype=np.intp)
-                assert table.dtype == np.intp and table.shape == (math.perm(free, j), j), (free, j)
-                assert table.tolist() == expected.reshape(table.shape).tolist(), (free, j)
 
 
 class TestCompare:
