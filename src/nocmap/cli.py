@@ -112,8 +112,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_bench(args) -> int:
     paths = sorted(globlib.glob(args.glob))
     if not paths:
-        print(f"no graphs match {args.glob!r}", file=sys.stderr)
-        return 1
+        raise ValueError(f"no graphs match {args.glob!r}")
     algos = list(MAPPERS) if args.all_algos else [args.algo]
     # Every config is built and every graph read, and so checked, before the
     # first run writes anything.

@@ -13,7 +13,6 @@ column varies between identical runs.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import re
 import time
@@ -256,12 +255,11 @@ def run_benchmark(cfg: RunConfig) -> tuple[ReportRow, Mapping]:
         stem = f"{benchmark}__{cfg.mode}__{algo}__seed{cfg.seed}.map"
         write_mapping_artifact(out_dir / stem, placement, header)
         if trace is not None:
-            buf = io.StringIO()
-            writer = csv.writer(buf)
-            writer.writerow(["iteration", "evals", "gbest_fitness"])
-            for iteration, evals, gbest in trace:
-                writer.writerow([iteration, evals, _format_cell(gbest)])
-            (out_dir / (stem + ".trace.csv")).write_text(buf.getvalue(), encoding="utf-8")
+            with (out_dir / (stem + ".trace.csv")).open("w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["iteration", "evals", "gbest_fitness"])
+                for iteration, evals, gbest in trace:
+                    writer.writerow([iteration, evals, _format_cell(gbest)])
     if cfg.csv_path is not None:
         append_report_csv(cfg.csv_path, [row])
     return row, placement

@@ -36,15 +36,18 @@ def ddmap(g: TaskGraph, mesh: Mesh3D) -> Mapping:
     earliest-placed partner it exchanges the most volume with, or the first
     seed when that volume is 0.
 
-    Each placement makes one pass over the new core's partners: for every
-    unmapped one linked by a non-zero volume it lowers the heap key
-    ``rank - traffic*N``, pushes the new key on a lazy heap, and makes the
-    new core its anchor when that volume beats the anchor's (a later core
-    never wins a tie).  So the cost follows the arcs, not all pairs, and
-    placing a core reads its anchor without a second look at its partners.
-    Only cores with traffic are ever heaped, since their keys are below 0
-    and every other key is its rank; when the heap holds no live key, the
-    next core is the first unmapped one in priority order.
+    Every core, seed or not, is placed by one step: the next core is a
+    pending seed, with its tile given, else the heap's, else the rank
+    cursor's, and the last two take the lozenge search's tile.  The empty
+    graph maps to ``{}``.  Each placement makes one pass over the new core's
+    partners: for every unmapped one linked by a non-zero volume it lowers
+    the heap key ``rank - traffic*N``, pushes the new key on a lazy heap, and
+    makes the new core its anchor when that volume beats the anchor's (a
+    later core never wins a tie).  So the cost follows the arcs, not all
+    pairs, and placing a core reads its anchor without a second look at its
+    partners.  Only cores with traffic are ever heaped, since their keys are
+    below 0 and every other key is its rank; when the heap holds no live
+    key, the next core is the first unmapped one in priority order.
 
     The empty tiles are one ``bytearray`` mask plus a count per layer, kept
     in step as each core is placed.  Every tile after the seeds comes from
@@ -70,42 +73,38 @@ def ddmap(g: TaskGraph, mesh: Mesh3D) -> Mapping:
     resume: dict[int, int] = {}  # per anchor: where its last search ended; free only shrinks
 
     # Interior-diagonal seeds; a 2x2x2 mesh has no interior, fall back to the origin.
-    for core, tile in zip(order, diagonal_tiles(mesh) or [0]):
-        mapping[core] = tile
-        free[tile] = 0
-        counts[tile // nn] -= 1
+    tiles = diagonal_tiles(mesh) or [0]
+    seeds = [*zip(order, tiles)][::-1]  # pending (core, tile) pins, the next one last
+    for core, _ in seeds:  # else an earlier seed would heap a later one, placed twice
         waiting[core] = 0
-    anchor = [mapping[order[0]]] * n_cores  # per unmapped core: its anchor's tile
-    for core, tile in mapping.items():
-        for p, v in neighbours[core].items():
-            if v and waiting[p]:
-                keys[p] -= v * n_cores
-                if v > best[p]:
-                    best[p], anchor[p] = v, tile
+    anchor = [tiles[0]] * n_cores  # per unmapped core: its anchor's tile
     # Keys order cores by (-traffic, rank), and each core's key falls as its
     # traffic grows; a popped key that is no longer its core's is stale and
     # skipped.  Only keys below 0 enter the heap: a core with traffic has
     # key <= rank - N < 0, and one without keeps key = rank >= 0 (seeds
     # included), so any live heap key beats every core off the heap.  Each
-    # key enters the heap once, by the heapify or by one push, so a mapped
-    # core's own key is gone from it.  When no live key is left, no waiting
-    # core has traffic, and the next one is the first waiting core in rank
-    # order: a cursor over `order` that skips mapped cores, which stay mapped.
-    heap = [key for key in keys if key < 0]
-    heapq.heapify(heap)
+    # key enters the heap once, by one push after a placement, and a seed's
+    # never does, so no heap entry equals a mapped core's key.  When no live
+    # key is left, no waiting core has traffic, and the next one is the first
+    # waiting core in rank order: a cursor over `order` that skips mapped
+    # cores, which stay mapped.
+    heap: list[int] = []
     heappush, heappop = heapq.heappush, heapq.heappop
     idle = filter(waiting.__getitem__, order)
     while True:
-        if heap:
-            key = heappop(heap)
-            core = order[key % n_cores]
-            if key != keys[core]:
-                continue
+        if seeds:
+            core, tile = seeds.pop()
         else:
-            core = next(idle, None)
-            if core is None:
-                break
-        tile = lozenge_next_empty(anchor[core], free, counts, mesh, resume)
+            if heap:
+                key = heappop(heap)
+                core = order[key % n_cores]
+                if key != keys[core]:
+                    continue
+            else:
+                core = next(idle, None)
+                if core is None:
+                    break
+            tile = lozenge_next_empty(anchor[core], free, counts, mesh, resume)
         mapping[core] = tile
         free[tile] = 0
         counts[tile // nn] -= 1
@@ -172,7 +171,7 @@ def sequence_map(g: TaskGraph, mesh: Mesh3D, order: Sequence[int]) -> Mapping:
         raise ValueError("tile sequence shorter than the core list")
     tiles, count = order[:g.n_cores], mesh.tile_count
     # Checks over the whole prefix first; the per-tile search runs only when one fails.
-    if not (set(map(type, tiles)) <= {int} and (len(tiles) == 0 or (0 <= min(tiles) and max(tiles) < count))):
+    if not (set(map(type, tiles)) <= {int} and 0 <= min(tiles, default=0) and max(tiles, default=0) < count):
         for tile in tiles:
             if not _is_integer(tile) or not 0 <= tile < count:
                 raise ValueError(f"tile {tile!r} in the tile sequence is not a tile of the mesh (0..{count - 1})")

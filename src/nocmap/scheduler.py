@@ -75,8 +75,6 @@ def dynamic_schedule(g: TaskGraph, mesh: Mesh3D) -> Schedule:
     by (placed, -degree, -volume) puts the unplaced ones first in
     ``priority_order``'s order, id tiebreak included.
     """
-    if g.n_cores == 0:
-        raise ValueError("cannot schedule an empty graph")
     cap = mesh.tile_count
     ends, volume = g.arc_columns[:2], g.arc_columns[2]
     src, dst = ends

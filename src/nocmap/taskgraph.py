@@ -233,8 +233,6 @@ def priority_order(g: TaskGraph) -> list[int]:
     The id tiebreak keeps runs reproducible when several cores carry
     identical traffic.
     """
-    if g.n_cores == 0:
-        raise ValueError("empty graph has no priority order")
     degs, ranks = _traffic(g.n_cores, g.arc_columns[:2], g.arc_columns[2])
     # Stable, on the cores in id order: the last key is the major one.
     return np.lexsort((-ranks, -degs)).tolist()

@@ -407,8 +407,6 @@ def ddmap(g: TaskGraph, mesh: Mesh3D) -> dict[int, int]:
 
 def dynamic_schedule(g: TaskGraph, mesh: Mesh3D) -> Schedule:
     """Rebuilds the residual induced subgraph every round; rounds mapped by ``ddmap`` above."""
-    if g.n_cores == 0:
-        raise ValueError("cannot schedule an empty graph")
     cap = mesh.tile_count
     placement: dict[int, int] = {}
     remaining = list(range(g.n_cores))
@@ -561,8 +559,6 @@ def residual_order(g: TaskGraph, left: list[bool]) -> list[int]:
 
 def dynamic_schedule_rescan(g: TaskGraph, mesh: Mesh3D) -> Schedule:
     """Rounds ranked by ``residual_order`` and mapped by ``ddmap_place``."""
-    if g.n_cores == 0:
-        raise ValueError("cannot schedule an empty graph")
     cap = mesh.tile_count
     placement: dict[int, int] = {}
     left = [True] * g.n_cores

@@ -1,8 +1,16 @@
 import ast
+import importlib
+import importlib.util
 import types
 from pathlib import Path
 
 import nocmap
+from nocmap import EnergyModel, Mesh3D, PsoParams, cluster_schedule, ddmap, evaluate, pso_optimize
+from nocmap.harness import exhaustive_oracle
+from nocmap.mappers import map_with
+from nocmap.metrics import EvalReport
+from nocmap.scheduler import dynamic_schedule
+from nocmap.taskgraph import graph_from_arcs, priority_order
 
 # The names the README's library and CLI sections use; everything else is
 # imported from its submodule.
@@ -92,3 +100,44 @@ def test_each_input_rule_is_decided_in_one_function():
     objective = _sites(lambda node: isinstance(node, ast.Constant) and isinstance(node.value, str)
                        and "unknown objective" in node.value)
     assert objective == {"metrics.py:_check_objective"}
+
+
+def test_the_empty_graph_maps_to_nothing_everywhere():
+    # every placement path takes the 0-core graph as the oracle does, with no
+    # branch of its own: nothing to place, so an empty placement
+    g, mesh = graph_from_arcs(0, []), Mesh3D(3)
+    assert priority_order(g) == []
+    assert ddmap(g, mesh) == map_with("spiral", g, mesh) == map_with("crinkle", g, mesh) == {}
+    assert dynamic_schedule(g, mesh).placement == cluster_schedule(g, mesh).placement == {}
+    result = pso_optimize(g, mesh, PsoParams(swarm_size=4, max_evals_per_simulation=12))
+    assert result.mapping == {} and result.fitness == 0.0
+    assert exhaustive_oracle(g, mesh, "energy") == (0.0, {})
+    assert exhaustive_oracle(g, mesh, "cost") == (0, {})
+    assert evaluate(g, {}, mesh, EnergyModel()) == EvalReport(0.0, 0, None, 0)
+
+
+def _load_tracer():
+    """``perfbench/tracer.py`` as a module, read from the repository and never installed."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_targets_absent_from_the_library_are_the_two_deleted_ones():
+    # Resolve each target as Tracer.install does (walk the dotted path from
+    # the module, then read the owner's own attribute) without wrapping
+    # anything: only the two functions the library has deleted may be
+    # missing.  A rename in the library would silently zero a per-layer
+    # metric and show up here.
+    tracer = _load_tracer()
+    absent = set()
+    for module, attr, label, _ in tracer.TARGETS:
+        *path, leaf = attr.split(".")
+        owner = importlib.import_module(f"nocmap.{module}")
+        for part in path:
+            owner = getattr(owner, part, None)
+        if owner is None or vars(owner).get(leaf) is None:
+            absent.add(f"{module}.{label}")
+    assert absent == {"taskgraph.TaskGraph.volume_between", "topology.hop_matrix"}

@@ -84,6 +84,21 @@ def test_optimize_small_budget(demo_graph, capsys):
     assert "[pso/pso]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", [
+    ["map"],
+    ["schedule", "--mode", "dynamic"],
+    ["schedule", "--mode", "cluster"],
+    ["optimize", "--pso-swarm-size", "4", "--pso-evals", "12"],
+])
+def test_a_graph_of_no_cores_gets_one_result_line(tmp_path, capsys, command):
+    empty = tmp_path / "empty.ctg"
+    empty.write_text("cores 0\n")
+    assert main([*command, "--graph", str(empty)]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and len(out.splitlines()) == 1
+    assert out.startswith("empty [") and " energy=0 pJ cost=0 latency=n/a eta=0 " in out
+
+
 def test_seed_mapping_from_another_mesh_rejected(demo_graph, tmp_path, capsys):
     seeds = tmp_path / "seeds"
     assert main(["map", "--graph", str(demo_graph), "--mesh", "2", "--out", str(seeds)]) == 0
@@ -210,9 +225,10 @@ def test_bench_all_algos_and_algo_are_exclusive(demo_graph, tmp_path, capsys):
 
 
 def test_bench_empty_glob(tmp_path, capsys):
-    rc = main(["bench", "--glob", str(tmp_path / "*.nope")])
+    pattern = str(tmp_path / "*.nope")
+    rc = main(["bench", "--glob", pattern])
     assert rc == 1
-    assert "no graphs match" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: no graphs match {pattern!r}\n"
 
 
 def test_error_reporting(tmp_path, capsys):
