@@ -77,6 +77,10 @@ class TestDynamic:
         bound = -(-n_tasks // 27)  # ceil
         assert max(len(v) for v in slots(s).values()) <= bound
 
+    def test_empty_graph(self, mesh3):
+        s = dynamic_schedule(graph_from_arcs(0, []), mesh3)
+        assert s.placement == {}
+
     @given(st.data(), st.integers(2, 5))
     @settings(max_examples=50, deadline=None)
     def test_matches_residual_subgraph_oracle(self, data, n):

@@ -183,6 +183,9 @@ class TestOrderingMetrics:
     def test_priority_single_arc(self):
         assert priority_order(graph_from_arcs(2, [(0, 1, 5, 1)])) == [0, 1]
 
+    def test_priority_empty_graph(self):
+        assert priority_order(graph_from_arcs(0, [])) == []
+
     @given(graph_params)
     @settings(max_examples=60)
     def test_priority_is_sorted_permutation(self, params):
