@@ -19,14 +19,12 @@ import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
 from .mappers import MAPPERS, map_with
 from .metrics import EnergyModel, HopKernel, Mapping, _check_objective, evaluate
 from .pso import PsoParams, pso_optimize
 from .scheduler import cluster_schedule, dynamic_schedule
 from .taskgraph import TaskGraph, parse_graph
-from .topology import Mesh3D, _check_capacity
+from .topology import Mesh3D, _check_capacity, hop_table
 
 MODES = ("map", "dynamic", "cluster", "pso")
 ORACLE_MAX_ASSIGNMENTS = 10_000_000
@@ -320,9 +318,11 @@ def exhaustive_oracle(
     child is pruned once its bound's score reaches the best leaf's: no leaf
     below it is smaller, and the first leaf at the optimum is the smallest
     minimizer even when different sums round to one energy.  The value
-    returned is the metric kernel's on that leaf.  Refuses an unknown
-    objective, and instances with more than ORACLE_MAX_ASSIGNMENTS candidate
-    assignments, before building anything.
+    returned is the score of that leaf's sum, which the walk makes exactly.
+    The hop table is read, as the kernel reads it, only when some pair of
+    cores carries weight.  Refuses an unknown objective, and instances with
+    more than ORACLE_MAX_ASSIGNMENTS candidate assignments, before building
+    anything.
     """
     _check_objective(objective)
     k = g.n_cores
@@ -344,11 +344,10 @@ def exhaustive_oracle(
     def score(s: int):
         return s if objective == "cost" else model.energy(s + kernel.total_volume, s)
 
-    code, table = kernel.code, kernel.table  # hop_table's, read as the kernel reads them
-    if any(partners):  # read one hop at a time, as Python lists; with no weighted pair none is read
-        code, table = code.tolist(), table.tolist()
+    # Read one hop at a time, as Python lists; with no weighted pair none is read, so none is built.
+    code, table = [a.tolist() for a in hop_table(mesh)] if any(partners) else ([], [])
     tiles = [0] * k
-    cut, best = math.inf, None  # cut: the least sum whose score reaches the best leaf's, found by bisection
+    cut, best = math.inf, None  # best: the best leaf's (sum, tiles); cut: the least sum whose score reaches it
 
     def walk(c: int, s: int) -> None:
         nonlocal cut, best
@@ -357,7 +356,7 @@ def exhaustive_oracle(
             while lo < hi:
                 mid = (lo + hi) // 2
                 lo, hi = (lo, mid) if score(mid) >= top else (mid + 1, hi)
-            cut, best = lo, tiles[:]
+            cut, best = lo, (s, tiles[:])
             return
         placed = tiles[:c]
         ends = [(code[tiles[p]], w) for p, w in partners[c].items()]
@@ -373,8 +372,7 @@ def exhaustive_oracle(
                 walk(c + 1, bound)
 
     walk(0, int(weights.sum()))
-    row = np.array([best], dtype=np.intp)
-    return kernel.objective_values(row, objective, model)[0].item(), dict(enumerate(best))
+    return score(best[0]), dict(enumerate(best[1]))
 
 
 def _reduction(a_value, b_value) -> float | None:

@@ -12,8 +12,9 @@ Every metric reads three exact integer sums over the arcs from one kernel,
 Energy is ``e_switch_bit*switch_bits + e_link_bit*link_bits`` and latency
 ``rho*link_bits/eta``.  Integer sums make results independent of arc order,
 and a schedule evaluated task by task equals its aggregated cluster graph
-bit for bit.  The swarm and the exhaustive oracle score through the same
-kernel's ``objective_values``, which takes only the sums its objective needs.
+bit for bit.  The swarm scores through the same kernel's
+``objective_values``, which takes only the sums its objective needs; the
+exhaustive oracle makes the same sums from the same ``hop_table``.
 The kernel reads its arc arrays from the graph's read-only ``arc_columns``,
 the one form a graph stores its arcs in, however often it is scored; it owns
 only its work arrays and states their size (``batch_bytes``).
@@ -94,7 +95,9 @@ class HopKernel:
     are ignored.  Tiles must be valid tile ids: the gathers clip rather than
     check, and every caller has checked them already (``placement``, the
     swarm's clamp and repair, the oracle's walk over distinct tiles).
-    Construction refuses graphs whose sums could overflow int64.
+    Construction refuses graphs whose sums could overflow int64.  The mesh's
+    ``hop_table`` is taken when hops are read, so a caller that reads none
+    never builds it.
     """
 
     def __init__(self, g: TaskGraph, mesh: Mesh3D):
@@ -105,11 +108,10 @@ class HopKernel:
         if max(self.total_volume * (max_hops + 1), total_bandwidth * max_hops) > INT64_MAX:
             raise ValueError(f"arc weights too large: hop sums on mesh {mesh.n} overflow int64")
         self.n_cores = g.n_cores
-        self.tile_count = mesh.tile_count
+        self.mesh, self.tile_count = mesh, mesh.tile_count
         # Every arc's source core, then every arc's destination core: a view.
         self.ends = columns[:2].ravel()
         self.volume, self.bandwidth = columns[2], columns[3]
-        self.code, self.table = hop_table(mesh)
         self._work = None  # hops' work arrays, for the last batch shape it saw
 
     def placement(self, mapping: Mapping) -> np.ndarray:
@@ -163,11 +165,12 @@ class HopKernel:
             shapes = (tiles.shape, transposed, (len(self.ends), *transposed[1:]))
             self._work = [np.empty(shape, dtype=np.intp) for shape in shapes]
         code, code_t, ends = self._work
-        np.take(self.code, tiles, out=code, mode="clip")
+        code_of, table = hop_table(self.mesh)
+        np.take(code_of, tiles, out=code, mode="clip")
         np.copyto(code_t, code.T)
         np.take(code_t, self.ends, axis=0, out=ends, mode="clip")
         arcs = len(self.volume)
-        return self.table[np.subtract(ends[:arcs], ends[arcs:], out=ends[:arcs])].T
+        return table[np.subtract(ends[:arcs], ends[arcs:], out=ends[:arcs])].T
 
     def _bits(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Link and switch bits of hops h: a bit crossing h >= 1 links visits h + 1 routers."""

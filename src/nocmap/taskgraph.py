@@ -5,11 +5,15 @@ are the ids 0..N-1.  Each arc carries the payload it moves (``volume``,
 bits) and its sustained rate requirement (``bandwidth``, bits/s).  Graphs
 are immutable values and safe to share between threads.
 
-A graph stores its arcs in one form, ``arc_columns``.  The constructor,
-``parse_graph`` and ``generate_random_graph`` check every arc once, with
-whole-array tests; the graphs derived from a checked graph
+A graph is built from plain ``(src, dst, volume, bandwidth)`` quads:
+``TaskGraph(n_cores, [(0, 1, 100, 10), ...])``.  It stores its arcs in one
+form, ``arc_columns``.  The constructor, ``parse_graph`` and
+``generate_random_graph`` check every arc once, in one function,
+``_checked_columns``, whose whole-array tests decide every arc refusal, a
+non-integer field's included; the graphs derived from a checked graph
 (``induced_subgraph``, ``scheduler.cluster_graph``) are not checked again.
-No library path makes an ``Arc``: ``arcs`` is made on first read.
+``Arc`` is the named quad that ``arcs`` returns, made on first read; no
+library path makes one.
 
 Graph file format (UTF-8 text, ``#`` starts a comment, blank lines ignored)::
 
@@ -26,7 +30,7 @@ import numbers
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,8 +45,9 @@ class GraphFormatError(ValueError):
         super().__init__(f"line {line_no}: {message}")
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
+    """One arc as a named quad; any (src, dst, volume, bandwidth) tuple builds the same graph."""
+
     src: int
     dst: int
     volume: int
@@ -61,6 +66,14 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
+def _core_count(value) -> int:
+    """``value`` as a core count: the one rule for it, an integer (``_integer``) that is not negative."""
+    n_cores = _integer(value, "core count")
+    if n_cores < 0:
+        raise ValueError("core count must be non-negative")
+    return n_cores
+
+
 @dataclass(frozen=True, init=False, eq=False, repr=False)
 class TaskGraph:
     """A core count and its checked arcs; equal to a graph with the same count and arcs in the same order."""
@@ -70,21 +83,11 @@ class TaskGraph:
     """Every arc's src, dst, volume and bandwidth, in arc order: a read-only, shared int64 array
     of shape (4, arcs).  No column's sum wraps: a graph whose totals do not fit int64 is refused."""
 
-    def __init__(self, n_cores: int, arcs: Iterable[Arc]):
-        n_cores = _integer(n_cores, "core count")
-        if n_cores < 0:
-            raise ValueError("core count must be non-negative")
-        values = [v for a in arcs for v in (a.src, a.dst, a.volume, a.bandwidth)]
-        late = None
-        if set(map(type, values)) != {int}:  # numpy integers become ints; the arcs end before any other
-            for i, v in enumerate(values):
-                if not _is_integer(v):
-                    arc = i - i % 4
-                    late = f"non-integer field {v!r} in arc {values[arc]}->{values[arc + 1]}"
-                    values = values[:arc]
-                    break
-            values = list(map(int, values))
-        self.__dict__.update(n_cores=n_cores, arc_columns=_checked_columns(n_cores, values, late=late))
+    def __init__(self, n_cores: int, arcs: Iterable[tuple[int, int, int, int]]):
+        """``arcs`` are (src, dst, volume, bandwidth) quads, ``Arc`` values among them."""
+        n_cores = _core_count(n_cores)
+        values = [v for src, dst, volume, bandwidth in arcs for v in (src, dst, volume, bandwidth)]
+        self.__dict__.update(n_cores=n_cores, arc_columns=_checked_columns(n_cores, values))
 
     @classmethod
     def _from_columns(cls, n_cores: int, columns: np.ndarray) -> TaskGraph:
@@ -134,13 +137,19 @@ class TaskGraph:
         return f"TaskGraph(n_cores={self.n_cores!r}, arcs={self.arcs!r})"
 
 
-def _checked_columns(n_cores: int, values: list, lines: list | None = None, late: str | None = None):
-    """Integer arc fields, four per arc in arc order, as checked, read-only ``arc_columns``.
+def _checked_columns(n_cores: int, values: list, lines: list | None = None):
+    """Arc fields, four per arc in arc order, as checked, read-only ``arc_columns``.
 
-    Each test runs on the whole array.  The first bad arc is refused for the first it fails: an end
-    off 0..n_cores-1 or past int64, a loop, an earlier arc's pair, a negative weight (a GraphFormatError
-    at ``lines[arc]`` if ``lines`` is given).  Then ``late``, a fault after ``values``, and a total past int64.
+    Each test runs on the whole array.  The first bad arc is refused for the first it fails: a field
+    that is not an integer (``_is_integer``), an end off 0..n_cores-1 or past int64, a loop, an earlier
+    arc's pair, a negative weight (a GraphFormatError at ``lines[arc]`` if ``lines`` is given).  A
+    non-integer field counts as 0 in the other tests.  Then a total past int64 is refused.
     """
+    shown, faulty = values, np.zeros(len(values), dtype=bool)
+    if not set(map(type, values)) <= {int}:  # the per-field search only when the type scan fails
+        faulty = np.array([not _is_integer(v) for v in values], dtype=bool)
+        values = [0 if bad else int(v) for v, bad in zip(values, faulty.tolist())]
+    faulty = faulty.reshape(-1, 4)
     try:
         columns = np.array(values, dtype=np.int64).reshape(-1, 4).T.copy()  # C order
     except OverflowError:  # a field past int64: the same tests, on Python ints
@@ -150,15 +159,14 @@ def _checked_columns(n_cores: int, values: list, lines: list | None = None, late
     repeat = np.zeros(src.shape, dtype=bool)
     repeat[by_pair[1:]] = (columns[:2, by_pair[1:]] == columns[:2, by_pair[:-1]]).all(axis=0)
     off = ((columns[:2] < 0) | (columns[:2] >= min(n_cores, INT64_MAX + 1))).any(axis=0)
-    tests = np.array([off, src == dst, repeat, (volume < 0) | (bandwidth < 0)])
+    tests = np.array([faulty.any(axis=1), off, src == dst, repeat, (volume < 0) | (bandwidth < 0)])
     if tests.any():
         arc = int(tests.any(axis=0).argmax())
-        s, d = columns[:2, arc].tolist()
-        message = (f"core id out of range in arc {s}->{d}", f"self-loop on core {s}",
+        s, d = shown[4 * arc:4 * arc + 2]  # as given; an arc refused by a later test has integer fields only
+        message = (f"non-integer field {shown[4 * arc + faulty[arc].argmax()]!r} in arc {s}->{d}",
+                   f"core id out of range in arc {s}->{d}", f"self-loop on core {s}",
                    f"duplicate arc {s}->{d}", f"negative weight on arc {s}->{d}")[tests[:, arc].argmax()]
         raise ValueError(message) if lines is None else GraphFormatError(lines[arc], message)
-    if late is not None:
-        raise ValueError(late)
     for name, total in zip(("volume", "bandwidth"), map(sum, columns[2:].tolist())):  # exact
         if total > INT64_MAX:
             raise ValueError(f"total arc {name} {total} does not fit int64")
@@ -180,11 +188,6 @@ def _traffic(n_cores: int, ends: np.ndarray, volume: np.ndarray) -> tuple[np.nda
     return np.bincount(ends[0], minlength=n_cores), ranks
 
 
-def graph_from_arcs(n_cores: int, arcs: Iterable[tuple[int, int, int, int]]) -> TaskGraph:
-    """Build a graph from (src, dst, volume, bandwidth) tuples."""
-    return TaskGraph(n_cores, tuple(Arc(*quad) for quad in arcs))
-
-
 def parse_graph(text: str) -> TaskGraph:
     """Parse the line-based graph format; raise GraphFormatError with line numbers."""
     n_cores: int | None = None
@@ -202,8 +205,10 @@ def parse_graph(text: str) -> TaskGraph:
                 n_cores = int(fields[1])
             except ValueError:
                 raise GraphFormatError(line_no, f"core count {fields[1]!r} is not an integer") from None
-            if n_cores < 0:
-                raise GraphFormatError(line_no, "core count must be non-negative")
+            try:
+                n_cores = _core_count(n_cores)
+            except ValueError as exc:
+                raise GraphFormatError(line_no, str(exc)) from None
             continue
         if fields[0] != "edge":
             raise GraphFormatError(line_no, f"unknown directive {fields[0]!r}")
@@ -249,13 +254,12 @@ def generate_random_graph(
 
     Weights are drawn uniformly (inclusive) from the given ranges.  The same
     arguments always produce the same graph.  Each count and range bound must
-    be an integer (numpy's are, ``bool`` is not).
+    be an integer (numpy's are, ``bool`` is not), and the core count is
+    decided by ``_core_count``, so 0 cores give the empty graph.
     """
-    n_cores, n_arcs = _integer(n_cores, "core count"), _integer(n_arcs, "arc count")
+    n_cores, n_arcs = _core_count(n_cores), _integer(n_arcs, "arc count")
     for bound in (*volume_range, *bandwidth_range):
         _integer(bound, "weight range bound")
-    if n_cores < 1:
-        raise ValueError("need at least one core")
     if n_arcs < 0 or n_arcs > n_cores * (n_cores - 1):
         raise ValueError(
             f"infeasible arc count {n_arcs} for {n_cores} cores "

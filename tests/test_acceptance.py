@@ -28,7 +28,7 @@ from nocmap.harness import exhaustive_oracle
 from nocmap.mappers import crinkle_order, map_with, sequence_map, spiral_order
 from nocmap.metrics import EnergyModel
 from nocmap.scheduler import cluster_graph, cluster_tasks, dynamic_schedule
-from nocmap.taskgraph import graph_from_arcs, priority_order, serialize_graph
+from nocmap.taskgraph import TaskGraph, priority_order, serialize_graph
 from nocmap.topology import lozenge_next_empty
 
 from conftest import G1_ARCS
@@ -226,7 +226,7 @@ def test_criterion_8_seeded_pso_dominates_baselines():
 def test_criterion_9_pipelines_are_byte_deterministic(tmp_path):
     with criterion(9, "re-runs produce byte-identical artifacts and CSV rows"):
         graph_path = tmp_path / "bench.ctg"
-        graph_path.write_text(serialize_graph(graph_from_arcs(4, G1_ARCS)))
+        graph_path.write_text(serialize_graph(TaskGraph(4, G1_ARCS)))
         pipelines = [
             dict(mode="map", algo="ddmap"),
             dict(mode="map", algo="spiral"),

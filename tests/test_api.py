@@ -10,7 +10,7 @@ from nocmap.harness import exhaustive_oracle
 from nocmap.mappers import map_with
 from nocmap.metrics import EvalReport
 from nocmap.scheduler import dynamic_schedule
-from nocmap.taskgraph import graph_from_arcs, priority_order
+from nocmap.taskgraph import TaskGraph, priority_order
 
 # The names the README's library and CLI sections use; everything else is
 # imported from its submodule.
@@ -82,9 +82,10 @@ def _sites(matches) -> set[str]:
 
 def test_each_input_rule_is_decided_in_one_function():
     # What counts as an integer input, the refusal of more cores than tiles,
-    # what counts as a real-valued constant, a mesh side's type and range, and
-    # the refusal of an unknown objective each have one home that every other
-    # check calls; a second copy would let the two drift apart.
+    # what counts as a real-valued constant, a mesh side's type and range, the
+    # refusal of an unknown objective, of a non-integer arc field and of a
+    # negative core count each have one home that every other check calls; a
+    # second copy would let the two drift apart.
     integral = _sites(lambda node: isinstance(node, ast.Attribute) and node.attr == "Integral"
                       or isinstance(node, ast.Name) and node.id == "Integral")
     assert integral == {"taskgraph.py:_is_integer"}
@@ -100,12 +101,17 @@ def test_each_input_rule_is_decided_in_one_function():
     objective = _sites(lambda node: isinstance(node, ast.Constant) and isinstance(node.value, str)
                        and "unknown objective" in node.value)
     assert objective == {"metrics.py:_check_objective"}
+    for text, home in (("non-integer field", "taskgraph.py:_checked_columns"),
+                       ("core count must be non-negative", "taskgraph.py:_core_count")):
+        sites = _sites(lambda node: isinstance(node, ast.Constant) and isinstance(node.value, str)
+                       and text in node.value)
+        assert sites == {home}
 
 
 def test_the_empty_graph_maps_to_nothing_everywhere():
     # every placement path takes the 0-core graph as the oracle does, with no
     # branch of its own: nothing to place, so an empty placement
-    g, mesh = graph_from_arcs(0, []), Mesh3D(3)
+    g, mesh = TaskGraph(0, []), Mesh3D(3)
     assert priority_order(g) == []
     assert ddmap(g, mesh) == map_with("spiral", g, mesh) == map_with("crinkle", g, mesh) == {}
     assert dynamic_schedule(g, mesh).placement == cluster_schedule(g, mesh).placement == {}

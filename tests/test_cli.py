@@ -92,11 +92,21 @@ def test_optimize_small_budget(demo_graph, capsys):
 ])
 def test_a_graph_of_no_cores_gets_one_result_line(tmp_path, capsys, command):
     empty = tmp_path / "empty.ctg"
-    empty.write_text("cores 0\n")
+    assert main(["gen", "--cores", "0", "--arcs", "0", "--out", str(empty)]) == 0
+    assert empty.read_text() == "cores 0\n"
+    capsys.readouterr()
     assert main([*command, "--graph", str(empty)]) == 0
     out, err = capsys.readouterr()
     assert err == "" and len(out.splitlines()) == 1
     assert out.startswith("empty [") and " energy=0 pJ cost=0 latency=n/a eta=0 " in out
+    assert main(["oracle", "--graph", str(empty)]) == 0
+    assert capsys.readouterr() == ("optimum energy = 0\n", "")  # and no core line
+
+
+def test_gen_refuses_a_negative_core_count(tmp_path, capsys):
+    out = tmp_path / "g.ctg"
+    assert main(["gen", "--cores", "-1", "--arcs", "0", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: core count must be non-negative\n") and not out.exists()
 
 
 def test_seed_mapping_from_another_mesh_rejected(demo_graph, tmp_path, capsys):

@@ -31,7 +31,7 @@ from nocmap.harness import (
 )
 from nocmap.mappers import map_with
 from nocmap.metrics import EnergyModel
-from nocmap.taskgraph import graph_from_arcs, serialize_graph
+from nocmap.taskgraph import TaskGraph, serialize_graph
 from nocmap.topology import hop_table
 
 from conftest import G1_ARCS
@@ -41,7 +41,7 @@ from oracles import brute_cost, brute_energy, coords, kernel_oracle, manhattan3
 @pytest.fixture
 def g1_file(tmp_path):
     path = tmp_path / "g1.ctg"
-    path.write_text(serialize_graph(graph_from_arcs(4, G1_ARCS)))
+    path.write_text(serialize_graph(TaskGraph(4, G1_ARCS)))
     return path
 
 
@@ -89,7 +89,7 @@ class TestRunBenchmark:
     def test_row_matches_fresh_evaluation(self, g1_file, mesh3):
         cfg = RunConfig(graph=g1_file, mode="map", algo="ddmap")
         row, placement = run_benchmark(cfg)
-        g = graph_from_arcs(4, G1_ARCS)
+        g = TaskGraph(4, G1_ARCS)
         assert placement == ddmap(g, mesh3)
         assert row.total_energy == evaluate(g, placement, mesh3).total_energy
         assert row.benchmark == "g1"
@@ -191,7 +191,7 @@ class TestRunBenchmark:
         )
         row, _ = run_benchmark(cfg)
         assert row.total_energy <= evaluate(
-            graph_from_arcs(4, G1_ARCS), {0: 0, 1: 1, 2: 2, 3: 3}, Mesh3D(2)
+            TaskGraph(4, G1_ARCS), {0: 0, 1: 1, 2: 2, 3: 3}, Mesh3D(2)
         ).total_energy
 
     def test_audit_reproduces_row(self, g1_file, tmp_path):
@@ -223,7 +223,7 @@ class TestRunBenchmark:
         # costs are exact integers, written as such: 24, not 24.0, and 2^56 + 3
         # digit for digit, not rounded to a float
         graph = tmp_path / "g.ctg"
-        graph.write_text(serialize_graph(graph_from_arcs(4, arcs)))
+        graph.write_text(serialize_graph(TaskGraph(4, arcs)))
         cfg = RunConfig(
             graph=graph, mesh_n=2, mode="pso", objective="cost",
             pso=PsoParams(swarm_size=20, max_evals_per_simulation=2_000),
@@ -277,18 +277,18 @@ def test_unreadable_graph_names_the_artifact(g1_file, tmp_path, monkeypatch):
 
 class TestOracle:
     def test_single_core(self, mesh2):
-        g = graph_from_arcs(1, [])
+        g = TaskGraph(1, [])
         value, mapping = exhaustive_oracle(g, mesh2)
         assert value == 0.0 and mapping == {0: 0}
 
     def test_two_cores_one_arc(self, mesh2):
-        g = graph_from_arcs(2, [(0, 1, 100, 10)])
+        g = TaskGraph(2, [(0, 1, 100, 10)])
         value, mapping = exhaustive_oracle(g, mesh2)
         assert value == 100 * EnergyModel().energy(2, 1)  # one link, two routers
         assert manhattan3(mapping[0], mapping[1], 2) == 1
 
     def test_lexicographically_smallest_argmin(self, mesh2):
-        g = graph_from_arcs(2, [(0, 1, 100, 10)])
+        g = TaskGraph(2, [(0, 1, 100, 10)])
         _, mapping = exhaustive_oracle(g, mesh2)
         assert (mapping[0], mapping[1]) == (0, 1)
 
@@ -309,7 +309,7 @@ class TestOracle:
 
     def test_unknown_objective_refused_before_any_allocation(self):
         # on a million tiles the hop table the walk reads takes 63 MB by itself
-        g = graph_from_arcs(1, [])
+        g = TaskGraph(1, [])
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="^unknown objective 'bogus'$"):
@@ -323,7 +323,7 @@ class TestOracle:
         # 1540 first tiles and no weighted pair: no hop is read, so no Python
         # list of the 493,039-entry hop table or of the 64,000 tile codes is built
         mesh = Mesh3D(40)
-        g = graph_from_arcs(1, [])
+        g = TaskGraph(1, [])
         hop_table(mesh)  # the kernel's cached table, built before tracing
         tracemalloc.start()
         try:
@@ -335,6 +335,17 @@ class TestOracle:
         assert energy == (0.0, {0: 0}) and type(energy[0]) is float
         assert cost == (0, {0: 0}) and type(cost[0]) is int
         assert peak < 1 << 18
+        # cold cache: with no weighted pair the 15 MB hop table of mesh 60 is
+        # never built; its 4,960 first tiles take about 192 KiB
+        hop_table.cache_clear()
+        tracemalloc.start()
+        try:
+            energy = exhaustive_oracle(g, Mesh3D(60))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert energy == (0.0, {0: 0}) and type(energy[0]) is float
+        assert hop_table.cache_info().currsize == 0 and peak < 1 << 20
 
 
 def plain_oracle(g, n, objective, model=EnergyModel()):
@@ -363,7 +374,7 @@ def oracle_cases(draw):
         unique=True, max_size=k * (k - 1),
     ))
     weight = st.integers(0, 2)
-    g = graph_from_arcs(k, [(s, d, draw(weight), draw(weight)) for s, d in pairs])
+    g = TaskGraph(k, [(s, d, draw(weight), draw(weight)) for s, d in pairs])
     objective = draw(st.sampled_from(["energy", "cost"]))
     model = draw(st.sampled_from([EnergyModel(), EnergyModel(0, 0, 1)]))
     return n, g, objective, model
@@ -386,7 +397,7 @@ class TestChunkedOracle:
     @pytest.mark.parametrize("n_cores", [1, 3])
     def test_zero_arcs(self, mesh2, n_cores, charge):
         # with no arcs every assignment ties at 0.0, whatever each bit is charged
-        g = graph_from_arcs(n_cores, [])
+        g = TaskGraph(n_cores, [])
         model = EnergyModel(charge, charge)
         expected = plain_oracle(g, 2, "energy", model)
         assert exhaustive_oracle(g, mesh2, "energy", model) == expected
@@ -395,17 +406,17 @@ class TestChunkedOracle:
         assert cost == (0, expected[1]) and isinstance(cost[0], int)
 
     @given(oracle_cases())
-    @example((2, graph_from_arcs(5, [(s, d, 1, 1) for s in range(5) for d in range(5) if s != d]),
+    @example((2, TaskGraph(5, [(s, d, 1, 1) for s in range(5) for d in range(5) if s != d]),
               "energy", EnergyModel()))
-    @example((3, graph_from_arcs(3, [(0, 2, 2, 1), (2, 1, 1, 2), (1, 2, 1, 1)]), "cost", EnergyModel()))
-    @example((2, graph_from_arcs(4, [(0, 3, 2, 1), (3, 1, 1, 2), (2, 3, 1, 1)]), "energy", EnergyModel()))
-    @example((3, graph_from_arcs(3, [(0, 1, 0, 0), (2, 0, 0, 0)]), "energy", EnergyModel()))
-    @example((2, graph_from_arcs(4, [(0, 1, 2, 1), (1, 3, 1, 2), (3, 2, 2, 2)]), "energy",
+    @example((3, TaskGraph(3, [(0, 2, 2, 1), (2, 1, 1, 2), (1, 2, 1, 1)]), "cost", EnergyModel()))
+    @example((2, TaskGraph(4, [(0, 3, 2, 1), (3, 1, 1, 2), (2, 3, 1, 1)]), "energy", EnergyModel()))
+    @example((3, TaskGraph(3, [(0, 1, 0, 0), (2, 0, 0, 0)]), "energy", EnergyModel()))
+    @example((2, TaskGraph(4, [(0, 1, 2, 1), (1, 3, 1, 2), (3, 2, 2, 2)]), "energy",
               EnergyModel(0, 0, 1)))
-    @example((2, graph_from_arcs(3, [(0, 1, BIG, 1), (0, 2, BIG + 1, 1), (1, 2, BIG + 2, 1)]),
+    @example((2, TaskGraph(3, [(0, 1, BIG, 1), (0, 2, BIG + 1, 1), (1, 2, BIG + 2, 1)]),
               "energy", EnergyModel()))
-    @example((2, graph_from_arcs(0, []), "energy", EnergyModel()))
-    @example((3, graph_from_arcs(0, []), "cost", EnergyModel()))
+    @example((2, TaskGraph(0, []), "energy", EnergyModel()))
+    @example((3, TaskGraph(0, []), "cost", EnergyModel()))
     @settings(max_examples=80, deadline=None)
     def test_matches_plain_loop_on_both_meshes(self, case):
         n, g, objective, model = case
@@ -418,7 +429,7 @@ class TestChunkedOracle:
         # 4 cores on mesh 3, the benchmark's oracle shape: 421,200 assignments,
         # every one scored by the metric kernel
         for g in (generate_random_graph(4, 6, seed=1), generate_random_graph(4, 10, seed=2),
-                  graph_from_arcs(4, [(0, 1, 1, 2), (1, 2, 2, 1), (2, 3, 1, 1), (3, 0, 2, 2), (1, 3, 1, 1)])):
+                  TaskGraph(4, [(0, 1, 1, 2), (1, 2, 2, 1), (2, 3, 1, 1), (3, 0, 2, 2), (1, 3, 1, 1)])):
             value, mapping = exhaustive_oracle(g, mesh3, objective)
             expected = kernel_oracle(g, mesh3, objective)
             assert (value, mapping) == expected and type(value) is type(expected[0])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from nocmap import Mesh3D, ddmap, generate_random_graph, mappers
 from nocmap.harness import RunConfig, run_benchmark
 from nocmap.mappers import MAPPERS, crinkle_order, map_with, sequence_map, spiral_order
-from nocmap.taskgraph import graph_from_arcs, priority_order
+from nocmap.taskgraph import TaskGraph, priority_order
 from nocmap.topology import diagonal_tiles, lozenge_next_empty
 
 import oracles
@@ -35,7 +35,7 @@ def tied_graphs(draw, max_cores):
     n_cores = draw(st.integers(1, max_cores))
     every = [(s, d) for s in range(n_cores) for d in range(n_cores) if s != d]
     pairs = draw(st.lists(st.sampled_from(every), max_size=4 * n_cores, unique=True)) if every else []
-    return graph_from_arcs(n_cores, [(s, d, draw(st.sampled_from([0, 1, 1, 2, 5])), 1) for s, d in pairs])
+    return TaskGraph(n_cores, [(s, d, draw(st.sampled_from([0, 1, 1, 2, 5])), 1) for s, d in pairs])
 
 
 @st.composite
@@ -46,7 +46,7 @@ def meshes_with_graphs(draw, sides, graphs):
 
 
 # Three components, priority order [1, 4, 3, 0, 7, 6, 2, 8, 5].
-_THREE_COMPONENTS = graph_from_arcs(9, [(0, 1, 5, 1), (1, 2, 3, 1), (3, 4, 7, 1), (4, 5, 1, 1),
+_THREE_COMPONENTS = TaskGraph(9, [(0, 1, 5, 1), (1, 2, 3, 1), (3, 4, 7, 1), (4, 5, 1, 1),
                                         (6, 7, 2, 1), (7, 8, 2, 1)])
 
 # Graphs whose traffic runs out before every core is placed, so ddmap takes
@@ -59,19 +59,19 @@ CURSOR_CASES = (
     (Mesh3D(4), _THREE_COMPONENTS),
     # cores 2, 3 and 4 linked only by zero-volume arcs, order [1, 0, 2, 3, 4, 5]:
     # 5 has traffic, so it goes before them although they rank first
-    (Mesh3D(3), graph_from_arcs(6, [(0, 1, 4, 1), (2, 3, 0, 1), (3, 4, 0, 1), (4, 2, 0, 1),
+    (Mesh3D(3), TaskGraph(6, [(0, 1, 4, 1), (2, 3, 0, 1), (3, 4, 0, 1), (4, 2, 0, 1),
                                     (1, 5, 2, 1)])),
     # order [0, 3, 5, 2, 4, 1, 6, 7, 8, 9]: cores 2 and 4 have no traffic and
     # rank between cores that have it, and 7 is isolated; the cursor skips
     # the placed 3 and 5 to take 2, then 1 and 6 to take 7
-    (Mesh3D(3), graph_from_arcs(10, [(0, 1, 6, 1), (2, 9, 0, 1), (3, 1, 2, 1), (4, 8, 0, 1),
+    (Mesh3D(3), TaskGraph(10, [(0, 1, 6, 1), (2, 9, 0, 1), (3, 1, 2, 1), (4, 8, 0, 1),
                                      (5, 3, 1, 1), (0, 6, 1, 1)])),
     # order [2, 5, 7, 0, 1, 3, 4, 6] on the seedless mesh 2, filled to the
     # last tile: the cursor skips every placed core to take the five isolated ones
-    (Mesh3D(2), graph_from_arcs(8, [(5, 2, 3, 1), (2, 7, 1, 1)])),
+    (Mesh3D(2), TaskGraph(8, [(5, 2, 3, 1), (2, 7, 1, 1)])),
     # order [0, 1, 2, 3, 4]: after 2 is placed, its first key pops stale
     # while 3 still has a live one, so the isolated 4 must wait for 3
-    (Mesh3D(3), graph_from_arcs(5, [(0, 1, 9, 1), (0, 2, 5, 1), (0, 3, 1, 1), (1, 2, 2, 1)])),
+    (Mesh3D(3), TaskGraph(5, [(0, 1, 9, 1), (0, 2, 5, 1), (0, 3, 1, 1), (1, 2, 2, 1)])),
 )
 
 
@@ -113,12 +113,12 @@ class TestDdmap:
         assert list(mapping) == [0, 1, 2, 3]  # placement order preserved
 
     def test_single_core(self, mesh3):
-        g = graph_from_arcs(1, [])
+        g = TaskGraph(1, [])
         assert ddmap(g, mesh3) == {0: 13}
 
     def test_arc_free_three_cores(self, mesh3):
         # no traffic anywhere: ids break ties, every anchor is the seed core
-        g = graph_from_arcs(3, [])
+        g = TaskGraph(3, [])
         assert ddmap(g, mesh3) == {0: 13, 1: 10, 2: 14}
 
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -136,7 +136,7 @@ class TestDdmap:
         assert_injective_total(mapping, g1, mesh2)
 
     def test_too_many_cores(self, mesh2):
-        g = graph_from_arcs(9, [])
+        g = TaskGraph(9, [])
         with pytest.raises(ValueError, match="exceed"):
             ddmap(g, mesh2)
 
@@ -208,7 +208,7 @@ class TestDdmap:
         # core 0 seeds the mesh with a 2^61 volume to each of 3 partners, so
         # their first heap keys, rank - 2^61 * 8, lie below -2^63 and must
         # still order them exactly
-        g = graph_from_arcs(8, [(0, d, 2 ** 61, 1) for d in (1, 2, 3)] + [(4, 5, 1, 1), (6, 5, 2, 1), (7, 4, 1, 1)])
+        g = TaskGraph(8, [(0, d, 2 ** 61, 1) for d in (1, 2, 3)] + [(4, 5, 1, 1), (6, 5, 2, 1), (7, 4, 1, 1)])
         assert list(ddmap(g, mesh3).items()) == list(oracles.ddmap_place(g, mesh3).items())
         assert list(ddmap(g, mesh3).items()) == list(oracles.ddmap(g, mesh3).items())
 
@@ -256,12 +256,12 @@ class TestSequenceMap:
         assert sequence_map(g1, mesh3, spiral_order(mesh3))[0] == 13
 
     def test_arc_free_pair(self, mesh3):
-        g = graph_from_arcs(2, [])
+        g = TaskGraph(2, [])
         order = crinkle_order(mesh3)
         assert sequence_map(g, mesh3, order) == {0: 0, 1: 1}
 
     def test_too_many_cores(self, mesh2):
-        g = graph_from_arcs(9, [])
+        g = TaskGraph(9, [])
         with pytest.raises(ValueError):
             sequence_map(g, mesh2, crinkle_order(mesh2))
 
@@ -277,13 +277,13 @@ class TestSequenceMap:
         ],
     )
     def test_bad_prefix_refused(self, mesh2, order, message):
-        g = graph_from_arcs(3, [(0, 1, 5, 1), (1, 2, 3, 1)])
+        g = TaskGraph(3, [(0, 1, 5, 1), (1, 2, 3, 1)])
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             sequence_map(g, mesh2, order)
 
     def test_only_the_prefix_is_read(self, mesh2):
         # a repeat or a bad tile after the first N entries is never used
-        g = graph_from_arcs(3, [(0, 1, 5, 1), (1, 2, 3, 1)])
+        g = TaskGraph(3, [(0, 1, 5, 1), (1, 2, 3, 1)])
         want = {1: 5, 0: 4, 2: 3}
         assert sequence_map(g, mesh2, [5, 4, 3, 3, 99]) == want
         assert sequence_map(g, mesh2, np.array([5, 4, 3])) == want
@@ -317,7 +317,7 @@ class TestOverflowingWeights:
         # such a graph is refused when it is built or read, so no mapper is handed one
         message = f"^total arc {name} {2 ** 63} does not fit int64$"
         with pytest.raises(ValueError, match=message):
-            graph_from_arcs(3, arcs)
+            TaskGraph(3, arcs)
         path = tmp_path / "big.ctg"
         path.write_text("cores 3\n" + "".join(f"edge {s} {d} {v} {b}\n" for s, d, v, b in arcs))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message[1:]}"):

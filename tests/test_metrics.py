@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from nocmap import EnergyModel, Mesh3D, evaluate, generate_random_graph
 from nocmap.metrics import OBJECTIVES, HopKernel
-from nocmap.taskgraph import TaskGraph, graph_from_arcs
+from nocmap.taskgraph import TaskGraph
 from nocmap.topology import tile_coords
 
 from oracles import brute_cost, brute_energy, brute_eta, brute_latency
@@ -50,7 +50,7 @@ class TestBitEnergy:
 
 class TestTotalEnergy:
     def test_single_arc_one_link(self, mesh3):
-        g = graph_from_arcs(2, [(0, 1, 100, 1)])
+        g = TaskGraph(2, [(0, 1, 100, 1)])
         assert evaluate(g, {0: 13, 1: 10}, mesh3).total_energy == pytest.approx(101.7, rel=1e-12)
 
     def test_all_colocated(self, mesh3, g1):
@@ -129,7 +129,7 @@ class TestValidation:
         # 7 routers and 6 links per bit between opposite corners of a 3-cube
         vol = (2 ** 63 - 1) // 7
         bw = (2 ** 63 - 1) // 6
-        g = graph_from_arcs(2, [(0, 1, vol, bw)])
+        g = TaskGraph(2, [(0, 1, vol, bw)])
         rep = evaluate(g, {0: 0, 1: 26}, mesh3)
         assert rep.comm_cost == 6 * bw
         assert rep.total_energy == 0.284 * (7 * vol) + 0.449 * (6 * vol)
@@ -137,14 +137,14 @@ class TestValidation:
 
     @pytest.mark.parametrize("arc", [((2 ** 63 - 1) // 7 + 1, 1), (1, (2 ** 63 - 1) // 6 + 1)])
     def test_overflowing_sums_rejected(self, mesh3, arc):
-        g = graph_from_arcs(2, [(0, 1, *arc)])
+        g = TaskGraph(2, [(0, 1, *arc)])
         with pytest.raises(ValueError, match="overflow"):
             evaluate(g, {0: 0, 1: 1}, mesh3)
 
 
 class TestCommCost:
     def test_single_arc(self, mesh3):
-        g = graph_from_arcs(2, [(0, 1, 100, 10)])
+        g = TaskGraph(2, [(0, 1, 100, 10)])
         assert evaluate(g, {0: 0, 1: 2}, mesh3).comm_cost == 20
 
     def test_colocated(self, mesh3, g1):
@@ -157,11 +157,11 @@ class TestCommCost:
 
 class TestAvgLatency:
     def test_single_arc(self, mesh3):
-        g = graph_from_arcs(2, [(0, 1, 100, 1)])
+        g = TaskGraph(2, [(0, 1, 100, 1)])
         assert evaluate(g, {0: 0, 1: 13}, mesh3).avg_latency == 300.0  # 3 links apart
 
     def test_two_arcs(self, mesh3):
-        g = graph_from_arcs(3, [(0, 1, 10, 1), (0, 2, 30, 1)])
+        g = TaskGraph(3, [(0, 1, 10, 1), (0, 2, 30, 1)])
         placement = {0: 0, 1: 1, 2: 2}  # distances 1 and 2
         assert evaluate(g, placement, mesh3).avg_latency == (10 + 60) / 2
 
@@ -169,11 +169,11 @@ class TestAvgLatency:
         assert evaluate(g1, {c: 0 for c in range(4)}, mesh3).avg_latency == 0.0
 
     def test_eta_zero_is_undefined(self, mesh3):
-        g = graph_from_arcs(2, [(0, 1, 0, 5)])
+        g = TaskGraph(2, [(0, 1, 0, 5)])
         assert evaluate(g, {0: 0, 1: 1}, mesh3).avg_latency is None
 
     def test_rho_scales(self, mesh3):
-        g = graph_from_arcs(2, [(0, 1, 100, 1)])
+        g = TaskGraph(2, [(0, 1, 100, 1)])
         m = EnergyModel(rho=2.5)
         assert evaluate(g, {0: 0, 1: 1}, mesh3, m).avg_latency == 250.0
 
@@ -188,7 +188,7 @@ class TestEvaluate:
         assert rep.eta == brute_eta(g1) == 4
 
     def test_latency_none_when_no_transfers(self, mesh3):
-        g = graph_from_arcs(2, [(0, 1, 0, 5)])
+        g = TaskGraph(2, [(0, 1, 0, 5)])
         rep = evaluate(g, {0: 0, 1: 1}, mesh3)
         assert rep.avg_latency is None and rep.eta == 0
 
@@ -216,7 +216,7 @@ def graph_and_placement(draw):
     arcs = [(i, j, draw(st.integers(0, 10 ** 6)), draw(st.integers(0, 100))) for i, j in chosen]
     used_tiles = draw(st.integers(1, n ** 3))  # few tiles force co-located arcs
     placement = {c: draw(st.integers(0, used_tiles - 1)) for c in range(n_cores)}
-    return graph_from_arcs(n_cores, arcs), placement, n
+    return TaskGraph(n_cores, arcs), placement, n
 
 
 class TestEvaluateAgainstOracle:

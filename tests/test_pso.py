@@ -12,7 +12,7 @@ from nocmap.harness import exhaustive_oracle
 from nocmap.mappers import ddmap, sequence_map, spiral_order
 from nocmap.pso import position_update, repair_permutation, velocity_update
 from nocmap.scheduler import cluster_graph, cluster_tasks
-from nocmap.taskgraph import graph_from_arcs
+from nocmap.taskgraph import TaskGraph
 from nocmap.topology import hop_table
 from oracles import pso_optimize as reference_swarm
 from oracles import repair_permutation as scalar_repair
@@ -401,14 +401,14 @@ class TestOptimize:
     def test_large_mesh_runs_in_small_memory(self):
         # 64,000 tiles: a dense tile-to-tile hop table would need 30 GiB
         mesh = Mesh3D(40)
-        g = graph_from_arcs(2, [(0, 1, 100, 10)])
+        g = TaskGraph(2, [(0, 1, 100, 10)])
         res = pso_optimize(g, mesh, PsoParams(swarm_size=2, max_evals_per_simulation=4))
         assert [evals for _, evals, _ in res.trace] == [2, 4]
         assert res.fitness == evaluate(g, res.mapping, mesh).total_energy
 
     def test_oversize_swarm_refused_before_any_allocation(self):
         # 200 particles on 10^6 tiles: each (200, 10^6) float array alone would take 1.6 GB
-        g = graph_from_arcs(2, [(0, 1, 100, 10)])
+        g = TaskGraph(2, [(0, 1, 100, 10)])
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=(
@@ -482,7 +482,7 @@ class TestOptimize:
 
     def test_cost_above_two_to_the_53_compares_exactly(self, mesh2):
         # float64 cannot tell 2^56 + 3 from 2^56 + 5, so float bests would miss improvements
-        g = graph_from_arcs(4, [(0, 1, 1, 2 ** 56), (1, 2, 1, 1), (2, 3, 1, 1), (3, 0, 1, 1)])
+        g = TaskGraph(4, [(0, 1, 1, 2 ** 56), (1, 2, 1, 1), (2, 3, 1, 1), (3, 0, 1, 1)])
         optimum, _ = exhaustive_oracle(g, mesh2, "cost")
         assert optimum == 2 ** 56 + 3
         for seed in range(20):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from nocmap import Mesh3D, cluster_schedule, ddmap, evaluate, generate_random_graph
 from nocmap.harness import RunConfig, run_benchmark
 from nocmap.scheduler import ClusterSet, cluster_graph, cluster_tasks, dynamic_schedule
-from nocmap.taskgraph import graph_from_arcs
+from nocmap.taskgraph import TaskGraph
 
 import oracles
 
@@ -32,7 +32,7 @@ def tied_graphs(draw, min_tasks, max_tasks):
     every = [(s, d) for s in range(n_tasks) for d in range(n_tasks) if s != d]
     pairs = draw(st.lists(st.sampled_from(every), max_size=2 * n_tasks, unique=True)) if every else []
     weight = st.sampled_from([0, 1, 1, 2, 5])
-    return graph_from_arcs(n_tasks, [(s, d, draw(weight), draw(weight)) for s, d in pairs])
+    return TaskGraph(n_tasks, [(s, d, draw(weight), draw(weight)) for s, d in pairs])
 
 
 def assert_valid_schedule(schedule, g, mesh):
@@ -62,7 +62,7 @@ class TestDynamic:
         assert sum(1 for d in depths if d == 2) == 3
 
     def test_fiftyfour_arc_free_tasks_fill_twice(self, mesh3):
-        g = graph_from_arcs(54, [])
+        g = TaskGraph(54, [])
         s = dynamic_schedule(g, mesh3)
         assert sorted(len(v) for v in slots(s).values()) == [2] * 27
         assert len(slots(s)) == 27
@@ -78,7 +78,7 @@ class TestDynamic:
         assert max(len(v) for v in slots(s).values()) <= bound
 
     def test_empty_graph(self, mesh3):
-        s = dynamic_schedule(graph_from_arcs(0, []), mesh3)
+        s = dynamic_schedule(TaskGraph(0, []), mesh3)
         assert s.placement == {}
 
     @given(st.data(), st.integers(2, 5))
@@ -114,23 +114,23 @@ class TestClusterTasks:
         assert cs.clusters == ((0, 1, 3, 2),)
 
     def test_arc_free_tasks_become_singletons(self):
-        g = graph_from_arcs(5, [])
+        g = TaskGraph(5, [])
         cs = cluster_tasks(g, 10)
         assert cs.clusters == ((0,), (1,), (2,), (3,), (4,))
 
     def test_chain_prefers_heavier_partner(self):
-        g = graph_from_arcs(3, [(0, 1, 10, 1), (0, 2, 90, 1)])
+        g = TaskGraph(3, [(0, 1, 10, 1), (0, 2, 90, 1)])
         cs = cluster_tasks(g, 10)
         assert cs.clusters[0][:2] == (0, 2)
 
     def test_tie_breaks_to_lower_id(self):
-        g = graph_from_arcs(3, [(0, 1, 50, 1), (0, 2, 50, 1)])
+        g = TaskGraph(3, [(0, 1, 50, 1), (0, 2, 50, 1)])
         cs = cluster_tasks(g, 10)
         assert cs.clusters[0][:2] == (0, 1)
 
     def test_merging_respects_cap(self):
         # three disjoint pairs form three singleton chains' worth of clusters
-        g = graph_from_arcs(6, [(0, 1, 10, 1), (2, 3, 10, 1), (4, 5, 10, 1)])
+        g = TaskGraph(6, [(0, 1, 10, 1), (2, 3, 10, 1), (4, 5, 10, 1)])
         uncapped = cluster_tasks(g, 10)
         assert uncapped.clusters == ((0, 1), (2, 3), (4, 5))
         capped = cluster_tasks(g, 2)
@@ -148,7 +148,7 @@ class TestClusterTasks:
             (4, 5, 100, 1),
             (5, 3, 99, 1),
         ]
-        g = graph_from_arcs(6, arcs)
+        g = TaskGraph(6, arcs)
         free = cluster_tasks(g, 27)
         assert free.clusters == ((0, 1), (2, 3), (4, 5))
         capped = cluster_tasks(g, 2)
@@ -175,7 +175,7 @@ class TestClusterTasks:
         # chains (0,1), (2,3) (cut: 3 also talks to 0) and (4,); the surplus
         # (4,) has only a zero-volume arc, into the second chain, so its
         # exchange is 0 with both and the merge picks cluster 0
-        g = graph_from_arcs(5, [(0, 1, 5, 1), (2, 3, 7, 1), (3, 0, 1, 1), (4, 3, 0, 1)])
+        g = TaskGraph(5, [(0, 1, 5, 1), (2, 3, 7, 1), (3, 0, 1, 1), (4, 3, 0, 1)])
         assert cluster_tasks(g, 3).clusters == ((0, 1), (2, 3), (4,))
         assert cluster_tasks(g, 2).clusters == ((0, 1, 4), (2, 3))
         assert cluster_tasks(g, 2) == oracles.cluster_tasks(g, 2)
@@ -195,12 +195,12 @@ class TestClusterTasks:
     @pytest.mark.parametrize("limit", [2.5, True, False, np.float64(2.0), "2", None])
     def test_limit_must_be_an_integer(self, limit):
         # five arc-free tasks make five chains, more than any limit here
-        g = graph_from_arcs(5, [])
+        g = TaskGraph(5, [])
         with pytest.raises(ValueError, match=f"^cluster limit must be an integer, got {re.escape(repr(limit))}$"):
             cluster_tasks(g, limit)
 
     def test_numpy_integer_limit_accepted(self):
-        g = graph_from_arcs(5, [(0, 1, 5, 1), (2, 3, 7, 1)])
+        g = TaskGraph(5, [(0, 1, 5, 1), (2, 3, 7, 1)])
         assert cluster_tasks(g, np.int64(2)) == cluster_tasks(g, 2)
 
     def test_invalid_partition_rejected(self):
@@ -269,7 +269,7 @@ class TestClusterSchedule:
         assert slots(s)[13] == [0, 1, 3, 2]  # chain order preserved in the slot
 
     def test_singleton_clusters_match_ddmap(self, mesh3):
-        g = graph_from_arcs(4, [])
+        g = TaskGraph(4, [])
         s = cluster_schedule(g, mesh3)
         assert s.placement == ddmap(g, mesh3)
 
@@ -326,7 +326,7 @@ class TestOverflowingWeights:
         # graph is refused when it is built or read and no scheduler is handed one
         message = f"^total arc {name} {2 ** 63} does not fit int64$"
         with pytest.raises(ValueError, match=message):
-            graph_from_arcs(3, arcs)
+            TaskGraph(3, arcs)
         path = tmp_path / "big.ctg"
         path.write_text("cores 3\n" + "".join(f"edge {s} {d} {v} {b}\n" for s, d, v, b in arcs))
         mode = {dynamic_schedule: "dynamic", cluster_schedule: "cluster"}[schedule]
@@ -336,5 +336,5 @@ class TestOverflowingWeights:
     @pytest.mark.parametrize("schedule", [dynamic_schedule, cluster_schedule])
     def test_largest_totals_schedule(self, schedule, mesh3):
         top = 2 ** 63 - 1
-        g = graph_from_arcs(3, [(0, 1, top - 5, top - 7), (1, 2, 5, 7)])
+        g = TaskGraph(3, [(0, 1, top - 5, top - 7), (1, 2, 5, 7)])
         assert_valid_schedule(schedule(g, mesh3), g, mesh3)

@@ -17,7 +17,6 @@ from nocmap.taskgraph import (
     Arc,
     GraphFormatError,
     TaskGraph,
-    graph_from_arcs,
     induced_subgraph,
     parse_graph,
     priority_order,
@@ -64,6 +63,11 @@ def faulty_graphs(draw):
             quad[:2] = [quad[0], quad[0]] if fault == "loop" else other[:2]
     gaps = draw(st.lists(st.integers(0, 2), min_size=len(quads), max_size=len(quads)))
     return n_cores, [tuple(quad) for quad in quads], gaps
+
+
+def arc_forms(quads):
+    """The same arcs as plain (src, dst, volume, bandwidth) tuples and as ``Arc`` values."""
+    return [list(map(tuple, quads)), [Arc(*quad) for quad in quads]]
 
 
 class TestParse:
@@ -122,7 +126,7 @@ class TestParse:
         with pytest.raises(GraphFormatError, match="^line 3: duplicate arc 0->1$"):
             parse_graph("cores 3\nedge 0 1 5 1\nedge 0 1 6 1\n")
         assert len(calls) == 2
-        graph_from_arcs(3, [(0, 1, 5, 1)])
+        TaskGraph(3, [(0, 1, 5, 1)])
         generate_random_graph(3, 4, seed=1)
         assert len(calls) == 4
 
@@ -165,7 +169,7 @@ class TestOrderingMetrics:
         assert ranks[3] == 70
 
     def test_ranking_isolated(self):
-        g = graph_from_arcs(3, [(0, 1, 5, 1)])
+        g = TaskGraph(3, [(0, 1, 5, 1)])
         assert priority_keys(g) == ([1, 0, 0], [5, 5, 0])
 
     @given(graph_params)
@@ -178,13 +182,13 @@ class TestOrderingMetrics:
         assert priority_order(g1) == [0, 1, 2, 3]
 
     def test_priority_no_arcs(self):
-        assert priority_order(graph_from_arcs(3, [])) == [0, 1, 2]
+        assert priority_order(TaskGraph(3, [])) == [0, 1, 2]
 
     def test_priority_single_arc(self):
-        assert priority_order(graph_from_arcs(2, [(0, 1, 5, 1)])) == [0, 1]
+        assert priority_order(TaskGraph(2, [(0, 1, 5, 1)])) == [0, 1]
 
     def test_priority_empty_graph(self):
-        assert priority_order(graph_from_arcs(0, [])) == []
+        assert priority_order(TaskGraph(0, [])) == []
 
     @given(graph_params)
     @settings(max_examples=60)
@@ -202,6 +206,7 @@ class TestGenerate:
     def test_no_arcs(self):
         g = generate_random_graph(4, 0, seed=7)
         assert g.n_cores == 4 and g.arcs == ()
+        assert generate_random_graph(0, 0) == TaskGraph(0, ())  # the empty graph, as every other builder takes it
 
     def test_deterministic(self):
         a = generate_random_graph(8, 12, seed=3)
@@ -263,13 +268,17 @@ class TestGenerate:
         g = generate_random_graph(np.int64(8), np.int32(12), (np.int64(10), np.int16(1000)), (np.uint8(1), 100),
                                   seed=3)
         assert g == generate_random_graph(8, 12, seed=3)
-        assert type(g.n_cores) is int and all(type(v) is int for a in g.arcs for v in dataclasses.astuple(a))
+        assert type(g.n_cores) is int and all(type(v) is int for a in g.arcs for v in a)
 
 
 class TestTaskGraph:
     def test_negative_core_count_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            TaskGraph(-1, ())
+        # one rule and one text for every builder; a file's refusal names the header's line
+        for build in (lambda: TaskGraph(-1, ()), lambda: generate_random_graph(-1, 0)):
+            with pytest.raises(ValueError, match="^core count must be non-negative$"):
+                build()
+        with pytest.raises(GraphFormatError, match="^line 2: core count must be non-negative$"):
+            parse_graph("# header\ncores -1\n")
 
     @pytest.mark.parametrize(
         "build, shown",
@@ -277,7 +286,7 @@ class TestTaskGraph:
             (lambda: TaskGraph(2.5, ()), "2.5"),
             (lambda: TaskGraph(3.0, ()), "3.0"),
             (lambda: TaskGraph(True, ()), "True"),
-            (lambda: graph_from_arcs(2.5, []), "2.5"),
+            (lambda: TaskGraph(2.5, [(0, 1, 3, 2)]), "2.5"),
         ],
     )
     def test_non_integer_core_count_refused(self, build, shown):
@@ -286,17 +295,17 @@ class TestTaskGraph:
             build()
 
     def test_numpy_integer_core_count_accepted(self):
-        g = graph_from_arcs(np.int64(2), [(0, 1, 3, 2)])
-        assert g == graph_from_arcs(2, [(0, 1, 3, 2)])
-        assert ddmap(g, Mesh3D(2)) == ddmap(graph_from_arcs(2, [(0, 1, 3, 2)]), Mesh3D(2))
+        g = TaskGraph(np.int64(2), [(0, 1, 3, 2)])
+        assert g == TaskGraph(2, [(0, 1, 3, 2)])
+        assert ddmap(g, Mesh3D(2)) == ddmap(TaskGraph(2, [(0, 1, 3, 2)]), Mesh3D(2))
 
     def test_fields_are_count_and_arc_columns(self, g1):
         assert [f.name for f in dataclasses.fields(TaskGraph)] == ["n_cores", "arc_columns"]
-        assert set(vars(graph_from_arcs(4, G1_ARCS))) == {"n_cores", "arc_columns"}
+        assert set(vars(TaskGraph(4, G1_ARCS))) == {"n_cores", "arc_columns"}
         same = TaskGraph(4, g1.arcs)
         assert g1 == same and hash(g1) == hash(same) and not g1 != same
-        others = [graph_from_arcs(5, G1_ARCS), graph_from_arcs(4, G1_ARCS[::-1]), graph_from_arcs(4, G1_ARCS[:3]),
-                  graph_from_arcs(4, [(0, 1, 100, 11)] + G1_ARCS[1:]), induced_subgraph(g1, [0, 1, 2])]
+        others = [TaskGraph(5, G1_ARCS), TaskGraph(4, G1_ARCS[::-1]), TaskGraph(4, G1_ARCS[:3]),
+                  TaskGraph(4, [(0, 1, 100, 11)] + G1_ARCS[1:]), induced_subgraph(g1, [0, 1, 2])]
         assert all(g1 != other and other != g1 for other in others)
         assert g1 != G1_ARCS and g1 != 4
         assert len({g1, same, *others}) == 1 + len(others)
@@ -305,7 +314,7 @@ class TestTaskGraph:
             "Arc(src=0, dst=2, volume=70, bandwidth=7), Arc(src=1, dst=3, volume=50, bandwidth=5), "
             "Arc(src=2, dst=3, volume=20, bandwidth=2)))"
         )
-        assert repr(graph_from_arcs(0, [])) == "TaskGraph(n_cores=0, arcs=())"
+        assert repr(TaskGraph(0, [])) == "TaskGraph(n_cores=0, arcs=())"
         for name, value in (("n_cores", 5), ("arc_columns", g1.arc_columns), ("arcs", ()), ("other", 1)):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(g1, name, value)
@@ -324,7 +333,7 @@ class TestTaskGraph:
             with pytest.raises(ValueError, match="read-only"):
                 write()
         assert columns.tolist()[2] == [100, 70, 50, 20]
-        assert graph_from_arcs(3, []).arc_columns.shape == (4, 0)
+        assert TaskGraph(3, []).arc_columns.shape == (4, 0)
 
     @pytest.mark.parametrize("clone", [lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy, copy.copy],
                              ids=["pickle", "deepcopy", "copy"])
@@ -352,14 +361,14 @@ class TestTaskGraph:
         # refused when the graph is built, so no graph whose sums could wrap is ever handed on
         exact = f"^{re.escape(message)}$"
         text = "cores 2\n" + "".join(f"edge {s} {d} {v} {b}\n" for s, d, v, b in arcs)
-        for build in (lambda: graph_from_arcs(2, arcs), lambda: TaskGraph(2, [Arc(*quad) for quad in arcs]),
+        for build in (lambda: TaskGraph(2, arcs), lambda: TaskGraph(2, [Arc(*quad) for quad in arcs]),
                       lambda: parse_graph(text)):
             with pytest.raises(ValueError, match=exact) as err:
                 build()
             assert type(err.value) is ValueError  # no one line of a file holds a total
 
     def test_arc_columns_take_totals_of_exactly_int64_max(self):
-        top = graph_from_arcs(2, [(0, 1, 2 ** 62, 2 ** 63 - 1), (1, 0, 2 ** 62 - 1, 0)])
+        top = TaskGraph(2, [(0, 1, 2 ** 62, 2 ** 63 - 1), (1, 0, 2 ** 62 - 1, 0)])
         assert top.arc_columns[2:].sum(axis=1).tolist() == [2 ** 63 - 1, 2 ** 63 - 1]
 
     @pytest.mark.parametrize(
@@ -374,11 +383,9 @@ class TestTaskGraph:
         ],
     )
     def test_direct_construction_refuses_bad_arc(self, arcs, message):
-        exact = f"^{re.escape(message)}$"
-        with pytest.raises(ValueError, match=exact):
-            TaskGraph(2, tuple(Arc(*quad) for quad in arcs))
-        with pytest.raises(ValueError, match=exact):
-            graph_from_arcs(2, arcs)
+        for form in arc_forms(arcs):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                TaskGraph(2, form)
 
     @pytest.mark.parametrize(
         "arcs, message",
@@ -393,24 +400,25 @@ class TestTaskGraph:
         ],
     )
     def test_non_integer_fields_refused(self, arcs, message):
-        # a float weight used to be scored truncated, and a bool or float id taken as an id
-        exact = f"^{re.escape(message)}$"
-        with pytest.raises(ValueError, match=exact):
-            TaskGraph(2, tuple(Arc(*quad) for quad in arcs))
-        with pytest.raises(ValueError, match=exact):
-            graph_from_arcs(2, arcs)
+        # a float weight used to be scored truncated, and a bool or float id taken as an id;
+        # a non-integer field is refused before the arc's other faults, and (0, False) is no loop
+        for form in arc_forms(arcs):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                TaskGraph(2, form)
 
     def test_numpy_integer_fields_accepted(self):
-        g = graph_from_arcs(2, [(np.int64(0), np.int32(1), np.uint8(3), np.int16(2))])
-        assert g == graph_from_arcs(2, [(0, 1, 3, 2)])
-        assert g.arc_columns.tolist() == [[0], [1], [3], [2]]
-        assert repr(g) == "TaskGraph(n_cores=2, arcs=(Arc(src=0, dst=1, volume=3, bandwidth=2),))"
+        for form in arc_forms([(np.int64(0), np.int32(1), np.uint8(3), np.int16(2))]):
+            g = TaskGraph(2, form)
+            assert g == TaskGraph(2, [(0, 1, 3, 2)]) == TaskGraph(2, [Arc(0, 1, 3, 2)])
+            assert g.arc_columns.tolist() == [[0], [1], [3], [2]]
+            assert repr(g) == "TaskGraph(n_cores=2, arcs=(Arc(src=0, dst=1, volume=3, bandwidth=2),))"
+            assert g.arcs == ((0, 1, 3, 2),) and all(type(v) is int for v in g.arcs[0])
 
     def test_id_past_int64_refused_whatever_the_core_count(self):
         # int64 columns cannot hold the id, so it is out of range even of 2 ** 64 cores
         with pytest.raises(ValueError, match=f"^core id out of range in arc 0->{2 ** 63}$"):
-            graph_from_arcs(2 ** 64, [(0, 2 ** 63, 1, 1)])
-        assert graph_from_arcs(2 ** 64, [(0, 2 ** 63 - 1, 1, 1)]).arc_columns.dtype == np.int64
+            TaskGraph(2 ** 64, [(0, 2 ** 63, 1, 1)])
+        assert TaskGraph(2 ** 64, [(0, 2 ** 63 - 1, 1, 1)]).arc_columns.dtype == np.int64
 
     @given(faulty_graphs())
     @settings(max_examples=300, deadline=None)
@@ -418,11 +426,11 @@ class TestTaskGraph:
         n_cores, quads, gaps = case
         want = oracles.arc_fault(n_cores, quads)
         if want is None:
-            g = graph_from_arcs(n_cores, quads)
+            g = TaskGraph(n_cores, quads)
             assert g.arc_columns.tolist() == [[int(quad[f]) for quad in quads] for f in range(4)]
         else:
             with pytest.raises(ValueError) as err:
-                graph_from_arcs(n_cores, quads)
+                TaskGraph(n_cores, quads)
             assert type(err.value) is ValueError and str(err.value) == want[1]
         if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for quad in quads for v in quad):
             return  # a graph file holds integers only
@@ -450,7 +458,7 @@ def any_graph(draw):
     n_cores = draw(st.integers(1, 8))
     pairs = [(i, j) for i in range(n_cores) for j in range(n_cores) if i != j]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
-    return graph_from_arcs(n_cores, [(i, j, draw(st.integers(0, 1000)), 1) for i, j in chosen])
+    return TaskGraph(n_cores, [(i, j, draw(st.integers(0, 1000)), 1) for i, j in chosen])
 
 
 class TestNeighbours:
@@ -504,7 +512,7 @@ def tied_graphs(draw):
     every = [(s, d) for s in range(n_cores) for d in range(n_cores) if s != d]
     pairs = draw(st.lists(st.sampled_from(every), max_size=3 * n_cores, unique=True)) if every else []
     weight = st.sampled_from([0, 1, 1, 2, 5])
-    return graph_from_arcs(n_cores, [(s, d, draw(weight), draw(weight)) for s, d in pairs])
+    return TaskGraph(n_cores, [(s, d, draw(weight), draw(weight)) for s, d in pairs])
 
 
 def assert_same_graph(derived, constructed):
@@ -551,7 +559,7 @@ class TestDerivedGraphs:
 
     def test_empty_derived_graphs(self, g1):
         assert_same_graph(induced_subgraph(g1, []), TaskGraph(0, ()))
-        empty = graph_from_arcs(0, [])
+        empty = TaskGraph(0, [])
         assert_same_graph(cluster_graph(empty, ClusterSet(())), TaskGraph(0, ()))
 
     def test_derived_graph_of_a_derived_graph(self, g1):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from nocmap import Mesh3D
 from nocmap.mappers import ddmap
-from nocmap.taskgraph import graph_from_arcs
+from nocmap.taskgraph import TaskGraph
 from nocmap.topology import (
     MAX_SIDE,
     MAX_TABLE_BYTES,
@@ -64,7 +64,7 @@ class TestMeshSize:
                 call(side)
 
     def test_numpy_integer_side_accepted(self):
-        g = graph_from_arcs(3, [(0, 1, 5, 1), (1, 2, 5, 1)])
+        g = TaskGraph(3, [(0, 1, 5, 1), (1, 2, 5, 1)])
         mesh = Mesh3D(np.int64(3))
         assert mesh.tile_count == 27
         assert mesh == Mesh3D(3) and type(mesh.n) is int  # so no per-mesh table holds numpy ints
@@ -158,7 +158,7 @@ class TestHops:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_kernel_hops_agree(self, n):
         # every ordered tile pair, co-located ones included, as one batch
-        kernel = HopKernel(graph_from_arcs(2, [(0, 1, 1, 1)]), Mesh3D(n))
+        kernel = HopKernel(TaskGraph(2, [(0, 1, 1, 1)]), Mesh3D(n))
         pairs = np.array(list(itertools.product(range(n ** 3), repeat=2)))
         hops = kernel.hops(pairs)[:, 0]
         link_bits, switch_bits, cost = kernel(pairs)
@@ -172,7 +172,7 @@ class TestHops:
         # every pair of the eight corners, where the hop table's extreme
         # entries sit, plus seeded random pairs
         mesh = Mesh3D(n)
-        kernel = HopKernel(graph_from_arcs(2, [(0, 1, 1, 1)]), mesh)
+        kernel = HopKernel(TaskGraph(2, [(0, 1, 1, 1)]), mesh)
         corners = [tile for tile in range(n ** 3) if set(tile_coords(tile, mesh)) <= {0, n - 1}]
         assert len(corners) == 8
         rng = np.random.default_rng(n)
