@@ -23,7 +23,7 @@ from .mappers import MAPPERS, map_with
 from .metrics import EnergyModel, HopKernel, Mapping, _check_objective, evaluate
 from .pso import PsoParams, pso_optimize
 from .scheduler import cluster_schedule, dynamic_schedule
-from .taskgraph import TaskGraph, parse_graph
+from .taskgraph import TaskGraph, _seed, parse_graph
 from .topology import Mesh3D, _check_capacity, hop_table
 
 MODES = ("map", "dynamic", "cluster", "pso")
@@ -34,11 +34,11 @@ ORACLE_MAX_ASSIGNMENTS = 10_000_000
 class RunConfig:
     """One run: input, pipeline, energy model, swarm constants and seed.
 
-    ``seed`` is the run's only seed: it names the artifact, is reported in the
-    row and seeds the swarm.  ``pso=None`` runs ``PsoParams(seed=seed)``; a
-    ``pso`` with another seed is refused, and so is a ``seed_mapping`` artifact
-    whose header names another mesh than ``mesh_n``.  A field the mode never
-    reads must keep its default.
+    ``seed`` is the run's only seed (``taskgraph._seed``): it names the
+    artifact, is reported in the row and seeds the swarm.  ``pso=None`` runs
+    ``PsoParams(seed=seed)``; a ``pso`` with another seed is refused, and so
+    is a ``seed_mapping`` artifact whose header names another mesh than
+    ``mesh_n``.  A field the mode never reads must keep its default.
     """
 
     graph: str | Path
@@ -59,6 +59,7 @@ class RunConfig:
         if self.algo not in MAPPERS:
             raise ValueError(f"unknown algo {self.algo!r}")
         _check_objective(self.objective)
+        _seed(self.seed)
         if self.mode in ("dynamic", "pso") and self.algo != "ddmap":
             raise ValueError(f"{self.mode} mode takes no algo, got {self.algo!r}")
         if self.mode != "pso":

@@ -23,7 +23,7 @@ import heapq
 from typing import Sequence
 
 from .metrics import Mapping
-from .taskgraph import TaskGraph, _is_integer, priority_order
+from .taskgraph import TaskGraph, _ids, _refuse_repeat, priority_order
 from .topology import Mesh3D, _check_capacity, _layer_order, diagonal_tiles, lozenge_next_empty
 
 
@@ -163,20 +163,15 @@ def spiral_order(mesh: Mesh3D) -> list[int]:
 def sequence_map(g: TaskGraph, mesh: Mesh3D, order: Sequence[int]) -> Mapping:
     """Priority-ordered cores onto a tile sequence prefix; injective.
 
-    The prefix's N tiles, N the core count, must be distinct integer tile
-    ids of the mesh (``taskgraph._is_integer``).
+    The prefix's N tiles, N the core count, must be distinct tiles of the mesh
+    (``taskgraph._ids``, ``taskgraph._refuse_repeat``); they are mapped as ints.
     """
     _check_capacity(g.n_cores, mesh)
     if len(order) < g.n_cores:
         raise ValueError("tile sequence shorter than the core list")
-    tiles, count = order[:g.n_cores], mesh.tile_count
-    # Checks over the whole prefix first; the per-tile search runs only when one fails.
-    if not (set(map(type, tiles)) <= {int} and 0 <= min(tiles, default=0) and max(tiles, default=0) < count):
-        for tile in tiles:
-            if not _is_integer(tile) or not 0 <= tile < count:
-                raise ValueError(f"tile {tile!r} in the tile sequence is not a tile of the mesh (0..{count - 1})")
+    tiles = _ids(order[:g.n_cores], mesh.tile_count, "tile id").tolist()
     if len(set(tiles)) < len(tiles):
-        raise ValueError("tile sequence repeats a tile")
+        _refuse_repeat(tiles, "tile id")
     return dict(zip(priority_order(g), tiles))
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .taskgraph import INT64_MAX, TaskGraph, _integer
+from .taskgraph import INT64_MAX, TaskGraph, _ids
 from .topology import Mesh3D, hop_table
 
 Mapping = dict[int, int]
@@ -117,27 +117,19 @@ class HopKernel:
     def placement(self, mapping: Mapping) -> np.ndarray:
         """The tile-per-core array of a mapping that places exactly cores 0..N-1.
 
-        Every core key and tile must be an integer (``taskgraph._integer``): a
-        float or ``bool`` key would find its integer's entry, and a float tile
-        would be truncated.  A mapping of plain ints that passes the checks over
-        the whole mapping takes no per-core step; the per-core search, which
-        names the first fault, runs only when one fails.
+        Every core key and tile must be an id (``taskgraph._ids``): a float or
+        ``bool`` key would find its integer's entry, and a float tile would be
+        truncated.  The keys are checked whenever they are not N plain ints,
+        and the first core with no key is refused as "core <c> is unmapped".
+        Then the tiles, listed in core order, are checked by one ``_ids`` call.
         """
-        tiles = list(map(mapping.get, range(self.n_cores)))  # None for an unmapped core
-        if not (len(mapping) == self.n_cores and set(map(type, mapping)) | set(map(type, tiles)) <= {int}
-                and (not tiles or (0 <= min(tiles) and max(tiles) < self.tile_count))):
-            for core, tile in mapping.items():
-                _integer(core, "core id")
-                _integer(tile, f"tile of core {core}")
-            for core, tile in enumerate(tiles):
-                if tile is None:
-                    raise ValueError(f"core {core} is unmapped")
-                if not (0 <= tile < self.tile_count):
-                    raise ValueError(f"core {core} mapped to invalid tile {tile}")
-            if len(mapping) != self.n_cores:
-                extra = min(c for c in mapping if not (0 <= c < self.n_cores))
-                raise ValueError(f"mapping names unknown core {extra}")
-        return np.array(tiles, dtype=np.intp)
+        if len(mapping) != self.n_cores or not set(map(type, mapping)) <= {int}:
+            _ids(list(mapping), self.n_cores, "core id")
+        try:
+            tiles = list(map(mapping.__getitem__, range(self.n_cores)))
+        except KeyError as missing:
+            raise ValueError(f"core {missing.args[0]} is unmapped") from None
+        return _ids(tiles, self.tile_count, "tile id")
 
     @staticmethod
     def batch_bytes(rows: int, columns: int, arcs: int) -> int:

@@ -30,12 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import EnergyModel, HopKernel, Mapping, _check_objective, _non_negative_float
-from .taskgraph import TaskGraph, _integer, induced_subgraph, priority_order
+from .taskgraph import TaskGraph, _integer, _refuse_repeat, _seed, induced_subgraph, priority_order
 from .topology import MAX_TABLE_BYTES, Mesh3D, _check_capacity
 
 @dataclass(frozen=True)
 class PsoParams:
-    """Swarm constants; c1, c2 and w are kept as finite, non-negative floats, the counts and seed as integers."""
+    """Swarm constants; c1, c2 and w are kept as finite, non-negative floats, the counts as integers,
+    and the seed is decided by ``taskgraph._seed``."""
 
     c1: float = 1.2
     c2: float = 1.3
@@ -47,10 +48,9 @@ class PsoParams:
     def __post_init__(self):
         for name in ("c1", "c2", "w"):
             object.__setattr__(self, name, _non_negative_float(getattr(self, name), name))
-        for name in ("swarm_size", "max_evals_per_simulation", "seed"):
+        for name in ("swarm_size", "max_evals_per_simulation"):
             _integer(getattr(self, name), name)
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        _seed(self.seed)
         if self.swarm_size < 1:
             raise ValueError("swarm size must be positive")
         if self.max_evals_per_simulation < self.swarm_size:
@@ -193,7 +193,8 @@ def pso_optimize(
 
     When ``seed_mapping`` is given it replaces one particle of the initial
     swarm, so the result can never be worse than the seed.  It is checked as
-    ``evaluate`` checks a mapping, and must also be injective.  An unknown
+    ``evaluate`` checks a mapping, and must also be injective: a tile that
+    holds two cores is refused by ``taskgraph._refuse_repeat``.  An unknown
     objective, and a swarm whose arrays together (``_swarm_bytes``) would
     exceed ``MAX_TABLE_BYTES``, are refused before anything is built.
 
@@ -218,11 +219,11 @@ def pso_optimize(
     if seed_mapping is not None:
         try:
             placed = fitness.kernel.placement(seed_mapping)
+            used = np.bincount(placed, minlength=d)
+            if used.max() > 1:
+                _refuse_repeat(placed.tolist(), "tile id")
         except ValueError as exc:
             raise ValueError(f"seed mapping: {exc}") from None
-        used = np.bincount(placed, minlength=d)
-        if used.max() > 1:
-            raise ValueError(f"seed mapping: tile {int(used.argmax())} holds more than one core")
         seed_position = np.concatenate((placed[fitness.order], np.flatnonzero(used == 0)))
 
     # Seeded with (seed, 0): the stream every recorded result was made with.

@@ -15,42 +15,21 @@ is where the energy savings come from.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .mappers import ddmap, map_with
 from .metrics import Mapping
-from .taskgraph import TaskGraph, _integer, _traffic, induced_subgraph
+from .taskgraph import TaskGraph, _ids, _integer, _refuse_repeat, _traffic, induced_subgraph
 from .topology import Mesh3D
 
 
 @dataclass(frozen=True)
 class ClusterSet:
-    """A partition of task ids 0..N-1 into ordered clusters; each id an integer (``taskgraph._integer``)."""
+    """Task ids in ordered clusters; ``cluster_graph`` refuses a set that is not a partition of its graph's tasks."""
 
     clusters: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        seen: set[int] = set()
-        for cluster in self.clusters:
-            if not cluster:
-                raise ValueError("empty cluster")
-            for t in cluster:
-                if _integer(t, "task id") in seen:
-                    raise ValueError(f"task {t} appears in two clusters")
-                seen.add(t)
-        if seen != set(range(len(seen))):
-            raise ValueError("clusters must cover task ids 0..N-1 exactly")
-
-    @classmethod
-    def _unchecked(cls, clusters: tuple[tuple[int, ...], ...]) -> ClusterSet:
-        """A cluster set whose caller vouches that ``clusters`` is a partition of 0..N-1; no check.
-
-        It compares, hashes and prints as ``ClusterSet(clusters)`` does.
-        """
-        cs = object.__new__(cls)
-        cs.__dict__["clusters"] = clusters
-        return cs
 
 
 @dataclass
@@ -105,8 +84,8 @@ def cluster_tasks(g: TaskGraph, max_clusters: int) -> ClusterSet:
     the most volume with (ties to the lowest cluster index).
 
     ``max_clusters`` must be an integer (``taskgraph._integer``).
-    Every task joins one chain once, so the result is a partition by
-    construction and is built without ``ClusterSet``'s check.
+    Every task joins one chain once, so the result is a partition of the
+    graph's tasks by construction.
     """
     if _integer(max_clusters, "cluster limit") < 1:
         raise ValueError("need at least one cluster")
@@ -155,7 +134,7 @@ def cluster_tasks(g: TaskGraph, max_clusters: int) -> ClusterSet:
             for t in surplus:
                 owner[t] = target
         chains = kept
-    return ClusterSet._unchecked(tuple(map(tuple, chains)))
+    return ClusterSet(tuple(map(tuple, chains)))
 
 
 def cluster_graph(g: TaskGraph, cs: ClusterSet) -> TaskGraph:
@@ -165,15 +144,25 @@ def cluster_graph(g: TaskGraph, cs: ClusterSet) -> TaskGraph:
     sort of the crossing arcs' cluster pair keys ``p*m + q`` and one
     ``np.add.reduceat`` per run of equal keys, exact in int64 because no sum
     exceeds the graph's totals.  No ``Arc`` is made and no arc checked again.
+
+    ``cs`` must be a partition of the graph's tasks into non-empty clusters.
+    Its tasks, cluster by cluster, are checked by one ``taskgraph._ids`` call
+    and scattered into the per-task cluster index, whose entries set show a
+    repeated task (``taskgraph._refuse_repeat``) or one left out.
     """
-    if sum(map(len, cs.clusters)) != g.n_cores:  # a ClusterSet covers 0..its size-1
+    sizes = list(map(len, cs.clusters))
+    if 0 in sizes:
+        raise ValueError("empty cluster")
+    m = len(sizes)
+    tasks = _ids(list(chain.from_iterable(cs.clusters)), g.n_cores, "task id")
+    cluster_of = np.full(g.n_cores, -1, dtype=np.int64)
+    cluster_of[tasks] = np.repeat(np.arange(m), sizes)
+    covered = np.count_nonzero(cluster_of >= 0)
+    if covered < len(tasks):  # a scatter keeps one entry per repeated task
+        _refuse_repeat(tasks.tolist(), "task id")
+    if covered < g.n_cores:
         raise ValueError("cluster set does not cover this graph")
-    m = len(cs.clusters)
-    cluster_of = [0] * g.n_cores
-    for i, cluster in enumerate(cs.clusters):
-        for t in cluster:
-            cluster_of[t] = i
-    tails, heads = np.array(cluster_of, dtype=np.int64)[g.arc_columns[:2]]
+    tails, heads = cluster_of[g.arc_columns[:2]]
     keys = tails * m + heads
     crossing = (tails != heads).nonzero()[0]
     by_key = crossing[np.argsort(keys[crossing], kind="stable")]

@@ -30,7 +30,7 @@ import numbers
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -64,6 +64,42 @@ def _integer(value, what: str) -> int:
     if not _is_integer(value):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def _id(value, limit: int, what: str) -> int:
+    """``value`` as a core, tile or task id: the one rule for it, an integer (``_integer``) in
+    0..limit-1; any other integer is refused as "<what> <v> out of range 0..<limit-1>"."""
+    value = _integer(value, what)
+    if not 0 <= value < limit:
+        raise ValueError(f"{what} {value} out of range 0..{limit - 1}")
+    return value
+
+
+def _ids(values, limit: int, what: str) -> np.ndarray:
+    """``values`` as an intp array of ids, each decided by ``_id``; repeats are kept.
+
+    The whole list's type and range scan runs first, and the per-value ``_id``
+    search, which refuses the first faulty value, only when that scan fails.
+    """
+    if not (set(map(type, values)) <= {int} and min(values, default=0) >= 0 and max(values, default=0) < limit):
+        values = [_id(v, limit, what) for v in values]
+    return np.array(values, dtype=np.intp)
+
+
+def _refuse_repeat(ids: Iterable[int], what: str) -> NoReturn:
+    """The one refusal of a repeated id, which each caller detects in its cheapest way:
+    "<what> <v> appears more than once", v the first id in ``ids`` that an earlier one equals."""
+    seen: set[int] = set()
+    repeat = next(v for v in ids if v in seen or seen.add(v))  # add returns None: only a seen id stops it
+    raise ValueError(f"{what} {repeat} appears more than once")
+
+
+def _seed(value) -> int:
+    """``value`` as a seed: the one rule for it, an integer (``_integer``) that is not negative."""
+    seed = _integer(value, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 def _core_count(value) -> int:
@@ -254,8 +290,9 @@ def generate_random_graph(
 
     Weights are drawn uniformly (inclusive) from the given ranges.  The same
     arguments always produce the same graph.  Each count and range bound must
-    be an integer (numpy's are, ``bool`` is not), and the core count is
-    decided by ``_core_count``, so 0 cores give the empty graph.
+    be an integer (numpy's are, ``bool`` is not), the core count is decided
+    by ``_core_count``, so 0 cores give the empty graph, and the seed by
+    ``_seed``.
     """
     n_cores, n_arcs = _core_count(n_cores), _integer(n_arcs, "arc count")
     for bound in (*volume_range, *bandwidth_range):
@@ -268,7 +305,7 @@ def generate_random_graph(
     for lo, hi in (volume_range, bandwidth_range):
         if lo > hi or lo < 0:
             raise ValueError(f"empty or negative weight range ({lo}, {hi})")
-    rng = random.Random(seed)
+    rng = random.Random(_seed(seed))
     values: list[int] = []
     # Index k names the k-th ordered pair (i, j != i) in row-major order,
     # so no list of all n(n-1) pairs is built.
@@ -282,28 +319,16 @@ def induced_subgraph(g: TaskGraph, core_ids: Sequence[int]) -> TaskGraph:
     """Subgraph on the given cores, relabeled 0..k-1 in the given order.
 
     New id i is old id ``core_ids[i]``.  Arcs are kept, in the graph's arc
-    order, only when both endpoints are selected.  Each id must be an
-    integer (numpy's included, ``bool`` not), and selected once.  The
-    subgraph is built from ``g.arc_columns`` by one relabelling array, with
-    no ``Arc`` made and no arc checked again.
+    order, only when both endpoints are selected.  Each id must be a core of
+    the graph (``_ids``), selected once (``_refuse_repeat``).  The subgraph is
+    built from ``g.arc_columns`` by one relabelling array, with no ``Arc``
+    made and no arc checked again.
     """
-    if not set(map(type, core_ids)) <= {int}:  # the per-id search only when the type scan fails
-        for core in core_ids:
-            _integer(core, "core id")
-    try:
-        ids = np.array(core_ids, dtype=np.int64)  # exact: every id is an integer
-    except OverflowError:
-        ids = np.array([-1])  # an id past int64, so out of range
-    # Read as unsigned, a negative id lies past every core, so one bound checks both ends.
-    if ids.size and ids.view(np.uint64).max() >= g.n_cores:
-        if len(set(core_ids)) != len(core_ids):
-            raise ValueError("duplicate core id in selection")
-        bad = next(core for core in core_ids if not 0 <= core < g.n_cores)
-        raise ValueError(f"core id {bad} out of range 0..{g.n_cores - 1}")
+    ids = _ids(core_ids, g.n_cores, "core id")
     new_id = np.full(g.n_cores, -1, dtype=np.int64)
     new_id[ids] = np.arange(len(ids))
-    if np.count_nonzero(new_id >= 0) != len(ids):
-        raise ValueError("duplicate core id in selection")
+    if np.count_nonzero(new_id >= 0) != len(ids):  # a scatter keeps one entry per repeated id
+        _refuse_repeat(ids.tolist(), "core id")
     columns = g.arc_columns.copy()
     np.take(new_id, g.arc_columns[:2], out=columns[:2])
     # An arc stays when neither end is -1: the sign bit of neither is set.

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .taskgraph import _integer
+from .taskgraph import _id, _integer
 
 
 def _hop_table_bytes(n: int) -> int:
@@ -61,10 +61,8 @@ def _check_capacity(n_cores: int, mesh: Mesh3D) -> None:
 
 
 def tile_coords(tile: int, mesh: Mesh3D) -> tuple[int, int, int]:
-    """tile id -> (layer, row, col); the id must be an integer (``taskgraph._integer``) tile of the mesh."""
-    tile, n = _integer(tile, "tile id"), mesh.n
-    if not (0 <= tile < n ** 3):
-        raise ValueError(f"tile id {tile} out of range 0..{n ** 3 - 1}")
+    """tile id -> (layer, row, col); the id must be a tile of the mesh (``taskgraph._id``)."""
+    tile, n = _id(tile, mesh.tile_count, "tile id"), mesh.n
     layer, rest = divmod(tile, n * n)
     row, col = divmod(rest, n)
     return layer, row, col

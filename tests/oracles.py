@@ -51,7 +51,9 @@ constructor, where the library builds its derived graphs from arc columns.
 Last, ``check_arc`` is the one-arc-at-a-time check that the library's
 whole-array arc check replaced, and ``arc_fault`` runs it over a graph's
 arcs, then sums each weight column exactly, to name the refusal the
-library must make.
+library must make.  ``ids`` and ``first_repeat`` are the same for a list of
+ids: one value at a time, the rule that ``taskgraph._ids`` decides for the
+whole list first and ``taskgraph._refuse_repeat`` names.
 """
 
 from __future__ import annotations
@@ -692,4 +694,25 @@ def arc_fault(n_cores: int, quads) -> tuple[int | None, str] | None:
         total = sum(int(quad[field]) for quad in quads)
         if total > INT64_MAX:
             return None, f"total arc {name} {total} does not fit int64"
+    return None
+
+
+def ids(values, limit: int, what: str) -> list[int]:
+    """``values`` as ints, one at a time: each must be an integer (numpy's are, ``bool`` is not)
+    in 0..limit-1, and the first that is not is refused."""
+    out = []
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{what} must be an integer, got {value!r}")
+        if not (0 <= value < limit):
+            raise ValueError(f"{what} {int(value)} out of range 0..{limit - 1}")
+        out.append(int(value))
+    return out
+
+
+def first_repeat(values: list[int]) -> int | None:
+    """The first value that an earlier one equals, or None."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            return value
     return None

@@ -83,9 +83,11 @@ def _sites(matches) -> set[str]:
 def test_each_input_rule_is_decided_in_one_function():
     # What counts as an integer input, the refusal of more cores than tiles,
     # what counts as a real-valued constant, a mesh side's type and range, the
-    # refusal of an unknown objective, of a non-integer arc field and of a
-    # negative core count each have one home that every other check calls; a
-    # second copy would let the two drift apart.
+    # refusal of an unknown objective, of a non-integer arc field, of a
+    # negative core count, of an id off its range, of a repeated id and of a
+    # negative seed each have one home that every other check calls; a second
+    # copy would let the two drift apart.  "core id out of range in arc" is
+    # the arc rule, which _checked_columns decides for a whole array.
     integral = _sites(lambda node: isinstance(node, ast.Attribute) and node.attr == "Integral"
                       or isinstance(node, ast.Name) and node.id == "Integral")
     assert integral == {"taskgraph.py:_is_integer"}
@@ -102,7 +104,10 @@ def test_each_input_rule_is_decided_in_one_function():
                        and "unknown objective" in node.value)
     assert objective == {"metrics.py:_check_objective"}
     for text, home in (("non-integer field", "taskgraph.py:_checked_columns"),
-                       ("core count must be non-negative", "taskgraph.py:_core_count")):
+                       ("core count must be non-negative", "taskgraph.py:_core_count"),
+                       ("out of range 0..", "taskgraph.py:_id"),
+                       ("appears more than once", "taskgraph.py:_refuse_repeat"),
+                       ("seed must be non-negative", "taskgraph.py:_seed")):
         sites = _sites(lambda node: isinstance(node, ast.Constant) and isinstance(node.value, str)
                        and text in node.value)
         assert sites == {home}

@@ -109,6 +109,13 @@ def test_gen_refuses_a_negative_core_count(tmp_path, capsys):
     assert capsys.readouterr() == ("", "error: core count must be non-negative\n") and not out.exists()
 
 
+def test_gen_refuses_a_negative_seed(tmp_path, capsys):
+    # -1 used to write the seed-1 graph while printing seed -1
+    out = tmp_path / "g.ctg"
+    assert main(["gen", "--cores", "6", "--arcs", "8", "--seed", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: seed must be non-negative, got -1\n") and not out.exists()
+
+
 def test_seed_mapping_from_another_mesh_rejected(demo_graph, tmp_path, capsys):
     seeds = tmp_path / "seeds"
     assert main(["map", "--graph", str(demo_graph), "--mesh", "2", "--out", str(seeds)]) == 0
@@ -410,8 +417,8 @@ ddmap vs crinkle (reduction = 100*(baseline-candidate)/baseline)
 
 @pytest.mark.parametrize("lines, fault", [
     (["core 0 -> tile 0", "core 1 -> tile 1"], "core 2 is unmapped"),
-    ([f"core {c} -> tile {c % 5}" for c in range(6)], "tile 0 holds more than one core"),
-])
+    ([f"core {c} -> tile {c % 5}" for c in range(6)], "tile id 0 appears more than once"),
+], ids=["lines0-core 2 is unmapped", "lines1-tile 0 holds more than one core"])  # the names the cases always had
 def test_seed_mapping_placement_error_names_file(demo_graph, tmp_path, capsys, lines, fault):
     seed = tmp_path / "short.map"
     seed.write_text("\n".join(["# mesh = 2", *lines]) + "\n")
@@ -423,7 +430,7 @@ def test_seed_mapping_placement_error_names_file(demo_graph, tmp_path, capsys, l
         "--out", str(out_dir), "--csv", str(csv_path),
     ])
     assert rc == 1
-    assert f"error: {seed}: seed mapping: {fault}\n" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {seed}: seed mapping: {fault}\n"
     assert not out_dir.exists() and not csv_path.exists()
 
 

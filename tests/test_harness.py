@@ -182,6 +182,15 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match="swarm seed 0 differs from run seed 5"):
             RunConfig(graph=g1_file, mode="pso", seed=5, pso=PsoParams(seed=0))
 
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be non-negative, got -1"),
+        (1.5, "seed must be an integer, got 1.5"),  # used to run and write a __seed1.5.map artifact
+        (True, "seed must be an integer, got True"),
+    ], ids=repr)
+    def test_seed_must_be_a_non_negative_integer(self, g1_file, seed, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RunConfig(graph=g1_file, seed=seed)
+
     def test_seed_artifact_without_header(self, g1_file, tmp_path):
         artifact = tmp_path / "bare.map"
         artifact.write_text("".join(f"core {c} -> tile {c}\n" for c in range(4)))

@@ -268,18 +268,30 @@ class TestSequenceMap:
     @pytest.mark.parametrize(
         "order, message",
         [
-            ([0, 0, 1], "tile sequence repeats a tile"),
-            ([2, 1, 2, 3], "tile sequence repeats a tile"),
-            ([0, 9, -1], "tile 9 in the tile sequence is not a tile of the mesh (0..7)"),
-            ([0, 1, -1], "tile -1 in the tile sequence is not a tile of the mesh (0..7)"),
-            ([0, 1.5, 2], "tile 1.5 in the tile sequence is not a tile of the mesh (0..7)"),
-            ([0, True, 2], "tile True in the tile sequence is not a tile of the mesh (0..7)"),
+            ([0, 0, 1], "tile id 0 appears more than once"),
+            ([2, 1, 2, 3], "tile id 2 appears more than once"),
+            ([0, 9, -1], "tile id 9 out of range 0..7"),
+            ([0, 1, -1], "tile id -1 out of range 0..7"),
+            ([0, 1.5, 2], "tile id must be an integer, got 1.5"),
+            ([0, True, 2], "tile id must be an integer, got True"),
         ],
+        # each case keeps the name it had when sequence_map worded its own refusals
+        ids=["order0-tile sequence repeats a tile", "order1-tile sequence repeats a tile",
+             "order2-tile 9 in the tile sequence is not a tile of the mesh (0..7)",
+             "order3-tile -1 in the tile sequence is not a tile of the mesh (0..7)",
+             "order4-tile 1.5 in the tile sequence is not a tile of the mesh (0..7)",
+             "order5-tile True in the tile sequence is not a tile of the mesh (0..7)"],
     )
     def test_bad_prefix_refused(self, mesh2, order, message):
         g = TaskGraph(3, [(0, 1, 5, 1), (1, 2, 3, 1)])
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             sequence_map(g, mesh2, order)
+
+    def test_numpy_integer_tiles_are_mapped_as_ints(self, mesh2):
+        g = TaskGraph(3, [(0, 1, 5, 1), (1, 2, 3, 1)])
+        mapping = sequence_map(g, mesh2, [np.int64(4), np.uint8(5), 6])
+        assert mapping == {1: 4, 0: 5, 2: 6}
+        assert {type(tile) for tile in mapping.values()} == {int}
 
     def test_only_the_prefix_is_read(self, mesh2):
         # a repeat or a bad tile after the first N entries is never used

@@ -65,7 +65,7 @@ class TestTotalEnergy:
             evaluate(g1, {0: 0, 1: 1, 2: 2}, mesh3)
 
     def test_bad_tile(self, mesh3, g1):
-        with pytest.raises(ValueError, match="invalid tile"):
+        with pytest.raises(ValueError, match=r"^tile id 27 out of range 0\.\.26$"):
             evaluate(g1, {0: 0, 1: 1, 2: 2, 3: 27}, mesh3)
 
 
@@ -73,17 +73,17 @@ class TestValidation:
     @pytest.mark.parametrize("extra", [{4: 0}, {-1: 3}, {9: 99}])
     def test_unknown_core_rejected(self, mesh3, g1, extra):
         mapping = {0: 13, 1: 10, 2: 4, 3: 12, **extra}
-        with pytest.raises(ValueError, match=f"unknown core {next(iter(extra))}"):
+        with pytest.raises(ValueError, match=rf"^core id {next(iter(extra))} out of range 0\.\.3$"):
             evaluate(g1, mapping, mesh3)
 
     @pytest.mark.parametrize(
         "mapping, message",
         [
-            ({0: 13, 1: 10.0, 2: 4, 3: 12}, "tile of core 1 must be an integer, got 10.0"),
-            ({0: 13, 1: 10.9, 2: 4, 3: 12}, "tile of core 1 must be an integer, got 10.9"),
-            ({0: 13, 1: True, 2: 4, 3: 12}, "tile of core 1 must be an integer, got True"),
-            ({0: 13, 1: "10", 2: 4, 3: 12}, "tile of core 1 must be an integer, got '10'"),
-            ({0: 13, 1: 10, 2: 4, 3: np.float64(12)}, "tile of core 3 must be an integer, got np.float64(12.0)"),
+            ({0: 13, 1: 10.0, 2: 4, 3: 12}, "tile id must be an integer, got 10.0"),
+            ({0: 13, 1: 10.9, 2: 4, 3: 12}, "tile id must be an integer, got 10.9"),
+            ({0: 13, 1: True, 2: 4, 3: 12}, "tile id must be an integer, got True"),
+            ({0: 13, 1: "10", 2: 4, 3: 12}, "tile id must be an integer, got '10'"),
+            ({0: 13, 1: 10, 2: 4, 3: np.float64(12)}, "tile id must be an integer, got np.float64(12.0)"),
             ({0.0: 13, 1: 10, 2: 4, 3: 12}, "core id must be an integer, got 0.0"),
             ({0: 13, True: 10, 2: 4, 3: 12}, "core id must be an integer, got True"),
             ({0: 13, 1: 10, 2: 4, 3: 12, "4": 5}, "core id must be an integer, got '4'"),

@@ -180,18 +180,6 @@ class TestClusterTasks:
         assert cluster_tasks(g, 2).clusters == ((0, 1, 4), (2, 3))
         assert cluster_tasks(g, 2) == oracles.cluster_tasks(g, 2)
 
-    @given(tied_graphs(0, 40), st.integers(1, 12))
-    @settings(max_examples=80, deadline=None)
-    def test_unchecked_set_equals_the_checked_one(self, g, cap):
-        # cluster_tasks skips the partition check; its set must still be a
-        # partition, and compare, hash and print as the checked constructor's
-        cs = cluster_tasks(g, cap)
-        checked = ClusterSet(cs.clusters)
-        assert type(cs) is ClusterSet
-        assert cs == checked and checked == cs
-        assert hash(cs) == hash(checked) and repr(cs) == repr(checked)
-        assert all(type(c) is tuple for c in cs.clusters)
-
     @pytest.mark.parametrize("limit", [2.5, True, False, np.float64(2.0), "2", None])
     def test_limit_must_be_an_integer(self, limit):
         # five arc-free tasks make five chains, more than any limit here
@@ -204,10 +192,16 @@ class TestClusterTasks:
         assert cluster_tasks(g, np.int64(2)) == cluster_tasks(g, 2)
 
     def test_invalid_partition_rejected(self):
-        with pytest.raises(ValueError):
-            ClusterSet(((0, 1), (1, 2)))
-        with pytest.raises(ValueError):
-            ClusterSet(((0,), (2,)))
+        # a ClusterSet is checked by cluster_graph, which knows the task count
+        g = TaskGraph(3, [(0, 1, 5, 1)])
+        with pytest.raises(ValueError, match="^task id 1 appears more than once$"):
+            cluster_graph(g, ClusterSet(((0, 1), (1, 2))))
+        with pytest.raises(ValueError, match="^task id 1 appears more than once$"):
+            cluster_graph(g, ClusterSet(((0, 1, 1), (2,))))
+        with pytest.raises(ValueError, match="^cluster set does not cover this graph$"):
+            cluster_graph(g, ClusterSet(((0,), (2,))))
+        with pytest.raises(ValueError, match="^empty cluster$"):
+            cluster_graph(g, ClusterSet(((0, 1), (), (2,))))
 
     @pytest.mark.parametrize("clusters, member", [
         (((True, 0), (2,)), True),  # was accepted, and cluster_graph read True as task 1
@@ -216,8 +210,9 @@ class TestClusterTasks:
         (((0, "1"), (2,)), "1"),
     ], ids=repr)
     def test_non_integer_task_refused(self, clusters, member):
+        g = TaskGraph(3, [(0, 1, 5, 1)])
         with pytest.raises(ValueError, match=f"^task id must be an integer, got {re.escape(repr(member))}$"):
-            ClusterSet(clusters)
+            cluster_graph(g, ClusterSet(clusters))
 
     def test_numpy_integer_tasks_accepted(self, g1):
         cs = ClusterSet(((np.int64(0), np.int32(1)), (np.uint8(2), 3)))
@@ -246,16 +241,18 @@ class TestClusterGraph:
         )
 
     def test_mismatched_cover_rejected(self, g1):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^cluster set does not cover this graph$"):
             cluster_graph(g1, ClusterSet(((0, 1),)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^task id 4 out of range 0\.\.3$"):
             cluster_graph(g1, ClusterSet(((0, 1), (2, 3, 4))))
+        with pytest.raises(ValueError, match=r"^task id -1 out of range 0\.\.3$"):
+            cluster_graph(g1, ClusterSet(((0, 1), (2, -1))))
 
     @given(tied_graphs(1, 40), st.integers(1, 12))
     @settings(max_examples=80, deadline=None)
     def test_matches_two_dict_aggregation(self, g, cap):
         # same chains as the candidate-list form, and the same cluster graph,
-        # arc order included
+        # arc order included: cluster_tasks's set passes cluster_graph's check
         cs = cluster_tasks(g, cap)
         assert cs == oracles.cluster_tasks_candidates(g, cap)
         assert cluster_graph(g, cs) == oracles.cluster_graph_pairs(g, cs)

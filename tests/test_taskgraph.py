@@ -17,6 +17,8 @@ from nocmap.taskgraph import (
     Arc,
     GraphFormatError,
     TaskGraph,
+    _ids,
+    _refuse_repeat,
     induced_subgraph,
     parse_graph,
     priority_order,
@@ -215,6 +217,20 @@ class TestGenerate:
 
     def test_distinct_seeds_differ(self):
         assert generate_random_graph(8, 12, seed=3) != generate_random_graph(8, 12, seed=4)
+
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be non-negative, got -1"),  # was the seed-1 graph
+        (True, "seed must be an integer, got True"),
+        (1.0, "seed must be an integer, got 1.0"),
+        (2.5, "seed must be an integer, got 2.5"),
+        (None, "seed must be an integer, got None"),
+    ], ids=repr)
+    def test_seed_must_be_a_non_negative_integer(self, seed, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generate_random_graph(6, 8, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert generate_random_graph(6, 8, seed=np.int64(3)) == generate_random_graph(6, 8, seed=3)
 
     def test_infeasible_arc_count(self):
         with pytest.raises(ValueError, match="infeasible"):
@@ -473,6 +489,49 @@ class TestNeighbours:
             assert g.neighbours[a] == want
 
 
+# Each stands in for one id of a list: numpy integers (accepted), non-integers, and
+# integers past int64 either way (refused).
+odd_ids = st.one_of(
+    st.integers(0, 12).map(np.int64), st.integers(0, 12).map(np.uint8), st.booleans(),
+    st.sampled_from([1.0, 2.5, np.float64(3.0), float("nan"), "1", None]),
+    st.integers(2 ** 63 - 1, 2 ** 65), st.integers(-2 ** 65, -2 ** 63 - 1),
+)
+
+
+@st.composite
+def id_lists(draw):
+    """Mostly plain ints in and around 0..12, repeats included, with up to two odd ids in them."""
+    values = draw(st.lists(st.integers(-1, 13), max_size=10))
+    for _ in range(draw(st.integers(0, 2)) if values else 0):
+        values[draw(st.integers(0, len(values) - 1))] = draw(odd_ids)
+    return values
+
+
+class TestIds:
+    @given(id_lists(), st.integers(0, 13))
+    @settings(max_examples=400)
+    def test_matches_the_per_value_rule(self, values, limit):
+        # the whole-list scan must accept what the per-value rule accepts, and
+        # refuse the rest with its text, which names the first faulty value
+        try:
+            want = oracles.ids(values, limit, "tile id")
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                _ids(values, limit, "tile id")
+            return
+        got = _ids(values, limit, "tile id")
+        assert got.dtype == np.intp and got.tolist() == want
+        repeat = oracles.first_repeat(want)
+        if repeat is not None:
+            with pytest.raises(ValueError, match=f"^tile id {repeat} appears more than once$"):
+                _refuse_repeat(got.tolist(), "tile id")
+
+    def test_an_id_past_int64_is_out_of_range(self):
+        for big in (2 ** 63, 2 ** 64, -2 ** 63 - 1):
+            with pytest.raises(ValueError, match=f"^core id {big} out of range 0\\.\\.3$"):
+                _ids([0, big], 4, "core id")
+
+
 class TestInducedSubgraph:
     def test_relabels_and_filters(self, g1):
         sub = induced_subgraph(g1, [1, 3])
@@ -482,12 +541,14 @@ class TestInducedSubgraph:
         assert (arc.src, arc.dst, arc.volume) == (0, 1, 50)
 
     def test_duplicate_selection_rejected(self, g1):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^core id 0 appears more than once$"):
             induced_subgraph(g1, [0, 0])
+        with pytest.raises(ValueError, match="^core id 2 appears more than once$"):
+            induced_subgraph(g1, [3, 2, 1, 2, 3])
 
     def test_core_off_the_graph_is_refused(self, g1):
-        for core_ids in ([-1, 0], [0, 4], [4]):
-            with pytest.raises(ValueError, match="out of range"):
+        for core_ids, bad in (([-1, 0], -1), ([0, 4], 4), ([4], 4), ([0, 2 ** 64], 2 ** 64), ([4, 4], 4)):
+            with pytest.raises(ValueError, match=f"^core id {bad} out of range 0\\.\\.3$"):
                 induced_subgraph(g1, core_ids)
 
     @pytest.mark.parametrize(
