@@ -13,6 +13,7 @@ column varies between identical runs.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import re
 import time
@@ -312,14 +313,14 @@ def exhaustive_oracle(
     permutations and reflections keeps every hop count, so were the
     minimizer's first tile not the least of its orbit, one of them would map
     the minimizer to a smaller one.  The bound of a partial assignment is
-    the objective's integer sum (link bits, or bandwidth hops for cost) with
-    every arc to an unplaced core counted at one hop, the fewest an
-    injective assignment gives it.  The score of a sum s, ``s`` or
-    ``model.energy(s + total_volume, s)``, never falls as s grows, so a
-    child is pruned once its bound's score reaches the best leaf's: no leaf
-    below it is smaller, and the first leaf at the optimum is the smallest
-    minimizer even when different sums round to one energy.  The value
-    returned is the score of that leaf's sum, which the walk makes exactly.
+    the objective's integer sum, ``h @ HopKernel.weights``, with every arc
+    to an unplaced core counted at one hop, the fewest an injective
+    assignment gives it.  The score of a sum, ``HopKernel.score``, never
+    falls as the sum grows, so a child is pruned once its bound's score
+    reaches the best leaf's: no leaf below it is smaller, and the first leaf
+    at the optimum is the smallest minimizer by score even when different
+    sums round to one energy.  The value returned is the score of that
+    leaf's sum, which the walk makes exactly.
     The hop table is read, as the kernel reads it, only when some pair of
     cores carries weight.  Refuses an unknown objective, and instances with
     more than ORACLE_MAX_ASSIGNMENTS candidate assignments, before building
@@ -335,16 +336,14 @@ def exhaustive_oracle(
         )
 
     kernel = HopKernel(g, mesh)
-    weights = kernel.volume if objective == "energy" else kernel.bandwidth
+    weights = kernel.weights(objective)
     partners: list[dict[int, int]] = [{} for _ in range(k)]  # earlier partner -> both directions' weight
     for src, dst, w in zip(*g.arc_columns[:2].tolist(), weights.tolist()):
         if w:
             early, late = sorted((src, dst))
             partners[late][early] = partners[late].get(early, 0) + w
 
-    def score(s: int):
-        return s if objective == "cost" else model.energy(s + kernel.total_volume, s)
-
+    score = functools.partial(kernel.score, objective=objective, model=model)
     # Read one hop at a time, as Python lists; with no weighted pair none is read, so none is built.
     code, table = [a.tolist() for a in hop_table(mesh)] if any(partners) else ([], [])
     tiles = [0] * k

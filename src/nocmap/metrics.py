@@ -12,9 +12,10 @@ Every metric reads three exact integer sums over the arcs from one kernel,
 Energy is ``e_switch_bit*switch_bits + e_link_bit*link_bits`` and latency
 ``rho*link_bits/eta``.  Integer sums make results independent of arc order,
 and a schedule evaluated task by task equals its aggregated cluster graph
-bit for bit.  The swarm scores through the same kernel's
-``objective_values``, which takes only the sums its objective needs; the
-exhaustive oracle makes the same sums from the same ``hop_table``.
+bit for bit.  A search places one core per tile, so every arc has h >= 1
+and energy never falls as link bits grow: the swarm and the exhaustive
+oracle both minimize the one exact sum ``h @ weights(objective)``, and
+``HopKernel.score`` turns a sum into the value they report.
 The kernel reads its arc arrays from the graph's read-only ``arc_columns``,
 the one form a graph stores its arcs in, however often it is scored; it owns
 only its work arrays and states their size (``batch_bytes``).
@@ -133,12 +134,13 @@ class HopKernel:
 
     @staticmethod
     def batch_bytes(rows: int, columns: int, arcs: int) -> int:
-        """The bytes the kernel holds at once to score a batch of (rows, columns).
+        """The bytes ``hops`` holds at once for a batch of (rows, columns).
 
         Per cell the tile codes and their transpose; per (arc, row) the two end
-        codes, the hop lookup, and the h = 0 mask with its product's int64 copy.
+        codes and the hop lookup.  A search sums the hops with one product and
+        never reaches ``_bits``, so no h = 0 mask is counted.
         """
-        return 16 * rows * columns + 33 * arcs * rows
+        return 16 * rows * columns + 24 * arcs * rows
 
     def hops(self, tiles) -> np.ndarray:
         """XYZ hop count of every arc, shape ``(..., arcs)``.
@@ -177,19 +179,21 @@ class HopKernel:
         h = self.hops(tiles)
         return *self._bits(h), h @ self.bandwidth
 
-    def objective_values(self, tiles, objective: str, model: EnergyModel):
-        """What a search minimizes, for every placement in the batch: ``cost``, or energy.
+    def weights(self, objective: str) -> np.ndarray:
+        """The arc column a search sums over hops: ``volume`` for energy, ``bandwidth`` for cost."""
+        return self.volume if objective == "energy" else self.bandwidth
 
-        It takes only the sums its objective needs, and the values are exactly
-        ``model.energy`` of ``__call__``'s sums, or its cost.  ``objective`` is
-        one of OBJECTIVES: each caller refuses any other once, on entry
-        (``_check_objective``), not on every batch.
+    def score(self, s: int, objective: str, model: EnergyModel):
+        """The value of an injective placement whose ``h @ weights(objective)`` is ``s``.
+
+        Cost is ``s`` itself.  Energy is ``model.energy(s + total_volume, s)``:
+        with every h >= 1 a placement's switch bits are its link bits plus
+        ``total_volume``.  Both never fall as s grows, so a search compares
+        the exact sums and converts only what it reports.  ``objective`` is one
+        of OBJECTIVES: each caller refuses any other once, on entry
+        (``_check_objective``).
         """
-        h = self.hops(tiles)
-        if objective == "cost":
-            return h @ self.bandwidth
-        link_bits, switch_bits = self._bits(h)
-        return model.energy(switch_bits, link_bits)
+        return s if objective == "cost" else model.energy(s + self.total_volume, s)
 
 
 def evaluate(

@@ -154,7 +154,8 @@ def _swarm_bytes(s: int, d: int, arcs: int) -> int:
     velocity scratch, the int tiles, the repair's row starts, its three index
     arrays in their compact dtype and its two masks, the two index lists of
     duplicates and free slots, each up to s*D long, and the improved rows
-    gathered for pbest, up to all of them.  Plus the kernel's ``batch_bytes``.
+    gathered for pbest, up to all of them.  Plus the kernel's ``batch_bytes``
+    for the hops that the fitness sums with one product.
     """
     small = np.min_scalar_type(s * d).itemsize
     per_element = 8 * (3 + 3 + 2 + 2 + 1) + 3 * small + 2
@@ -162,23 +163,22 @@ def _swarm_bytes(s: int, d: int, arcs: int) -> int:
 
 
 class _SlotFitness:
-    """Objective over position vectors, vectorized across a swarm.
+    """The exact int64 sum a swarm minimizes, for every position vector of the swarm at once.
 
-    Scores the whole swarm with one call of the integer
-    ``metrics.HopKernel.objective_values``, so each value is exactly what
+    Scores the whole swarm with one product ``hops @ weights(objective)``
+    of ``metrics.HopKernel``; ``HopKernel.score`` turns a sum into what
     ``metrics.evaluate`` reports.  The kernel is built on the graph relabeled
     in priority order, whose core i is slot i: it reads positions as they
     are, and the dummy slots past the last core are columns it ignores.
     """
 
-    def __init__(self, g: TaskGraph, mesh: Mesh3D, objective: str, model: EnergyModel):
+    def __init__(self, g: TaskGraph, mesh: Mesh3D, objective: str):
         self.order = priority_order(g)
         self.kernel = HopKernel(induced_subgraph(g, self.order), mesh)
-        self.objective = objective
-        self.model = model
+        self.weights = self.kernel.weights(objective)
 
     def __call__(self, positions: np.ndarray) -> np.ndarray:
-        return self.kernel.objective_values(positions, self.objective, self.model)
+        return self.kernel.hops(positions) @ self.weights
 
 
 def pso_optimize(
@@ -203,6 +203,10 @@ def pso_optimize(
     steps write into arrays allocated once here.  The moved positions are
     cast once to int tiles, which the repair fixes in place and the fitness
     reads, and a cast back gives the next float positions.
+
+    The search compares exact integer sums (``_SlotFitness``), so its path
+    does not depend on ``model``; ``HopKernel.score`` converts what it
+    reports, each trace value and ``fitness``.
     """
     _check_objective(objective)
     d = mesh.tile_count
@@ -214,7 +218,7 @@ def pso_optimize(
             f"a swarm of {s} particles on {d} tiles needs {need} bytes of arrays, "
             f"more than {MAX_TABLE_BYTES}"
         )
-    fitness = _SlotFitness(g, mesh, objective, model)
+    fitness = _SlotFitness(g, mesh, objective)
     seed_position = None
     if seed_mapping is not None:
         try:
@@ -243,10 +247,10 @@ def pso_optimize(
     values = fitness(tiles)
     evals = s
     pbest = positions.copy()
-    pbest_val = values.copy()  # the objective's own dtype: int64 costs compare exactly
+    pbest_val = values.copy()  # exact int64 sums: ties and order are the integers'
     best_i = int(np.argmin(pbest_val))
     gbest = positions[best_i].copy()
-    gbest_val = values[best_i].item()  # a Python float (energy) or int (cost)
+    gbest_val = values[best_i].item()
     trace = [(0, evals, gbest_val)]
 
     iteration = 0
@@ -271,4 +275,5 @@ def pso_optimize(
         trace.append((iteration, evals, gbest_val))
 
     mapping = {core: int(gbest[i]) for i, core in enumerate(fitness.order)}
-    return PsoResult(mapping, gbest_val, tuple(trace))
+    trace = tuple((i, e, fitness.kernel.score(v, objective, model)) for i, e, v in trace)
+    return PsoResult(mapping, trace[-1][2], trace)

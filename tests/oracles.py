@@ -8,13 +8,16 @@ times links traversed (``link_bits``), then applies the closed form
 ``e_switch * switch_bits + e_link * link_bits`` once, so results are
 order-independent and comparable bit-for-bit with the library.
 
-``objective_values`` is the three-sum form that ``HopKernel.objective_values``
-must reproduce exactly.  It takes only the kernel's hops and sums them itself,
-switch bits as ``link_bits + (h > 0) @ volume``, not as the kernel's
-``sum(vol)`` less the co-located arcs, so the two forms check each other.
-``kernel_oracle`` scores every injective assignment through the kernel, in
-lexicographic order, and takes the first minimum: the value and minimizer
-that the library's branch-and-bound oracle must return.
+``objective_values`` is the three-sum form that a search's sum
+``HopKernel.hops @ HopKernel.weights``, its ``HopKernel.score`` and
+``evaluate``'s ``HopKernel.__call__`` must reproduce exactly.  It takes only
+the kernel's hops and sums them itself, switch bits as
+``link_bits + (h > 0) @ volume``, not as the kernel's ``sum(vol)`` less the
+co-located arcs, so the two forms check each other.  ``kernel_oracle``
+scores every injective assignment with ``objective_values``, in
+lexicographic order, and takes the first minimum of the float energy (or
+cost): the value and minimizer that the library's branch-and-bound oracle
+must return.
 
 ``repair_permutation`` is the one-vector loop that ``nocmap.pso``'s
 ``repair_permutation``, an in-place slot-space repair of the whole swarm,
@@ -188,14 +191,14 @@ def kernel_oracle(g, mesh: Mesh3D, objective: str = "energy", model=EnergyModel(
 
     The enumeration that ``exhaustive_oracle``'s walk replaced, without its
     symmetry rule or its bound: lexicographic chunks of assignment rows, each
-    scored by one ``HopKernel.objective_values`` call.
+    scored by one ``objective_values`` call above.
     """
     kernel = HopKernel(g, mesh)
     assignments = itertools.permutations(range(mesh.tile_count), g.n_cores)
     best = None
     while chunk := list(itertools.islice(assignments, 1 << 14)):
         rows = np.array(chunk, dtype=np.intp).reshape(len(chunk), g.n_cores)
-        values = kernel.objective_values(rows, objective, model)
+        values = objective_values(kernel, rows, objective, model)
         i = int(np.argmin(values))  # the first minimum: chunks come in lexicographic order
         if best is None or values[i] < best[0]:
             best = values[i].item(), dict(enumerate(rows[i].tolist()))

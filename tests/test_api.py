@@ -113,6 +113,15 @@ def test_each_input_rule_is_decided_in_one_function():
         assert sites == {home}
 
 
+def test_energy_of_a_sum_is_charged_in_one_place():
+    # evaluate charges a placement's switch and link bits; HopKernel.score
+    # charges an injective placement's hop sum, and every search reports
+    # through it.  A third .energy( call would be a second copy of the rule.
+    energy = _sites(lambda node: isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "energy")
+    assert energy == {"metrics.py:evaluate", "metrics.py:HopKernel.score"}
+
+
 def test_the_empty_graph_maps_to_nothing_everywhere():
     # every placement path takes the 0-core graph as the oracle does, with no
     # branch of its own: nothing to place, so an empty placement

@@ -168,7 +168,7 @@ def test_oversize_swarm_is_an_error_not_a_traceback(demo_graph, capsys):
     rc = main(["optimize", "--graph", str(demo_graph), "--mesh", "100"])
     assert rc == 1
     assert capsys.readouterr().err.startswith(
-        "error: a swarm of 200 particles on 1000000 tiles needs 23600066000 bytes of arrays"
+        "error: a swarm of 200 particles on 1000000 tiles needs 23600048000 bytes of arrays"
     )
 
 

@@ -240,15 +240,32 @@ class TestEvaluateAgainstOracle:
 
 
 class TestObjectiveValues:
-    """``HopKernel.objective_values`` takes one sum; the three-sum form must agree exactly."""
+    """A search's sum ``hops @ weights`` and its ``score`` must equal the three-sum reference exactly."""
 
     @staticmethod
-    def assert_agree(kernel, tiles, model):
+    def assert_sums_agree(kernel, tiles, model):
+        # Link bits are the reference energy under a model that charges one per
+        # link bit and nothing per switch bit; any batch, co-located rows too.
+        h = kernel.hops(tiles)
+        link_bits, cost = (h @ kernel.weights(objective) for objective in OBJECTIVES)
+        want_link_bits = three_sum_objective(kernel, tiles, "energy", EnergyModel(0, 1))
+        want_cost = three_sum_objective(kernel, tiles, "cost", model)
+        assert link_bits.dtype == np.int64 and link_bits.shape == want_link_bits.shape
+        assert np.array_equal(link_bits, want_link_bits)
+        assert cost.dtype == want_cost.dtype and cost.shape == want_cost.shape
+        assert np.array_equal(cost, want_cost)
+        # evaluate's three sums, whose switch bits leave out co-located arcs
+        link_bits, switch_bits, _ = kernel(tiles)
+        assert np.array_equal(model.energy(switch_bits, link_bits),
+                              three_sum_objective(kernel, tiles, "energy", model))
+
+    @staticmethod
+    def assert_scores_agree(kernel, tiles, model):
+        # on injective rows every h >= 1, so the score of a row's sum is its value
         for objective in OBJECTIVES:
-            fast = kernel.objective_values(tiles, objective, model)
-            slow = three_sum_objective(kernel, tiles, objective, model)
-            assert fast.dtype == slow.dtype and fast.shape == slow.shape
-            assert np.array_equal(fast, slow)
+            sums = (kernel.hops(tiles) @ kernel.weights(objective)).tolist()
+            want = three_sum_objective(kernel, tiles, objective, model).tolist()
+            assert [kernel.score(s, objective, model) for s in sums] == want
 
     @given(graph_and_placement(), st.data())
     @settings(max_examples=150, deadline=None)
@@ -263,14 +280,19 @@ class TestObjectiveValues:
         ))).reshape(rows, g.n_cores)
         model = EnergyModel(data.draw(st.floats(0, 2)), data.draw(st.floats(0, 2)))
         kernel = HopKernel(g, Mesh3D(n))
-        self.assert_agree(kernel, tiles, model)
-        self.assert_agree(kernel, tiles[0], model)  # one placement, not a batch
+        self.assert_sums_agree(kernel, tiles, model)
+        self.assert_sums_agree(kernel, tiles[0], model)  # one placement, not a batch
+        if g.n_cores <= n ** 3:
+            injective = np.array([
+                data.draw(st.permutations(range(n ** 3)))[:g.n_cores] for _ in range(rows)
+            ]).reshape(rows, g.n_cores)
+            self.assert_scores_agree(kernel, injective, model)
 
     def test_every_core_on_one_tile(self, mesh3):
         kernel = HopKernel(generate_random_graph(6, 12, seed=3), mesh3)
         tiles = np.full((2, 6), 13)
-        self.assert_agree(kernel, tiles, EnergyModel())
-        assert kernel.objective_values(tiles, "energy", EnergyModel()).tolist() == [0.0, 0.0]
+        self.assert_sums_agree(kernel, tiles, EnergyModel())
+        assert [sums.tolist() for sums in kernel(tiles)] == [[0, 0]] * 3
 
     def test_work_arrays_follow_the_batch_shape(self, mesh3):
         # One kernel keeps its work arrays while the batch shape repeats and
@@ -282,7 +304,7 @@ class TestObjectiveValues:
 
         def scores(kernel, tiles):
             return [kernel.hops(tiles), *kernel(tiles), *(
-                kernel.objective_values(tiles, objective, EnergyModel()) for objective in OBJECTIVES
+                kernel.hops(tiles) @ kernel.weights(objective) for objective in OBJECTIVES
             )]
 
         kernel = HopKernel(g, mesh3)
